@@ -4,7 +4,7 @@ Conventions used throughout the package:
   * all lengths in meters, all angles in radians,
   * quaternions are (w, x, y, z), kept unit-norm,
   * camera frames are x-right / y-down / z-forward (optical axis),
-  * voxel grids are dense, serialized x-fastest (x varies quickest).
+  * voxel grids are dense, flattened x-fastest (x varies quickest).
 
 Everything here is value-like and pure: operations return new objects and
 never mutate shared state.
@@ -12,8 +12,7 @@ never mutate shared state.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator
 
@@ -288,7 +287,7 @@ class VoxelGrid3:
         return np.all((idx >= 0) & (idx < np.asarray(self.dims)), axis=-1)
 
     def flat_index(self, idx: np.ndarray) -> np.ndarray:
-        """x-fastest linear index, matching the serialization order."""
+        """x-fastest linear index: the order of `cells.ravel(order="F")`."""
         idx = np.asarray(idx)
         nx, ny, _ = self.dims
         return idx[..., 0] + nx * (idx[..., 1] + ny * idx[..., 2])
@@ -304,23 +303,6 @@ class VoxelGrid3:
         out = self.index_to_world_center(idx)
         object.__setattr__(self, "_centers", out)
         return out
-
-    # -- binary dump: LE header (3 x u32 dims, f32 voxel_size, 3 x f32 origin) + cells,
-    #    cells flattened x-fastest.
-    def dump_bytes(self) -> bytes:
-        header = struct.pack("<3I f 3f", *self.dims, self.voxel_size, *self.origin)
-        nx, ny, nz = self.dims
-        flat = np.ascontiguousarray(self.cells.reshape(nx, ny, nz, -1).transpose(2, 1, 0, 3))
-        return header + flat.tobytes()
-
-    @staticmethod
-    def load_bytes(blob: bytes, dtype: np.dtype, channels: int = 1) -> "VoxelGrid3":
-        nx, ny, nz, vs, ox, oy, oz = struct.unpack_from("<3I f 3f", blob, 0)
-        cells = np.frombuffer(blob, dtype=dtype, offset=struct.calcsize("<3I f 3f")).copy()
-        cells = cells.reshape(nz, ny, nx, channels).transpose(2, 1, 0, 3)
-        if channels == 1:
-            cells = cells[..., 0]
-        return VoxelGrid3(np.array([ox, oy, oz]), float(vs), (nx, ny, nz), np.ascontiguousarray(cells))
 
 
 class CellState(IntEnum):

@@ -9,11 +9,8 @@ path utilities and the final arm/grasp selection.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -23,11 +20,12 @@ from .scene import TABLE_HEIGHT, Approach, Scene, primitive_sdf
 
 LEN_CLAMP = 0.1  # meters; floor for the path-length weight
 
-# execution success model (config-exposed via execute_grasp arguments)
+# execution success model
 EXEC_MIN_INTRINSIC = 0.5
 EXEC_MIN_REACH = 0.3
 EXEC_MIN_COVERAGE = 0.5
 TRUTH_MATCH_VOXELS = 3
+TRUTH_MATCH_VOXEL_SIZE = 0.015  # meters; the target belief grid's voxel
 
 
 class Arm(str, Enum):
@@ -88,7 +86,6 @@ class GraspDetector:
     def __init__(self, grid_template: TsdfGrid, scene: Scene):
         self.scene = scene
         g = grid_template.grid
-        self._dims = g.dims
         self._world_poses = scene.world_truth_grasp_poses()
         target = scene.target_primitive
         self.shells: list[np.ndarray] = []
@@ -136,20 +133,6 @@ class GraspDetector:
                                  coverage=coverage, truth_index=gi))
         return out
 
-    def coverage_of(self, tsdf: TsdfGrid, grasp_index: int) -> float:
-        shell = self.shells[grasp_index]
-        if shell.shape[0] == 0:
-            return 0.0
-        states = tsdf.state_volume()
-        observed = states[shell[:, 0], shell[:, 1], shell[:, 2]] == VoxelState.OCCUPIED_SURFACE
-        return float(observed.mean())
-
-
-def detect_grasps(tsdf: TsdfGrid, scene: Scene, q_th: float, seed: int,
-                  noise_amplitude: float = 0.05) -> list[Grasp]:
-    """One-shot detection; see GraspDetector for the episode-scoped variant."""
-    return GraspDetector(tsdf, scene).detect(tsdf, q_th, seed, noise_amplitude)
-
 
 # ---------------------------------------------------------------------------
 # stability filtering
@@ -159,13 +142,6 @@ def update_stability(prev: list[Grasp], new: list[Grasp]) -> list[Grasp]:
     """Carry per-voxel persistence counters from `prev` into `new`."""
     counter = {g.voxel: g.stable_for for g in prev}
     return [replace(g, stable_for=counter.get(g.voxel, 0) + 1) for g in new]
-
-
-def filter_stable(prev: list[Grasp], new: list[Grasp], n_stab: int) -> list[Grasp]:
-    """Grasps whose voxel has been detected for n_stab consecutive updates."""
-    if n_stab < 1:
-        raise ValueError("n_stab must be >= 1")
-    return [g for g in update_stability(prev, new) if g.stable_for >= n_stab]
 
 
 # ---------------------------------------------------------------------------
@@ -316,56 +292,24 @@ def exec_utility(grasps: list[Grasp], path, map_pair: MapPair,
 # ---------------------------------------------------------------------------
 
 def execute_grasp(scene: Scene, grasp: Grasp, base: Pose2, map_pair: MapPair,
-                  seed: int,
-                  min_intrinsic: float = EXEC_MIN_INTRINSIC,
-                  min_reach: float = EXEC_MIN_REACH,
-                  min_coverage: float = EXEC_MIN_COVERAGE,
-                  voxel_size: float = 0.015) -> GraspOutcome:
+                  min_intrinsic: float = EXEC_MIN_INTRINSIC) -> GraspOutcome:
     """Deterministic surrogate for physical grasp execution.
 
     Succeeds iff the matched ground-truth grasp is intrinsically good, the
     grasp is comfortably reachable from the executing base pose, and enough
     of the contact region has actually been observed.
     """
-    del seed  # the success model is deterministic; kept for interface stability
     truth_positions = np.array([p.position for p in scene.world_truth_grasp_poses()])
     if truth_positions.size == 0:
         return GraspOutcome.FAILED
     d = np.linalg.norm(truth_positions - grasp.pose.position, axis=1)
     nearest = int(np.argmin(d))
-    if d[nearest] > TRUTH_MATCH_VOXELS * voxel_size:
+    if d[nearest] > TRUTH_MATCH_VOXELS * TRUTH_MATCH_VOXEL_SIZE:
         return GraspOutcome.FAILED  # no matching ground-truth grasp
     truth = scene.truth_grasps[nearest]
     score, _ = reachability(map_pair, grasp, base)
     ok = (truth.intrinsic_quality >= min_intrinsic
-          and score >= min_reach
-          and grasp.coverage >= min_coverage)
+          and score >= EXEC_MIN_REACH
+          and grasp.coverage >= EXEC_MIN_COVERAGE)
     return GraspOutcome.SUCCEEDED if ok else GraspOutcome.FAILED
 
-
-# ---------------------------------------------------------------------------
-# persistence: JSON header + raw f32 score block
-# ---------------------------------------------------------------------------
-
-def save_reachability_map(m: ReachabilityMap, path: str | Path) -> None:
-    header = json.dumps({
-        "arm": m.arm.value,
-        "dist_edges": [*map(float, m.dist_edges)],
-        "height_edges": [*map(float, m.height_edges)],
-        "yaw_lo": m.yaw_lo,
-        "yaw_step": m.yaw_step,
-        "shape": list(m.scores.shape),
-        "arm_offset": float(ARM_OFFSET[m.arm]),
-    }, sort_keys=True).encode()
-    blob = struct.pack("<Q", len(header)) + header + m.scores.astype(np.float32).tobytes()
-    Path(path).write_bytes(blob)
-
-
-def load_reachability_map(path: str | Path) -> ReachabilityMap:
-    blob = Path(path).read_bytes()
-    (hlen,) = struct.unpack_from("<Q", blob, 0)
-    head = json.loads(blob[8:8 + hlen].decode())
-    scores = np.frombuffer(blob, dtype=np.float32, offset=8 + hlen).reshape(head["shape"]).copy()
-    return ReachabilityMap(Arm(head["arm"]), np.array(head["dist_edges"]),
-                           np.array(head["height_edges"]), head["yaw_lo"],
-                           head["yaw_step"], scores)

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -95,9 +95,8 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
-_RUNCONFIG_KEYS = {"planner", "scenario", "hard_grasps", "episodes", "base_seed",
-                   "policy", "output_dir"}
-_PLANNER_KEYS = {f.name for f in PlannerConfig.__dataclass_fields__.values()}
+_RUNCONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_PLANNER_KEYS = {f.name for f in fields(PlannerConfig)}
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
@@ -217,8 +216,7 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
                                        "position": [*map(float, g.pose.position)],
                                        "arm": decision.arm.value}}
             trace.append(rec)
-            exec_out = execute_grasp(scene, g, robot, maps,
-                                     derive_seed(policy_seed, "exec"))
+            exec_out = execute_grasp(scene, g, robot, maps)
             outcome = (Outcome.SUCCESS if exec_out is GraspOutcome.SUCCEEDED
                        else Outcome.GRASP_FAILURE)
             abort_reason = ""
@@ -261,14 +259,18 @@ def _result_dict(r: EpisodeResult) -> dict:
             "abort_reason": r.abort_reason}
 
 
-def run_episode(cfg: RunConfig, episode_index: int) -> EpisodeResult:
-    result, trace = run_episode_traced(cfg, episode_index)
-    if cfg.output_dir:
-        out = Path(cfg.output_dir) / "episodes"
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"ep{episode_index:05d}.jsonl"
-        path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in trace) + "\n")
-    return result
+def _read_result(path: Path) -> EpisodeResult:
+    """Decode the result record that ends an episode trace file."""
+    try:
+        rec = json.loads(path.read_text().strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError) as e:
+        raise ValueError(f"truncated episode trace {path}: {e}") from None
+    if not isinstance(rec, dict) or rec.get("type") != "result":
+        raise ValueError(f"episode trace {path} does not end in a result record")
+    return EpisodeResult(
+        outcome=Outcome(rec["outcome"]), d_total=rec["d_total"], v_total=rec["v_total"],
+        steps=rec["steps"], scene_seed=rec["scene_seed"], policy_seed=rec["policy_seed"],
+        policy=PolicyKind(rec["policy"]), abort_reason=rec["abort_reason"])
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +447,8 @@ CSV_HEADER = ["policy", "scenario", "hard", "sr", "ar", "gfr",
               "d_mean", "d_std", "v_mean", "v_std", "config_hash"]
 
 
-def _episode_worker(args: tuple) -> tuple[int, dict, list[dict]]:
-    cfg, index = args
-    result, trace = run_episode_traced(cfg, index)
-    return index, _result_dict(result), trace
+def _episode_worker(args: tuple[RunConfig, int]) -> tuple[EpisodeResult, list[dict]]:
+    return run_episode_traced(*args)
 
 
 def default_workers() -> int:
@@ -460,33 +460,24 @@ def default_workers() -> int:
 
 def run_cell(cfg: RunConfig, workers: int | None = None,
              write_traces: bool = True) -> list[EpisodeResult]:
-    """All episodes of one experiment cell, parallel over episodes; traces are
-    written per episode and merged in index order (deterministic output)."""
+    """All episodes of one experiment cell, parallel over episodes, in index
+    order; with an output_dir, each episode's trace is written to
+    `episodes/ep<index>.jsonl` (deterministic output)."""
     workers = workers if workers is not None else default_workers()
     jobs = [(cfg, i) for i in range(cfg.episodes)]
-    rows: list[tuple[int, dict, list[dict]]] = []
     if workers > 1 and cfg.episodes > 1:
         with ProcessPoolExecutor(max_workers=min(workers, cfg.episodes)) as pool:
             rows = list(pool.map(_episode_worker, jobs, chunksize=1))
     else:
         rows = [_episode_worker(j) for j in jobs]
-    rows.sort(key=lambda r: r[0])
 
     if cfg.output_dir and write_traces:
         out = Path(cfg.output_dir) / "episodes"
         out.mkdir(parents=True, exist_ok=True)
-        for index, _, trace in rows:
+        for index, (_, trace) in enumerate(rows):
             path = out / f"ep{index:05d}.jsonl"
             path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in trace) + "\n")
-
-    results = []
-    for _, rd, _ in rows:
-        results.append(EpisodeResult(
-            outcome=Outcome(rd["outcome"]), d_total=rd["d_total"],
-            v_total=rd["v_total"], steps=rd["steps"], scene_seed=rd["scene_seed"],
-            policy_seed=rd["policy_seed"], policy=PolicyKind(rd["policy"]),
-            abort_reason=rd["abort_reason"]))
-    return results
+    return [result for result, _ in rows]
 
 
 def cell_name(cfg: RunConfig) -> str:
@@ -498,21 +489,30 @@ def run_experiment(cells: list[RunConfig], out_dir: str | Path,
                    workers: int | None = None) -> Path:
     """Run every cell, write metrics.csv plus per-episode JSONL traces.
 
-    Episode-level failures inside a cell are recorded as aborts with a
-    diagnostic; the run always continues to the next cell."""
+    Writes one CSV row per cell, but runs each distinct config (by
+    config_hash) only once: rows that repeat a config reuse its results and
+    its cell directory.  An exception in any episode fails that whole cell:
+    it gets no CSV row and is listed on a trailing `# failed cells:` line,
+    and the run continues with the next cell."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "metrics.csv"
     failures: list[str] = []
+    runs: dict[str, list[EpisodeResult] | Exception] = {}
     with csv_path.open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for cfg in cells:
             cfg = replace(cfg, output_dir=str(out_dir / cell_name(cfg)))
-            try:
-                results = run_cell(cfg, workers=workers)
-            except Exception as e:  # cell-level failure: flag and continue
-                failures.append(f"{cell_name(cfg)}: {e}")
+            key = config_hash(cfg)
+            if key not in runs:
+                try:
+                    runs[key] = run_cell(cfg, workers=workers)
+                except Exception as e:  # cell-level failure: flag and continue
+                    runs[key] = e
+            results = runs[key]
+            if isinstance(results, Exception):
+                failures.append(f"{cell_name(cfg)}: {results}")
                 continue
             m = summarize(results)
             writer.writerow([cfg.policy.value, cfg.scenario.value,
@@ -524,21 +524,14 @@ def run_experiment(cells: list[RunConfig], out_dir: str | Path,
 
 
 def load_results_dir(directory: str | Path) -> list[EpisodeResult]:
-    """Episode results from a run directory's episodes/*.jsonl traces."""
+    """Episode results from a run directory's episodes/*.jsonl traces; a
+    trace that is truncated or lacks its final result record raises
+    ValueError naming the file."""
     directory = Path(directory)
     files = sorted((directory / "episodes").glob("ep*.jsonl"))
     if not files:
         files = sorted(directory.glob("**/ep*.jsonl"))
-    out = []
-    for path in files:
-        last = json.loads(path.read_text().strip().splitlines()[-1])
-        assert last["type"] == "result"
-        out.append(EpisodeResult(
-            outcome=Outcome(last["outcome"]), d_total=last["d_total"],
-            v_total=last["v_total"], steps=last["steps"],
-            scene_seed=last["scene_seed"], policy_seed=last["policy_seed"],
-            policy=PolicyKind(last["policy"]), abort_reason=last["abort_reason"]))
-    return out
+    return [_read_result(path) for path in files]
 
 
 # ---------------------------------------------------------------------------

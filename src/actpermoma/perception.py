@@ -13,10 +13,8 @@ newly reveal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,6 @@ from .geom import (
 from .scene import CameraIntrinsics, DepthImage
 
 WEIGHT_CAP = 64.0
-DIST_CLAMP = 0.1  # meters; floor for the per-view distance weight
 
 
 class VoxelState(IntEnum):
@@ -87,15 +84,6 @@ class TsdfGrid:
         return out
 
 
-def voxel_state(tsdf: TsdfGrid, index: tuple[int, int, int]) -> VoxelState:
-    i, j, k = index
-    if not bool(tsdf.grid.contains_index(np.array(index))):
-        raise IndexError(f"voxel index {index} out of bounds")
-    if tsdf.weight[i, j, k] == 0:
-        return VoxelState.UNKNOWN
-    return VoxelState.FREE if tsdf.tsdf[i, j, k] > 0 else VoxelState.OCCUPIED_SURFACE
-
-
 def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
     """Weighted-average fusion of one depth image; mutates and returns `tsdf`.
 
@@ -147,12 +135,6 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
     return tsdf
 
 
-@dataclass(frozen=True)
-class IgResult:
-    rear_side_count: int
-    rays_cast: int
-
-
 def _bbox_mask(grid: VoxelGrid3, bbox: Aabb) -> np.ndarray:
     """Boolean volume: voxel center inside bbox."""
     nx, ny, nz = grid.dims
@@ -199,44 +181,17 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     reach = t_enter <= t_exit
     t_max = np.where(reach, np.minimum(t_exit, intr.max_range), -1.0)
 
-    nx, ny, _ = g.dims
     seen_surface = np.zeros(n_cams * n_pix, dtype=bool)
-    visited = np.zeros((n_cams, nx * ny * g.dims[2]), dtype=bool)
+    visited = np.zeros((n_cams, unknown.size), dtype=bool)
 
     for ids, ijk in traverse_batch(g, origins, dirs, t_max):
-        flat = ijk[:, 0] + nx * (ijk[:, 1] + ny * ijk[:, 2])
+        flat = g.flat_index(ijk)
         countable = seen_surface[ids] & unknown[flat] & in_bbox[flat]
         if countable.any():
             visited[ids[countable] // n_pix, flat[countable]] = True
         seen_surface[ids] |= occupied[flat]
 
     return visited.sum(axis=1).astype(np.int64)
-
-
-def rear_side_ig(tsdf: TsdfGrid, cam: Pose3, intr: CameraIntrinsics,
-                 target_bbox: Aabb) -> IgResult:
-    count = int(rear_side_ig_batch(tsdf, [cam], intr, target_bbox)[0])
-    return IgResult(rear_side_count=count, rays_cast=intr.width * intr.height)
-
-
-def path_ig(tsdf: TsdfGrid, path, intr: CameraIntrinsics, target_bbox: Aabb,
-            unit_distances: bool = False) -> float:
-    """Distance-weighted information gain summed over a path's camera views.
-
-    `path` needs a `views` attribute: a sequence of waypoints carrying `cam`
-    (Pose3) and `arc` (cumulative base travel from the robot to that view).
-    Each view contributes its rear-side count divided by the squared clamped
-    travel distance; `unit_distances` disables the weighting.
-    """
-    views = list(path.views)
-    if not views:
-        raise ValueError("path has no camera views")
-    counts = rear_side_ig_batch(tsdf, [w.cam for w in views], intr, target_bbox)
-    total = 0.0
-    for w, c in zip(views, counts):
-        d = 1.0 if unit_distances else max(float(w.arc), DIST_CLAMP)
-        total += float(c) / (d * d)
-    return total
 
 
 def project_occupancy(tsdf: TsdfGrid, robot_height_band: tuple[float, float]) -> OccupancyGrid2:
@@ -259,21 +214,3 @@ def project_occupancy(tsdf: TsdfGrid, robot_height_band: tuple[float, float]) ->
     cells[occ_any] = CellState.OCCUPIED
     return OccupancyGrid2(g.origin[:2].copy(), g.voxel_size, g.dims[:2], cells)
 
-
-# ---------------------------------------------------------------------------
-# persistence: binary grid dump + JSON sidecar
-# ---------------------------------------------------------------------------
-
-def save_tsdf(tsdf: TsdfGrid, path: str | Path) -> None:
-    path = Path(path)
-    path.write_bytes(tsdf.grid.dump_bytes())
-    sidecar = {"truncation": tsdf.truncation,
-               "center": [*map(float, tsdf.grid.origin + np.asarray(tsdf.grid.dims) * tsdf.grid.voxel_size / 2)]}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, sort_keys=True))
-
-
-def load_tsdf(path: str | Path) -> TsdfGrid:
-    path = Path(path)
-    grid = VoxelGrid3.load_bytes(path.read_bytes(), np.float32, channels=2)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    return TsdfGrid(grid, float(sidecar["truncation"]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .geom import Aabb, CellState, OccupancyGrid2, Pose2, Pose3, look_at, wrap_a
 from .grasping import Grasp, MapPair, exec_utility
 from .perception import TsdfGrid, rear_side_ig_batch
 from .scene import CameraIntrinsics, ROBOT_RADIUS
+
+
+DIST_CLAMP = 0.1  # meters; floor for the per-view travel-distance weight
 
 
 class NoFeasibleGoals(RuntimeError):
@@ -64,7 +67,6 @@ class PlannerConfig:
 @dataclass
 class PlannerState:
     prev_goal_id: int | None = None
-    prev_goal_utility: float = 0.0
     grasp_found: bool = False
 
 
@@ -117,7 +119,8 @@ def inflate_occupied(occ: OccupancyGrid2, radius: float = ROBOT_RADIUS) -> np.nd
     return blocked
 
 
-def _cell_blocked(occ: OccupancyGrid2, blocked: np.ndarray, xy: np.ndarray) -> bool:
+def cell_blocked(occ: OccupancyGrid2, blocked: np.ndarray, xy: np.ndarray) -> bool:
+    """True when `xy` lies off the grid or on a cell of the `blocked` mask."""
     c = occ.world_to_cell(xy)
     if not bool(occ.contains_cell(c)):
         return True
@@ -160,7 +163,7 @@ def sample_base_goal_slots(occ: OccupancyGrid2, target_xy: np.ndarray, n_b: int,
             angle = base_angle + (ja - 0.5) * (2.0 * np.pi / n_b)
             radius = r_lo + jr * (reach_radius - r_lo)
             xy = target_xy + radius * np.array([np.cos(angle), np.sin(angle)])
-            if _cell_blocked(occ, blocked, xy):
+            if cell_blocked(occ, blocked, xy):
                 continue
             heading = wrap_angle(float(np.arctan2(target_xy[1] - xy[1], target_xy[0] - xy[0])))
             goals.append((slot, Pose2(float(xy[0]), float(xy[1]), heading)))
@@ -168,11 +171,6 @@ def sample_base_goal_slots(occ: OccupancyGrid2, target_xy: np.ndarray, n_b: int,
     if not goals:
         raise NoFeasibleGoals("all base goal slots blocked")
     return goals
-
-
-def sample_base_goals(occ: OccupancyGrid2, target_xy: np.ndarray, n_b: int,
-                      seed: int, reach_radius: float = 0.85) -> list[Pose2]:
-    return [p for _, p in sample_base_goal_slots(occ, target_xy, n_b, seed, reach_radius)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +252,6 @@ def plan_path(occ: OccupancyGrid2, start: Pose2, goal: Pose2,
                 tie += 1
                 heapq.heappush(open_heap, (ng + _octile(nb, g) * cell, tie, nb))
     raise NoPath("goal unreachable")
-
-
-def path_cost(occ: OccupancyGrid2, waypoints: list[Pose2]) -> float:
-    """Traversal cost of a waypoint sequence under the planner's cost model."""
-    unknown = occ.cells == CellState.UNKNOWN
-    total = 0.0
-    for a, b in zip(waypoints, waypoints[1:]):
-        step = float(np.linalg.norm(b.xy - a.xy))
-        c = occ.world_to_cell(b.xy)
-        mult = UNKNOWN_COST if bool(occ.contains_cell(c)) and unknown[c[0], c[1]] else 1.0
-        total += step * mult
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +363,7 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
         j_ig = 0.0
         for v in p.views:
             c = counts[keys[tuple(np.round(v.cam.position, 9))]]
-            d = 1.0 if unit_weights else max(v.arc, 0.1)
+            d = 1.0 if unit_weights else max(v.arc, DIST_CLAMP)
             j_ig += float(c) / (d * d)
         j_exec = exec_utility(grasps, p, map_pair, unit_length=unit_weights)
         # the cross-scale constant converts the per-meter executability to the
@@ -410,19 +396,8 @@ def select_from_utilities(utils: list[PathUtility], cfg: PlannerConfig,
                 best = prev
                 held = True
     new_state = PlannerState(prev_goal_id=best.path.goal_id,
-                             prev_goal_utility=best.utility,
                              grasp_found=st.grasp_found or grasps_present)
     return best, new_state, held
-
-
-def select_path(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Grasp],
-                cfg: PlannerConfig, st: PlannerState, *, intr: CameraIntrinsics,
-                target_bbox: Aabb, map_pair: MapPair,
-                unit_weights: bool = False) -> tuple[CandidatePath, PlannerState]:
-    utils = evaluate_paths(paths, tsdf, grasps, cfg, st, intr, target_bbox,
-                           map_pair, unit_weights)
-    best, new_state, _ = select_from_utilities(utils, cfg, st, bool(grasps))
-    return best.path, new_state
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ target location; ground truth stays inside the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .geom import Aabb, CellState, OccupancyGrid2, Pose2, Pose3, look_at, wrap_angle
+from .geom import Aabb, OccupancyGrid2, Pose2, Pose3, look_at, wrap_angle
 from .grasping import Arm, Grasp, MapPair, best_grasp, reachability
 from .perception import TsdfGrid, rear_side_ig_batch
 from .planning import (
@@ -23,6 +23,7 @@ from .planning import (
     PlannerConfig,
     PlannerState,
     camera_at,
+    cell_blocked,
     evaluate_paths,
     inflate_occupied,
     plan_path,
@@ -306,8 +307,7 @@ class NaivePolicy(Policy):
         for k in range(self.RING_POINTS):
             a = 2 * np.pi * k / self.RING_POINTS
             xy = target_xy + self.cfg.reach_radius * np.array([np.cos(a), np.sin(a)])
-            c = belief.occ.world_to_cell(xy)
-            if bool(belief.occ.contains_cell(c)) and not blocked[c[0], c[1]]:
+            if not cell_blocked(belief.occ, blocked, xy):
                 ring.append(Pose2(float(xy[0]), float(xy[1]),
                                   wrap_angle(float(np.arctan2(target_xy[1] - xy[1],
                                                               target_xy[0] - xy[0])))))
@@ -332,8 +332,7 @@ class NaivePolicy(Policy):
         candidates = ([self.current_goal] if self.current_goal is not None else []) \
             + self._ring(belief, blocked)
         for goal in candidates:
-            c = belief.occ.world_to_cell(goal.xy)
-            if not bool(belief.occ.contains_cell(c)) or blocked[c[0], c[1]]:
+            if cell_blocked(belief.occ, blocked, goal.xy):
                 continue
             try:
                 base = self.routes.path_to(belief.occ, blocked, belief.robot, goal, 0)
@@ -361,15 +360,13 @@ class RandomPolicy(Policy):
     def _goal_radius(self) -> float:
         return 0.75 if self.grasp_failed else min(self.cfg.reach_radius, 0.85)
 
-    def _sample_goal(self, belief: Belief) -> Pose2 | None:
+    def _sample_goal(self, belief: Belief, blocked: np.ndarray) -> Pose2 | None:
         target_xy = belief.target_center[:2]
-        blocked = inflate_occupied(belief.occ)
         r = self._goal_radius()
         for _ in range(100):
             a = float(self.rng.uniform(0.0, 2 * np.pi))
             xy = target_xy + r * np.array([np.cos(a), np.sin(a)])
-            c = belief.occ.world_to_cell(xy)
-            if not bool(belief.occ.contains_cell(c)) or blocked[c[0], c[1]]:
+            if cell_blocked(belief.occ, blocked, xy):
                 continue
             return Pose2(float(xy[0]), float(xy[1]),
                          wrap_angle(float(np.arctan2(target_xy[1] - xy[1],
@@ -387,11 +384,11 @@ class RandomPolicy(Policy):
             if g is not None and score >= cfg.exec_threshold:
                 assert g.arm is not None
                 return ExecuteGrasp(g, g.arm)
+        blocked = inflate_occupied(belief.occ)
         if arrived or self.current_goal is None:
-            self.current_goal = self._sample_goal(belief)
+            self.current_goal = self._sample_goal(belief, blocked)
             if self.current_goal is None:
                 return Abort("no feasible base goals")
-        blocked = inflate_occupied(belief.occ)
         try:
             base = self.routes.path_to(belief.occ, blocked, belief.robot,
                                        self.current_goal, 0)
@@ -416,8 +413,6 @@ class BreyerNbvPolicy(Policy):
         super().__init__(cfg, seed, map_pair)
         self.radius = 1.0
         self.visited: set[int] = set()
-        self.prev_view: int | None = None
-        self.switches = 0  # direction changes, for the zigzag diagnostics
 
     def view_poses(self, target: np.ndarray) -> list[Pose3]:
         views = []
@@ -429,16 +424,9 @@ class BreyerNbvPolicy(Policy):
                 views.append(look_at(pos, target))
         return views
 
-    def _feasible(self, belief: Belief, cams: list[Pose3]) -> list[int]:
-        blocked = inflate_occupied(belief.occ)
-        out = []
-        for i, cam in enumerate(cams):
-            if i in self.visited:
-                continue
-            c = belief.occ.world_to_cell(cam.position[:2])
-            if bool(belief.occ.contains_cell(c)) and not blocked[c[0], c[1]]:
-                out.append(i)
-        return out
+    def _feasible(self, belief: Belief, cams: list[Pose3], blocked: np.ndarray) -> list[int]:
+        return [i for i, cam in enumerate(cams) if i not in self.visited
+                and not cell_blocked(belief.occ, blocked, cam.position[:2])]
 
     def decide(self, belief: Belief) -> PolicyDecision:
         cfg = self.cfg
@@ -452,15 +440,15 @@ class BreyerNbvPolicy(Policy):
                 assert g.arm is not None
                 return ExecuteGrasp(g, g.arm)
 
+        blocked = inflate_occupied(belief.occ)
         cams = self.view_poses(belief.target_center)
-        feasible = self._feasible(belief, cams)
+        feasible = self._feasible(belief, cams, blocked)
         if not feasible:
             # sweep exhausted: shrink the hemisphere and start over
             self.radius = max(self.radius * self.SHRINK, 0.45)
             self.visited.clear()
-            self.prev_view = None
             cams = self.view_poses(belief.target_center)
-            feasible = self._feasible(belief, cams)
+            feasible = self._feasible(belief, cams, blocked)
             if not feasible:
                 return Abort("no feasible views")
 
@@ -468,9 +456,6 @@ class BreyerNbvPolicy(Policy):
                                  self._ig_intrinsics(belief), belief.target_bbox)
         order = max(range(len(feasible)), key=lambda j: (igs[j], -feasible[j]))
         view_id = feasible[order]
-        if self.prev_view is not None and view_id != self.prev_view:
-            self.switches += 1
-        self.prev_view = view_id
         self.last_trace = {"selected_view": view_id,
                            "view_igs": [(int(i), int(c)) for i, c in zip(feasible, igs)]}
 
@@ -481,7 +466,6 @@ class BreyerNbvPolicy(Policy):
         if float(np.linalg.norm(belief.robot.xy - goal.xy)) < 1e-9:
             self.visited.add(view_id)
             return self._wait_in_place(belief)
-        blocked = inflate_occupied(belief.occ)
         try:
             base = self.routes.path_to(belief.occ, blocked, belief.robot, goal, view_id)
         except NoPath:

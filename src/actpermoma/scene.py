@@ -10,7 +10,7 @@ primitives, no noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -21,7 +21,6 @@ from .geom import (
     Pose2,
     Pose3,
     quat_from_matrix,
-    quat_from_yaw,
     wrap_angle,
 )
 
@@ -203,13 +202,9 @@ def primitive_sdf(prim: Primitive, points: np.ndarray) -> np.ndarray:
     return outside + inside
 
 
-def scene_sdf(scene: Scene, points: np.ndarray, skip_floor: bool = False) -> np.ndarray:
-    vals = []
-    for prim in scene.primitives:
-        if skip_floor and prim.tag is Tag.FLOOR:
-            continue
-        vals.append(primitive_sdf(prim, points))
-    return np.min(np.stack(vals, axis=0), axis=0)
+def scene_sdf(scene: Scene, points: np.ndarray) -> np.ndarray:
+    """Signed distance from each point to the nearest scene primitive."""
+    return np.min(np.stack([primitive_sdf(p, points) for p in scene.primitives]), axis=0)
 
 
 def primitive_ray_hits(prim: Primitive, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:

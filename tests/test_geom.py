@@ -125,30 +125,15 @@ def test_grid_round_trip_world_index():
                 assert tuple(g.world_to_index(c)) == (i, j, k)
 
 
-def test_grid_binary_dump_round_trip():
-    rng = np.random.default_rng(0)
-    g = VoxelGrid3(np.array([0.1, -0.2, 0.3]), 0.05, (4, 3, 2),
-                   rng.random((4, 3, 2, 2)).astype(np.float32))
-    blob = g.dump_bytes()
-    back = VoxelGrid3.load_bytes(blob, np.float32, channels=2)
-    assert back.dims == g.dims
-    assert np.allclose(back.origin, g.origin, atol=1e-6)
-    assert back.voxel_size == pytest.approx(g.voxel_size)
-    assert np.array_equal(back.cells, g.cells)
-
-
-def test_grid_dump_is_x_fastest():
-    g = make_grid((2, 2, 2), 1.0)
-    g.cells = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)  # cells[i,j,k]
-    body = g.dump_bytes()[struct_size()]
-    # expected order: (0,0,0), (1,0,0), (0,1,0), (1,1,0), (0,0,1), ...
-    assert list(body) == [0, 4, 2, 6, 1, 5, 3, 7]
-
-
-def struct_size():
-    import struct
-
-    return slice(struct.calcsize("<3I f 3f"), None)
+def test_grid_flat_index_is_x_fastest():
+    g = make_grid((2, 3, 2), 1.0)
+    g.cells = np.arange(12, dtype=np.uint8).reshape(2, 3, 2)  # cells[i,j,k]
+    idx = np.argwhere(np.ones(g.dims, dtype=bool))
+    flat = np.empty(12, dtype=np.uint8)
+    flat[g.flat_index(idx)] = g.cells[idx[:, 0], idx[:, 1], idx[:, 2]]
+    # expected order: (0,0,0), (1,0,0), (0,1,0), (1,1,0), (0,2,0), (1,2,0), (0,0,1), ...
+    assert list(flat) == [0, 6, 2, 8, 4, 10, 1, 7, 3, 9, 5, 11]
+    assert np.array_equal(flat, g.cells.ravel(order="F"))
 
 
 def test_traverse_axis_aligned_row():

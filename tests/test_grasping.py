@@ -16,14 +16,10 @@ from actpermoma.grasping import (
     best_grasp,
     build_map_pair,
     build_reachability_map,
-    detect_grasps,
     exec_utility,
     execute_grasp,
-    filter_stable,
     grasp_pitch_class,
-    load_reachability_map,
     reachability,
-    save_reachability_map,
     smoothstep,
     update_stability,
 )
@@ -62,7 +58,7 @@ class _FakePath:
 def test_detect_on_unknown_tsdf_is_empty():
     scene = generate_scene(SceneKind.SIMPLE, False, 1)
     t = TsdfGrid.create_cube(scene.target_center, 0.6, 40)
-    assert detect_grasps(t, scene, 0.1, seed=0) == []
+    assert GraspDetector(t, scene).detect(t, 0.1, seed=0) == []
 
 
 def test_detect_fully_fused_reports_intrinsic_quality():
@@ -86,9 +82,11 @@ def test_detect_coverage_matches_exhaustive_count():
     t = TsdfGrid.create_cube(scene.target_center, 0.6, 40)
     cam = look_at(scene.target_center + np.array([1.1, 0.1, 0.4]), scene.target_center)
     integrate_depth(t, render_depth(scene, cam, INTR), cam)
-    det = GraspDetector(t, scene)
+    coverage = {g.truth_index: g.coverage
+                for g in GraspDetector(t, scene).detect(t, 0.0, seed=0, noise_amplitude=0.0)}
     states = t.state_volume()
     target = scene.target_primitive
+    nonempty = set()
     g = t.grid
     for gi, pose in enumerate(scene.world_truth_grasp_poses()):
         # independent recount: scan the whole grid for approach-facing shell voxels
@@ -109,8 +107,11 @@ def test_detect_coverage_matches_exhaustive_count():
         shell = idx[near & on_surf & facing & above]
         if shell.shape[0] == 0:
             continue
+        nonempty.add(gi)
         obs = states[shell[:, 0], shell[:, 1], shell[:, 2]] == VoxelState.OCCUPIED_SURFACE
-        assert det.coverage_of(t, gi) == pytest.approx(obs.mean())
+        assert coverage[gi] == pytest.approx(obs.mean())
+    # q_th 0 reports every grasp that has a contact shell
+    assert set(coverage) == nonempty
 
 
 def test_detect_quality_monotone_in_coverage():
@@ -120,10 +121,10 @@ def test_detect_quality_monotone_in_coverage():
 
 def test_detect_deterministic_per_seed():
     scene, t = fused_scene(seed=9)
-    a = detect_grasps(t, scene, 0.7, seed=5)
-    b = detect_grasps(t, scene, 0.7, seed=5)
+    a = GraspDetector(t, scene).detect(t, 0.7, seed=5)
+    b = GraspDetector(t, scene).detect(t, 0.7, seed=5)
     assert [(g.voxel, g.quality) for g in a] == [(g.voxel, g.quality) for g in b]
-    c = detect_grasps(t, scene, 0.7, seed=6)
+    c = GraspDetector(t, scene).detect(t, 0.7, seed=6)
     assert [(g.voxel, g.quality) for g in a] != [(g.voxel, g.quality) for g in c]
 
 
@@ -135,9 +136,14 @@ def _grasp_at(voxel, quality=0.9):
                  quality=quality, voxel=voxel)
 
 
+def _stable(tracked: list, n_stab: int) -> list:
+    # the episode loop's stability filter
+    return [g for g in tracked if g.stable_for >= n_stab]
+
+
 def test_filter_stable_n1_is_identity():
     new = [_grasp_at((1, 2, 3)), _grasp_at((4, 5, 6))]
-    out = filter_stable([], new, 1)
+    out = _stable(update_stability([], new), 1)
     assert [g.voxel for g in out] == [(1, 2, 3), (4, 5, 6)]
     assert all(g.stable_for == 1 for g in out)
 
@@ -146,8 +152,8 @@ def test_filter_stable_counter_semantics():
     # seen 4 consecutive steps: excluded at n_stab=5; the 5th step passes
     tracked: list = []
     for step in range(1, 6):
-        stable = filter_stable(tracked, [_grasp_at((1, 1, 1))], 5)
         tracked = update_stability(tracked, [_grasp_at((1, 1, 1))])
+        stable = _stable(tracked, 5)
         assert tracked[0].stable_for == step
         if step < 5:
             assert stable == []
@@ -173,17 +179,6 @@ def test_reachability_map_peak_and_out_of_range():
     assert m.score_at(0.65, 0.8, ARM_OFFSET[Arm.LEFT], Approach.SIDE_45) == pytest.approx(0.7)
     # behind the robot: beyond the 100 degree cutoff for both arms
     assert m.score_at(0.65, 0.8, np.pi, Approach.TOP_DOWN) == 0.0
-
-
-def test_reachability_map_round_trip(tmp_path):
-    m = build_reachability_map(Arm.RIGHT)
-    p = tmp_path / "right.rmap"
-    save_reachability_map(m, p)
-    back = load_reachability_map(p)
-    assert back.arm is Arm.RIGHT
-    assert np.array_equal(back.scores, m.scores)
-    assert np.allclose(back.dist_edges, m.dist_edges)
-    assert back.yaw_lo == pytest.approx(m.yaw_lo)
 
 
 def test_reachability_query_peak_and_cutoff():
@@ -301,7 +296,7 @@ def test_execute_grasp_truth_table():
             for cover_ok in (False, True):
                 gg = replace(g, coverage=0.9 if cover_ok else 0.1)
                 base = base_with_reach(reach_ok)
-                out = execute_grasp(scene, gg, base, MAPS, seed=0,
+                out = execute_grasp(scene, gg, base, MAPS,
                                     min_intrinsic=0.0 if intrinsic_ok else 1.01)
                 # intrinsic_ok False forces the intrinsic condition to fail
                 want = intrinsic_ok and reach_ok and cover_ok
@@ -314,7 +309,7 @@ def test_execute_grasp_no_matching_truth_fails():
     ghost = replace(_grasp_at((0, 0, 0)),
                     pose=Pose3(scene.target_center + np.array([0.5, 0.5, 0.5]),
                                quat_from_yaw(0)), coverage=1.0)
-    assert execute_grasp(scene, ghost, Pose2(0, 0, 0), MAPS, 0) is GraspOutcome.FAILED
+    assert execute_grasp(scene, ghost, Pose2(0, 0, 0), MAPS) is GraspOutcome.FAILED
 
 
 def test_execute_grasp_zero_reach_fails():
@@ -323,4 +318,4 @@ def test_execute_grasp_zero_reach_fails():
     grasps = det.detect(t, q_th=0.0, seed=0, noise_amplitude=0.0)
     g = replace(max(grasps, key=lambda x: x.coverage), coverage=1.0)
     far = Pose2(g.pose.position[0] - 3.0, g.pose.position[1], 0.0)
-    assert execute_grasp(scene, g, far, MAPS, 0) is GraspOutcome.FAILED
+    assert execute_grasp(scene, g, far, MAPS) is GraspOutcome.FAILED

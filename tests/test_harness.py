@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from actpermoma.harness import (
     load_results_dir,
     run_cell,
     run_config_from_dict,
-    run_episode,
     run_episode_traced,
     run_experiment,
     student_t_two_sided_p,
@@ -192,12 +191,43 @@ def test_run_experiment_writes_csv_and_traces(tmp_path):
         assert len(eps) == 2
 
 
+def test_run_experiment_runs_each_distinct_config_once(tmp_path, monkeypatch):
+    cell = RunConfig(planner=FAST, episodes=2, base_seed=1, policy=PolicyKind.NAIVE,
+                     scenario=SceneKind.SIMPLE)
+    calls = []
+    real = harness.run_cell
+    monkeypatch.setattr(harness, "run_cell",
+                        lambda cfg, **kw: calls.append(cfg) or real(cfg, **kw))
+    csv_path = run_experiment([cell, replace(cell)], tmp_path / "out", workers=1)
+    assert len(calls) == 1
+    lines = csv_path.read_text().strip().splitlines()
+    assert len(lines) == 3  # header + one row per requested cell
+    assert lines[1] == lines[2]
+    assert len(list((tmp_path / "out" / cell_name(cell) / "episodes").glob("ep*.jsonl"))) == 2
+
+
 def test_load_results_dir_round_trip(tmp_path):
     cfg = RunConfig(planner=FAST, episodes=3, base_seed=5, policy=PolicyKind.NAIVE,
                     output_dir=str(tmp_path / "cell"))
-    want = [run_episode(cfg, i) for i in range(3)]
+    want = run_cell(cfg, workers=1)
     got = load_results_dir(tmp_path / "cell")
     assert got == want
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no_result"])
+def test_load_results_dir_names_damaged_trace(tmp_path, damage):
+    cfg = RunConfig(planner=FAST, episodes=2, base_seed=5, policy=PolicyKind.NAIVE,
+                    output_dir=str(tmp_path / "cell"))
+    run_cell(cfg, workers=1)
+    path = tmp_path / "cell" / "episodes" / "ep00001.jsonl"
+    lines = path.read_text().splitlines()
+    assert len(lines) >= 3 and json.loads(lines[-2])["type"] == "step"
+    if damage == "truncated":  # cut mid-way through the result record
+        path.write_text("\n".join(lines[:-1] + [lines[-1][:len(lines[-1]) // 2]]))
+    else:  # the last record is a step record
+        path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="ep00001.jsonl"):
+        load_results_dir(tmp_path / "cell")
 
 
 def test_run_config_rejects_unknown_keys():
@@ -210,6 +240,21 @@ def test_run_config_rejects_unknown_keys():
     assert cfg.planner.q_th == 0.7
     assert cfg.scenario is SceneKind.COMPLEX
     assert cfg.policy is PolicyKind.NAIVE
+
+
+def test_run_config_dict_round_trip_every_field():
+    planner = PlannerConfig(n_b=7, q_th=0.65, n_stab=3, w_ig=0.5, w_exec=2.0, momentum=50.0,
+                            reach_radius=0.9, exec_threshold=0.25, cam_spacing=0.4,
+                            max_steps=77, step_size=0.15, utility_scale=500.0,
+                            ig_unit_rays=50.0, torso_band=(1.0, 1.2), ig_downsample=4)
+    cfg = RunConfig(planner=planner, scenario=SceneKind.COMPLEX, hard_grasps=True,
+                    episodes=9, base_seed=42, policy=PolicyKind.BREYER_NBV,
+                    output_dir="runs/x")
+    for obj, default in ((planner, PlannerConfig()), (cfg, RunConfig())):
+        for f in fields(obj):
+            assert getattr(obj, f.name) != getattr(default, f.name), f.name
+    doc = json.loads(json.dumps(asdict(cfg), default=str))
+    assert run_config_from_dict(doc) == cfg
 
 
 def test_config_hash_stable_and_output_independent():
@@ -268,7 +313,7 @@ def test_render_scene_only_trace(tmp_path):
 def test_render_trace_file_round_trip(tmp_path):
     cfg = RunConfig(planner=FAST, episodes=1, base_seed=4,
                     output_dir=str(tmp_path / "run"), policy=PolicyKind.NAIVE)
-    run_episode(cfg, 0)
+    run_cell(cfg, workers=1)
     trace_file = tmp_path / "run" / "episodes" / "ep00000.jsonl"
     out = render_trace_file(trace_file, tmp_path / "img.svg")
     assert out.read_text().startswith("<svg")

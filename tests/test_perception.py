@@ -1,24 +1,24 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
-from actpermoma.geom import Aabb, CellState, Pose3, look_at
+from actpermoma.geom import Aabb, CellState, Pose2, Pose3, look_at
+from actpermoma.grasping import build_map_pair
 from actpermoma.perception import (
-    DIST_CLAMP,
-    IgResult,
     TsdfGrid,
     VoxelState,
     integrate_depth,
-    load_tsdf,
-    path_ig,
     project_occupancy,
-    rear_side_ig,
     rear_side_ig_batch,
-    save_tsdf,
-    voxel_state,
+)
+from actpermoma.planning import (
+    DIST_CLAMP,
+    CandidatePath,
+    PathView,
+    PlannerConfig,
+    PlannerState,
+    evaluate_paths,
 )
 from actpermoma.scene import (
     CameraIntrinsics,
@@ -34,6 +34,10 @@ IG_INTR = INTR.downsampled(2)
 
 def fresh_target_grid(center) -> TsdfGrid:
     return TsdfGrid.create_cube(np.asarray(center), 0.6, 40)
+
+
+def rear_side_count(tsdf: TsdfGrid, cam: Pose3, intr: CameraIntrinsics, bbox: Aabb) -> int:
+    return int(rear_side_ig_batch(tsdf, [cam], intr, bbox)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +76,6 @@ def rear_side_oracle(tsdf: TsdfGrid, cam: Pose3, intr: CameraIntrinsics, bbox: A
 
 def test_fresh_grid_all_unknown():
     t = fresh_target_grid([0.0, 0.0, 0.9])
-    assert voxel_state(t, (0, 0, 0)) is VoxelState.UNKNOWN
     assert (t.state_volume() == VoxelState.UNKNOWN).all()
 
 
@@ -151,11 +154,11 @@ def test_rear_side_zero_on_fresh_and_complete():
     scene = generate_scene(SceneKind.SIMPLE, False, 3)
     t = fresh_target_grid(scene.target_center)
     cam = look_at(scene.target_center + np.array([1.0, 0.5, 0.5]), scene.target_center)
-    assert rear_side_ig(t, cam, IG_INTR, scene.target_bbox).rear_side_count == 0
+    assert rear_side_count(t, cam, IG_INTR, scene.target_bbox) == 0
     # fully observed bbox: mark everything free
     t.grid.cells[..., 0] = 1.0
     t.grid.cells[..., 1] = 1.0
-    assert rear_side_ig(t, cam, IG_INTR, scene.target_bbox).rear_side_count == 0
+    assert rear_side_count(t, cam, IG_INTR, scene.target_bbox) == 0
 
 
 def test_rear_side_matches_enumeration_small_fixture():
@@ -168,11 +171,10 @@ def test_rear_side_matches_enumeration_small_fixture():
     bbox = Aabb(np.array([0.0, 0.0, 0.0]), np.array([0.6, 0.6, 0.6]))
     intr = CameraIntrinsics(16, 16, np.deg2rad(50.0), 4.0)
     cam = look_at(np.array([-0.73, 0.311, 0.287]), np.array([0.31, 0.29, 0.305]))
-    got = rear_side_ig(t, cam, intr, bbox)
+    got = rear_side_count(t, cam, intr, bbox)
     want = rear_side_oracle(t, cam, intr, bbox)
-    assert got.rear_side_count == want
-    assert got.rays_cast == 16 * 16
-    assert got.rear_side_count > 0
+    assert got == want
+    assert got > 0
 
 
 def test_rear_side_matches_enumeration_fused_views():
@@ -187,7 +189,7 @@ def test_rear_side_matches_enumeration_fused_views():
                                               rng.uniform(-1.3, 1.3),
                                               rng.uniform(0.32, 0.62)])
         cam = look_at(pos, scene.target_center)
-        got = rear_side_ig(t, cam, intr, scene.target_bbox).rear_side_count
+        got = rear_side_count(t, cam, intr, scene.target_bbox)
         want = rear_side_oracle(t, cam, intr, scene.target_bbox)
         assert got == want
 
@@ -200,7 +202,7 @@ def test_rear_side_deterministic_and_batch_consistent():
     cams = [look_at(scene.target_center + np.array([np.cos(a), np.sin(a), 0.5]),
                     scene.target_center) for a in np.linspace(0, 2 * np.pi, 7)]
     batch = rear_side_ig_batch(t, cams, IG_INTR, scene.target_bbox)
-    singles = [rear_side_ig(t, c, IG_INTR, scene.target_bbox).rear_side_count for c in cams]
+    singles = [rear_side_count(t, c, IG_INTR, scene.target_bbox) for c in cams]
     assert list(batch) == singles
     assert list(rear_side_ig_batch(t, cams, IG_INTR, scene.target_bbox)) == singles
 
@@ -213,23 +215,35 @@ def test_rear_side_non_increasing_with_repeated_integration():
     probe = look_at(scene.target_center + np.array([-0.9, 0.7, 0.45]), scene.target_center)
     img = render_depth(scene, probe, INTR)
     integrate_depth(t, img, probe)
-    prev = rear_side_ig(t, probe, IG_INTR, scene.target_bbox).rear_side_count
+    prev = rear_side_count(t, probe, IG_INTR, scene.target_bbox)
     for _ in range(3):
         integrate_depth(t, img, probe)
-        cur = rear_side_ig(t, probe, IG_INTR, scene.target_bbox).rear_side_count
+        cur = rear_side_count(t, probe, IG_INTR, scene.target_bbox)
         assert cur <= prev
         prev = cur
 
 
-@dataclass
-class _View:
-    cam: Pose3
-    arc: float
+# ---------------------------------------------------------------------------
+# path IG: the distance-weighted gain term of planning.evaluate_paths
+# ---------------------------------------------------------------------------
+
+MAPS = build_map_pair()
 
 
-@dataclass
-class _FakePath:
-    views: list
+def _path(goal_id: int, views: list[tuple[Pose3, float]]) -> CandidatePath:
+    base = Pose2(0.0, 0.0, 0.0)
+    return CandidatePath(goal_id=goal_id, base_path=[base],
+                         views=[PathView(base, cam, arc) for cam, arc in views], length=0.0)
+
+
+def path_igs(t: TsdfGrid, paths: list[list[tuple[Pose3, float]]], intr: CameraIntrinsics,
+             bbox: Aabb, unit_weights: bool = False) -> list[float]:
+    """J_IG of each path; no grasps, so the executability term is zero."""
+    utils = evaluate_paths([_path(i, views) for i, views in enumerate(paths)], t, [],
+                           PlannerConfig(), PlannerState(), intr, bbox, MAPS,
+                           unit_weights=unit_weights)
+    assert all(u.j_exec == 0.0 for u in utils)
+    return [u.j_ig for u in utils]
 
 
 def test_path_ig_single_clamped_term():
@@ -238,8 +252,8 @@ def test_path_ig_single_clamped_term():
     cam0 = look_at(scene.target_center + np.array([1.0, 0.0, 0.42]), scene.target_center)
     integrate_depth(t, render_depth(scene, cam0, INTR), cam0)
     probe = look_at(scene.target_center + np.array([-0.8, 0.5, 0.5]), scene.target_center)
-    ig = rear_side_ig(t, probe, IG_INTR, scene.target_bbox).rear_side_count
-    got = path_ig(t, _FakePath([_View(probe, 0.0)]), IG_INTR, scene.target_bbox)
+    ig = rear_side_count(t, probe, IG_INTR, scene.target_bbox)
+    [got] = path_igs(t, [[(probe, 0.0)]], IG_INTR, scene.target_bbox)
     assert got == pytest.approx(ig / DIST_CLAMP**2)
 
 
@@ -251,10 +265,10 @@ def test_path_ig_arithmetic_two_views():
     bbox = Aabb(np.zeros(3), np.full(3, 0.6))
     intr = CameraIntrinsics(16, 16, np.deg2rad(50.0), 4.0)
     cam = look_at(np.array([-0.71, 0.32, 0.33]), np.array([0.3, 0.3, 0.3]))
-    ig = rear_side_ig(t, cam, intr, bbox).rear_side_count
-    path = _FakePath([_View(cam, 1.0), _View(cam, 2.0)])
-    assert path_ig(t, path, intr, bbox) == pytest.approx(ig + ig / 4.0)
-    assert path_ig(t, path, intr, bbox, unit_distances=True) == pytest.approx(2.0 * ig)
+    ig = rear_side_count(t, cam, intr, bbox)
+    views = [(cam, 1.0), (cam, 2.0)]
+    assert path_igs(t, [views], intr, bbox) == [pytest.approx(ig + ig / 4.0)]
+    assert path_igs(t, [views], intr, bbox, unit_weights=True) == [pytest.approx(2.0 * ig)]
 
 
 def test_path_ig_matches_term_by_term_recompute():
@@ -268,12 +282,12 @@ def test_path_ig_matches_term_by_term_recompute():
         pos = scene.target_center + np.array([rng.uniform(-1.2, 1.2),
                                               rng.uniform(-1.2, 1.2),
                                               rng.uniform(0.3, 0.6)])
-        views.append(_View(look_at(pos, scene.target_center), arc=float(i) * 0.5))
-    got = path_ig(t, _FakePath(views), IG_INTR, scene.target_bbox)
+        views.append((look_at(pos, scene.target_center), float(i) * 0.5))
+    [got] = path_igs(t, [views], IG_INTR, scene.target_bbox)
     want = 0.0
-    for w in views:
-        c = rear_side_ig(t, w.cam, IG_INTR, scene.target_bbox).rear_side_count
-        want += c / max(w.arc, DIST_CLAMP) ** 2
+    for cam, arc in views:
+        c = rear_side_count(t, cam, IG_INTR, scene.target_bbox)
+        want += c / max(arc, DIST_CLAMP) ** 2
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -284,11 +298,10 @@ def test_path_ig_additive_over_concatenation():
     integrate_depth(t, render_depth(scene, cam0, INTR), cam0)
     cams = [look_at(scene.target_center + np.array([np.cos(a) * 1.1, np.sin(a) * 1.1, 0.5]),
                     scene.target_center) for a in (0.3, 1.2, 2.4, 4.0)]
-    views = [_View(c, 0.4 * (i + 1)) for i, c in enumerate(cams)]
-    whole = path_ig(t, _FakePath(views), IG_INTR, scene.target_bbox)
-    parts = (path_ig(t, _FakePath(views[:2]), IG_INTR, scene.target_bbox)
-             + path_ig(t, _FakePath(views[2:]), IG_INTR, scene.target_bbox))
-    assert whole == pytest.approx(parts, rel=1e-12)
+    views = [(c, 0.4 * (i + 1)) for i, c in enumerate(cams)]
+    whole, head, tail = path_igs(t, [views, views[:2], views[2:]], IG_INTR,
+                                 scene.target_bbox)
+    assert whole == pytest.approx(head + tail, rel=1e-12)
 
 
 def test_dense_view_sphere_completeness():
@@ -338,26 +351,12 @@ def test_project_occupancy_carved_corridor():
     assert (other == CellState.UNKNOWN).all()
 
 
-def test_tsdf_save_load_round_trip(tmp_path):
-    scene = generate_scene(SceneKind.SIMPLE, False, 13)
-    t = fresh_target_grid(scene.target_center)
-    cam = look_at(scene.target_center + np.array([1.0, 0.2, 0.5]), scene.target_center)
-    integrate_depth(t, render_depth(scene, cam, INTR), cam)
-    p = tmp_path / "belief.bin"
-    save_tsdf(t, p)
-    back = load_tsdf(p)
-    assert back.truncation == pytest.approx(t.truncation)
-    assert np.allclose(back.grid.origin, t.grid.origin, atol=1e-6)
-    assert np.array_equal(back.grid.cells, t.grid.cells)
-
-
 def test_ig_result_bounds():
     scene = generate_scene(SceneKind.SIMPLE, False, 2)
     t = fresh_target_grid(scene.target_center)
     cam0 = look_at(scene.target_center + np.array([1.2, 0.0, 0.4]), scene.target_center)
     integrate_depth(t, render_depth(scene, cam0, INTR), cam0)
-    res = rear_side_ig(t, cam0, IG_INTR, scene.target_bbox)
+    count = rear_side_count(t, cam0, IG_INTR, scene.target_bbox)
     from actpermoma.perception import _bbox_mask
 
-    assert isinstance(res, IgResult)
-    assert 0 <= res.rear_side_count <= int(_bbox_mask(t.grid, scene.target_bbox).sum())
+    assert 0 <= count <= int(_bbox_mask(t.grid, scene.target_bbox).sum())

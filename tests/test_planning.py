@@ -28,13 +28,10 @@ from actpermoma.planning import (
     UNKNOWN_COST,
     evaluate_paths,
     inflate_occupied,
-    path_cost,
     plan_path,
-    sample_base_goals,
     sample_base_goal_slots,
     sample_camera_poses,
     select_from_utilities,
-    select_path,
     should_execute,
     step,
 )
@@ -53,6 +50,18 @@ def empty_occ(n=64, cell=0.1, state=CellState.FREE) -> OccupancyGrid2:
 # ---------------------------------------------------------------------------
 # oracle: uniform-cost Dijkstra under the same cost model
 # ---------------------------------------------------------------------------
+
+def path_cost(occ: OccupancyGrid2, waypoints: list[Pose2]) -> float:
+    """Traversal cost of a waypoint sequence under the planner's cost model."""
+    unknown = occ.cells == CellState.UNKNOWN
+    total = 0.0
+    for a, b in zip(waypoints, waypoints[1:]):
+        step = float(np.linalg.norm(b.xy - a.xy))
+        c = occ.world_to_cell(b.xy)
+        mult = UNKNOWN_COST if bool(occ.contains_cell(c)) and unknown[c[0], c[1]] else 1.0
+        total += step * mult
+    return total
+
 
 def dijkstra_cost(occ: OccupancyGrid2, blocked, s, g) -> float:
     nx, ny = occ.dims
@@ -83,15 +92,15 @@ def dijkstra_cost(occ: OccupancyGrid2, blocked, s, g) -> float:
 def test_sample_base_goals_open_scene():
     occ = empty_occ()
     target = np.array([0.0, 0.0])
-    goals = sample_base_goals(occ, target, 16, seed=3)
+    goals = [p for _, p in sample_base_goal_slots(occ, target, 16, seed=3)]
     assert len(goals) == 16
     for p in goals:
         d = np.linalg.norm(p.xy - target)
         assert 0.55 <= d <= 0.85
         want = np.arctan2(-p.y, -p.x)
         assert abs(np.angle(np.exp(1j * (p.theta - want)))) < 1e-6
-    assert goals == sample_base_goals(occ, target, 16, seed=3)
-    assert goals != sample_base_goals(occ, target, 16, seed=4)
+    assert goals == [p for _, p in sample_base_goal_slots(occ, target, 16, seed=3)]
+    assert goals != [p for _, p in sample_base_goal_slots(occ, target, 16, seed=4)]
 
 
 def test_sample_base_goals_respects_occupancy():
@@ -104,7 +113,7 @@ def test_sample_base_goals_respects_occupancy():
             if c[1] > 0.2:
                 cells[i, j] = CellState.OCCUPIED
     occ.cells = cells
-    goals = sample_base_goals(occ, np.array([0.0, 0.0]), 16, seed=1)
+    goals = [p for _, p in sample_base_goal_slots(occ, np.array([0.0, 0.0]), 16, seed=1)]
     blocked = inflate_occupied(occ)
     for p in goals:
         c = occ.world_to_cell(p.xy)
@@ -115,7 +124,7 @@ def test_sample_base_goals_respects_occupancy():
 def test_sample_base_goals_all_blocked():
     occ = empty_occ(state=CellState.OCCUPIED)
     with pytest.raises(NoFeasibleGoals):
-        sample_base_goals(occ, np.array([0.0, 0.0]), 8, seed=0)
+        sample_base_goal_slots(occ, np.array([0.0, 0.0]), 8, seed=0)
 
 
 def test_plan_path_start_equals_goal():
@@ -212,7 +221,7 @@ def test_select_single_candidate():
 
 def test_select_momentum_hysteresis():
     cfg = replace(PlannerConfig(), momentum=700.0)
-    st = PlannerState(prev_goal_id=1, prev_goal_utility=500.0)
+    st = PlannerState(prev_goal_id=1)
     utils = [_util(1, 500.0), _util(2, 900.0)]
     best, _, held = select_from_utilities(utils, cfg, st, False)
     assert best.path.goal_id == 1 and held  # 900 < 500 + 700
@@ -223,7 +232,7 @@ def test_select_momentum_hysteresis():
 
 def test_select_momentum_never_picks_worse_than_prev():
     cfg = PlannerConfig()
-    st = PlannerState(prev_goal_id=3, prev_goal_utility=100.0)
+    st = PlannerState(prev_goal_id=3)
     utils = [_util(3, 100.0), _util(4, 50.0)]
     best, _, _ = select_from_utilities(utils, cfg, st, False)
     assert best.path.goal_id == 3
@@ -268,10 +277,9 @@ def test_select_path_ig_only_before_grasps():
         paths.append(p)
     utils = evaluate_paths(paths, t, [], cfg, PlannerState(), intr, bbox, MAPS)
     by_ig = max(utils, key=lambda u: (u.j_ig, -u.path.length, -u.path.goal_id))
-    best, _ = select_path(paths, t, [], cfg, PlannerState(), intr=intr,
-                          target_bbox=bbox, map_pair=MAPS)
+    best, _, _ = select_from_utilities(utils, cfg, PlannerState(), False)
     assert all(u.j_exec == 0.0 for u in utils)
-    assert best.goal_id == by_ig.path.goal_id
+    assert best.path.goal_id == by_ig.path.goal_id
 
 
 def test_select_path_latches_grasp_found():
@@ -280,11 +288,15 @@ def test_select_path_latches_grasp_found():
     intr = CameraIntrinsics(16, 16, np.deg2rad(50.0), 4.0)
     g = Grasp(pose=Pose3(np.array([0.3, 0.3, 0.8]), TOP_DOWN_Q), quality=0.9, voxel=(3, 3, 3))
     paths = [_path_with(0, 1.0)]
-    _, st = select_path(paths, t, [g], PlannerConfig(), PlannerState(), intr=intr,
-                        target_bbox=bbox, map_pair=MAPS)
+    cfg = PlannerConfig()
+
+    def select(grasps, st):
+        utils = evaluate_paths(paths, t, grasps, cfg, st, intr, bbox, MAPS)
+        return select_from_utilities(utils, cfg, st, bool(grasps))[1]
+
+    st = select([g], PlannerState())
     assert st.grasp_found
-    _, st2 = select_path(paths, t, [], PlannerConfig(), st, intr=intr,
-                         target_bbox=bbox, map_pair=MAPS)
+    st2 = select([], st)
     assert st2.grasp_found  # latched even when the grasp set is empty again
 
 

@@ -16,7 +16,7 @@ from actpermoma.perception import (
     TsdfGrid,
     integrate_depth,
     project_occupancy,
-    rear_side_ig,
+    rear_side_ig_batch,
 )
 from actpermoma.planning import (
     PlannerConfig,
@@ -30,6 +30,7 @@ from actpermoma.planning import (
     should_execute,
     step,
 )
+import actpermoma.policies as policies
 from actpermoma.policies import (
     Abort,
     ActPerMoMaPolicy,
@@ -246,7 +247,7 @@ def test_random_shrinks_radius_after_failure():
     scene, belief = make_belief(seed=13)
     policy = RandomPolicy(cfg, seed=5, map_pair=MAPS)
     policy.grasp_failed = True
-    goal = policy._sample_goal(belief)
+    goal = policy._sample_goal(belief, inflate_occupied(belief.occ))
     assert goal is not None
     assert np.linalg.norm(goal.xy - scene.target_center[:2]) == pytest.approx(0.75)
 
@@ -260,8 +261,8 @@ def test_breyer_view_igs_match_direct_calls():
     cams = policy.view_poses(belief.target_center)
     intr = belief.intr.downsampled(cfg.ig_downsample)
     for view_id, ig in policy.last_trace["view_igs"]:
-        direct = rear_side_ig(belief.target_tsdf, cams[view_id], intr,
-                              belief.target_bbox).rear_side_count
+        [direct] = rear_side_ig_batch(belief.target_tsdf, [cams[view_id]], intr,
+                                      belief.target_bbox)
         assert ig == direct
 
 
@@ -312,6 +313,25 @@ def test_no_policy_moves_into_occupied_cells(kind):
     for rec in trace:
         if rec.get("type") == "step" and rec["action"]["kind"] == "move":
             assert rec["action"]["cell_state"] != int(CellState.OCCUPIED)
+
+
+@pytest.mark.parametrize("kind", list(PolicyKind))
+def test_inflate_occupied_at_most_once_per_decide(kind, monkeypatch):
+    calls = []
+    real = policies.inflate_occupied
+    monkeypatch.setattr(policies, "inflate_occupied",
+                        lambda occ, *a, **k: calls.append(1) or real(occ, *a, **k))
+    cfg = PlannerConfig(max_steps=50)
+    _, belief = make_belief(seed=7, views=2, cfg=cfg)
+    policy = make_policy(kind, cfg, seed=3, map_pair=MAPS)
+    robot = belief.robot
+    for k in range(6):
+        calls.clear()
+        out = policy.decide(replace(belief, robot=robot, step_index=k))
+        assert len(calls) <= 1, (kind, k, len(calls))
+        if not isinstance(out, MoveStep):
+            break
+        robot = out.base
 
 
 def test_policy_kind_names_match_cli_strings():
