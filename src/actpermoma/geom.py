@@ -419,23 +419,28 @@ def traverse_batch(
     t_next = np.where(d == 0.0, np.inf, t_next)
     t_delta = np.where(d == 0.0, np.inf, np.abs(inv) * vs)
 
+    # (ray, axis) entries are addressed by flat index 3 * row + axis in the
+    # C-ordered (n, 3) arrays, which stay contiguous through the compaction
+    row3 = np.arange(0, 3 * ids.size, 3)
     while ids.size:
         yield ids, ijk
 
         # advance every ray one voxel along its smallest-boundary axis; only
         # the stepped component can leave the grid, so the bounds check is 1D
-        rows = np.arange(ids.size)
         axis = np.argmin(t_next, axis=1)
-        t_cur = t_next[rows, axis]
-        moved = ijk[rows, axis] + step[rows, axis]
-        ijk[rows, axis] = moved
-        t_next[rows, axis] += t_delta[rows, axis]
+        lin = row3[:ids.size] + axis
+        t_flat, ijk_flat = t_next.reshape(-1), ijk.reshape(-1)
+        t_cur = t_flat[lin]
+        moved = ijk_flat[lin] + step.reshape(-1)[lin]
+        ijk_flat[lin] = moved
+        t_flat[lin] = t_cur + t_delta.reshape(-1)[lin]
         ok = (moved >= 0) & (moved < dims[axis]) & (t_cur < tm)
         if not ok.all():
-            ids, ijk, t_next, t_delta, step, tm = (
-                ids[ok], ijk[ok], t_next[ok], t_delta[ok], step[ok], tm[ok])
-            if ids.size == 0:
+            keep = np.flatnonzero(ok)
+            if keep.size == 0:
                 return
+            ids, ijk, t_next, t_delta, step, tm = (
+                ids[keep], ijk[keep], t_next[keep], t_delta[keep], step[keep], tm[keep])
 
 
 def traverse_ray(grid: VoxelGrid3, ray: Ray, max_range: float) -> list[tuple[int, int, int]]:

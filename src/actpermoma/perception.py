@@ -8,11 +8,15 @@ takes an explicit TsdfGrid.
 Information gain of a candidate camera pose is the number of distinct
 unknown voxels inside the target bounding box that lie behind the first
 observed surface along that pose's pixel rays: the voxels the view could
-newly reveal.
+newly reveal.  `rear_side_ig_batch` scores many poses at once.  It culls the
+pixel rays that cannot reach the (inflated) bounding box, traces the rest in
+one exact batched traversal (`geom.traverse_batch`), and counts distinct
+(camera, voxel) hits sparsely.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -145,14 +149,54 @@ def _bbox_mask(grid: VoxelGrid3, bbox: Aabb) -> np.ndarray:
     return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
 
 
+def _box_pixels(cams: list[Pose3], intr: CameraIntrinsics, box: Aabb) -> np.ndarray:
+    """(n_cams, n_pix) mask of the pixels whose rays can reach `box`.
+
+    A pixel ray that meets the box meets it at a point whose projection is
+    the pixel itself, and every box point projects inside the rectangle that
+    bounds the projected corners.  So the mask keeps that rectangle, widened
+    by 1 px against rounding.  It keeps every pixel of a camera that has a
+    corner at or behind the plane of its optical center (camera z <= 1e-9),
+    where the projection of the corners does not bound the box's image.
+    """
+    corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
+    local = np.stack([cam.inverse_transform(corners) for cam in cams])
+    z = local[..., 2]
+    behind = (z <= 1e-9).any(axis=1)
+    f = intr.focal
+    cx = (intr.width - 1) / 2.0
+    cy = (intr.height - 1) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = cx + f * local[..., 0] / z
+        v = cy + f * local[..., 1] / z
+    # pixel_dirs() order is row-major (v, u)
+    pu = np.tile(np.arange(intr.width), intr.height)
+    pv = np.repeat(np.arange(intr.height), intr.width)
+    keep = ((pu >= u.min(axis=1)[:, None] - 1.0) & (pu <= u.max(axis=1)[:, None] + 1.0)
+            & (pv >= v.min(axis=1)[:, None] - 1.0) & (pv <= v.max(axis=1)[:, None] + 1.0))
+    keep[behind] = True
+    return keep
+
+
 def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics,
                        target_bbox: Aabb) -> np.ndarray:
     """Rear-side counts for many candidate camera poses in one traversal pass.
 
     Per ray: march through the grid until past the first observed-surface
     voxel, then every unknown voxel whose center lies in the target bbox
-    counts once per camera.  Rays are clipped once they can no longer reach
-    the bbox; this does not change the counts.
+    counts once per camera.  Only rays that reach the bbox (inflated by one
+    voxel diagonal) can count, so the work runs in three steps:
+
+    1. cull: keep the pixels inside the image rectangle that bounds each
+       camera's view of the inflated bbox (`_box_pixels`), then the rays
+       among them that `ray_aabb_interval` says hit the inflated bbox;
+    2. trace: one `traverse_batch` pass over those rays, each clipped at its
+       bbox exit or at the camera max range;
+    3. count: each countable visit becomes the key `cam * n_vox + flat`, and
+       `np.unique` + `np.bincount` count the distinct keys per camera.
+
+    Culled rays would never visit a countable voxel, so the counts equal
+    those of tracing every pixel ray.
     """
     n_cams = len(cams)
     if n_cams == 0:
@@ -161,37 +205,40 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     states = tsdf.state_volume()
     # flat x-fastest views of the per-voxel predicates for cheap gathers
     occupied = np.asfortranarray(states == VoxelState.OCCUPIED_SURFACE).ravel(order="F")
-    unknown = np.asfortranarray(states == VoxelState.UNKNOWN).ravel(order="F")
-    in_bbox = np.asfortranarray(_bbox_mask(g, target_bbox)).ravel(order="F")
+    countable = np.asfortranarray((states == VoxelState.UNKNOWN)
+                                  & _bbox_mask(g, target_bbox)).ravel(order="F")
+    n_vox = countable.size
+
+    box = target_bbox.inflated(g.voxel_size * np.sqrt(3.0))
+    keep = _box_pixels(cams, intr, box)
 
     dirs_cam = intr.pixel_dirs()
     dirs_cam = dirs_cam / np.linalg.norm(dirs_cam, axis=1, keepdims=True)
-    n_pix = dirs_cam.shape[0]
+    # rotate the full pixel grid, then select: a matmul over a subset of rows
+    # need not give the same bits as the full product
+    dirs = np.concatenate([(dirs_cam @ cam.rotation_matrix().T)[keep[c]]
+                           for c, cam in enumerate(cams)])
+    cam_of = np.repeat(np.arange(n_cams), keep.sum(axis=1))
+    origins = np.stack([cam.position for cam in cams])[cam_of]
 
-    origins = np.empty((n_cams * n_pix, 3))
-    dirs = np.empty_like(origins)
-    for c, cam in enumerate(cams):
-        sl = slice(c * n_pix, (c + 1) * n_pix)
-        origins[sl] = cam.position
-        dirs[sl] = dirs_cam @ cam.rotation_matrix().T
-
-    # a ray that cannot reach the (slightly inflated) bbox contributes nothing
-    pad = g.voxel_size * np.sqrt(3.0)
-    t_enter, t_exit = ray_aabb_interval(origins, dirs, target_bbox.inflated(pad))
+    t_enter, t_exit = ray_aabb_interval(origins, dirs, box)
     reach = t_enter <= t_exit
-    t_max = np.where(reach, np.minimum(t_exit, intr.max_range), -1.0)
+    origins, dirs, key_base = origins[reach], dirs[reach], cam_of[reach] * n_vox
+    t_max = np.minimum(t_exit[reach], intr.max_range)
 
-    seen_surface = np.zeros(n_cams * n_pix, dtype=bool)
-    visited = np.zeros((n_cams, unknown.size), dtype=bool)
-
+    seen_surface = np.zeros(key_base.size, dtype=bool)
+    keys = []
     for ids, ijk in traverse_batch(g, origins, dirs, t_max):
         flat = g.flat_index(ijk)
-        countable = seen_surface[ids] & unknown[flat] & in_bbox[flat]
-        if countable.any():
-            visited[ids[countable] // n_pix, flat[countable]] = True
-        seen_surface[ids] |= occupied[flat]
+        hit = seen_surface[ids] & countable[flat]
+        if hit.any():
+            keys.append(key_base[ids[hit]] + flat[hit])
+        seen_surface[ids[occupied[flat]]] = True
 
-    return visited.sum(axis=1).astype(np.int64)
+    if not keys:
+        return np.zeros(n_cams, dtype=np.int64)
+    cams_hit = np.unique(np.concatenate(keys)) // n_vox
+    return np.bincount(cams_hit, minlength=n_cams).astype(np.int64)
 
 
 def project_occupancy(tsdf: TsdfGrid, robot_height_band: tuple[float, float]) -> OccupancyGrid2:

@@ -344,27 +344,31 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
     once any stable grasp has ever been seen (exploit once there is something
     to exploit)."""
     w_ig_eff = cfg.w_ig if (st.grasp_found or grasps) else 1.0
-    # deduplicate identical camera views across paths
+    # deduplicate identical camera views across paths; view_ids[i][j] is the
+    # batch slot of path i's view j
     keys: dict[tuple, int] = {}
     cams = []
+    view_ids = []
     for p in paths:
+        ids = []
         for v in p.views:
             k = tuple(np.round(v.cam.position, 9))
             if k not in keys:
                 keys[k] = len(cams)
                 cams.append(v.cam)
+            ids.append(keys[k])
+        view_ids.append(ids)
     counts = rear_side_ig_batch(tsdf, cams, intr, target_bbox)
     # gains enter the utility normalized per ig_unit_rays so the momentum and
     # exec scales do not depend on the IG ray budget
     ig_norm = cfg.ig_unit_rays / float(intr.width * intr.height)
 
     out = []
-    for p in paths:
+    for p, ids in zip(paths, view_ids):
         j_ig = 0.0
-        for v in p.views:
-            c = counts[keys[tuple(np.round(v.cam.position, 9))]]
+        for v, i in zip(p.views, ids):
             d = 1.0 if unit_weights else max(v.arc, DIST_CLAMP)
-            j_ig += float(c) / (d * d)
+            j_ig += float(counts[i]) / (d * d)
         j_exec = exec_utility(grasps, p, map_pair, unit_length=unit_weights)
         # the cross-scale constant converts the per-meter executability to the
         # voxel-count scale of the gain term; without length weighting the

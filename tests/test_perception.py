@@ -1,9 +1,23 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from actpermoma.geom import Aabb, CellState, Pose2, Pose3, look_at
+from actpermoma import perception
+from actpermoma.geom import (
+    Aabb,
+    CellState,
+    Pose2,
+    Pose3,
+    Ray,
+    look_at,
+    ray_aabb_interval,
+    traverse_ray,
+)
 from actpermoma.grasping import build_map_pair
 from actpermoma.perception import (
     TsdfGrid,
@@ -18,6 +32,7 @@ from actpermoma.planning import (
     PathView,
     PlannerConfig,
     PlannerState,
+    camera_at,
     evaluate_paths,
 )
 from actpermoma.scene import (
@@ -360,3 +375,204 @@ def test_ig_result_bounds():
     from actpermoma.perception import _bbox_mask
 
     assert 0 <= count <= int(_bbox_mask(t.grid, scene.target_bbox).sum())
+
+
+# ---------------------------------------------------------------------------
+# exactness pins: counts recorded with the dense, unculled scorer
+# ---------------------------------------------------------------------------
+
+def _fused(kind: SceneKind, seed: int, offsets: list[tuple[float, float, float]]):
+    scene = generate_scene(kind, False, seed)
+    t = fresh_target_grid(scene.target_center)
+    for off in offsets:
+        cam = look_at(scene.target_center + np.asarray(off), scene.target_center)
+        integrate_depth(t, render_depth(scene, cam, INTR), cam)
+    return scene, t
+
+
+def _pin_case(name: str):
+    """(tsdf, cams, intrinsics, bbox) of one pinned camera set."""
+    if name == "breyer_rings_complex12":
+        # BreyerNbv-style: two 16-view rings at two radii (64 cameras)
+        scene, t = _fused(SceneKind.COMPLEX, 12, [(1.21, 0.17, 0.44), (-0.5, 1.0, 0.5)])
+        c = scene.target_center
+        cams = [look_at(c + r * np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az),
+                                          np.sin(el)]), c)
+                for r in (1.0, 0.64) for el in np.deg2rad([22.0, 35.0])
+                for az in np.linspace(0.0, 2 * np.pi, 16, endpoint=False)]
+        return t, cams, IG_INTR, scene.target_bbox
+    if name == "edge_views_simple4":
+        scene, t = _fused(SceneKind.SIMPLE, 4, [(1.0, -0.3, 0.45)])
+        c = scene.target_center
+        box = scene.target_bbox
+        shell = np.array([box.hi[0] + 0.01, c[1], c[2]])  # in the inflation pad only
+        cams = [
+            look_at(c + np.array([0.01, 0.02, 0.015]), c + np.array([1.0, 0.3, 0.1])),
+            look_at(c + np.array([-0.02, 0.0, 0.01]), c + np.array([-0.4, -1.0, 0.2])),
+            look_at(shell, c),
+            look_at(shell, shell + np.array([1.0, 0.0, 0.0])),  # looks away
+            look_at(c + np.array([0.0, 0.0, 0.9]), c),  # straight down
+            look_at(c + np.array([0.9, 0.0, 0.0]), c),  # axis-aligned
+            look_at(c + np.array([0.0, 0.9, 0.3]), c),
+            look_at(c + np.array([3.5, 0.0, 0.2]), c),  # box beyond max range
+            look_at(c + np.array([0.5, 0.5, 0.4]), c + np.array([0.5, 1.5, 0.4])),
+        ]
+        return t, cams, CameraIntrinsics(17, 17, np.deg2rad(60.0), 3.0), box
+    if name == "torso_views_complex5":
+        scene, t = _fused(SceneKind.COMPLEX, 5,
+                          [(1.2, -0.3, 0.45), (-0.4, -1.1, 0.5), (0.2, 1.2, 0.35)])
+        c = scene.target_center
+        cams = [camera_at(c[:2] + r * np.array([np.cos(a), np.sin(a)]), c, 5, (1.1, 1.3))
+                for r in (0.75, 1.4) for a in np.linspace(0.2, 2 * np.pi + 0.2, 6,
+                                                          endpoint=False)]
+        return t, cams, INTR, scene.target_bbox
+    raise KeyError(name)
+
+
+PINNED_COUNTS = {
+    "breyer_rings_complex12": [
+        38, 38, 43, 42, 35, 54, 51, 28, 10, 24, 26, 15, 12, 17, 24, 37,
+        16, 35, 35, 39, 35, 55, 45, 29, 9, 31, 34, 24, 14, 20, 25, 23,
+        120, 96, 91, 107, 80, 132, 110, 69, 49, 69, 65, 58, 31, 42, 59, 78,
+        80, 95, 78, 85, 92, 127, 89, 80, 65, 75, 60, 64, 52, 56, 60, 50],
+    "edge_views_simple4": [3, 2, 159, 0, 8, 12, 10, 0, 0],
+    "torso_views_complex5": [54, 54, 51, 54, 54, 55, 30, 31, 25, 32, 31, 30],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COUNTS))
+def test_rear_side_counts_pinned(name):
+    t, cams, intr, bbox = _pin_case(name)
+    got = rear_side_ig_batch(t, cams, intr, bbox)
+    assert got.dtype == np.int64
+    assert got.tolist() == PINNED_COUNTS[name]
+
+
+# ---------------------------------------------------------------------------
+# the cull is exact: a per-ray reference over every pixel ray
+# ---------------------------------------------------------------------------
+
+def rear_side_reference(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics,
+                        bbox: Aabb) -> list[int]:
+    """traverse_ray on every pixel ray of every camera, nothing culled or
+    clipped; the distinct (camera, voxel) hits counted per camera."""
+    g = tsdf.grid
+    states = tsdf.state_volume()
+    dirs_cam = intr.pixel_dirs()
+    dirs_cam = dirs_cam / np.linalg.norm(dirs_cam, axis=1, keepdims=True)
+    hits: set[tuple[int, tuple[int, int, int]]] = set()
+    for c, cam in enumerate(cams):
+        for d in dirs_cam @ cam.rotation_matrix().T:
+            seen = False
+            for ijk in traverse_ray(g, Ray(cam.position, d), intr.max_range):
+                if (seen and states[ijk] == VoxelState.UNKNOWN
+                        and bool(bbox.contains(g.index_to_world_center(np.array(ijk))))):
+                    hits.add((c, ijk))
+                seen |= states[ijk] == VoxelState.OCCUPIED_SURFACE
+    return [sum(1 for c2, _ in hits if c2 == c) for c in range(len(cams))]
+
+
+# rotations with entries in {0, +-0.5, +-1}: their matrices are exact signed
+# permutations, so the optical axis and the middle pixel row/column of an odd
+# image are exactly axis-parallel (zero direction components)
+AXIS_QUATS = [np.array(q, dtype=float) for q in (
+    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0.5, 0.5, 0.5, 0.5),
+    (0.5, -0.5, -0.5, -0.5), (0.5, 0.5, -0.5, 0.5), (0.5, -0.5, 0.5, -0.5))]
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def ig_cases(draw):
+    dims = tuple(draw(st.integers(3, 8)) for _ in range(3))
+    t = TsdfGrid.create(np.zeros(3), 0.1, dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t.grid.cells[..., 0] = np.where(rng.random(dims) < draw(st.floats(0.3, 0.7)), -0.5, 0.5)
+    t.grid.cells[..., 1] = rng.random(dims) < draw(st.floats(0.3, 0.7))
+    extent = 0.1 * np.asarray(dims)
+
+    def point(lo, hi):
+        return lo + np.array([draw(unit) for _ in range(3)]) * (hi - lo)
+
+    lo = point(-0.2 * extent, 0.6 * extent)
+    bbox = Aabb(lo, lo + point(0.2 * extent, extent))
+    pad = 0.1 * np.sqrt(3.0)
+
+    cams = []
+    for kind in draw(st.lists(st.sampled_from(["outside", "inside", "axis"]),
+                              min_size=1, max_size=3)):
+        if kind == "axis":
+            # look along a grid axis at the bbox from up to 1.5 m away
+            q = draw(st.sampled_from(AXIS_QUATS))
+            axis = Pose3(np.zeros(3), q).rotation_matrix()[:, 2]
+            pos = point(bbox.lo, bbox.hi) - draw(st.floats(0.0, 1.5)) * axis
+            cams.append(Pose3(pos, q))
+            continue
+        if kind == "inside":
+            # in the bbox or its inflation pad: box corners lie behind the camera
+            pos = point(bbox.lo - pad, bbox.hi + pad)
+            aim = point(-extent, 2.0 * extent)
+        else:
+            # 5 cm to 2 m from a point of the bbox, aimed near the bbox
+            off = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+            off = off / max(np.linalg.norm(off), 1e-3)
+            pos = point(bbox.lo, bbox.hi) + draw(st.floats(0.05, 2.0)) * off
+            aim = point(bbox.lo - pad, bbox.hi + pad)
+        if np.linalg.norm(aim - pos) < 1e-3:
+            aim = pos + np.array([0.0, 0.0, 1.0])
+        cams.append(look_at(pos, aim))
+    intr = CameraIntrinsics(draw(st.sampled_from([16, 17])), draw(st.sampled_from([16, 17])),
+                            draw(st.floats(0.3, 2.5)), draw(st.floats(0.3, 3.0)))
+    return t, cams, intr, bbox
+
+
+def box_rays(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics, bbox: Aabb):
+    """(origins, dirs, t_max) of the pixel rays that hit the bbox inflated by
+    one voxel diagonal, camera-major, clipped at box exit or max range."""
+    dirs_cam = intr.pixel_dirs()
+    dirs_cam = dirs_cam / np.linalg.norm(dirs_cam, axis=1, keepdims=True)
+    dirs = np.concatenate([dirs_cam @ cam.rotation_matrix().T for cam in cams])
+    origins = np.repeat([cam.position for cam in cams], len(dirs_cam), axis=0)
+    box = bbox.inflated(tsdf.grid.voxel_size * np.sqrt(3.0))
+    t_enter, t_exit = ray_aabb_interval(origins, dirs, box)
+    hit = t_enter <= t_exit
+    return origins[hit], dirs[hit], np.minimum(t_exit[hit], intr.max_range)
+
+
+def traced_rays(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics, bbox: Aabb):
+    """rear_side_ig_batch's counts and the (origins, dirs, t_max) of each
+    call it makes to perception.traverse_batch."""
+    calls = []
+    real = perception.traverse_batch
+
+    def counting(grid, origins, directions, t_max):
+        calls.append((origins.copy(), directions.copy(), np.asarray(t_max).copy()))
+        return real(grid, origins, directions, t_max)
+
+    with mock.patch.object(perception, "traverse_batch", counting):
+        counts = rear_side_ig_batch(tsdf, cams, intr, bbox)
+    return counts, calls
+
+
+@given(ig_cases())
+def test_rear_side_batch_matches_per_ray_reference(case):
+    t, cams, intr, bbox = case
+    counts, calls = traced_rays(t, cams, intr, bbox)
+    assert counts.tolist() == rear_side_reference(t, cams, intr, bbox)
+    assert len(calls) == 1
+    for got, want in zip(calls[0], box_rays(t, cams, intr, bbox)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["breyer_rings_complex12", "edge_views_simple4"])
+def test_rear_side_traces_exactly_the_rays_that_hit_the_box(name):
+    # the IG scorer must go through perception.traverse_batch (the benchmark
+    # hooks that attribute) and hand it exactly the rays that hit the
+    # inflated bbox, each clipped at its exit or the max range
+    t, cams, intr, bbox = _pin_case(name)
+    _, calls = traced_rays(t, cams, intr, bbox)
+    assert len(calls) == 1
+    want = box_rays(t, cams, intr, bbox)
+    assert 0 < len(want[0]) < len(cams) * intr.width * intr.height
+    for got, w in zip(calls[0], want):
+        assert np.array_equal(got, w)
