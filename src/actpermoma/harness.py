@@ -9,6 +9,7 @@ index), so episodes parallelize freely and reruns are bit-identical.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -19,6 +20,11 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 from .geom import CellState, Pose2
 from .grasping import (
@@ -452,10 +458,65 @@ def _episode_worker(args: tuple[RunConfig, int]) -> tuple[EpisodeResult, list[di
 
 
 def default_workers() -> int:
+    """Pool size: `ACTPERMOMA_THREADS` if set, else the CPUs this process may run on."""
     env = os.environ.get("ACTPERMOMA_THREADS")
     if env:
-        return max(int(env), 1)
+        try:
+            return max(int(env), 1)
+        except ValueError:
+            raise ValueError(f"ACTPERMOMA_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# numpy's wheels rename OpenBLAS's API with a `scipy_` prefix; ILP64 builds
+# append `64_`
+_OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
+_OPENBLAS_SUFFIXES = ("64_", "")
+
+
+def _blas_symbol(*names: str):
+    """The first of `names` that numpy's BLAS exports, or None."""
+    try:
+        # a handle on numpy's core extension also resolves the symbols of the
+        # BLAS it links, wherever that library lives
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in names:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            return fn
+    return None
+
+
+def _openblas_function(verb: str):
+    """numpy's OpenBLAS `<verb>_num_threads` function ("set" or "get"), or None
+    when numpy's BLAS is not OpenBLAS (MKL, Accelerate)."""
+    return _blas_symbol(*(f"{prefix}_{verb}_num_threads{suffix}"
+                          for prefix in _OPENBLAS_PREFIXES for suffix in _OPENBLAS_SUFFIXES))
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: run BLAS on one thread.  Each worker already
+    has a CPU, so BLAS threads of its own would only oversubscribe the CPUs.
+    The thread-count environment variables are read when numpy loads, before
+    a forked worker starts, so the count is set through the library itself."""
+    setter = _openblas_function("set")
+    if setter is None:
+        return
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    setter(1)
+    # in a forked worker the setter restarts OpenBLAS's server thread, which
+    # gets no work at one thread yet busy-waits ~0.1 s of CPU before it
+    # sleeps; stop it, as OpenBLAS's own pre-fork handler does
+    shutdown = _blas_symbol("blas_thread_shutdown_")
+    if shutdown is not None:
+        shutdown.argtypes = []
+        shutdown.restype = ctypes.c_int
+        shutdown()
 
 
 def run_cell(cfg: RunConfig, workers: int | None = None,
@@ -466,7 +527,8 @@ def run_cell(cfg: RunConfig, workers: int | None = None,
     workers = workers if workers is not None else default_workers()
     jobs = [(cfg, i) for i in range(cfg.episodes)]
     if workers > 1 and cfg.episodes > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.episodes)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, cfg.episodes),
+                                 initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_episode_worker, jobs, chunksize=1))
     else:
         rows = [_episode_worker(j) for j in jobs]

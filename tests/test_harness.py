@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import asdict, fields, replace
@@ -173,6 +174,72 @@ def test_run_cell_serial_equals_parallel():
     serial = run_cell(cfg, workers=1, write_traces=False)
     parallel = run_cell(cfg, workers=4, write_traces=False)
     assert serial == parallel
+
+
+def test_run_cell_pooled_traces_equal_serial_bytes(tmp_path):
+    # ActPerMoMa on the complex scene scores paths by IG, the matmul-heavy
+    # path whose BLAS thread count differs between the pool and this process
+    def traces(workers: int) -> dict[str, bytes]:
+        out = tmp_path / f"w{workers}"
+        cfg = RunConfig(planner=PlannerConfig(max_steps=4), episodes=2, base_seed=2,
+                        scenario=SceneKind.COMPLEX, policy=PolicyKind.ACTPERMOMA,
+                        output_dir=str(out))
+        run_cell(cfg, workers=workers)
+        return {p.name: p.read_bytes() for p in sorted((out / "episodes").iterdir())}
+
+    serial = traces(1)
+    assert len(serial) == 2
+    assert all(b'"goal_utilities"' in t for t in serial.values())  # the IG scores
+    assert traces(2) == serial
+
+
+def _blas_threads_worker(args) -> tuple[tuple[int, int | None], list]:
+    get = harness._openblas_function("get")
+    get.restype = ctypes.c_int
+    tasks = Path("/proc/self/task")  # the worker's OS threads, where Linux lists them
+    return (get(), len(list(tasks.iterdir())) if tasks.is_dir() else None), []
+
+
+def test_run_cell_workers_run_one_blas_thread(monkeypatch):
+    get = harness._openblas_function("get")
+    if get is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS: no get_num_threads symbol to read")
+    get.restype = ctypes.c_int
+    before = get()
+    monkeypatch.setattr(harness, "_episode_worker", _blas_threads_worker)
+    cfg = RunConfig(planner=FAST, episodes=2, policy=PolicyKind.NAIVE)
+    rows = run_cell(cfg, workers=2, write_traces=False)
+    assert [blas for blas, _ in rows] == [1, 1]
+    # no idle BLAS server thread left running beside the worker's main thread
+    assert all(os_threads in (1, None) for _, os_threads in rows)
+    assert get() == before  # the calling process keeps its own thread count
+
+
+def test_run_cell_without_openblas_runs_unpinned(monkeypatch):
+    monkeypatch.setattr(harness, "_OPENBLAS_PREFIXES", ("no_such_blas",))
+    assert harness._openblas_function("set") is None
+    assert harness._one_blas_thread() is None
+    cfg = RunConfig(planner=FAST, episodes=2, base_seed=11, policy=PolicyKind.NAIVE)
+    assert run_cell(cfg, workers=2, write_traces=False) == \
+        run_cell(cfg, workers=1, write_traces=False)
+
+
+def test_default_workers_counts_only_usable_cpus(monkeypatch):
+    monkeypatch.delenv("ACTPERMOMA_THREADS", raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3},
+                        raising=False)
+    assert harness.default_workers() == 2
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    assert harness.default_workers() == 8
+
+
+def test_default_workers_rejects_non_integer_env(monkeypatch):
+    monkeypatch.setenv("ACTPERMOMA_THREADS", "four")
+    with pytest.raises(ValueError, match="ACTPERMOMA_THREADS"):
+        harness.default_workers()
+    monkeypatch.setenv("ACTPERMOMA_THREADS", "3")
+    assert harness.default_workers() == 3
 
 
 def test_run_experiment_writes_csv_and_traces(tmp_path):
