@@ -14,9 +14,10 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -519,27 +520,63 @@ def _one_blas_thread() -> None:
         shutdown()
 
 
+def _write_trace(cfg: RunConfig, index: int, trace: list[dict]) -> None:
+    """Write `<output_dir>/episodes/ep<index>.jsonl` via a temporary name outside
+    the `ep*.jsonl` pattern, so a failed write leaves no partial trace."""
+    out = Path(cfg.output_dir) / "episodes"
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"ep{index:05d}.jsonl"
+    tmp = out / f".{path.name}.tmp"
+    try:
+        with tmp.open("w") as f:
+            for rec in trace:
+                f.write(json.dumps(rec, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _run_cells(cfgs: list[RunConfig], workers: int | None
+               ) -> list[list[EpisodeResult] | Exception]:
+    """Per cell, its results in index order or its lowest failed episode's
+    exception.  Every episode of every cell runs on one shared process pool;
+    each trace is written as its episode finishes, so no caller holds traces."""
+    workers = workers if workers is not None else default_workers()
+    jobs = [(c, i) for c, cfg in enumerate(cfgs) for i in range(cfg.episodes)]
+    results: list[list] = [[None] * cfg.episodes for cfg in cfgs]
+
+    def finish(c: int, i: int, run) -> None:
+        try:
+            result, trace = run()
+            if cfgs[c].output_dir:
+                _write_trace(cfgs[c], i, trace)
+            results[c][i] = result
+        except Exception as e:  # fails this episode's cell only
+            results[c][i] = e
+
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+                                 initializer=_one_blas_thread) as pool:
+            futures = {pool.submit(_episode_worker, (cfgs[c], i)): (c, i) for c, i in jobs}
+            for future in as_completed(futures):
+                finish(*futures.pop(future), future.result)
+    else:
+        for c, i in jobs:
+            finish(c, i, partial(_episode_worker, (cfgs[c], i)))
+    return [next((r for r in rows if isinstance(r, Exception)), rows) for rows in results]
+
+
 def run_cell(cfg: RunConfig, workers: int | None = None,
              write_traces: bool = True) -> list[EpisodeResult]:
     """All episodes of one experiment cell, parallel over episodes, in index
     order; with an output_dir, each episode's trace is written to
-    `episodes/ep<index>.jsonl` (deterministic output)."""
-    workers = workers if workers is not None else default_workers()
-    jobs = [(cfg, i) for i in range(cfg.episodes)]
-    if workers > 1 and cfg.episodes > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.episodes),
-                                 initializer=_one_blas_thread) as pool:
-            rows = list(pool.map(_episode_worker, jobs, chunksize=1))
-    else:
-        rows = [_episode_worker(j) for j in jobs]
-
-    if cfg.output_dir and write_traces:
-        out = Path(cfg.output_dir) / "episodes"
-        out.mkdir(parents=True, exist_ok=True)
-        for index, (_, trace) in enumerate(rows):
-            path = out / f"ep{index:05d}.jsonl"
-            path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in trace) + "\n")
-    return [result for result, _ in rows]
+    `episodes/ep<index>.jsonl` as the episode finishes (deterministic output).
+    The one-cell case of `run_experiment`'s pool: an episode's exception is
+    raised once every episode has run, and finished episodes keep their traces."""
+    results = _run_cells([cfg if write_traces else replace(cfg, output_dir=None)], workers)[0]
+    if isinstance(results, Exception):
+        raise results
+    return results
 
 
 def cell_name(cfg: RunConfig) -> str:
@@ -553,26 +590,26 @@ def run_experiment(cells: list[RunConfig], out_dir: str | Path,
 
     Writes one CSV row per cell, but runs each distinct config (by
     config_hash) only once: rows that repeat a config reuse its results and
-    its cell directory.  An exception in any episode fails that whole cell:
-    it gets no CSV row and is listed on a trailing `# failed cells:` line,
-    and the run continues with the next cell."""
+    its cell directory.  All episodes of all cells run on one process pool;
+    each trace is written as its episode finishes, metrics.csv once all have.
+
+    An exception in an episode fails that episode's cell: it gets no CSV row
+    and is listed on a trailing `# failed cells:` line, it keeps the traces of
+    its finished episodes, and every other cell still finishes.  The cost of
+    the shared pool: a worker that dies hard (`BrokenProcessPool`, e.g. after
+    an out-of-memory kill) fails every cell not finished yet, not just its own."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    cells = [replace(cfg, output_dir=str(out_dir / cell_name(cfg))) for cfg in cells]
+    distinct = {config_hash(cfg): cfg for cfg in cells}
+    runs = dict(zip(distinct, _run_cells(list(distinct.values()), workers)))
     csv_path = out_dir / "metrics.csv"
     failures: list[str] = []
-    runs: dict[str, list[EpisodeResult] | Exception] = {}
     with csv_path.open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for cfg in cells:
-            cfg = replace(cfg, output_dir=str(out_dir / cell_name(cfg)))
-            key = config_hash(cfg)
-            if key not in runs:
-                try:
-                    runs[key] = run_cell(cfg, workers=workers)
-                except Exception as e:  # cell-level failure: flag and continue
-                    runs[key] = e
-            results = runs[key]
+            results = runs[config_hash(cfg)]
             if isinstance(results, Exception):
                 failures.append(f"{cell_name(cfg)}: {results}")
                 continue

@@ -272,10 +272,10 @@ _CAMERA_CACHE: dict[tuple, Pose3] = {}
 
 def camera_at(xy: np.ndarray, target: np.ndarray, seed: int,
               band: tuple[float, float]) -> Pose3:
-    key = (round(float(xy[0]), 9), round(float(xy[1]), 9), int(seed),
-           round(float(band[0]), 9), round(float(band[1]), 9),
-           round(float(target[0]), 9), round(float(target[1]), 9),
-           round(float(target[2]), 9))
+    # exact keys (bytes also tell -0.0 from 0.0): a pose depends only on its
+    # arguments, never on which calls the process made before
+    key = (np.asarray(xy, dtype=float).tobytes(), np.asarray(target, dtype=float).tobytes(),
+           int(seed), float(band[0]), float(band[1]))
     hit = _CAMERA_CACHE.get(key)
     if hit is not None:
         return hit

@@ -262,15 +262,77 @@ def test_run_experiment_runs_each_distinct_config_once(tmp_path, monkeypatch):
     cell = RunConfig(planner=FAST, episodes=2, base_seed=1, policy=PolicyKind.NAIVE,
                      scenario=SceneKind.SIMPLE)
     calls = []
-    real = harness.run_cell
-    monkeypatch.setattr(harness, "run_cell",
-                        lambda cfg, **kw: calls.append(cfg) or real(cfg, **kw))
+    real = harness.run_episode_traced
+    monkeypatch.setattr(harness, "run_episode_traced",
+                        lambda cfg, i: calls.append((config_hash(cfg), i)) or real(cfg, i))
     csv_path = run_experiment([cell, replace(cell)], tmp_path / "out", workers=1)
-    assert len(calls) == 1
+    assert calls == [(config_hash(cell), 0), (config_hash(cell), 1)]
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 3  # header + one row per requested cell
     assert lines[1] == lines[2]
     assert len(list((tmp_path / "out" / cell_name(cell) / "episodes").glob("ep*.jsonl"))) == 2
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_run_experiment_pooled_directory_equals_serial_bytes(tmp_path):
+    # one pool runs the episodes of every cell, in completion order
+    planner = PlannerConfig(max_steps=6)
+    cells = [RunConfig(planner=planner, episodes=2, base_seed=3, policy=policy,
+                       scenario=SceneKind.COMPLEX)
+             for policy in (PolicyKind.ACTPERMOMA, PolicyKind.NAIVE, PolicyKind.RANDOM)]
+    cells.append(replace(cells[1]))  # a repeated row shares its cell's results
+    serial, pooled = (_tree(run_experiment(cells, tmp_path / f"w{w}", workers=w).parent)
+                      for w in (1, 2))
+    assert sum(name.endswith(".jsonl") for name in serial) == 6
+    assert len(serial["metrics.csv"].splitlines()) == 5
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiment_failing_cell_fails_alone(tmp_path, monkeypatch, workers):
+    real = harness.run_episode_traced
+
+    def flaky(cfg, episode_index):  # forked pool workers inherit the patch
+        if cfg.policy is PolicyKind.RANDOM and episode_index > 0:
+            raise RuntimeError(f"boom {episode_index}")
+        return real(cfg, episode_index)
+
+    monkeypatch.setattr(harness, "run_episode_traced", flaky)
+    cells = [RunConfig(planner=FAST, episodes=3, base_seed=1, policy=policy)
+             for policy in (PolicyKind.NAIVE, PolicyKind.RANDOM)]
+    cells.append(replace(cells[0], base_seed=2))
+    lines = run_experiment(cells, tmp_path / "out", workers=workers).read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:3]] == [PolicyKind.NAIVE.value] * 2
+    assert lines[3:] == [f"# failed cells: {cell_name(cells[1])}: boom 1"]
+    names = {cell_name(cfg): sorted(p.name for p in
+                                    (tmp_path / "out" / cell_name(cfg) / "episodes").iterdir())
+             for cfg in cells}
+    assert names[cell_name(cells[1])] == ["ep00000.jsonl"]  # its finished episode
+    assert all(len(names[cell_name(cfg)]) == 3 for cfg in (cells[0], cells[2]))
+
+
+def test_trace_write_failure_leaves_no_partial_trace(tmp_path, monkeypatch):
+    cfg = RunConfig(planner=FAST, episodes=3, base_seed=5, policy=PolicyKind.NAIVE,
+                    output_dir=str(tmp_path / "cell"))
+    want = run_cell(replace(cfg, output_dir=None), workers=1)
+    real = harness.run_episode_traced
+
+    def unwritable(cfg, episode_index):  # episode 1's second record cannot be encoded
+        result, trace = real(cfg, episode_index)
+        if episode_index == 1:
+            trace.insert(1, {"type": "step", "bad": object()})
+        return result, trace
+
+    monkeypatch.setattr(harness, "run_episode_traced", unwritable)
+    with pytest.raises(TypeError):
+        run_cell(cfg, workers=1)
+    episodes = tmp_path / "cell" / "episodes"
+    assert sorted(p.name for p in episodes.iterdir()) == ["ep00000.jsonl", "ep00002.jsonl"]
+    assert load_results_dir(tmp_path / "cell") == [want[0], want[2]]
 
 
 def test_load_results_dir_round_trip(tmp_path):

@@ -26,6 +26,7 @@ from actpermoma.planning import (
     PlannerConfig,
     PlannerState,
     UNKNOWN_COST,
+    camera_at,
     evaluate_paths,
     inflate_occupied,
     plan_path,
@@ -34,6 +35,7 @@ from actpermoma.planning import (
     select_from_utilities,
     should_execute,
     step,
+    torso_height,
 )
 from actpermoma.scene import CameraIntrinsics
 
@@ -201,6 +203,22 @@ def test_camera_above_target_fallback():
     path = sample_camera_poses(base, target, 0.5, (1.1, 1.3), seed=1)
     q = path.views[-1].cam.orientation
     assert abs(np.linalg.norm(q) - 1.0) < 1e-9
+
+
+def test_camera_at_nearby_xy_get_their_own_pose():
+    # closer than 1e-9 and in the same torso-height cell: each call must still
+    # return the uncached pose for its own xy, whatever was asked for before
+    target = np.array([0.4, -0.2, 0.8])
+    band = (1.1, 1.3)
+    a = np.array([1.25, 0.75])
+    b = a + np.array([4e-10, -3e-10])
+    for xy in (a, b, a, b):
+        cam = camera_at(xy, target, 5, band)
+        want = look_at(np.array([xy[0], xy[1], torso_height(xy, 5, band)]), target)
+        assert np.array_equal(cam.position, want.position)
+        assert np.array_equal(cam.orientation, want.orientation)
+    assert not np.array_equal(camera_at(a, target, 5, band).position,
+                              camera_at(b, target, 5, band).position)
 
 
 def _path_with(goal_id: int, length: float, goal=Pose2(1.0, 0.0, 0.0)) -> CandidatePath:
