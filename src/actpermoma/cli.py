@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    EpisodeResult,
     RunConfig,
     Verdict,
     ablation_preset,
@@ -43,20 +44,45 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
+def _failed_cells(directory: Path) -> str:
+    """The `# failed cells:` line that covers a run directory (its own
+    metrics.csv) or a cell directory (its parent's line naming it), or ""."""
+    for csv_path, needle in ((directory / "metrics.csv", "# failed cells:"),
+                             (directory.parent / "metrics.csv", f" {directory.name}: ")):
+        lines = csv_path.read_text().splitlines() if csv_path.is_file() else []
+        line = next((x for x in lines if x.startswith("# failed cells:")), "")
+        if needle in line:
+            return line
+    return ""
+
+
+def _load_run(directory: str | Path) -> list[EpisodeResult]:
+    """A directory's episode results, refused (ValueError) when it holds a
+    failed cell: such a cell keeps only the traces of the episodes that
+    finished, and reading them would bias every rate."""
+    failed = _failed_cells(Path(directory))
+    if failed:
+        raise ValueError(f"{directory}: {failed.removeprefix('# ')}")
+    return load_results_dir(directory)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
     csv_path = run_experiment([cfg], args.out, workers=args.workers)
-    results = load_results_dir(Path(args.out))
-    m = summarize(results)
     print(f"wrote {csv_path}")
+    try:
+        m = summarize(_load_run(args.out))
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(f"SR {m.sr:.1f}%  AR {m.ar:.1f}%  GFR {m.gfr:.1f}%  "
           f"d {m.d_mean:.2f}+-{m.d_std:.2f} m  v {m.v_mean:.1f}+-{m.v_std:.1f}")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    a = load_results_dir(args.a)
-    b = load_results_dir(args.b)
+    a = _load_run(args.a)
+    b = _load_run(args.b)
     verdict = compare(a, b, args.metric)
     print(verdict.value)
     return 0 if verdict is not Verdict.INCONCLUSIVE else 1

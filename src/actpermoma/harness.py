@@ -17,7 +17,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -525,13 +524,11 @@ def _write_trace(cfg: RunConfig, index: int, trace: list[dict]) -> None:
     the `ep*.jsonl` pattern, so a failed write leaves no partial trace."""
     out = Path(cfg.output_dir) / "episodes"
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"ep{index:05d}.jsonl"
-    tmp = out / f".{path.name}.tmp"
+    tmp = out / f".ep{index:05d}.jsonl.tmp"
     try:
         with tmp.open("w") as f:
-            for rec in trace:
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+            f.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
+        os.replace(tmp, out / f"ep{index:05d}.jsonl")
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -539,8 +536,7 @@ def _write_trace(cfg: RunConfig, index: int, trace: list[dict]) -> None:
 def _run_cells(cfgs: list[RunConfig], workers: int | None
                ) -> list[list[EpisodeResult] | Exception]:
     """Per cell, its results in index order or its lowest failed episode's
-    exception.  Every episode of every cell runs on one shared process pool;
-    each trace is written as its episode finishes, so no caller holds traces."""
+    exception, from one pool shared by every episode of every cell."""
     workers = workers if workers is not None else default_workers()
     jobs = [(c, i) for c, cfg in enumerate(cfgs) for i in range(cfg.episodes)]
     results: list[list] = [[None] * cfg.episodes for cfg in cfgs]
@@ -558,21 +554,24 @@ def _run_cells(cfgs: list[RunConfig], workers: int | None
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
                                  initializer=_one_blas_thread) as pool:
             futures = {pool.submit(_episode_worker, (cfgs[c], i)): (c, i) for c, i in jobs}
-            for future in as_completed(futures):
-                finish(*futures.pop(future), future.result)
+            try:
+                for future in as_completed(futures):
+                    finish(*futures.pop(future), future.result)
+            except BaseException:  # e.g. Ctrl-C: run no queued episode
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         for c, i in jobs:
-            finish(c, i, partial(_episode_worker, (cfgs[c], i)))
+            finish(c, i, lambda: _episode_worker((cfgs[c], i)))
     return [next((r for r in rows if isinstance(r, Exception)), rows) for rows in results]
 
 
 def run_cell(cfg: RunConfig, workers: int | None = None,
              write_traces: bool = True) -> list[EpisodeResult]:
-    """All episodes of one experiment cell, parallel over episodes, in index
-    order; with an output_dir, each episode's trace is written to
-    `episodes/ep<index>.jsonl` as the episode finishes (deterministic output).
-    The one-cell case of `run_experiment`'s pool: an episode's exception is
-    raised once every episode has run, and finished episodes keep their traces."""
+    """All episodes of one experiment cell in index order: the one-cell case of
+    `run_experiment`'s pool, traces in `episodes/ep<index>.jsonl` written as
+    episodes finish (deterministic output).  An episode's exception is raised
+    once every episode has run; the finished episodes keep their traces."""
     results = _run_cells([cfg if write_traces else replace(cfg, output_dir=None)], workers)[0]
     if isinstance(results, Exception):
         raise results
@@ -592,12 +591,11 @@ def run_experiment(cells: list[RunConfig], out_dir: str | Path,
     config_hash) only once: rows that repeat a config reuse its results and
     its cell directory.  All episodes of all cells run on one process pool;
     each trace is written as its episode finishes, metrics.csv once all have.
-
-    An exception in an episode fails that episode's cell: it gets no CSV row
-    and is listed on a trailing `# failed cells:` line, it keeps the traces of
-    its finished episodes, and every other cell still finishes.  The cost of
-    the shared pool: a worker that dies hard (`BrokenProcessPool`, e.g. after
-    an out-of-memory kill) fails every cell not finished yet, not just its own."""
+    An exception in an episode fails only its cell: no CSV row, a mention on a
+    trailing `# failed cells:` line, and its finished episodes keep their
+    traces.  The cost of the shared pool: a worker that dies hard
+    (`BrokenProcessPool`, e.g. after an out-of-memory kill) fails every cell
+    not finished yet, not just its own."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = [replace(cfg, output_dir=str(out_dir / cell_name(cfg))) for cfg in cells]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -315,6 +316,31 @@ def test_run_experiment_failing_cell_fails_alone(tmp_path, monkeypatch, workers)
     assert all(len(names[cell_name(cfg)]) == 3 for cfg in (cells[0], cells[2]))
 
 
+class _Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt, which pytest treats specially."""
+
+
+def test_run_experiment_interrupt_cancels_queued_episodes(tmp_path, monkeypatch):
+    ran = tmp_path / "ran"
+
+    def slow(cfg, episode_index):  # forked pool workers inherit the patch
+        with ran.open("a") as f:
+            f.write(f"{cfg.base_seed} {episode_index}\n")
+        time.sleep(0.05)
+        return None, []
+
+    def interrupted(cfg, index, trace):  # the consumer stops at the first result
+        raise _Interrupt
+
+    monkeypatch.setattr(harness, "run_episode_traced", slow)
+    monkeypatch.setattr(harness, "_write_trace", interrupted)
+    cells = [RunConfig(planner=FAST, episodes=8, base_seed=seed) for seed in range(3)]
+    with pytest.raises(_Interrupt):
+        run_experiment(cells, tmp_path / "out", workers=2)
+    # only the running and the already dispatched episodes finish, not all 24
+    assert len(ran.read_text().splitlines()) < 12
+
+
 def test_trace_write_failure_leaves_no_partial_trace(tmp_path, monkeypatch):
     cfg = RunConfig(planner=FAST, episodes=3, base_seed=5, policy=PolicyKind.NAIVE,
                     output_dir=str(tmp_path / "cell"))
@@ -468,3 +494,28 @@ def test_cli_run_compare_render(tmp_path):
     rc = main(["render", "--trace", str(trace), "--out", str(tmp_path / "img.svg")])
     assert rc == 0
     assert (tmp_path / "img.svg").exists()
+
+
+def test_cli_run_refuses_a_cell_with_a_failed_episode(tmp_path, monkeypatch, capsys):
+    from actpermoma.cli import main
+
+    real = harness.run_episode_traced
+
+    def flaky(cfg, episode_index):
+        if episode_index == 1:
+            raise RuntimeError("boom")
+        return real(cfg, episode_index)
+
+    monkeypatch.setattr(harness, "run_episode_traced", flaky)
+    out = tmp_path / "a"
+    rc = main(["run", "--policy", "Naive", "--scenario", "simple", "--episodes", "3",
+               "--seed", "0", "--out", str(out), "--workers", "1"])
+    stdout, stderr = capsys.readouterr()
+    assert rc == 1
+    assert "SR " not in stdout
+    (cell,) = [p for p in out.iterdir() if p.is_dir()]
+    assert f"{cell.name}: boom" in stderr
+    assert len(list(cell.glob("episodes/ep*.jsonl"))) == 2  # the finished episodes
+    for directory in (out, cell):  # nor are its partial traces compared
+        with pytest.raises(ValueError, match=f"{cell.name}: boom"):
+            main(["compare", "--a", str(directory), "--b", str(directory), "--metric", "sr"])
