@@ -93,6 +93,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     csv_path = run_experiment(cells, args.out, workers=args.workers)
     print(f"wrote {csv_path}")
     print(csv_path.read_text())
+    failed = _failed_cells(Path(args.out))
+    if failed:
+        print(f"error: {failed.removeprefix('# ')}", file=sys.stderr)
+        return 1
     return 0
 
 

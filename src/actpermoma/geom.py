@@ -33,10 +33,6 @@ def wrap_angle(theta: float) -> float:
 # quaternion helpers (w, x, y, z)
 # ---------------------------------------------------------------------------
 
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q)
@@ -121,27 +117,11 @@ class Pose2:
     def xy(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
-    def compose(self, other: "Pose2") -> "Pose2":
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        return Pose2(self.x + c * other.x - s * other.y,
-                     self.y + s * other.x + c * other.y,
-                     self.theta + other.theta)
 
-    def inverse(self) -> "Pose2":
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        return Pose2(-(c * self.x + s * self.y),
-                     -(-s * self.x + c * self.y),
-                     -self.theta)
-
-    def transform(self, point_xy: np.ndarray) -> np.ndarray:
-        """Map local 2D point(s) into the parent frame."""
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        p = np.asarray(point_xy, dtype=float)
-        return np.stack([self.x + c * p[..., 0] - s * p[..., 1],
-                         self.y + s * p[..., 0] + c * p[..., 1]], axis=-1)
-
-
-POSE2_IDENTITY = Pose2(0.0, 0.0, 0.0)
+def facing(xy: np.ndarray, target_xy: np.ndarray) -> Pose2:
+    """Base pose at `xy` heading straight at `target_xy`."""
+    heading = wrap_angle(float(np.arctan2(target_xy[1] - xy[1], target_xy[0] - xy[0])))
+    return Pose2(float(xy[0]), float(xy[1]), heading)
 
 
 @dataclass(frozen=True)
@@ -154,10 +134,6 @@ class Pose3:
     def __post_init__(self) -> None:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float).reshape(3))
         object.__setattr__(self, "orientation", quat_normalize(self.orientation))
-
-    @staticmethod
-    def identity() -> "Pose3":
-        return Pose3(np.zeros(3), quat_identity())
 
     @staticmethod
     def from_xyz_yaw(x: float, y: float, z: float, yaw: float = 0.0) -> "Pose3":
@@ -238,10 +214,6 @@ class Aabb:
 
     def inflated(self, margin: float) -> "Aabb":
         return Aabb(self.lo - margin, self.hi + margin)
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +320,33 @@ class OccupancyGrid2:
 #
 # Batched Amanatides-Woo style DDA.  traverse_ray() is the single-ray wrapper
 # of the same core, so scalar and batched callers are guaranteed to agree.
-#
+# ray_aabb_interval() is the one ray-box slab test: traversal takes its grid
+# entry and exit from it, depth rendering its hits on box primitives, and the
+# IG scorer its cull of rays that miss the target box.
+
+def ray_aabb_interval(origins: np.ndarray, directions: np.ndarray, box: Aabb
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-ray (t_enter, t_exit) of an AABB, t_enter clamped at 0;
+    t_enter > t_exit means a miss.  Directions need not be normalized; t is
+    measured in units of |direction|."""
+    o = np.atleast_2d(np.asarray(origins, dtype=float))
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        lo = (box.lo - o) * inv
+        hi = (box.hi - o) * inv
+    # zero direction components: inside the slab -> (-inf, +inf), else
+    # (-inf, -inf), which ends the interval before it starts
+    zero = d == 0.0
+    if zero.any():
+        inside = (o >= box.lo) & (o <= box.hi)
+        lo = np.where(zero, -np.inf, lo)
+        hi = np.where(zero, np.where(inside, np.inf, -np.inf), hi)
+    t_enter = np.maximum(np.minimum(lo, hi).max(axis=1), 0.0)
+    t_exit = np.maximum(lo, hi).min(axis=1)
+    return t_enter, t_exit
+
+
 # Boundary tie rule: a ray starting exactly on a voxel face belongs to the
 # voxel on the +direction side of that face (for a zero direction component
 # the floor() side is kept).  Axis ties when stepping are resolved in fixed
@@ -374,24 +372,12 @@ def traverse_batch(
     tm = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
 
     gmin = grid.origin
-    gmax = grid.max_corner
     vs = grid.voxel_size
     dims = np.asarray(grid.dims)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    t_entry, t_exit = ray_aabb_interval(o, d, Aabb(gmin, grid.max_corner))
+    with np.errstate(divide="ignore"):
         inv = 1.0 / d
-        lo = (gmin - o) * inv
-        hi = (gmax - o) * inv
-    # zero direction components: inside the slab -> (-inf, +inf), else empty
-    zero = d == 0.0
-    if zero.any():
-        inside = (o >= gmin) & (o <= gmax)
-        lo = np.where(zero, np.where(inside, -np.inf, np.inf), lo)
-        hi = np.where(zero, np.where(inside, np.inf, -np.inf), hi)
-    t_near = np.minimum(lo, hi)
-    t_far = np.maximum(lo, hi)
-    t_entry = np.maximum(t_near.max(axis=1), 0.0)
-    t_exit = t_far.min(axis=1)
 
     # strict: a voxel entered exactly at t_max is only grazed by the segment
     alive = (t_entry <= t_exit) & (t_entry < tm) & np.isfinite(t_entry)
@@ -454,22 +440,3 @@ def traverse_ray(grid: VoxelGrid3, ray: Ray, max_range: float) -> list[tuple[int
     for _, ijk in traverse_batch(grid, ray.origin[None, :], ray.direction[None, :], max_range):
         out.append((int(ijk[0, 0]), int(ijk[0, 1]), int(ijk[0, 2])))
     return out
-
-
-def ray_aabb_interval(origins: np.ndarray, directions: np.ndarray, box: Aabb
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-ray (t_enter, t_exit) of an AABB; t_enter > t_exit means a miss."""
-    o = np.atleast_2d(np.asarray(origins, dtype=float))
-    d = np.atleast_2d(np.asarray(directions, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        lo = (box.lo - o) * inv
-        hi = (box.hi - o) * inv
-    zero = d == 0.0
-    if zero.any():
-        inside = (o >= box.lo) & (o <= box.hi)
-        lo = np.where(zero, np.where(inside, -np.inf, np.inf), lo)
-        hi = np.where(zero, np.where(inside, np.inf, -np.inf), hi)
-    t_enter = np.maximum(np.minimum(lo, hi).max(axis=1), 0.0)
-    t_exit = np.maximum(lo, hi).min(axis=1)
-    return t_enter, t_exit

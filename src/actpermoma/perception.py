@@ -102,13 +102,10 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
     front = np.nonzero(local[:, 2] > 1e-9)[0]
     if front.size == 0:
         return tsdf
-    z = local[front, 2]
-
-    f = intr.focal
-    cx = (intr.width - 1) / 2.0
-    cy = (intr.height - 1) / 2.0
-    u = np.rint(cx + f * local[front, 0] / z).astype(np.int64)
-    v = np.rint(cy + f * local[front, 1] / z).astype(np.int64)
+    # np.take: a row gather by fancy indexing takes ~4x longer
+    local = np.take(local, front, axis=0)
+    z = local[:, 2]
+    u, v = (np.rint(c).astype(np.int64) for c in intr.project(local))
     in_image = (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
 
     idx = front[in_image]
@@ -163,12 +160,8 @@ def _box_pixels(cams: list[Pose3], intr: CameraIntrinsics, box: Aabb) -> np.ndar
     local = np.stack([cam.inverse_transform(corners) for cam in cams])
     z = local[..., 2]
     behind = (z <= 1e-9).any(axis=1)
-    f = intr.focal
-    cx = (intr.width - 1) / 2.0
-    cy = (intr.height - 1) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = cx + f * local[..., 0] / z
-        v = cy + f * local[..., 1] / z
+        u, v = intr.project(local)
     # pixel_dirs() order is row-major (v, u)
     pu = np.tile(np.arange(intr.width), intr.height)
     pv = np.repeat(np.arange(intr.height), intr.width)

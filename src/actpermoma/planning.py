@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Aabb, CellState, OccupancyGrid2, Pose2, Pose3, look_at, wrap_angle
+from .geom import Aabb, CellState, OccupancyGrid2, Pose2, Pose3, facing, look_at
 from .grasping import Grasp, MapPair, exec_utility
 from .perception import TsdfGrid, rear_side_ig_batch
 from .scene import CameraIntrinsics, ROBOT_RADIUS
@@ -165,8 +165,7 @@ def sample_base_goal_slots(occ: OccupancyGrid2, target_xy: np.ndarray, n_b: int,
             xy = target_xy + radius * np.array([np.cos(angle), np.sin(angle)])
             if cell_blocked(occ, blocked, xy):
                 continue
-            heading = wrap_angle(float(np.arctan2(target_xy[1] - xy[1], target_xy[0] - xy[0])))
-            goals.append((slot, Pose2(float(xy[0]), float(xy[1]), heading)))
+            goals.append((slot, facing(xy, target_xy)))
             break
     if not goals:
         raise NoFeasibleGoals("all base goal slots blocked")
@@ -306,9 +305,7 @@ def sample_camera_poses(base_path: list[Pose2], target: np.ndarray, cam_spacing:
         for a, b, s in zip(base_path, base_path[1:], segs):
             if left <= s or s == 0.0:
                 t = 0.0 if s == 0.0 else left / s
-                xy = a.xy + t * (b.xy - a.xy)
-                th = wrap_angle(float(np.arctan2(target[1] - xy[1], target[0] - xy[0])))
-                return Pose2(float(xy[0]), float(xy[1]), th)
+                return facing(a.xy + t * (b.xy - a.xy), target)
             left -= s
         return base_path[-1]
 

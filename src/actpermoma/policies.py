@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geom import Aabb, OccupancyGrid2, Pose2, Pose3, look_at, wrap_angle
+from .geom import Aabb, OccupancyGrid2, Pose2, Pose3, facing, look_at
 from .grasping import Arm, Grasp, MapPair, best_grasp, reachability
 from .perception import TsdfGrid, rear_side_ig_batch
 from .planning import (
@@ -78,15 +78,6 @@ class Belief:
     target_bbox: Aabb
     step_index: int
     intr: CameraIntrinsics
-
-
-def _highest_quality(grasps: list[Grasp]) -> Grasp:
-    return max(grasps, key=lambda g: g.quality)
-
-
-def _with_arm(g: Grasp, maps: MapPair, base: Pose2) -> Grasp:
-    _, arm = reachability(maps, g, base)
-    return replace(g, arm=arm)
 
 
 class RouteCache:
@@ -189,6 +180,17 @@ class Policy:
     def _ig_intrinsics(self, belief: Belief) -> CameraIntrinsics:
         return belief.intr.downsampled(self.cfg.ig_downsample)
 
+    def _grasp_here(self, belief: Belief) -> ExecuteGrasp | None:
+        """The baselines' grasp trigger: the best stable grasp from where the
+        robot stands, if its reachability clears cfg.exec_threshold."""
+        if not belief.stable_grasps:
+            return None
+        g, score = best_grasp(self.maps, belief.stable_grasps, belief.robot)
+        if g is not None and score >= self.cfg.exec_threshold:
+            assert g.arm is not None
+            return ExecuteGrasp(g, g.arm)
+        return None
+
 
 # ---------------------------------------------------------------------------
 # receding-horizon family
@@ -263,10 +265,10 @@ class ActPerMoMaPolicy(Policy):
         else:  # proximity: grab as soon as the target ring is reached
             d = float(np.linalg.norm(belief.robot.xy - target_xy))
             if belief.stable_grasps and d <= cfg.reach_radius:
-                g = _with_arm(_highest_quality(belief.stable_grasps), self.maps,
-                              belief.robot)
-                assert g.arm is not None
-                return ExecuteGrasp(g, g.arm)
+                g = max(belief.stable_grasps, key=lambda s: s.quality)
+                _, arm = reachability(self.maps, g, belief.robot)
+                assert arm is not None
+                return ExecuteGrasp(replace(g, arm=arm), arm)
         return self._move_along(belief, best.path)
 
 
@@ -308,9 +310,7 @@ class NaivePolicy(Policy):
             a = 2 * np.pi * k / self.RING_POINTS
             xy = target_xy + self.cfg.reach_radius * np.array([np.cos(a), np.sin(a)])
             if not cell_blocked(belief.occ, blocked, xy):
-                ring.append(Pose2(float(xy[0]), float(xy[1]),
-                                  wrap_angle(float(np.arctan2(target_xy[1] - xy[1],
-                                                              target_xy[0] - xy[0])))))
+                ring.append(facing(xy, target_xy))
         ring.sort(key=lambda p: float(np.linalg.norm(p.xy - belief.robot.xy)))
         return ring
 
@@ -320,13 +320,8 @@ class NaivePolicy(Policy):
             return Abort("step budget exhausted")
         target_xy = belief.target_center[:2]
         dist = float(np.linalg.norm(belief.robot.xy - target_xy))
-        if dist <= cfg.reach_radius:
-            if belief.stable_grasps:
-                g, score = best_grasp(self.maps, belief.stable_grasps, belief.robot)
-                if g is not None and score >= cfg.exec_threshold:
-                    assert g.arm is not None
-                    return ExecuteGrasp(g, g.arm)
-            return self._wait_in_place(belief)  # no exploration in this baseline
+        if dist <= cfg.reach_radius:  # no exploration in this baseline
+            return self._grasp_here(belief) or self._wait_in_place(belief)
 
         blocked = inflate_occupied(belief.occ)
         candidates = ([self.current_goal] if self.current_goal is not None else []) \
@@ -368,9 +363,7 @@ class RandomPolicy(Policy):
             xy = target_xy + r * np.array([np.cos(a), np.sin(a)])
             if cell_blocked(belief.occ, blocked, xy):
                 continue
-            return Pose2(float(xy[0]), float(xy[1]),
-                         wrap_angle(float(np.arctan2(target_xy[1] - xy[1],
-                                                     target_xy[0] - xy[0]))))
+            return facing(xy, target_xy)
         return None
 
     def decide(self, belief: Belief) -> PolicyDecision:
@@ -379,11 +372,8 @@ class RandomPolicy(Policy):
             return Abort("step budget exhausted")
         arrived = (self.current_goal is not None
                    and float(np.linalg.norm(belief.robot.xy - self.current_goal.xy)) < 1e-9)
-        if arrived and belief.stable_grasps:
-            g, score = best_grasp(self.maps, belief.stable_grasps, belief.robot)
-            if g is not None and score >= cfg.exec_threshold:
-                assert g.arm is not None
-                return ExecuteGrasp(g, g.arm)
+        if arrived and (grasp := self._grasp_here(belief)) is not None:
+            return grasp
         blocked = inflate_occupied(belief.occ)
         if arrived or self.current_goal is None:
             self.current_goal = self._sample_goal(belief, blocked)
@@ -434,11 +424,8 @@ class BreyerNbvPolicy(Policy):
             return Abort("step budget exhausted")
         target_xy = belief.target_center[:2]
         dist = float(np.linalg.norm(belief.robot.xy - target_xy))
-        if dist <= cfg.reach_radius and belief.stable_grasps:
-            g, score = best_grasp(self.maps, belief.stable_grasps, belief.robot)
-            if g is not None and score >= cfg.exec_threshold:
-                assert g.arm is not None
-                return ExecuteGrasp(g, g.arm)
+        if dist <= cfg.reach_radius and (grasp := self._grasp_here(belief)) is not None:
+            return grasp
 
         blocked = inflate_occupied(belief.occ)
         cams = self.view_poses(belief.target_center)
@@ -459,10 +446,7 @@ class BreyerNbvPolicy(Policy):
         self.last_trace = {"selected_view": view_id,
                            "view_igs": [(int(i), int(c)) for i, c in zip(feasible, igs)]}
 
-        cam = cams[view_id]
-        goal = Pose2(float(cam.position[0]), float(cam.position[1]),
-                     wrap_angle(float(np.arctan2(target_xy[1] - cam.position[1],
-                                                 target_xy[0] - cam.position[0]))))
+        goal = facing(cams[view_id].position, target_xy)
         if float(np.linalg.norm(belief.robot.xy - goal.xy)) < 1e-9:
             self.visited.add(view_id)
             return self._wait_in_place(belief)

@@ -35,7 +35,7 @@ def _footprint_polygon(prim: Primitive) -> np.ndarray | None:
 
 def render_topdown(scene: Scene, trace: list[dict], out_path: str | Path) -> Path:
     """Arena, primitives, final occupancy, goals, selected path, executed
-    trajectory and grasp markers as a byte-stable SVG."""
+    trajectory and the executed grasp as a byte-stable SVG."""
     lo_x, lo_y = scene.arena.lo
     hi_x, hi_y = scene.arena.hi
     w = (hi_x - lo_x) * SCALE
@@ -118,8 +118,7 @@ def render_topdown(scene: Scene, trace: list[dict], out_path: str | Path) -> Pat
         sx, sy = _to_px(traj[0])
         parts.append(f'<circle cx="{sx}" cy="{sy}" r="5" fill="#3aa7e0"/>')
 
-    # grasp markers (last seen stable set, plus the executed grasp)
-    drawn: set[tuple] = set()
+    # marker at the executed grasp, if any
     for rec in reversed(steps):
         act = rec.get("action", {})
         if act.get("kind") == "execute":
@@ -127,7 +126,6 @@ def render_topdown(scene: Scene, trace: list[dict], out_path: str | Path) -> Pat
             cx, cy = _to_px((gx, gy))
             parts.append(f'<path d="M {cx} {cy} m -5 -5 l 10 10 m -10 0 l 10 -10" '
                          f'stroke="#111111" stroke-width="2" fill="none"/>')
-            drawn.add((round(gx, 3), round(gy, 3)))
             break
     parts.append("</svg>")
     out_path = Path(out_path)

@@ -20,8 +20,9 @@ from .geom import (
     Aabb,
     Pose2,
     Pose3,
+    facing,
     quat_from_matrix,
-    wrap_angle,
+    ray_aabb_interval,
 )
 
 TABLE_HALF = 0.4          # 0.8 m square table
@@ -134,6 +135,15 @@ class CameraIntrinsics:
         _PIXEL_DIR_CACHE[self] = d
         return d
 
+    def project(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unrounded pixel coordinates (u, v) of camera-frame points (..., 3),
+        the inverse of `pixel_dirs`; meaningful only for points with z > 0."""
+        f = self.focal
+        cx = (self.width - 1) / 2.0
+        cy = (self.height - 1) / 2.0
+        z = local[..., 2]
+        return cx + f * local[..., 0] / z, cy + f * local[..., 1] / z
+
 
 _PIXEL_DIR_CACHE: dict["CameraIntrinsics", np.ndarray] = {}
 
@@ -182,13 +192,9 @@ class Scene:
 # analytic geometry on primitives
 # ---------------------------------------------------------------------------
 
-def _local_frame(prim: Primitive, points: np.ndarray) -> np.ndarray:
-    return prim.pose.inverse_transform(points)
-
-
 def primitive_sdf(prim: Primitive, points: np.ndarray) -> np.ndarray:
     """Exact signed distance from world points to the primitive surface."""
-    p = _local_frame(prim, np.atleast_2d(points))
+    p = prim.pose.inverse_transform(np.atleast_2d(points))
     if isinstance(prim.shape, Box):
         q = np.abs(p) - prim.shape.half_extents
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
@@ -216,17 +222,8 @@ def primitive_ray_hits(prim: Primitive, origins: np.ndarray, dirs: np.ndarray) -
     eps = 1e-9
     if isinstance(prim.shape, Box):
         he = prim.shape.half_extents
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / d
-            lo = (-he - o) * inv
-            hi = (he - o) * inv
-        zero = d == 0.0
-        if zero.any():
-            inside = np.abs(o) <= he
-            lo = np.where(zero, np.where(inside, -np.inf, np.inf), lo)
-            hi = np.where(zero, np.where(inside, np.inf, -np.inf), hi)
-        t_near = np.minimum(lo, hi).max(axis=1)
-        t_far = np.maximum(lo, hi).min(axis=1)
+        # a hit needs t_near > eps, so the clamp of t_near at 0 changes no hit
+        t_near, t_far = ray_aabb_interval(o, d, Aabb(-he, he))
         hit = (t_near <= t_far) & (t_near > eps)
         return np.where(hit, t_near, np.inf)
 
@@ -364,12 +361,11 @@ def _make_truth_grasps(shape: Shape, hard: bool, rng: np.random.Generator
 
 def _oriented_aabb(prim: Primitive) -> Aabb:
     if isinstance(prim.shape, Box):
-        corners = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-                           dtype=float) * prim.shape.half_extents
+        he = prim.shape.half_extents
     else:
-        r, h2 = prim.shape.radius, prim.shape.height / 2.0
-        corners = np.array([[sx * r, sy * r, sz * h2]
-                            for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
+        he = np.array([prim.shape.radius, prim.shape.radius, prim.shape.height / 2.0])
+    corners = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
+                       dtype=float) * he
     world = prim.pose.transform(corners)
     return Aabb(world.min(axis=0), world.max(axis=0))
 
@@ -495,8 +491,7 @@ def sample_start_pose(scene: Scene, seed: int) -> Pose2:
             continue
         if base_pose_collides(scene, xy):
             continue
-        heading = wrap_angle(float(np.arctan2(t_xy[1] - xy[1], t_xy[0] - xy[0])))
-        return Pose2(float(xy[0]), float(xy[1]), heading)
+        return facing(xy, t_xy)
     raise SceneGenFailure(f"start pose sampling failed for seed {seed}")
 
 

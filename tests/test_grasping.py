@@ -196,14 +196,18 @@ def test_reachability_query_peak_and_cutoff():
 
 
 def test_reachability_se2_invariance():
+    def shifted(p):  # the 2D point p moved by the planar rigid motion `shift`
+        c, s = np.cos(shift.theta), np.sin(shift.theta)
+        return np.array([shift.x + c * p[0] - s * p[1], shift.y + s * p[0] + c * p[1]])
+
     rng = np.random.default_rng(3)
     for _ in range(50):
         base = Pose2(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-np.pi, np.pi))
         gp = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.2, 1.4)])
         g = replace(_grasp_at((0, 0, 0)), pose=Pose3(gp, quat_from_yaw(rng.uniform(0, 6))))
         shift = Pose2(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-np.pi, np.pi))
-        moved_base = shift.compose(base)
-        moved_pos = shift.transform(gp[:2])
+        moved_base = Pose2(*shifted(base.xy), shift.theta + base.theta)
+        moved_pos = shifted(gp[:2])
         moved = replace(g, pose=Pose3(np.array([moved_pos[0], moved_pos[1], gp[2]]),
                                       g.pose.orientation))
         s1, _ = reachability(MAPS, g, base)

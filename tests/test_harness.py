@@ -519,3 +519,25 @@ def test_cli_run_refuses_a_cell_with_a_failed_episode(tmp_path, monkeypatch, cap
     for directory in (out, cell):  # nor are its partial traces compared
         with pytest.raises(ValueError, match=f"{cell.name}: boom"):
             main(["compare", "--a", str(directory), "--b", str(directory), "--metric", "sr"])
+
+
+def test_cli_ablate_exits_1_naming_a_failed_cell(tmp_path, monkeypatch, capsys):
+    from actpermoma.cli import main
+
+    real = harness.run_episode_traced
+
+    def flaky(cfg, episode_index):
+        if cfg.policy is PolicyKind.NO_WEIGHTS:
+            raise RuntimeError("boom")
+        # a 3-step budget keeps the other table2 cells quick
+        return real(replace(cfg, planner=replace(cfg.planner, max_steps=3)), episode_index)
+
+    monkeypatch.setattr(harness, "run_episode_traced", flaky)
+    rc = main(["ablate", "--preset", "table2", "--episodes", "1", "--seed", "0",
+               "--out", str(tmp_path), "--workers", "1"])
+    stdout, stderr = capsys.readouterr()
+    assert rc == 1
+    assert "policy,scenario" in stdout  # the CSV is still printed
+    (failed,) = [cell_name(c) for c in ablation_preset("table2", episodes=1)
+                 if c.policy is PolicyKind.NO_WEIGHTS]
+    assert f"{failed}: boom" in stderr

@@ -206,6 +206,27 @@ def test_primitive_ray_hits_cylinder():
     assert primitive_ray_hits(prim, o2, d2)[0] == pytest.approx(0.6, abs=1e-9)
 
 
+def test_primitive_ray_hits_box():
+    prim = Primitive(Box(np.array([0.1, 0.2, 0.3])), Pose3.from_xyz_yaw(0, 0, 0.5), Tag.OBSTACLE)
+    cases = [  # (origin, direction, first-hit t)
+        ((0.0, 0.0, 0.5), (1.0, 0.0, 0.0), np.inf),     # origin inside: a miss
+        ((-1.0, 0.1, 0.5), (1.0, 0.0, 0.0), 0.9),      # zero y, z components inside their slabs
+        ((-1.0, 0.25, 0.5), (1.0, 0.0, 0.0), np.inf),  # zero y component outside its slab
+        ((-0.1, 0.0, 0.5), (1.0, 0.0, 0.0), np.inf),   # starts on a face, heading in
+        ((-0.1, 0.0, 0.5), (-1.0, 0.0, 0.0), np.inf),  # starts on a face, heading out
+        ((-1.0, 0.0, 0.5), (-1.0, 0.0, 0.0), np.inf),  # box behind the origin
+        ((-1.0, 0.0, 0.5), (2.0, 0.0, 0.0), 0.45),     # t in units of |dir|
+        ((0.0, 0.0, 2.0), (0.0, 0.0, -0.5), 2.4),      # top face, |dir| = 0.5
+    ]
+    o = np.array([c[0] for c in cases])
+    d = np.array([c[1] for c in cases])
+    t = primitive_ray_hits(prim, o, d)
+    assert t == pytest.approx([c[2] for c in cases], abs=1e-12)
+    # yawed by 90 degrees the box's y half extent lies along world x
+    turned = Primitive(prim.shape, Pose3.from_xyz_yaw(0, 0, 0.5, np.pi / 2), Tag.OBSTACLE)
+    assert primitive_ray_hits(turned, o[6:7], d[6:7])[0] == pytest.approx(0.4, abs=1e-12)
+
+
 def test_scene_json_round_trip():
     s = generate_scene(SceneKind.COMPLEX, True, 21)
     text = scene_to_json(s)
