@@ -12,6 +12,7 @@ never mutate shared state.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator
@@ -215,6 +216,10 @@ class Aabb:
     def inflated(self, margin: float) -> "Aabb":
         return Aabb(self.lo - margin, self.hi + margin)
 
+    def corners(self) -> np.ndarray:
+        """The 2**dim corners, shape (2**dim, dim)."""
+        return np.array(list(itertools.product(*zip(self.lo, self.hi))))
+
 
 # ---------------------------------------------------------------------------
 # dense grids
@@ -265,14 +270,16 @@ class VoxelGrid3:
         return idx[..., 0] + nx * (idx[..., 1] + ny * idx[..., 2])
 
     def centers(self) -> np.ndarray:
-        """All voxel centers, shape (nx, ny, nz, 3); cached (geometry is fixed)."""
+        """All voxel centers, shape (nx, ny, nz, 3); cached (geometry is fixed).
+
+        Stored column-major: `np.moveaxis(centers(), -1, 0)` is a C-contiguous
+        (3, nx, ny, nz) view, so each coordinate is one contiguous block."""
         cached = getattr(self, "_centers", None)
         if cached is not None:
             return cached
-        nx, ny, nz = self.dims
-        i, j, k = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-        idx = np.stack([i, j, k], axis=-1)
-        out = self.index_to_world_center(idx)
+        idx = np.indices(self.dims, dtype=float)
+        cols = self.origin[:, None, None, None] + (idx + 0.5) * self.voxel_size
+        out = np.moveaxis(cols, 0, -1)
         object.__setattr__(self, "_centers", out)
         return out
 
@@ -331,20 +338,27 @@ def ray_aabb_interval(origins: np.ndarray, directions: np.ndarray, box: Aabb
     measured in units of |direction|."""
     o = np.atleast_2d(np.asarray(origins, dtype=float))
     d = np.atleast_2d(np.asarray(directions, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        lo = (box.lo - o) * inv
-        hi = (box.hi - o) * inv
-    # zero direction components: inside the slab -> (-inf, +inf), else
-    # (-inf, -inf), which ends the interval before it starts
-    zero = d == 0.0
-    if zero.any():
-        inside = (o >= box.lo) & (o <= box.hi)
-        lo = np.where(zero, -np.inf, lo)
-        hi = np.where(zero, np.where(inside, np.inf, -np.inf), hi)
-    t_enter = np.maximum(np.minimum(lo, hi).max(axis=1), 0.0)
-    t_exit = np.maximum(lo, hi).min(axis=1)
-    return t_enter, t_exit
+    # one slab per axis on 1-D columns, chained with minimum/maximum: the
+    # same bits as reducing (n, 3) slab arrays over axis 1, without their
+    # strided temporaries
+    t_enter = t_exit = None
+    for a in range(o.shape[1]):
+        oa, da = o[:, a], d[:, a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / da
+            lo = (box.lo[a] - oa) * inv
+            hi = (box.hi[a] - oa) * inv
+        # zero direction components: inside the slab -> (-inf, +inf), else
+        # (-inf, -inf), which ends the interval before it starts
+        zero = da == 0.0
+        if zero.any():
+            inside = (oa >= box.lo[a]) & (oa <= box.hi[a])
+            lo = np.where(zero, -np.inf, lo)
+            hi = np.where(zero, np.where(inside, np.inf, -np.inf), hi)
+        near, far = np.minimum(lo, hi), np.maximum(lo, hi)
+        t_enter = near if t_enter is None else np.maximum(t_enter, near)
+        t_exit = far if t_exit is None else np.minimum(t_exit, far)
+    return np.maximum(t_enter, 0.0), t_exit
 
 
 # Boundary tie rule: a ray starting exactly on a voxel face belongs to the

@@ -5,6 +5,12 @@ fine one around the target for grasping/IG, and a coarse whole-arena one for
 navigation (see the harness).  This module is grid-agnostic: every operation
 takes an explicit TsdfGrid.
 
+Fusion (`integrate_depth`) projects only the voxels in the index box of the
+view frustum, cut at camera depth `max_range + truncation`: a voxel outside
+it rounds to no pixel or lies behind every hit's truncation band and every
+carve, so the cull is exact.  The camera-frame coordinates come as three
+contiguous columns of one `R @ (centers - p).T` product.
+
 Information gain of a candidate camera pose is the number of distinct
 unknown voxels inside the target bounding box that lie behind the first
 observed surface along that pose's pixel rays: the voxels the view could
@@ -16,7 +22,7 @@ one exact batched traversal (`geom.traverse_batch`), and counts distinct
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -28,6 +34,8 @@ from .geom import (
     OccupancyGrid2,
     Pose3,
     VoxelGrid3,
+    quat_conj,
+    quat_to_matrix,
     ray_aabb_interval,
     traverse_batch,
 )
@@ -80,12 +88,36 @@ class TsdfGrid:
                         self.truncation)
 
     def state_volume(self) -> np.ndarray:
-        """VoxelState codes for every voxel, shape (nx, ny, nz) uint8."""
-        out = np.zeros(self.grid.dims, dtype=np.uint8)
-        observed = self.weight > 0
-        out[observed & (self.tsdf > 0)] = VoxelState.FREE
-        out[observed & (self.tsdf <= 0)] = VoxelState.OCCUPIED_SURFACE
-        return out
+        """VoxelState codes for every voxel, shape (nx, ny, nz) uint8.
+
+        One elementwise pass; a voxel with positive weight and a NaN tsdf
+        stays UNKNOWN."""
+        t = self.tsdf
+        return (self.weight > 0) * ((t > 0) + np.uint8(VoxelState.OCCUPIED_SURFACE) * (t <= 0))
+
+
+def _frustum_voxels(g: VoxelGrid3, cam: Pose3, intr: CameraIntrinsics,
+                    far: float) -> tuple[slice, slice, slice] | None:
+    """Index box of the voxels whose centers may lie in the view frustum cut
+    at camera depth `far`, or None when it holds no voxel of `g`.
+
+    The frustum is the pyramid from the optical center to the far-plane
+    rectangle of the image widened by 1 px beyond the half pixel that
+    rounding gives each edge pixel; the box is its world AABB on voxel
+    centers, plus one voxel against rounding.
+    """
+    f = intr.focal
+    cx, cy = (intr.width - 1) / 2.0, (intr.height - 1) / 2.0
+    far_corners = np.array([[(u - cx) / f * far, (v - cy) / f * far, far]
+                            for u in (-1.5, intr.width + 0.5) for v in (-1.5, intr.height + 0.5)])
+    pts = np.vstack([cam.transform(far_corners), cam.position])
+    lo = np.floor((pts.min(axis=0) - g.origin) / g.voxel_size) - 1
+    hi = np.floor((pts.max(axis=0) - g.origin) / g.voxel_size) + 1
+    lo = np.maximum(lo, 0).astype(np.int64)
+    hi = np.minimum(hi, np.asarray(g.dims) - 1).astype(np.int64)
+    if (lo > hi).any():
+        return None
+    return tuple(slice(a, b + 1) for a, b in zip(lo, hi))
 
 
 def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
@@ -94,45 +126,64 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
     Voxels more than one truncation behind the measured surface are left
     untouched (they stay unknown until seen from elsewhere).  No-hit pixels
     carve free space out to the camera max range.
+
+    Only the voxels of the index box of the view frustum cut at camera depth
+    `max_range + truncation` (`_frustum_voxels`) are projected.  A voxel
+    outside it either rounds to no pixel, or lies deeper than `pix +
+    truncation` for every hit depth `pix <= max_range` and deeper than every
+    carve, so skipping it changes no cell.  The camera-frame coordinates are
+    three contiguous columns of one `R @ (centers - p).T` product; numpy's
+    matrix product gives each column of it the bits of the same row of the
+    row-wise `(centers - p) @ R.T` over the whole grid, except for a single
+    column, which goes through matrix-vector code (`tests/test_sensing_oracle.py`
+    checks the fused cells against the unculled row-wise fusion).
     """
     intr = depth.intrinsics
     g = tsdf.grid
-    centers = g.centers().reshape(-1, 3)
-    local = cam.inverse_transform(centers)
-    front = np.nonzero(local[:, 2] > 1e-9)[0]
-    if front.size == 0:
+    box = _frustum_voxels(g, cam, intr, intr.max_range + tsdf.truncation)
+    if box is None:
         return tsdf
-    # np.take: a row gather by fancy indexing takes ~4x longer
-    local = np.take(local, front, axis=0)
-    z = local[:, 2]
-    u, v = (np.rint(c).astype(np.int64) for c in intr.project(local))
-    in_image = (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
+    shape = tuple(b.stop - b.start for b in box)
+    if math.prod(shape) == 1:
+        # a one-column product takes numpy's matrix-vector path, whose bits
+        # can differ from the same column of a larger product
+        box, shape = tuple(slice(0, n) for n in g.dims), g.dims
+    # (3, nx, ny, nz) C-contiguous view; a proper sub-box is copied once
+    cols = np.moveaxis(g.centers(), -1, 0)[(slice(None), *box)].reshape(3, -1)
+    local = quat_to_matrix(quat_conj(cam.orientation)) @ (cols - cam.position[:, None])
+    z = local[2]
+    # voxels at or behind the optical center project to garbage, masked out
+    # by `seen`; rounded pixel coordinates compare as floats, as integers
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v = (np.rint(c) for c in intr.project(local.T))
+        pixel = v * intr.width + u
+    seen = (z > 1e-9) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
+    idx = None
+    if not seen.all():
+        idx = np.flatnonzero(seen)
+        if idx.size == 0:
+            return tsdf
+        pixel, z = pixel[idx], z[idx]
+    pix = np.take(depth.depths.reshape(-1), pixel.astype(np.intp))
 
-    idx = front[in_image]
-    if idx.size == 0:
-        return tsdf
-    pix = depth.depths[v[in_image], u[in_image]]
-    vz = z[in_image]
-
-    no_hit = np.isnan(pix)
-    sdf = pix - vz
-    update = np.zeros(idx.size, dtype=bool)
-    value = np.zeros(idx.size, dtype=np.float32)
-
-    hit = ~no_hit & (sdf >= -tsdf.truncation)
-    value[hit] = np.clip(sdf[hit], -tsdf.truncation, tsdf.truncation) / tsdf.truncation
-    update |= hit
-
-    carve = no_hit & (vz <= intr.max_range)
-    value[carve] = 1.0
-    update |= carve
-
-    sel = idx[update]
-    val = value[update]
-    flat = g.cells.reshape(-1, 2)
-    w = flat[sel, 1]
-    flat[sel, 0] = (flat[sel, 0] * w + val) / (w + 1.0)
-    flat[sel, 1] = np.minimum(w + 1.0, WEIGHT_CAP)
+    # a no-hit pixel (NaN) fails the band test; it carves out to max range
+    sdf = pix - z
+    hit = sdf >= -tsdf.truncation
+    update = hit | (np.isnan(pix) & (z <= intr.max_range))
+    t = tsdf.truncation
+    val = np.where(hit[update], np.clip(sdf[update], -t, t) / t, 1.0).astype(np.float32)
+    sel = np.flatnonzero(update)
+    if idx is not None:
+        sel = idx[sel]
+    if shape != g.dims:
+        sel = np.ravel_multi_index(tuple(i + b.start for i, b in
+                                         zip(np.unravel_index(sel, shape), box)), g.dims)
+    # (tsdf, weight) pairs are adjacent in the flat cell array
+    flat = g.cells.reshape(-1)
+    ti, wi = 2 * sel, 2 * sel + 1
+    w = flat[wi]
+    flat[ti] = (flat[ti] * w + val) / (w + 1.0)
+    flat[wi] = np.minimum(w + 1.0, WEIGHT_CAP)
     return tsdf
 
 
@@ -146,31 +197,6 @@ def _bbox_mask(grid: VoxelGrid3, bbox: Aabb) -> np.ndarray:
     return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
 
 
-def _box_pixels(cams: list[Pose3], intr: CameraIntrinsics, box: Aabb) -> np.ndarray:
-    """(n_cams, n_pix) mask of the pixels whose rays can reach `box`.
-
-    A pixel ray that meets the box meets it at a point whose projection is
-    the pixel itself, and every box point projects inside the rectangle that
-    bounds the projected corners.  So the mask keeps that rectangle, widened
-    by 1 px against rounding.  It keeps every pixel of a camera that has a
-    corner at or behind the plane of its optical center (camera z <= 1e-9),
-    where the projection of the corners does not bound the box's image.
-    """
-    corners = np.array(list(itertools.product(*zip(box.lo, box.hi))))
-    local = np.stack([cam.inverse_transform(corners) for cam in cams])
-    z = local[..., 2]
-    behind = (z <= 1e-9).any(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u, v = intr.project(local)
-    # pixel_dirs() order is row-major (v, u)
-    pu = np.tile(np.arange(intr.width), intr.height)
-    pv = np.repeat(np.arange(intr.height), intr.width)
-    keep = ((pu >= u.min(axis=1)[:, None] - 1.0) & (pu <= u.max(axis=1)[:, None] + 1.0)
-            & (pv >= v.min(axis=1)[:, None] - 1.0) & (pv <= v.max(axis=1)[:, None] + 1.0))
-    keep[behind] = True
-    return keep
-
-
 def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics,
                        target_bbox: Aabb) -> np.ndarray:
     """Rear-side counts for many candidate camera poses in one traversal pass.
@@ -181,7 +207,8 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     voxel diagonal) can count, so the work runs in three steps:
 
     1. cull: keep the pixels inside the image rectangle that bounds each
-       camera's view of the inflated bbox (`_box_pixels`), then the rays
+       camera's view of the inflated bbox (`CameraIntrinsics.box_pixels`),
+       then the rays
        among them that `ray_aabb_interval` says hit the inflated bbox;
     2. trace: one `traverse_batch` pass over those rays, each clipped at its
        bbox exit or at the camera max range;
@@ -203,15 +230,16 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     n_vox = countable.size
 
     box = target_bbox.inflated(g.voxel_size * np.sqrt(3.0))
-    keep = _box_pixels(cams, intr, box)
+    corners = box.corners()
+    keep = intr.box_pixels(np.stack([cam.inverse_transform(corners) for cam in cams]))
 
     dirs_cam = intr.pixel_dirs()
     dirs_cam = dirs_cam / np.linalg.norm(dirs_cam, axis=1, keepdims=True)
     # rotate the full pixel grid, then select: a matmul over a subset of rows
     # need not give the same bits as the full product
-    dirs = np.concatenate([(dirs_cam @ cam.rotation_matrix().T)[keep[c]]
-                           for c, cam in enumerate(cams)])
-    cam_of = np.repeat(np.arange(n_cams), keep.sum(axis=1))
+    dirs = np.concatenate([(dirs_cam @ cam.rotation_matrix().T)[pix]
+                           for cam, pix in zip(cams, keep)])
+    cam_of = np.repeat(np.arange(n_cams), [pix.size for pix in keep])
     origins = np.stack([cam.position for cam in cams])[cam_of]
 
     t_enter, t_exit = ray_aabb_interval(origins, dirs, box)

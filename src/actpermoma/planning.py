@@ -97,25 +97,15 @@ def inflate_occupied(occ: OccupancyGrid2, radius: float = ROBOT_RADIUS) -> np.nd
     """Boolean blocked mask: occupied cells dilated by the robot radius."""
     r = int(np.ceil(radius / occ.cell_size))
     occ_mask = occ.cells == CellState.OCCUPIED
+    nx, ny = occ_mask.shape
     blocked = np.zeros_like(occ_mask)
     for di in range(-r, r + 1):
         for dj in range(-r, r + 1):
-            if di * di + dj * dj > r * r:
+            if di * di + dj * dj > r * r or abs(di) >= nx or abs(dj) >= ny:
                 continue
-            shifted = occ_mask
-            if di:
-                shifted = np.roll(shifted, di, axis=0)
-                if di > 0:
-                    shifted[:di, :] = False
-                else:
-                    shifted[di:, :] = False
-            if dj:
-                shifted = np.roll(shifted, dj, axis=1)
-                if dj > 0:
-                    shifted[:, :dj] = False
-                else:
-                    shifted[:, dj:] = False
-            blocked |= shifted
+            # blocked[i, j] |= occ_mask[i - di, j - dj] wherever both are on the grid
+            blocked[max(di, 0):nx + min(di, 0), max(dj, 0):ny + min(dj, 0)] |= \
+                occ_mask[max(-di, 0):nx - max(di, 0), max(-dj, 0):ny - max(dj, 0)]
     return blocked
 
 

@@ -9,6 +9,7 @@ primitives, no noise.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -84,6 +85,16 @@ class Primitive:
     tag: Tag
     object_id: int | None = None  # set for Tag.OBJECT only
 
+    @functools.cached_property
+    def world_aabb(self) -> Aabb:
+        """World AABB of the corners of the shape's local bounding box."""
+        if isinstance(self.shape, Box):
+            he = self.shape.half_extents
+        else:
+            he = np.array([self.shape.radius, self.shape.radius, self.shape.height / 2.0])
+        world = self.pose.transform(Aabb(-he, he).corners())
+        return Aabb(world.min(axis=0), world.max(axis=0))
+
 
 @dataclass(frozen=True)
 class GroundTruthGrasp:
@@ -143,6 +154,34 @@ class CameraIntrinsics:
         cy = (self.height - 1) / 2.0
         z = local[..., 2]
         return cx + f * local[..., 0] / z, cy + f * local[..., 1] / z
+
+    def box_pixels(self, corners: np.ndarray) -> list[np.ndarray]:
+        """Per box, the row-major pixel indices, ascending, whose rays can reach it.
+
+        `corners` holds the camera-frame corners of boxes, shape (n, 8, 3).
+        A pixel ray that meets a box meets it at a point whose projection is
+        the pixel itself, and every box point projects inside the rectangle
+        that bounds the projected corners.  So the pixels of that rectangle,
+        widened by 1 px against rounding, are kept.  Every pixel is kept when
+        a corner lies at or behind the plane of the optical center (camera
+        z <= 1e-9), where the projected corners do not bound the box's image.
+        """
+        behind = (corners[..., 2] <= 1e-9).any(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u, v = self.project(corners)
+        u0 = np.maximum(np.ceil(u.min(axis=1) - 1.0), 0)
+        u1 = np.minimum(np.floor(u.max(axis=1) + 1.0), self.width - 1)
+        v0 = np.maximum(np.ceil(v.min(axis=1) - 1.0), 0)
+        v1 = np.minimum(np.floor(v.max(axis=1) + 1.0), self.height - 1)
+        out = []
+        for b in range(len(corners)):
+            if behind[b]:
+                out.append(np.arange(self.width * self.height))
+                continue
+            cols = np.arange(int(u0[b]), int(u1[b]) + 1)
+            rows = np.arange(int(v0[b]), int(v1[b]) + 1)
+            out.append((rows[:, None] * self.width + cols).ravel())
+        return out
 
 
 _PIXEL_DIR_CACHE: dict["CameraIntrinsics", np.ndarray] = {}
@@ -359,17 +398,6 @@ def _make_truth_grasps(shape: Shape, hard: bool, rng: np.random.Generator
     return tuple(grasps)
 
 
-def _oriented_aabb(prim: Primitive) -> Aabb:
-    if isinstance(prim.shape, Box):
-        he = prim.shape.half_extents
-    else:
-        he = np.array([prim.shape.radius, prim.shape.radius, prim.shape.height / 2.0])
-    corners = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-                       dtype=float) * he
-    world = prim.pose.transform(corners)
-    return Aabb(world.min(axis=0), world.max(axis=0))
-
-
 _MAX_ATTEMPTS = 1000
 
 
@@ -445,7 +473,7 @@ def generate_scene(kind: SceneKind, hard_grasps: bool, seed: int) -> Scene:
             raise SceneGenFailure(f"obstacle placement failed for seed {seed}")
 
     target_prim = objects[0]
-    aabb = _oriented_aabb(target_prim)
+    aabb = target_prim.world_aabb
     bbox = aabb.inflated(0.05)
     # the target sits on the table; nothing below the tabletop is observable
     bbox = Aabb(np.array([bbox.lo[0], bbox.lo[1], TABLE_HEIGHT]), bbox.hi)
@@ -500,14 +528,31 @@ def sample_start_pose(scene: Scene, seed: int) -> Pose2:
 # ---------------------------------------------------------------------------
 
 def render_depth(scene: Scene, cam: Pose3, intr: CameraIntrinsics) -> DepthImage:
-    """Per-pixel nearest analytic intersection, z-depth, NaN beyond max_range."""
-    dirs_cam = intr.pixel_dirs()
-    dirs_world = dirs_cam @ cam.rotation_matrix().T
+    """Per-pixel nearest analytic intersection, z-depth, NaN beyond max_range.
+
+    Each primitive is ray-tested only on the `intr.box_pixels` of its world
+    AABB, the image rectangle that bounds the AABB: a pixel outside it
+    cannot see any point of the AABB, so it cannot hit the primitive, and
+    skipping it changes no depth.  The pixel rays are rotated into the world
+    as one full grid and subset afterwards.  `primitive_ray_hits` then
+    multiplies the subset by the primitive's rotation, and numpy's matrix
+    product gives every row of a product of two or more rows the bits of the
+    same row of the full product, so each tested ray gets the hit it gets
+    unculled (`tests/test_sensing_oracle.py` compares whole images).
+    """
+    dirs_world = intr.pixel_dirs() @ cam.rotation_matrix().T
     origins = np.broadcast_to(cam.position, dirs_world.shape)
     best = np.full(dirs_world.shape[0], np.inf)
-    for prim in scene.primitives:
-        t = primitive_ray_hits(prim, origins, dirs_world)
-        best = np.minimum(best, t)
+    corners = np.stack([prim.world_aabb.corners() for prim in scene.primitives])
+    for prim, pix in zip(scene.primitives, intr.box_pixels(cam.inverse_transform(corners))):
+        if pix.size == 0:
+            continue
+        if pix.size == 1:
+            # a one-row product takes numpy's matrix-vector path, whose bits
+            # can differ from the same row of a larger product
+            pix = np.arange(best.size)
+        t = primitive_ray_hits(prim, origins[pix], dirs_world[pix])
+        best[pix] = np.minimum(best[pix], t)
     depths = np.where(best <= intr.max_range, best, np.nan)
     return DepthImage(intr, depths.reshape(intr.height, intr.width))
 

@@ -94,6 +94,21 @@ def test_fresh_grid_all_unknown():
     assert (t.state_volume() == VoxelState.UNKNOWN).all()
 
 
+def test_state_volume_codes_each_voxel_nan_tsdf_stays_unknown():
+    rng = np.random.default_rng(5)
+    t = TsdfGrid.create(np.zeros(3), 0.1, (7, 6, 5))
+    t.grid.cells[..., 0] = rng.choice([-1.0, -0.3, -0.0, 0.0, 0.2, 1.0, np.nan], size=(7, 6, 5))
+    t.grid.cells[..., 1] = rng.choice([0.0, 1.0, 3.0, np.nan], size=(7, 6, 5))
+    tsdf, weight = t.tsdf, t.weight
+    want = np.full((7, 6, 5), VoxelState.UNKNOWN, dtype=np.uint8)
+    want[(weight > 0) & (tsdf > 0)] = VoxelState.FREE
+    want[(weight > 0) & (tsdf <= 0)] = VoxelState.OCCUPIED_SURFACE
+    states = t.state_volume()
+    assert states.dtype == np.uint8
+    assert np.array_equal(states, want)
+    assert (states[np.isnan(tsdf) & (weight > 0)] == VoxelState.UNKNOWN).all()
+
+
 def test_integrate_twice_idempotent_values():
     scene = generate_scene(SceneKind.SIMPLE, False, 2)
     t = fresh_target_grid(scene.target_center)

@@ -105,6 +105,32 @@ def test_sample_base_goals_open_scene():
     assert goals != [p for _, p in sample_base_goal_slots(occ, target, 16, seed=4)]
 
 
+def test_inflate_occupied_equals_brute_force_disc_dilation():
+    # a cell is blocked when an occupied cell lies within ceil(radius / cell)
+    # cells of it (Euclidean, in cells); occupied cells on every grid edge and
+    # corner, grids smaller than the disc, and radius 0 are included
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        nx, ny = (int(n) for n in rng.integers(1, 24, size=2))
+        cells = np.full((nx, ny), CellState.FREE, dtype=np.uint8)
+        cells[rng.random((nx, ny)) < 0.08] = CellState.OCCUPIED
+        cells[rng.random((nx, ny)) < 0.2] = CellState.UNKNOWN
+        for i, j in ((0, 0), (nx - 1, ny - 1), (0, ny - 1), (nx - 1, 0),
+                     (int(rng.integers(nx)), 0), (0, int(rng.integers(ny)))):
+            if rng.random() < 0.5:
+                cells[i, j] = CellState.OCCUPIED
+        radius = float(rng.choice([0.0, 0.1, 0.25, 0.3, 0.55]))
+        occ = OccupancyGrid2(np.zeros(2), 0.1, (nx, ny), cells)
+        r = int(np.ceil(radius / 0.1))
+        want = np.zeros((nx, ny), dtype=bool)
+        for oi, oj in np.argwhere(cells == CellState.OCCUPIED):
+            for i in range(nx):
+                for j in range(ny):
+                    if (i - oi) ** 2 + (j - oj) ** 2 <= r * r:
+                        want[i, j] = True
+        assert np.array_equal(inflate_occupied(occ, radius=radius), want)
+
+
 def test_sample_base_goals_respects_occupancy():
     occ = empty_occ()
     # occupy the north half-plane above the target
