@@ -159,7 +159,7 @@ class Pose3:
         return quat_to_matrix(self.orientation)
 
 
-def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray | None = None) -> Pose3:
+def look_at(position: np.ndarray, target: np.ndarray) -> Pose3:
     """Camera pose at `position` with optical axis (+z, y-down frame) through `target`.
 
     Roll is fixed by the world up vector; when the view direction is within
@@ -171,7 +171,7 @@ def look_at(position: np.ndarray, target: np.ndarray, up: np.ndarray | None = No
     if n < 1e-12:
         raise ValueError("look_at target coincides with camera position")
     z = forward / n
-    ref = np.array([0.0, 0.0, 1.0]) if up is None else np.asarray(up, dtype=float)
+    ref = np.array([0.0, 0.0, 1.0])
     if abs(float(np.dot(z, ref))) > 1.0 - 1e-9:
         ref = np.array([1.0, 0.0, 0.0])
     x = np.cross(z, ref)
@@ -319,6 +319,23 @@ class OccupancyGrid2:
         if not bool(self.contains_cell(c)):
             return CellState.UNKNOWN
         return CellState(int(self.cells[c[0], c[1]]))
+
+
+# the run-length text form of an occupancy grid's cells in episode traces:
+# comma-separated `<state>x<count>` runs over the cells in x-fastest order
+
+def cells_to_rle(cells: np.ndarray) -> str:
+    flat = cells.T.reshape(-1)
+    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    counts = np.diff(np.r_[starts, flat.size])
+    return ",".join(f"{v}x{n}" for v, n in zip(flat[starts].tolist(), counts.tolist()))
+
+
+def cells_from_rle(rle: str, dims: tuple[int, int]) -> np.ndarray:
+    """The (nx, ny) uint8 cells that `cells_to_rle` encoded."""
+    runs = [token.split("x") for token in rle.split(",")]
+    flat = np.repeat([int(v) for v, _ in runs], [int(n) for _, n in runs])
+    return flat.astype(np.uint8).reshape(dims[1], dims[0]).T
 
 
 # ---------------------------------------------------------------------------

@@ -54,13 +54,14 @@ def smoothstep(x: float, lo: float, hi: float) -> float:
     return t * t * (3.0 - 2.0 * t)
 
 
-def surface_normals(prim, points: np.ndarray, h: float = 2e-3) -> np.ndarray:
-    """Outward unit normals from central differences of the primitive SDF."""
+def surface_normals(prim, points: np.ndarray) -> np.ndarray:
+    """Outward unit normals from central differences (2 mm steps) of the
+    primitive SDF."""
     points = np.atleast_2d(points)
     grad = np.empty_like(points)
     for axis in range(3):
         e = np.zeros(3)
-        e[axis] = h
+        e[axis] = 2e-3
         grad[:, axis] = primitive_sdf(prim, points + e) - primitive_sdf(prim, points - e)
     norms = np.linalg.norm(grad, axis=1, keepdims=True)
     norms[norms < 1e-12] = 1.0

@@ -26,7 +26,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
-from .geom import CellState, Pose2
+from .geom import CellState, Pose2, cells_to_rle
 from .grasping import (
     GraspDetector,
     GraspOutcome,
@@ -127,21 +127,6 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 # episode loop
 # ---------------------------------------------------------------------------
-
-def _occupancy_rle(cells: np.ndarray) -> str:
-    flat = cells.T.reshape(-1)  # x-fastest
-    out = []
-    run_val = int(flat[0])
-    run_len = 0
-    for v in flat:
-        if int(v) == run_val:
-            run_len += 1
-        else:
-            out.append(f"{run_val}x{run_len}")
-            run_val, run_len = int(v), 1
-    out.append(f"{run_val}x{run_len}")
-    return ",".join(out)
-
 
 def run_episode_traced(cfg: RunConfig, episode_index: int
                        ) -> tuple[EpisodeResult, list[dict]]:
@@ -254,7 +239,7 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
                   "occupancy": {"dims": list(occ.dims),
                                 "origin": [*map(float, occ.origin)],
                                 "cell_size": occ.cell_size,
-                                "rle": _occupancy_rle(occ.cells)}})
+                                "rle": cells_to_rle(occ.cells)}})
     return result, trace
 
 
@@ -338,7 +323,8 @@ class Verdict(str, Enum):
 _RATE_METRICS = {"sr": (Outcome.SUCCESS, True), "ar": (Outcome.ABORT, False),
                  "gfr": (Outcome.GRASP_FAILURE, False)}
 _MEAN_METRICS = {"d": "d_total", "v": "v_total"}
-Z_CRIT = 1.959963984540054  # two-sided alpha = 0.05
+ALPHA = 0.05  # two-sided significance level of `compare`
+Z_CRIT = 1.959963984540054  # the standard normal's two-sided quantile at ALPHA
 
 
 def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> float:
@@ -418,11 +404,10 @@ def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(t), float(df)
 
 
-def compare(a: list[EpisodeResult], b: list[EpisodeResult], metric: str,
-            alpha: float = 0.05) -> Verdict:
-    """Which side is significantly better on a metric (sr: higher is better;
-    ar/gfr/d/v: lower is better).  Rates use a pooled two-proportion z test,
-    d/v use Welch's t test."""
+def compare(a: list[EpisodeResult], b: list[EpisodeResult], metric: str) -> Verdict:
+    """Which side is significantly better at ALPHA on a metric (sr: higher is
+    better; ar/gfr/d/v: lower is better).  Rates use a pooled two-proportion z
+    test, d/v use Welch's t test."""
     if len(a) < 30 or len(b) < 30:
         raise InsufficientSamples("need at least 30 episodes per side")
     if metric in _RATE_METRICS:
@@ -439,7 +424,7 @@ def compare(a: list[EpisodeResult], b: list[EpisodeResult], metric: str,
         x = np.array([getattr(r, attr) for r in a], dtype=float)
         y = np.array([getattr(r, attr) for r in b], dtype=float)
         t, df = welch_t(x, y)
-        if t == 0.0 or student_t_two_sided_p(t, df) > alpha:
+        if t == 0.0 or student_t_two_sided_p(t, df) > ALPHA:
             return Verdict.INCONCLUSIVE
         return Verdict.A_BETTER if t < 0 else Verdict.B_BETTER  # lower is better
     raise ValueError(f"unknown metric {metric!r}")
@@ -566,13 +551,13 @@ def _run_cells(cfgs: list[RunConfig], workers: int | None
     return [next((r for r in rows if isinstance(r, Exception)), rows) for rows in results]
 
 
-def run_cell(cfg: RunConfig, workers: int | None = None,
-             write_traces: bool = True) -> list[EpisodeResult]:
+def run_cell(cfg: RunConfig, workers: int | None = None) -> list[EpisodeResult]:
     """All episodes of one experiment cell in index order: the one-cell case of
     `run_experiment`'s pool, traces in `episodes/ep<index>.jsonl` written as
-    episodes finish (deterministic output).  An episode's exception is raised
-    once every episode has run; the finished episodes keep their traces."""
-    results = _run_cells([cfg if write_traces else replace(cfg, output_dir=None)], workers)[0]
+    episodes finish (deterministic output) when cfg.output_dir is set.  An
+    episode's exception is raised once every episode has run; the finished
+    episodes keep their traces."""
+    results = _run_cells([cfg], workers)[0]
     if isinstance(results, Exception):
         raise results
     return results

@@ -65,14 +65,13 @@ class TsdfGrid:
                         truncation if truncation is not None else 4.0 * voxel_size)
 
     @staticmethod
-    def create_cube(center: np.ndarray, side: float, voxels_per_axis: int,
-                    truncation_voxels: float = 2.0) -> "TsdfGrid":
-        # thin truncation: at desk scale a wider band punches through the
-        # objects and marks their unseen rear faces as observed
+    def create_cube(center: np.ndarray, side: float, voxels_per_axis: int) -> "TsdfGrid":
+        # thin truncation of two voxels: at desk scale a wider band punches
+        # through the objects and marks their unseen rear faces as observed
         vs = side / voxels_per_axis
         origin = np.asarray(center, dtype=float) - side / 2.0
         return TsdfGrid.create(origin, vs, (voxels_per_axis,) * 3,
-                               truncation=truncation_voxels * vs)
+                               truncation=2.0 * vs)
 
     @property
     def tsdf(self) -> np.ndarray:
@@ -81,11 +80,6 @@ class TsdfGrid:
     @property
     def weight(self) -> np.ndarray:
         return self.grid.cells[..., 1]
-
-    def copy(self) -> "TsdfGrid":
-        g = self.grid
-        return TsdfGrid(VoxelGrid3(g.origin.copy(), g.voxel_size, g.dims, g.cells.copy()),
-                        self.truncation)
 
     def state_volume(self) -> np.ndarray:
         """VoxelState codes for every voxel, shape (nx, ny, nz) uint8.

@@ -395,38 +395,27 @@ def select_from_utilities(utils: list[PathUtility], cfg: PlannerConfig,
 # stepping
 # ---------------------------------------------------------------------------
 
-def step(robot: Pose2, path: CandidatePath, step_size: float = 0.2) -> Pose2:
-    """Kinematic advance of at most step_size along the path polyline.
-
-    The robot is projected onto the path (ties prefer the later segment, so
-    passed waypoints are never revisited), then advanced along it with the
-    total displacement capped at step_size.  The motion clamps exactly at
-    the path end, where the goal heading is adopted; heading during travel is
-    the direction of motion."""
-    if not path.base_path:
+def step(robot: Pose2, base_path: list[Pose2], step_size: float) -> Pose2:
+    """Kinematic advance of at most step_size along a route that starts at
+    the robot, as `RouteCache.path_to` trims it; a one-waypoint route is the
+    straight line from the robot to that waypoint.  The motion clamps exactly
+    at the route end, where the goal heading is adopted; heading during
+    travel is the direction of motion.  Raises ValueError on an empty route
+    or on a longer one whose first waypoint is not the robot's position."""
+    if not base_path:
         raise ValueError("empty path")
-    goal = path.base_path[-1]
-    pts = [np.asarray(w.xy, dtype=float) for w in path.base_path]
-    if len(pts) == 1:
-        pts = [np.asarray(robot.xy, dtype=float), pts[0]]
-    rob = np.asarray(robot.xy, dtype=float)
+    goal = base_path[-1]
+    if len(base_path) == 1:
+        pts = [robot.xy, goal.xy]
+    elif (base_path[0].x, base_path[0].y) == (robot.x, robot.y):
+        pts = [w.xy for w in base_path]
+    else:
+        raise ValueError("route does not start at the robot")
 
-    # closest point on the polyline
-    best_d, best_seg, best_t = np.inf, 0, 0.0
-    for i in range(len(pts) - 1):
-        seg = pts[i + 1] - pts[i]
-        l2 = float(seg @ seg)
-        t = 0.0 if l2 == 0.0 else float(np.clip((rob - pts[i]) @ seg / l2, 0.0, 1.0))
-        d = float(np.linalg.norm(rob - (pts[i] + t * seg)))
-        if d <= best_d + 1e-12:
-            best_d, best_seg, best_t = d, i, t
-    lateral = best_d
-    # advance distance chosen so the straight-line displacement stays <= step_size
-    budget = float(np.sqrt(max(step_size**2 - lateral**2, 0.0)))
-
-    pos = pts[best_seg] + best_t * (pts[best_seg + 1] - pts[best_seg])
+    pos = pts[0]
+    budget = step_size
     heading = robot.theta
-    i = best_seg
+    i = 0
     while i < len(pts) - 1:
         seg = pts[i + 1] - pos
         d = float(np.linalg.norm(seg))
@@ -442,24 +431,14 @@ def step(robot: Pose2, path: CandidatePath, step_size: float = 0.2) -> Pose2:
             pos = pos + (budget / d) * seg
             heading = float(np.arctan2(seg[1], seg[0]))
             break
-    if lateral > 0 and budget == 0.0 and step_size <= lateral:
-        # too far off the path: close in on it first
-        to_path = pos - rob
-        d = float(np.linalg.norm(to_path))
-        if d > 1e-12:
-            frac = min(step_size / d, 1.0)
-            p = rob + frac * to_path
-            return Pose2(float(p[0]), float(p[1]), float(np.arctan2(to_path[1], to_path[0])))
     if float(np.linalg.norm(pos - goal.xy)) < 1e-9:
         return Pose2(float(goal.x), float(goal.y), goal.theta)
     return Pose2(float(pos[0]), float(pos[1]), heading)
 
 
-def should_execute(path: CandidatePath, robot: Pose2, j_exec: float,
-                   cfg: PlannerConfig) -> bool:
-    """Grasp trigger: the chosen path has collapsed to its goal waypoint (the
-    robot is within one step of the goal) and the executability utility
-    clears the threshold (inclusive)."""
-    del robot  # position is already encoded in the trimmed path
+def should_execute(path: CandidatePath, j_exec: float, cfg: PlannerConfig) -> bool:
+    """Grasp trigger: the chosen path, trimmed to start at the robot, has
+    collapsed to its goal waypoint (the robot is within one step of the goal)
+    and the executability utility clears the threshold (inclusive)."""
     at_goal = len(path.base_path) == 1 or path.length <= cfg.step_size + 1e-9
     return at_goal and j_exec >= cfg.exec_threshold

@@ -17,7 +17,6 @@ from .geom import Aabb, OccupancyGrid2, Pose2, Pose3, facing, look_at
 from .grasping import Arm, Grasp, MapPair, best_grasp, reachability
 from .perception import TsdfGrid, rear_side_ig_batch
 from .planning import (
-    CandidatePath,
     NoFeasibleGoals,
     NoPath,
     PlannerConfig,
@@ -87,7 +86,11 @@ class RouteCache:
     routes (left/right around an obstacle) as the start cell toggles, which
     deadlocks the robot in a bounce cycle.  A committed route is reused as
     long as its goal is unchanged, it stays collision-free, and the robot is
-    still on it, and is trimmed to start at the robot.
+    still on it.
+
+    This is the one place that locates the robot on a route: `path_to`
+    returns the route trimmed to start exactly at the robot (or collapsed to
+    its goal waypoint), which is the only form `planning.step` walks.
     """
 
     MAX_LATERAL = 0.4
@@ -166,8 +169,8 @@ class Policy:
 
     # shared helpers ------------------------------------------------------
 
-    def _move_along(self, belief: Belief, path: CandidatePath) -> MoveStep:
-        new_base = step(belief.robot, path, self.cfg.step_size)
+    def _move_along(self, belief: Belief, base_path: list[Pose2]) -> MoveStep:
+        new_base = step(belief.robot, base_path, self.cfg.step_size)
         cam = camera_at(new_base.xy, belief.target_center, self.cam_seed,
                         self.cfg.torso_band)
         return MoveStep(new_base, cam)
@@ -259,7 +262,7 @@ class ActPerMoMaPolicy(Policy):
                 # collapsed and would make any threshold meaningless
                 g, goal_score = best_grasp(self.maps, belief.stable_grasps,
                                            best.path.goal_base)
-                if should_execute(best.path, belief.robot, goal_score, cfg):
+                if should_execute(best.path, goal_score, cfg):
                     assert g is not None and g.arm is not None
                     return ExecuteGrasp(g, g.arm)
         else:  # proximity: grab as soon as the target ring is reached
@@ -269,7 +272,7 @@ class ActPerMoMaPolicy(Policy):
                 _, arm = reachability(self.maps, g, belief.robot)
                 assert arm is not None
                 return ExecuteGrasp(replace(g, arm=arm), arm)
-        return self._move_along(belief, best.path)
+        return self._move_along(belief, best.path.base_path)
 
 
 class IgOnlyPolicy(ActPerMoMaPolicy):
@@ -335,8 +338,7 @@ class NaivePolicy(Policy):
                 self.routes.routes.pop(0, None)
                 continue
             self.current_goal = goal
-            path = CandidatePath(goal_id=0, base_path=base, views=[], length=0.0)
-            return self._move_along(belief, path)
+            return self._move_along(belief, base)
         self.current_goal = None
         return Abort("target ring unreachable")
 
@@ -350,14 +352,10 @@ class RandomPolicy(Policy):
         super().__init__(cfg, seed, map_pair)
         self.rng = rng_from(seed, "random-goals")
         self.current_goal: Pose2 | None = None
-        self.grasp_failed = False  # shrinks the sampling ring to 0.75 m
-
-    def _goal_radius(self) -> float:
-        return 0.75 if self.grasp_failed else min(self.cfg.reach_radius, 0.85)
 
     def _sample_goal(self, belief: Belief, blocked: np.ndarray) -> Pose2 | None:
         target_xy = belief.target_center[:2]
-        r = self._goal_radius()
+        r = min(self.cfg.reach_radius, 0.85)
         for _ in range(100):
             a = float(self.rng.uniform(0.0, 2 * np.pi))
             xy = target_xy + r * np.array([np.cos(a), np.sin(a)])
@@ -385,8 +383,7 @@ class RandomPolicy(Policy):
         except NoPath:
             self.current_goal = None
             return self._wait_in_place(belief)
-        path = CandidatePath(goal_id=0, base_path=base, views=[], length=0.0)
-        return self._move_along(belief, path)
+        return self._move_along(belief, base)
 
 
 class BreyerNbvPolicy(Policy):
@@ -455,8 +452,7 @@ class BreyerNbvPolicy(Policy):
         except NoPath:
             self.visited.add(view_id)
             return self._wait_in_place(belief)
-        path = CandidatePath(goal_id=view_id, base_path=base, views=[], length=0.0)
-        move = self._move_along(belief, path)
+        move = self._move_along(belief, base)
         if float(np.linalg.norm(move.base.xy - goal.xy)) < 1e-9:
             self.visited.add(view_id)
         return move

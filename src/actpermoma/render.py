@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import CellState, Pose3, quat_to_matrix
+from .geom import CellState, cells_from_rle
 from .scene import Box, Cylinder, Primitive, Scene, Tag, scene_from_json
 
 _COLORS = {
@@ -57,11 +57,7 @@ def render_topdown(scene: Scene, trace: list[dict], out_path: str | Path) -> Pat
         nx, ny = occ["dims"]
         ox, oy = occ["origin"]
         cs = occ["cell_size"]
-        flat = []
-        for token in occ["rle"].split(","):
-            val, count = token.split("x")
-            flat.extend([int(val)] * int(count))
-        cells = np.array(flat, dtype=np.uint8).reshape(ny, nx).T
+        cells = cells_from_rle(occ["rle"], (nx, ny))
         for i in range(nx):
             for j in range(ny):
                 if cells[i, j] != CellState.OCCUPIED:

@@ -11,6 +11,8 @@ from actpermoma.geom import (
     Pose3,
     Ray,
     VoxelGrid3,
+    cells_from_rle,
+    cells_to_rle,
     look_at,
     quat_mul,
     quat_normalize,
@@ -216,6 +218,27 @@ def test_occupancy_grid_lookup():
     assert occ.state_at(np.array([0.15, 0.25])) == CellState.OCCUPIED
     assert occ.state_at(np.array([5.0, 5.0])) == CellState.UNKNOWN
     assert tuple(occ.world_to_cell(np.array([0.15, 0.25]))) == (1, 2)
+
+
+def test_occupancy_rle_is_x_fastest_state_runs():
+    cells = np.array([[0, 1], [2, 2]], dtype=np.uint8)  # cells[i, j], i along x
+    assert cells_to_rle(cells) == "0x1,2x1,1x1,2x1"
+
+
+def test_occupancy_rle_round_trip():
+    rng = np.random.default_rng(4)
+    grids = [rng.integers(0, 3, size=(int(rng.integers(1, 30)), int(rng.integers(1, 30))),
+                          dtype=np.uint8) for _ in range(50)]
+    # long runs, as in a projected arena
+    grids += [np.repeat(rng.integers(0, 3, size=(6, 1), dtype=np.uint8), 40, axis=1)]
+    grids.append(np.full((80, 80), CellState.UNKNOWN, dtype=np.uint8))  # one run
+    grids.append(np.array([[s] for s in CellState], dtype=np.uint8))  # every state
+    for cells in grids:
+        text = cells_to_rle(cells)
+        back = cells_from_rle(text, cells.shape)
+        assert back.dtype == np.uint8 and back.shape == cells.shape
+        assert np.array_equal(back, cells)
+    assert cells_to_rle(grids[-2]) == "2x6400"
 
 
 def test_aabb_contains_and_inflate():

@@ -172,8 +172,8 @@ def test_trace_replay_reconstructs_totals():
 def test_run_cell_serial_equals_parallel():
     cfg = RunConfig(planner=FAST, episodes=4, base_seed=11,
                     scenario=SceneKind.SIMPLE, policy=PolicyKind.NAIVE)
-    serial = run_cell(cfg, workers=1, write_traces=False)
-    parallel = run_cell(cfg, workers=4, write_traces=False)
+    serial = run_cell(cfg, workers=1)
+    parallel = run_cell(cfg, workers=4)
     assert serial == parallel
 
 
@@ -209,7 +209,7 @@ def test_run_cell_workers_run_one_blas_thread(monkeypatch):
     before = get()
     monkeypatch.setattr(harness, "_episode_worker", _blas_threads_worker)
     cfg = RunConfig(planner=FAST, episodes=2, policy=PolicyKind.NAIVE)
-    rows = run_cell(cfg, workers=2, write_traces=False)
+    rows = run_cell(cfg, workers=2)
     assert [blas for blas, _ in rows] == [1, 1]
     # no idle BLAS server thread left running beside the worker's main thread
     assert all(os_threads in (1, None) for _, os_threads in rows)
@@ -221,8 +221,7 @@ def test_run_cell_without_openblas_runs_unpinned(monkeypatch):
     assert harness._openblas_function("set") is None
     assert harness._one_blas_thread() is None
     cfg = RunConfig(planner=FAST, episodes=2, base_seed=11, policy=PolicyKind.NAIVE)
-    assert run_cell(cfg, workers=2, write_traces=False) == \
-        run_cell(cfg, workers=1, write_traces=False)
+    assert run_cell(cfg, workers=2) == run_cell(cfg, workers=1)
 
 
 def test_default_workers_counts_only_usable_cpus(monkeypatch):

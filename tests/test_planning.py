@@ -37,6 +37,7 @@ from actpermoma.planning import (
     step,
     torso_height,
 )
+from actpermoma.policies import RouteCache
 from actpermoma.scene import CameraIntrinsics
 
 MAPS = build_map_pair()
@@ -345,19 +346,43 @@ def test_select_path_latches_grasp_found():
 
 
 def test_step_clamps_at_waypoint():
-    path = CandidatePath(0, [Pose2(0, 0, 0), Pose2(0.1, 0.0, 0.0)], [], 0.1)
-    out = step(Pose2(0.0, 0.0, 0.5), path, step_size=0.2)
+    out = step(Pose2(0.0, 0.0, 0.5), [Pose2(0, 0, 0), Pose2(0.1, 0.0, 0.0)], step_size=0.2)
     assert (out.x, out.y) == pytest.approx((0.1, 0.0))
     assert out.theta == pytest.approx(0.0)  # adopted the goal heading
 
 
+def test_step_refuses_a_route_that_does_not_start_at_the_robot():
+    route = [Pose2(0, 0, 0), Pose2(0.1, 0.0, 0.0), Pose2(0.2, 0.0, 0.0)]
+    with pytest.raises(ValueError):
+        step(Pose2(0.05, 0.0, 0.0), route, 0.2)  # on the route, past its start
+    with pytest.raises(ValueError):
+        step(Pose2(0.0, 0.3, 0.0), route, 0.2)  # off the route
+    with pytest.raises(ValueError):
+        step(Pose2(0.0, 0.0, 0.0), [], 0.2)
+
+
+def _retrimmed(base: list[Pose2]):
+    """`robot -> route`: `base` re-trimmed by a route cache to start at the
+    robot, as the policies hand routes to `step`."""
+    occ = empty_occ()
+    blocked = np.zeros(occ.dims, dtype=bool)
+    cache = RouteCache()
+    cache.routes[0] = list(base)
+
+    def route_from(robot: Pose2) -> list[Pose2]:
+        route = cache.path_to(occ, blocked, robot, base[-1], 0)
+        assert cache.routes[0] == base  # trimmed, never re-planned
+        return route
+    return route_from
+
+
 def test_step_straight_path_five_steps():
     base = [Pose2(x, 0.0, 0.0) for x in np.arange(0.0, 1.00001, 0.1)]
-    path = CandidatePath(0, base, [], 1.0)
+    route_from = _retrimmed(base)
     robot = Pose2(0.0, 0.0, 0.0)
     steps = 0
     while np.linalg.norm(robot.xy - np.array([1.0, 0.0])) > 1e-9:
-        robot = step(robot, path, 0.2)
+        robot = step(robot, route_from(robot), 0.2)
         steps += 1
         assert steps < 50
     assert steps == 5
@@ -371,11 +396,11 @@ def test_step_displacement_accumulates():
         base.append(Pose2(prev.x + rng.uniform(0.05, 0.1),
                           prev.y + rng.uniform(-0.07, 0.07), 0.0))
     length = sum(float(np.linalg.norm(b.xy - a.xy)) for a, b in zip(base, base[1:]))
-    path = CandidatePath(0, base, [], length)
+    route_from = _retrimmed(base)
     robot = Pose2(0, 0, 0)
     total = 0.0
     for _ in range(200):
-        nxt = step(robot, path, 0.2)
+        nxt = step(robot, route_from(robot), 0.2)
         d = float(np.linalg.norm(nxt.xy - robot.xy))
         assert d <= 0.2 + 1e-9  # per-step displacement bound
         total += d
@@ -392,9 +417,9 @@ def test_should_execute_rules():
     cfg = PlannerConfig()
     long_path = CandidatePath(0, [Pose2(0, 0, 0), Pose2(1, 0, 0)], [], 1.0)
     at_goal = CandidatePath(0, [Pose2(1, 0, 0)], [], 0.0)
-    assert not should_execute(long_path, Pose2(0, 0, 0), 1e9, cfg)
-    assert not should_execute(at_goal, Pose2(1, 0, 0), 0.0, cfg)
-    assert should_execute(at_goal, Pose2(1, 0, 0), cfg.exec_threshold, cfg)
+    assert not should_execute(long_path, 1e9, cfg)
+    assert not should_execute(at_goal, 0.0, cfg)
+    assert should_execute(at_goal, cfg.exec_threshold, cfg)
 
 
 def test_planner_config_validation():

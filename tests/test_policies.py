@@ -115,8 +115,8 @@ def test_actpermoma_decision_matches_hand_composition():
                            belief.intr.downsampled(cfg.ig_downsample),
                            belief.target_bbox, MAPS)
     best, _, _ = select_from_utilities(utils, cfg, PlannerState(), False)
-    assert not should_execute(best.path, belief.robot, 0.0, cfg)
-    want = step(belief.robot, best.path, cfg.step_size)
+    assert not should_execute(best.path, 0.0, cfg)
+    want = step(belief.robot, best.path.base_path, cfg.step_size)
     assert (decision.base.x, decision.base.y) == (want.x, want.y)
 
 
@@ -240,16 +240,6 @@ def test_random_goal_sequence_reproducible_and_feasible():
         c = belief.occ.world_to_cell(np.array([gx, gy]))
         assert not blocked[c[0], c[1]]
         assert np.linalg.norm(np.array([gx, gy]) - scene.target_center[:2]) == pytest.approx(0.85)
-
-
-def test_random_shrinks_radius_after_failure():
-    cfg = PlannerConfig()
-    scene, belief = make_belief(seed=13)
-    policy = RandomPolicy(cfg, seed=5, map_pair=MAPS)
-    policy.grasp_failed = True
-    goal = policy._sample_goal(belief, inflate_occupied(belief.occ))
-    assert goal is not None
-    assert np.linalg.norm(goal.xy - scene.target_center[:2]) == pytest.approx(0.75)
 
 
 def test_breyer_view_igs_match_direct_calls():

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actpermoma.geom import Aabb, Pose3, look_at, ray_aabb_interval
+from actpermoma.geom import Aabb, Pose3, VoxelGrid3, look_at, ray_aabb_interval
 from actpermoma.harness import NAV_CELL, NAV_Z_VOXELS, TARGET_GRID_SIDE, TARGET_GRID_VOXELS
 from actpermoma.perception import WEIGHT_CAP, TsdfGrid, integrate_depth
 from actpermoma.scene import (
@@ -43,6 +43,12 @@ AXES = np.eye(3)
 # ---------------------------------------------------------------------------
 # unculled references
 # ---------------------------------------------------------------------------
+
+def copy_tsdf(tsdf: TsdfGrid) -> TsdfGrid:
+    g = tsdf.grid
+    return TsdfGrid(VoxelGrid3(g.origin.copy(), g.voxel_size, g.dims, g.cells.copy()),
+                    tsdf.truncation)
+
 
 def reference_render(scene, cam: Pose3, intr) -> np.ndarray:
     dirs_world = intr.pixel_dirs() @ cam.rotation_matrix().T
@@ -218,7 +224,7 @@ def test_culled_sensing_equals_unculled_reference(case):
     scene, seq = case
     grids = [TsdfGrid.create_cube(scene.target_center, TARGET_GRID_SIDE, TARGET_GRID_VOXELS),
              TsdfGrid.create(np.array([-ARENA_HALF, -ARENA_HALF, 0.0]), NAV_CELL, NAV_DIMS)]
-    refs = [g.copy() for g in grids]
+    refs = [copy_tsdf(g) for g in grids]
     for extra, cam in seq:
         seen = replace(scene, primitives=scene.primitives + extra)
         img = render_depth(seen, cam, INTR)
