@@ -2,8 +2,9 @@
 
 An episode is: generate a scene, spawn the robot, integrate the first view,
 then loop sense -> detect -> decide -> act until the policy grasps, aborts,
-or runs out of steps.  Everything is a pure function of (config, episode
-index), so episodes parallelize freely and reruns are bit-identical.
+or the loop's step budget (`PlannerConfig.max_steps`) runs out.  Everything
+is a pure function of (config, episode index), so episodes parallelize
+freely and reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .policies import Abort, Belief, ExecuteGrasp, MoveStep, PolicyKind, make_po
 from .scene import (
     ARENA_HALF,
     DEFAULT_INTRINSICS,
-    Scene,
     SceneGenFailure,
     SceneKind,
     generate_scene,
@@ -130,7 +130,13 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 
 def run_episode_traced(cfg: RunConfig, episode_index: int
                        ) -> tuple[EpisodeResult, list[dict]]:
-    """Run one episode and return its result plus the per-step trace records."""
+    """Run one episode and return its result plus the per-step trace records.
+
+    This loop owns the step budget: step `cfg.planner.max_steps` only detects
+    and tracks grasps, then ends the episode with a "step budget exhausted"
+    abort record, without asking the policy.  Every earlier step either moves
+    the robot once or ends the episode, so `steps` is the number of moves and
+    `v_total` (views integrated, the start view included) is `steps + 1`."""
     scene_seed = cfg.base_seed + episode_index
     policy_seed = derive_seed(cfg.base_seed, episode_index, "policy")
     maps = build_map_pair()
@@ -167,32 +173,30 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
 
     robot = start
     integrate_view(robot)
-    v_total = 1
     d_total = 0.0
-    moves = 0
     tracked: list = []
-    outcome = Outcome.ABORT
-    abort_reason = "step budget exhausted"
 
     for step_index in range(cfg.planner.max_steps + 1):
         raw = detector.detect(target_tsdf, cfg.planner.q_th,
                               derive_seed(policy_seed, "detect", step_index))
         tracked = update_stability(tracked, raw)
         stable = [g for g in tracked if g.stable_for >= cfg.planner.n_stab]
-        occ = project_occupancy(nav_tsdf, NAV_HEIGHT_BAND)
-        belief = Belief(robot=robot, target_tsdf=target_tsdf, occ=occ,
-                        stable_grasps=stable, target_center=scene.target_center,
-                        target_bbox=scene.target_bbox, step_index=step_index,
-                        intr=intr)
-        decision = policy.decide(belief)
-
         rec = {"type": "step", "step": step_index,
                "robot": [robot.x, robot.y, robot.theta],
                "grasps": [{"step": step_index, "voxel": list(g.voxel),
                            "quality": round(g.quality, 6),
                            "stable_for": g.stable_for} for g in stable]}
-        rec.update(policy.last_trace)
-        policy.last_trace = {}
+        if step_index == cfg.planner.max_steps:
+            decision = Abort("step budget exhausted")
+        else:
+            occ = project_occupancy(nav_tsdf, NAV_HEIGHT_BAND)
+            belief = Belief(robot=robot, target_tsdf=target_tsdf, occ=occ,
+                            stable_grasps=stable, target_center=scene.target_center,
+                            target_bbox=scene.target_bbox, step_index=step_index,
+                            intr=intr)
+            decision = policy.decide(belief)
+            rec.update(policy.last_trace)
+            policy.last_trace = {}
 
         if isinstance(decision, Abort):
             rec["action"] = {"kind": "abort", "reason": decision.reason}
@@ -205,7 +209,7 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
             rec["action"] = {"kind": "execute",
                              "grasp": {"voxel": list(g.voxel), "quality": g.quality,
                                        "position": [*map(float, g.pose.position)],
-                                       "arm": decision.arm.value}}
+                                       "arm": g.arm.value}}
             trace.append(rec)
             exec_out = execute_grasp(scene, g, robot, maps)
             outcome = (Outcome.SUCCESS if exec_out is GraspOutcome.SUCCEEDED
@@ -219,20 +223,17 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
             raise PolicySafetyError(
                 f"{cfg.policy.value} stepped into an occupied cell at "
                 f"({new_base.x:.2f}, {new_base.y:.2f})")
-        displacement = float(np.linalg.norm(new_base.xy - robot.xy))
         rec["action"] = {"kind": "move",
                          "to": [new_base.x, new_base.y, new_base.theta],
                          "cell_state": int(cell_state)}
         trace.append(rec)
-        d_total += displacement
+        d_total += float(np.linalg.norm(new_base.xy - robot.xy))
         robot = new_base
         integrate_view(robot, decision.cam)
-        v_total += 1
-        moves += 1
 
     occ = project_occupancy(nav_tsdf, NAV_HEIGHT_BAND)
-    result = EpisodeResult(outcome=outcome, d_total=d_total, v_total=v_total,
-                           steps=moves, scene_seed=scene_seed,
+    result = EpisodeResult(outcome=outcome, d_total=d_total, v_total=step_index + 1,
+                           steps=step_index, scene_seed=scene_seed,
                            policy_seed=policy_seed, policy=cfg.policy,
                            abort_reason=abort_reason)
     trace.append({"type": "result", **_result_dict(result),
@@ -443,13 +444,7 @@ def _episode_worker(args: tuple[RunConfig, int]) -> tuple[EpisodeResult, list[di
 
 
 def default_workers() -> int:
-    """Pool size: `ACTPERMOMA_THREADS` if set, else the CPUs this process may run on."""
-    env = os.environ.get("ACTPERMOMA_THREADS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            raise ValueError(f"ACTPERMOMA_THREADS must be an integer, got {env!r}") from None
+    """Pool size when none is given: the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -128,8 +128,8 @@ def _stable_unit(*keys: int) -> float:
 
 
 def sample_base_goal_slots(occ: OccupancyGrid2, target_xy: np.ndarray, n_b: int,
-                           seed: int, reach_radius: float = 0.85,
-                           blocked: np.ndarray | None = None, epoch: int = 0,
+                           seed: int, reach_radius: float = 0.85, *,
+                           blocked: np.ndarray, epoch: int = 0,
                            ) -> list[tuple[int, Pose2]]:
     """(slot, pose) pairs on the ring around the target, target-facing.
 
@@ -137,12 +137,11 @@ def sample_base_goal_slots(occ: OccupancyGrid2, target_xy: np.ndarray, n_b: int,
     (slot, epoch) so a slot identifies roughly the same approach direction
     across steps (what the selection momentum latches onto) while the exact
     poses drift when the caller advances the epoch.  Slots whose inflated
-    footprint overlaps observed-occupied cells are dropped after 10 retries.
+    footprint overlaps observed-occupied cells (`blocked`, from
+    `inflate_occupied`) are dropped after 10 retries.
     """
     if n_b < 1:
         raise ValueError("n_b must be >= 1")
-    if blocked is None:
-        blocked = inflate_occupied(occ)
     r_lo = max(reach_radius - 0.3, 0.1)
     goals: list[tuple[int, Pose2]] = []
     for slot in range(n_b):
@@ -178,15 +177,14 @@ def _octile(a: tuple[int, int], b: tuple[int, int]) -> float:
 
 
 def plan_path(occ: OccupancyGrid2, start: Pose2, goal: Pose2,
-              blocked: np.ndarray | None = None) -> list[Pose2]:
-    """8-connected A* over the occupancy grid, obstacle cells inflated by the
-    robot radius, unknown cells traversable at a 1.05 step-cost multiplier.
+              blocked: np.ndarray) -> list[Pose2]:
+    """8-connected A* over the occupancy grid, avoiding `blocked` (obstacle
+    cells inflated by the robot radius, from `inflate_occupied`), unknown
+    cells traversable at a 1.05 step-cost multiplier.
 
     Returns cell-center waypoints from the start cell to the goal cell; the
     start cell itself is always treated as traversable.  Raises NoPath.
     """
-    if blocked is None:
-        blocked = inflate_occupied(occ)
     nx, ny = occ.dims
     s = tuple(occ.world_to_cell(start.xy))
     g = tuple(occ.world_to_cell(goal.xy))
@@ -247,11 +245,13 @@ def plan_path(occ: OccupancyGrid2, start: Pose2, goal: Pose2,
 # camera views along a path
 # ---------------------------------------------------------------------------
 
-def torso_height(xy: np.ndarray, seed: int, band: tuple[float, float],
-                 cell_size: float = 0.1) -> float:
+TORSO_CELL = 0.1  # meters; ground cell over which the torso height is constant
+
+
+def torso_height(xy: np.ndarray, seed: int, band: tuple[float, float]) -> float:
     """Seeded camera height, constant per ground cell so that paths sharing a
     prefix share their views (and their cached gains)."""
-    c = np.floor(np.asarray(xy, dtype=float) / cell_size).astype(np.int64)
+    c = np.floor(np.asarray(xy, dtype=float) / TORSO_CELL).astype(np.int64)
     u = _stable_unit(seed, int(c[0]), int(c[1]), 3)
     return band[0] + u * (band[1] - band[0])
 
@@ -440,5 +440,4 @@ def should_execute(path: CandidatePath, j_exec: float, cfg: PlannerConfig) -> bo
     """Grasp trigger: the chosen path, trimmed to start at the robot, has
     collapsed to its goal waypoint (the robot is within one step of the goal)
     and the executability utility clears the threshold (inclusive)."""
-    at_goal = len(path.base_path) == 1 or path.length <= cfg.step_size + 1e-9
-    return at_goal and j_exec >= cfg.exec_threshold
+    return path.length <= cfg.step_size + 1e-9 and j_exec >= cfg.exec_threshold

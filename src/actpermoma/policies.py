@@ -3,7 +3,8 @@
 All policies expose decide(belief) -> MoveStep | ExecuteGrasp | Abort and are
 deterministic functions of (config, seed, belief history).  They only see the
 belief: fused TSDFs, projected occupancy, stable grasps and the approximate
-target location; ground truth stays inside the simulator.
+target location; ground truth stays inside the simulator.  The step budget is
+not theirs: the harness stops asking for decisions once it is spent.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .geom import Aabb, OccupancyGrid2, Pose2, Pose3, facing, look_at
-from .grasping import Arm, Grasp, MapPair, best_grasp, reachability
+from .grasping import Grasp, MapPair, best_grasp, reachability
 from .perception import TsdfGrid, rear_side_ig_batch
 from .planning import (
     NoFeasibleGoals,
@@ -53,8 +54,11 @@ class MoveStep:
 
 @dataclass(frozen=True)
 class ExecuteGrasp:
-    grasp: Grasp
-    arm: Arm
+    grasp: Grasp  # executed with grasp.arm
+
+    def __post_init__(self) -> None:
+        if self.grasp.arm is None:
+            raise ValueError("grasp to execute has no arm")
 
 
 @dataclass(frozen=True)
@@ -153,11 +157,8 @@ class RouteCache:
 
 
 class Policy:
-    kind: PolicyKind
-
     def __init__(self, cfg: PlannerConfig, seed: int, map_pair: MapPair):
         self.cfg = cfg
-        self.seed = int(seed)
         self.maps = map_pair
         self.goal_seed = derive_seed(seed, "goals")
         self.cam_seed = derive_seed(seed, "torso")
@@ -190,8 +191,7 @@ class Policy:
             return None
         g, score = best_grasp(self.maps, belief.stable_grasps, belief.robot)
         if g is not None and score >= self.cfg.exec_threshold:
-            assert g.arm is not None
-            return ExecuteGrasp(g, g.arm)
+            return ExecuteGrasp(g)
         return None
 
 
@@ -202,7 +202,6 @@ class Policy:
 class ActPerMoMaPolicy(Policy):
     """Path-wise IG + grasp executability under momentum hysteresis."""
 
-    kind = PolicyKind.ACTPERMOMA
     unit_weights = False
     exec_rule = "utility"  # or "proximity" for the IG-only ablation
     GOAL_EPOCH = 10        # steps between goal-jitter refreshes
@@ -213,8 +212,6 @@ class ActPerMoMaPolicy(Policy):
 
     def decide(self, belief: Belief) -> PolicyDecision:
         cfg = self.cfg
-        if belief.step_index >= cfg.max_steps:
-            return Abort("step budget exhausted")
         target_xy = belief.target_center[:2]
         blocked = inflate_occupied(belief.occ)
         try:
@@ -263,22 +260,19 @@ class ActPerMoMaPolicy(Policy):
                 g, goal_score = best_grasp(self.maps, belief.stable_grasps,
                                            best.path.goal_base)
                 if should_execute(best.path, goal_score, cfg):
-                    assert g is not None and g.arm is not None
-                    return ExecuteGrasp(g, g.arm)
+                    return ExecuteGrasp(g)
         else:  # proximity: grab as soon as the target ring is reached
             d = float(np.linalg.norm(belief.robot.xy - target_xy))
             if belief.stable_grasps and d <= cfg.reach_radius:
                 g = max(belief.stable_grasps, key=lambda s: s.quality)
                 _, arm = reachability(self.maps, g, belief.robot)
-                assert arm is not None
-                return ExecuteGrasp(replace(g, arm=arm), arm)
+                return ExecuteGrasp(replace(g, arm=arm))
         return self._move_along(belief, best.path.base_path)
 
 
 class IgOnlyPolicy(ActPerMoMaPolicy):
     """Ablation: no executability objective; grasp once within reach."""
 
-    kind = PolicyKind.IG_ONLY
     exec_rule = "proximity"
 
     def __init__(self, cfg: PlannerConfig, seed: int, map_pair: MapPair):
@@ -288,7 +282,6 @@ class IgOnlyPolicy(ActPerMoMaPolicy):
 class NoWeightsPolicy(ActPerMoMaPolicy):
     """Ablation: no path-length scaling of either utility."""
 
-    kind = PolicyKind.NO_WEIGHTS
     unit_weights = True
 
 
@@ -299,7 +292,6 @@ class NoWeightsPolicy(ActPerMoMaPolicy):
 class NaivePolicy(Policy):
     """Drive straight for the target ring; grasp whatever shows up there."""
 
-    kind = PolicyKind.NAIVE
     RING_POINTS = 32
 
     def __init__(self, cfg: PlannerConfig, seed: int, map_pair: MapPair):
@@ -319,8 +311,6 @@ class NaivePolicy(Policy):
 
     def decide(self, belief: Belief) -> PolicyDecision:
         cfg = self.cfg
-        if belief.step_index >= cfg.max_steps:
-            return Abort("step budget exhausted")
         target_xy = belief.target_center[:2]
         dist = float(np.linalg.norm(belief.robot.xy - target_xy))
         if dist <= cfg.reach_radius:  # no exploration in this baseline
@@ -346,8 +336,6 @@ class NaivePolicy(Policy):
 class RandomPolicy(Policy):
     """Hop between random feasible ring goals; grasp on arrival if possible."""
 
-    kind = PolicyKind.RANDOM
-
     def __init__(self, cfg: PlannerConfig, seed: int, map_pair: MapPair):
         super().__init__(cfg, seed, map_pair)
         self.rng = rng_from(seed, "random-goals")
@@ -365,9 +353,6 @@ class RandomPolicy(Policy):
         return None
 
     def decide(self, belief: Belief) -> PolicyDecision:
-        cfg = self.cfg
-        if belief.step_index >= cfg.max_steps:
-            return Abort("step budget exhausted")
         arrived = (self.current_goal is not None
                    and float(np.linalg.norm(belief.robot.xy - self.current_goal.xy)) < 1e-9)
         if arrived and (grasp := self._grasp_here(belief)) is not None:
@@ -389,7 +374,6 @@ class RandomPolicy(Policy):
 class BreyerNbvPolicy(Policy):
     """Per-view next-best-view on a shrinking hemisphere around the target."""
 
-    kind = PolicyKind.BREYER_NBV
     N_AZIMUTH = 16
     # survey rings: the inner ring's base grazes the grasp trigger radius,
     # the outer one stays outside it (view planning is reconstruction-first)
@@ -417,8 +401,6 @@ class BreyerNbvPolicy(Policy):
 
     def decide(self, belief: Belief) -> PolicyDecision:
         cfg = self.cfg
-        if belief.step_index >= cfg.max_steps:
-            return Abort("step budget exhausted")
         target_xy = belief.target_center[:2]
         dist = float(np.linalg.norm(belief.robot.xy - target_xy))
         if dist <= cfg.reach_radius and (grasp := self._grasp_here(belief)) is not None:

@@ -12,7 +12,6 @@ from actpermoma.grasping import (
     Grasp,
     GraspDetector,
     GraspOutcome,
-    ReachabilityMap,
     best_grasp,
     build_map_pair,
     build_reachability_map,

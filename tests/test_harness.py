@@ -14,7 +14,6 @@ import actpermoma.harness as harness
 from actpermoma.harness import (
     EpisodeResult,
     InsufficientSamples,
-    MetricsSummary,
     Outcome,
     RunConfig,
     Verdict,
@@ -32,8 +31,8 @@ from actpermoma.harness import (
     two_proportion_z,
     welch_t,
 )
-from actpermoma.planning import PlannerConfig
-from actpermoma.policies import Abort, PolicyKind
+from actpermoma.planning import PlannerConfig, camera_at
+from actpermoma.policies import Abort, MoveStep, PolicyKind
 from actpermoma.render import render_topdown, render_trace_file
 from actpermoma.scene import SceneKind
 
@@ -145,6 +144,60 @@ def test_scripted_abort_policy_episode(monkeypatch):
     assert result.abort_reason == "scripted"
 
 
+def _budget_ends(trace: list[dict], max_steps: int) -> None:
+    """The trace's last step record is the harness's budget abort at step
+    `max_steps`, with no policy record merged into it."""
+    steps = [r for r in trace if r.get("type") == "step"]
+    assert [r["step"] for r in steps] == list(range(max_steps + 1))
+    assert all(r["action"]["kind"] == "move" for r in steps[:-1])
+    assert set(steps[-1]) == {"type", "step", "robot", "grasps", "action"}
+    assert steps[-1]["action"] == {"kind": "abort", "reason": "step budget exhausted"}
+
+
+def test_scripted_never_aborting_policy_ends_at_budget(monkeypatch):
+    decided: list[int] = []
+
+    class AlwaysWait:
+        cam_seed = 0
+        last_trace: dict = {}
+
+        def decide(self, belief):
+            decided.append(belief.step_index)
+            cam = camera_at(belief.robot.xy, belief.target_center, 0, (1.1, 1.3))
+            return MoveStep(belief.robot, cam)
+
+    monkeypatch.setattr(harness, "make_policy", lambda *a, **k: AlwaysWait())
+    cfg = RunConfig(planner=PlannerConfig(max_steps=3), episodes=1, base_seed=0)
+    result, trace = run_episode_traced(cfg, 0)
+    assert decided == [0, 1, 2]  # the policy is not asked at the budget step
+    assert result.outcome is Outcome.ABORT
+    assert result.abort_reason == "step budget exhausted"
+    assert (result.steps, result.v_total, result.d_total) == (3, 4, 0.0)
+    _budget_ends(trace, 3)
+
+
+def test_every_policy_ends_at_the_step_budget(monkeypatch):
+    real = harness.make_policy
+    decided: list[int] = []
+
+    def counting(*args, **kwargs):
+        policy = real(*args, **kwargs)
+        decide = policy.decide
+        policy.decide = lambda belief: decided.append(belief.step_index) or decide(belief)
+        return policy
+
+    monkeypatch.setattr(harness, "make_policy", counting)
+    for kind in PolicyKind:
+        decided.clear()
+        cfg = RunConfig(planner=PlannerConfig(max_steps=3), episodes=1, base_seed=5,
+                        scenario=SceneKind.COMPLEX, policy=kind)
+        result, trace = run_episode_traced(cfg, 0)
+        assert result.abort_reason == "step budget exhausted", kind
+        assert (result.steps, result.v_total) == (3, 4), kind
+        assert decided == [0, 1, 2], kind
+        _budget_ends(trace, 3)
+
+
 def test_episode_deterministic_rerun():
     cfg = RunConfig(planner=FAST, episodes=1, base_seed=7,
                     scenario=SceneKind.SIMPLE, policy=PolicyKind.ACTPERMOMA)
@@ -225,21 +278,12 @@ def test_run_cell_without_openblas_runs_unpinned(monkeypatch):
 
 
 def test_default_workers_counts_only_usable_cpus(monkeypatch):
-    monkeypatch.delenv("ACTPERMOMA_THREADS", raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3},
                         raising=False)
     assert harness.default_workers() == 2
     monkeypatch.delattr(harness.os, "sched_getaffinity")
     assert harness.default_workers() == 8
-
-
-def test_default_workers_rejects_non_integer_env(monkeypatch):
-    monkeypatch.setenv("ACTPERMOMA_THREADS", "four")
-    with pytest.raises(ValueError, match="ACTPERMOMA_THREADS"):
-        harness.default_workers()
-    monkeypatch.setenv("ACTPERMOMA_THREADS", "3")
-    assert harness.default_workers() == 3
 
 
 def test_run_experiment_writes_csv_and_traces(tmp_path):

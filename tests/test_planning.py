@@ -44,6 +44,10 @@ MAPS = build_map_pair()
 TOP_DOWN_Q = np.array([0.0, 1.0, 0.0, 0.0])
 
 
+def goal_slots(occ, target, n_b, seed):
+    return sample_base_goal_slots(occ, target, n_b, seed, blocked=inflate_occupied(occ))
+
+
 def empty_occ(n=64, cell=0.1, state=CellState.FREE) -> OccupancyGrid2:
     half = n * cell / 2
     return OccupancyGrid2(np.array([-half, -half]), cell, (n, n),
@@ -95,15 +99,15 @@ def dijkstra_cost(occ: OccupancyGrid2, blocked, s, g) -> float:
 def test_sample_base_goals_open_scene():
     occ = empty_occ()
     target = np.array([0.0, 0.0])
-    goals = [p for _, p in sample_base_goal_slots(occ, target, 16, seed=3)]
+    goals = [p for _, p in goal_slots(occ, target, 16, 3)]
     assert len(goals) == 16
     for p in goals:
         d = np.linalg.norm(p.xy - target)
         assert 0.55 <= d <= 0.85
         want = np.arctan2(-p.y, -p.x)
         assert abs(np.angle(np.exp(1j * (p.theta - want)))) < 1e-6
-    assert goals == [p for _, p in sample_base_goal_slots(occ, target, 16, seed=3)]
-    assert goals != [p for _, p in sample_base_goal_slots(occ, target, 16, seed=4)]
+    assert goals == [p for _, p in goal_slots(occ, target, 16, 3)]
+    assert goals != [p for _, p in goal_slots(occ, target, 16, 4)]
 
 
 def test_inflate_occupied_equals_brute_force_disc_dilation():
@@ -142,7 +146,7 @@ def test_sample_base_goals_respects_occupancy():
             if c[1] > 0.2:
                 cells[i, j] = CellState.OCCUPIED
     occ.cells = cells
-    goals = [p for _, p in sample_base_goal_slots(occ, np.array([0.0, 0.0]), 16, seed=1)]
+    goals = [p for _, p in goal_slots(occ, np.array([0.0, 0.0]), 16, 1)]
     blocked = inflate_occupied(occ)
     for p in goals:
         c = occ.world_to_cell(p.xy)
@@ -153,13 +157,13 @@ def test_sample_base_goals_respects_occupancy():
 def test_sample_base_goals_all_blocked():
     occ = empty_occ(state=CellState.OCCUPIED)
     with pytest.raises(NoFeasibleGoals):
-        sample_base_goal_slots(occ, np.array([0.0, 0.0]), 8, seed=0)
+        goal_slots(occ, np.array([0.0, 0.0]), 8, 0)
 
 
 def test_plan_path_start_equals_goal():
     occ = empty_occ()
     p = Pose2(0.31, 0.29, 1.0)
-    path = plan_path(occ, p, Pose2(0.33, 0.27, 0.0))
+    path = plan_path(occ, p, Pose2(0.33, 0.27, 0.0), inflate_occupied(occ))
     assert len(path) == 1
     assert path[0].theta == pytest.approx(1.0)
 
@@ -168,7 +172,7 @@ def test_plan_path_blocked_goal():
     occ = empty_occ()
     occ.cells[:, 40:] = CellState.OCCUPIED
     with pytest.raises(NoPath):
-        plan_path(occ, Pose2(0, 0, 0), Pose2(0, 2.5, 0))
+        plan_path(occ, Pose2(0, 0, 0), Pose2(0, 2.5, 0), inflate_occupied(occ))
 
 
 def test_plan_path_cost_equals_dijkstra_on_random_grids():
@@ -202,7 +206,8 @@ def test_plan_path_cost_equals_dijkstra_on_random_grids():
 def test_plan_path_waypoints_adjacent():
     occ = empty_occ()
     occ.cells[30:34, 28:36] = CellState.OCCUPIED
-    path = plan_path(occ, Pose2(-1.0, 0.0, 0), Pose2(1.5, 0.4, 0))
+    path = plan_path(occ, Pose2(-1.0, 0.0, 0), Pose2(1.5, 0.4, 0),
+                     inflate_occupied(occ))
     step_limit = occ.cell_size * np.sqrt(2) + 1e-9
     for a, b in zip(path, path[1:]):
         assert np.linalg.norm(b.xy - a.xy) <= step_limit
@@ -435,11 +440,11 @@ def test_planner_config_validation():
 
 def test_slots_are_stable_identifiers():
     occ = empty_occ()
-    slots = sample_base_goal_slots(occ, np.array([0.0, 0.0]), 8, seed=9)
+    slots = goal_slots(occ, np.array([0.0, 0.0]), 8, 9)
     assert [s for s, _ in slots] == list(range(8))
     # blocking one sector drops its slot but keeps the other ids
     occ.cells[32:, 32:] = CellState.OCCUPIED
-    slots2 = sample_base_goal_slots(occ, np.array([0.0, 0.0]), 8, seed=9)
+    slots2 = goal_slots(occ, np.array([0.0, 0.0]), 8, 9)
     kept = [s for s, _ in slots2]
     assert set(kept) <= set(range(8))
     for s, p in slots2:

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from actpermoma.geom import CellState, Pose2
-from actpermoma.grasping import build_map_pair, update_stability
+from actpermoma.geom import CellState, Pose2, Pose3
+from actpermoma.grasping import Arm, Grasp, build_map_pair
 from actpermoma.harness import (
     NAV_HEIGHT_BAND,
     RunConfig,
@@ -23,7 +23,6 @@ from actpermoma.planning import (
     PlannerState,
     evaluate_paths,
     inflate_occupied,
-    plan_path,
     sample_base_goal_slots,
     sample_camera_poses,
     select_from_utilities,
@@ -81,15 +80,6 @@ def make_belief(seed=3, kind=SceneKind.SIMPLE, views=2, cfg=None, step_index=0):
                          step_index=step_index, intr=DEFAULT_INTRINSICS)
 
 
-def test_every_policy_aborts_on_budget():
-    cfg = PlannerConfig(max_steps=5)
-    _, belief = make_belief(cfg=cfg, step_index=5)
-    for kind in PolicyKind:
-        policy = make_policy(kind, cfg, seed=1, map_pair=MAPS)
-        out = policy.decide(belief)
-        assert isinstance(out, Abort)
-
-
 def test_actpermoma_decision_matches_hand_composition():
     cfg = PlannerConfig()
     scene, belief = make_belief(seed=8)
@@ -98,9 +88,9 @@ def test_actpermoma_decision_matches_hand_composition():
     assert isinstance(decision, MoveStep)
 
     # hand-compose with the public pipeline ops and the policy's seeds
-    slots = sample_base_goal_slots(belief.occ, belief.target_center[:2], cfg.n_b,
-                                   policy.goal_seed, cfg.reach_radius)
     blocked = inflate_occupied(belief.occ)
+    slots = sample_base_goal_slots(belief.occ, belief.target_center[:2], cfg.n_b,
+                                   policy.goal_seed, cfg.reach_radius, blocked=blocked)
     routes = RouteCache()
     paths = []
     for slot, goal in slots:
@@ -127,9 +117,6 @@ def test_ig_only_executes_within_reach_only():
     assert policy.cfg.w_exec == 0.0
 
     # fabricate a stable grasp at the target
-    from actpermoma.grasping import Grasp
-    from actpermoma.geom import Pose3
-
     g = Grasp(pose=Pose3(scene.target_center + np.array([0.0, 0.0, 0.02]),
                          np.array([0.0, 1.0, 0.0, 0.0])),
               quality=0.93, voxel=(20, 20, 20), stable_for=3)
@@ -155,9 +142,10 @@ def test_no_weights_uses_unweighted_utilities():
     gu = policy.last_trace.get("goal_utilities")
     if gu:
         # utilities must equal the unweighted recomputation
-        slots = sample_base_goal_slots(belief.occ, belief.target_center[:2], cfg.n_b,
-                                       policy.goal_seed, cfg.reach_radius)
         blocked = inflate_occupied(belief.occ)
+        slots = sample_base_goal_slots(belief.occ, belief.target_center[:2], cfg.n_b,
+                                       policy.goal_seed, cfg.reach_radius,
+                                       blocked=blocked)
         routes = RouteCache()
         paths = []
         for slot, goal in slots:
@@ -179,7 +167,6 @@ def test_no_weights_uses_unweighted_utilities():
 def test_no_weights_equal_ig_views_contribute_equally():
     # two identical camera views at 1 m and 3 m arc: same unweighted term
     from actpermoma.planning import CandidatePath, PathView
-    from actpermoma.geom import look_at
 
     scene, belief = make_belief(seed=6, views=1)
     cam = camera_at(belief.robot.xy + np.array([0.3, 0.0]), scene.target_center, 7,
@@ -324,8 +311,17 @@ def test_inflate_occupied_at_most_once_per_decide(kind, monkeypatch):
         robot = out.base
 
 
+def test_execute_grasp_requires_an_arm():
+    g = Grasp(pose=Pose3(np.zeros(3), np.array([0.0, 1.0, 0.0, 0.0])), quality=0.9,
+              voxel=(0, 0, 0))
+    with pytest.raises(ValueError, match="arm"):
+        ExecuteGrasp(g)
+    assert ExecuteGrasp(replace(g, arm=Arm.RIGHT)).grasp.arm is Arm.RIGHT
+
+
 def test_policy_kind_names_match_cli_strings():
     assert {k.value for k in PolicyKind} == {
         "ActPerMoMa", "ActPerMoMaIgOnly", "ActPerMoMaNoWeights",
         "Naive", "Random", "BreyerNbv"}
-    assert make_policy("Naive", PlannerConfig(), 0, MAPS).kind is PolicyKind.NAIVE
+    assert set(policies._POLICIES) == set(PolicyKind)
+    assert type(make_policy("Naive", PlannerConfig(), 0, MAPS)) is NaivePolicy
