@@ -18,14 +18,10 @@ from .geom import Pose2, Pose3, quat_rotate, wrap_angle
 from .perception import TsdfGrid, VoxelState
 from .scene import TABLE_HEIGHT, Approach, Scene, primitive_sdf
 
-LEN_CLAMP = 0.1  # meters; floor for the path-length weight
-
 # execution success model
 EXEC_MIN_INTRINSIC = 0.5
 EXEC_MIN_REACH = 0.3
 EXEC_MIN_COVERAGE = 0.5
-TRUTH_MATCH_VOXELS = 3
-TRUTH_MATCH_VOXEL_SIZE = 0.015  # meters; the target belief grid's voxel
 
 
 class Arm(str, Enum):
@@ -46,7 +42,7 @@ class Grasp:
     stable_for: int = 1
     arm: Arm | None = None
     coverage: float = 0.0            # observed fraction of the contact shell
-    truth_index: int = -1
+    truth_index: int = -1            # its entry in scene.truth_grasps; -1: none
 
 
 def smoothstep(x: float, lo: float, hi: float) -> float:
@@ -277,15 +273,11 @@ def best_grasp(map_pair: MapPair, grasps: list[Grasp], base: Pose2
     return best, best_score
 
 
-def exec_utility(grasps: list[Grasp], path, map_pair: MapPair,
-                 unit_length: bool = False) -> float:
-    """Highest grasp reachability from the path's goal base pose, weighted
-    down by the path length; 0 for an empty grasp set."""
-    if not grasps:
-        return 0.0
-    _, score = best_grasp(map_pair, grasps, path.goal_base)
-    length = 1.0 if unit_length else max(float(path.length), LEN_CLAMP)
-    return score / length
+def exec_utility(grasps: list[Grasp], path, map_pair: MapPair) -> float:
+    """Highest grasp reachability from the path's goal base pose, not yet
+    weighted by the path length (`planning.evaluate_paths` does that); 0 for
+    an empty grasp set."""
+    return best_grasp(map_pair, grasps, path.goal_base)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +288,16 @@ def execute_grasp(scene: Scene, grasp: Grasp, base: Pose2, map_pair: MapPair,
                   min_intrinsic: float = EXEC_MIN_INTRINSIC) -> GraspOutcome:
     """Deterministic surrogate for physical grasp execution.
 
-    Succeeds iff the matched ground-truth grasp is intrinsically good, the
-    grasp is comfortably reachable from the executing base pose, and enough
-    of the contact region has actually been observed.
+    Succeeds iff the ground-truth grasp the detector matched
+    (`grasp.truth_index`) is intrinsically good, the grasp is comfortably
+    reachable from the executing base pose, and enough of the contact region
+    has actually been observed.  A grasp with no ground-truth match fails.
     """
-    truth_positions = np.array([p.position for p in scene.world_truth_grasp_poses()])
-    if truth_positions.size == 0:
+    if grasp.truth_index < 0:
         return GraspOutcome.FAILED
-    d = np.linalg.norm(truth_positions - grasp.pose.position, axis=1)
-    nearest = int(np.argmin(d))
-    if d[nearest] > TRUTH_MATCH_VOXELS * TRUTH_MATCH_VOXEL_SIZE:
-        return GraspOutcome.FAILED  # no matching ground-truth grasp
-    truth = scene.truth_grasps[nearest]
+    truth = scene.truth_grasps[grasp.truth_index]
     score, _ = reachability(map_pair, grasp, base)
     ok = (truth.intrinsic_quality >= min_intrinsic
           and score >= EXEC_MIN_REACH
           and grasp.coverage >= EXEC_MIN_COVERAGE)
     return GraspOutcome.SUCCEEDED if ok else GraspOutcome.FAILED
-

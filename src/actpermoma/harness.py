@@ -46,7 +46,7 @@ from .scene import (
     generate_scene,
     render_depth,
     sample_start_pose,
-    scene_to_json,
+    scene_to_dict,
 )
 from .seeding import derive_seed
 
@@ -148,7 +148,7 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
     except SceneGenFailure as e:
         result = EpisodeResult(Outcome.ABORT, 0.0, 1, 0, scene_seed, policy_seed,
                                cfg.policy, abort_reason=f"scene generation: {e}")
-        return result, [{"type": "result", **_result_dict(result)}]
+        return result, [{"type": "result", **asdict(result)}]
 
     policy = make_policy(cfg.policy, cfg.planner, policy_seed, maps)
     intr = DEFAULT_INTRINSICS
@@ -159,7 +159,7 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
                                 int(2 * ARENA_HALF / NAV_CELL), NAV_Z_VOXELS))
     detector = GraspDetector(target_tsdf, scene)
 
-    trace.append({"type": "meta", "scene": json.loads(scene_to_json(scene)),
+    trace.append({"type": "meta", "scene": scene_to_dict(scene),
                   "start": [start.x, start.y, start.theta],
                   "policy": cfg.policy.value, "scene_seed": scene_seed,
                   "policy_seed": policy_seed, "config_hash": config_hash(cfg)})
@@ -236,19 +236,12 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
                            steps=step_index, scene_seed=scene_seed,
                            policy_seed=policy_seed, policy=cfg.policy,
                            abort_reason=abort_reason)
-    trace.append({"type": "result", **_result_dict(result),
+    trace.append({"type": "result", **asdict(result),
                   "occupancy": {"dims": list(occ.dims),
                                 "origin": [*map(float, occ.origin)],
                                 "cell_size": occ.cell_size,
                                 "rle": cells_to_rle(occ.cells)}})
     return result, trace
-
-
-def _result_dict(r: EpisodeResult) -> dict:
-    return {"outcome": r.outcome.value, "d_total": r.d_total, "v_total": r.v_total,
-            "steps": r.steps, "scene_seed": r.scene_seed,
-            "policy_seed": r.policy_seed, "policy": r.policy.value,
-            "abort_reason": r.abort_reason}
 
 
 def _read_result(path: Path) -> EpisodeResult:
@@ -259,10 +252,9 @@ def _read_result(path: Path) -> EpisodeResult:
         raise ValueError(f"truncated episode trace {path}: {e}") from None
     if not isinstance(rec, dict) or rec.get("type") != "result":
         raise ValueError(f"episode trace {path} does not end in a result record")
-    return EpisodeResult(
-        outcome=Outcome(rec["outcome"]), d_total=rec["d_total"], v_total=rec["v_total"],
-        steps=rec["steps"], scene_seed=rec["scene_seed"], policy_seed=rec["policy_seed"],
-        policy=PolicyKind(rec["policy"]), abort_reason=rec["abort_reason"])
+    result = EpisodeResult(**{f.name: rec[f.name] for f in fields(EpisodeResult)})
+    return replace(result, outcome=Outcome(result.outcome),
+                   policy=PolicyKind(result.policy))
 
 
 # ---------------------------------------------------------------------------

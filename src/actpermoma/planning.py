@@ -22,7 +22,7 @@ from .perception import TsdfGrid, rear_side_ig_batch
 from .scene import CameraIntrinsics, ROBOT_RADIUS
 
 
-DIST_CLAMP = 0.1  # meters; floor for the per-view travel-distance weight
+DIST_CLAMP = 0.1  # meters; floor for the travel distances that weight utilities
 
 
 class NoFeasibleGoals(RuntimeError):
@@ -62,12 +62,6 @@ class PlannerConfig:
         for name in ("w_exec", "momentum", "exec_threshold"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-
-@dataclass
-class PlannerState:
-    prev_goal_id: int | None = None
-    grasp_found: bool = False
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def _stable_unit(*keys: int) -> float:
 
 
 def sample_base_goal_slots(occ: OccupancyGrid2, target_xy: np.ndarray, n_b: int,
-                           seed: int, reach_radius: float = 0.85, *,
+                           seed: int, reach_radius: float, *,
                            blocked: np.ndarray, epoch: int = 0,
                            ) -> list[tuple[int, Pose2]]:
     """(slot, pose) pairs on the ring around the target, target-facing.
@@ -324,13 +318,17 @@ class PathUtility:
 
 
 def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Grasp],
-                   cfg: PlannerConfig, st: PlannerState, intr: CameraIntrinsics,
+                   cfg: PlannerConfig, grasp_found: bool, intr: CameraIntrinsics,
                    target_bbox: Aabb, map_pair: MapPair,
                    unit_weights: bool = False) -> list[PathUtility]:
-    """Score every candidate path; the IG weight switches from 1 to cfg.w_ig
-    once any stable grasp has ever been seen (exploit once there is something
-    to exploit)."""
-    w_ig_eff = cfg.w_ig if (st.grasp_found or grasps) else 1.0
+    """Score every candidate path: information gain of its views, each
+    weighted down by the squared travel to it, plus the best grasp
+    reachability at its goal (`exec_utility`) weighted down by the path
+    length.  Both weights floor the distance at DIST_CLAMP; `unit_weights`
+    drops them.  The IG weight switches from 1 to cfg.w_ig once `grasp_found`
+    (the caller's latch: a stable grasp has been seen): exploit once there is
+    something to exploit."""
+    w_ig_eff = cfg.w_ig if grasp_found else 1.0
     # deduplicate identical camera views across paths; view_ids[i][j] is the
     # batch slot of path i's view j
     keys: dict[tuple, int] = {}
@@ -356,7 +354,8 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
         for v, i in zip(p.views, ids):
             d = 1.0 if unit_weights else max(v.arc, DIST_CLAMP)
             j_ig += float(counts[i]) / (d * d)
-        j_exec = exec_utility(grasps, p, map_pair, unit_length=unit_weights)
+        length = 1.0 if unit_weights else max(p.length, DIST_CLAMP)
+        j_exec = exec_utility(grasps, p, map_pair) / length
         # the cross-scale constant converts the per-meter executability to the
         # voxel-count scale of the gain term; without length weighting the
         # executability is already unitless, so the constant goes too
@@ -367,28 +366,27 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
 
 
 def select_from_utilities(utils: list[PathUtility], cfg: PlannerConfig,
-                          st: PlannerState, grasps_present: bool,
-                          ) -> tuple[PathUtility, PlannerState, bool]:
-    """Argmax with (shorter, lower goal id) tie-breaks and momentum hysteresis.
+                          prev_goal_id: int | None) -> tuple[PathUtility, bool]:
+    """Argmax with (shorter, lower goal id) tie-breaks and momentum
+    hysteresis, plus whether the momentum held the previous goal.
 
-    While the robot is still traveling toward the previously chosen goal, that
-    goal keeps it unless another goal beats its current utility by more than
-    cfg.momentum (anti-oscillation).  Once the goal is reached the hold
-    releases, so a parked robot is free to follow the plain argmax."""
+    While the robot is still traveling toward the previously chosen goal
+    (`prev_goal_id`, None on the first step), that goal keeps it unless
+    another goal beats its current utility by more than cfg.momentum
+    (anti-oscillation).  Once the goal is reached the hold releases, so a
+    parked robot is free to follow the plain argmax."""
     if not utils:
         raise ValueError("no candidate paths")
     best = min(utils, key=lambda u: (-u.utility, u.path.length, u.path.goal_id))
     held = False
-    if st.prev_goal_id is not None:
-        prev = next((u for u in utils if u.path.goal_id == st.prev_goal_id), None)
+    if prev_goal_id is not None:
+        prev = next((u for u in utils if u.path.goal_id == prev_goal_id), None)
         if prev is not None and best.path.goal_id != prev.path.goal_id:
             traveling = prev.path.length > cfg.step_size + 1e-9
             if traveling and not best.utility > prev.utility + cfg.momentum:
                 best = prev
                 held = True
-    new_state = PlannerState(prev_goal_id=best.path.goal_id,
-                             grasp_found=st.grasp_found or grasps_present)
-    return best, new_state, held
+    return best, held
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +434,9 @@ def step(robot: Pose2, base_path: list[Pose2], step_size: float) -> Pose2:
     return Pose2(float(pos[0]), float(pos[1]), heading)
 
 
-def should_execute(path: CandidatePath, j_exec: float, cfg: PlannerConfig) -> bool:
+def should_execute(path: CandidatePath, goal_score: float, cfg: PlannerConfig) -> bool:
     """Grasp trigger: the chosen path, trimmed to start at the robot, has
     collapsed to its goal waypoint (the robot is within one step of the goal)
-    and the executability utility clears the threshold (inclusive)."""
-    return path.length <= cfg.step_size + 1e-9 and j_exec >= cfg.exec_threshold
+    and `goal_score`, the undiscounted reachability of the best grasp from
+    the goal, clears the threshold (inclusive)."""
+    return path.length <= cfg.step_size + 1e-9 and goal_score >= cfg.exec_threshold

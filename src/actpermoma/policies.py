@@ -21,7 +21,6 @@ from .planning import (
     NoFeasibleGoals,
     NoPath,
     PlannerConfig,
-    PlannerState,
     camera_at,
     cell_blocked,
     evaluate_paths,
@@ -170,16 +169,14 @@ class Policy:
 
     # shared helpers ------------------------------------------------------
 
-    def _move_along(self, belief: Belief, base_path: list[Pose2]) -> MoveStep:
-        new_base = step(belief.robot, base_path, self.cfg.step_size)
-        cam = camera_at(new_base.xy, belief.target_center, self.cam_seed,
+    def _move_to(self, belief: Belief, base: Pose2) -> MoveStep:
+        """Go to `base` (the robot's own pose waits) and view the target from there."""
+        cam = camera_at(base.xy, belief.target_center, self.cam_seed,
                         self.cfg.torso_band)
-        return MoveStep(new_base, cam)
+        return MoveStep(base, cam)
 
-    def _wait_in_place(self, belief: Belief) -> MoveStep:
-        cam = camera_at(belief.robot.xy, belief.target_center, self.cam_seed,
-                        self.cfg.torso_band)
-        return MoveStep(belief.robot, cam)
+    def _move_along(self, belief: Belief, base_path: list[Pose2]) -> MoveStep:
+        return self._move_to(belief, step(belief.robot, base_path, self.cfg.step_size))
 
     def _ig_intrinsics(self, belief: Belief) -> CameraIntrinsics:
         return belief.intr.downsampled(self.cfg.ig_downsample)
@@ -208,7 +205,8 @@ class ActPerMoMaPolicy(Policy):
 
     def __init__(self, cfg: PlannerConfig, seed: int, map_pair: MapPair):
         super().__init__(cfg, seed, map_pair)
-        self.state = PlannerState()
+        self.prev_goal_id: int | None = None
+        self.grasp_found = False  # latched once any stable grasp is seen
 
     def decide(self, belief: Belief) -> PolicyDecision:
         cfg = self.cfg
@@ -236,12 +234,13 @@ class ActPerMoMaPolicy(Policy):
         if not paths:
             return Abort("no reachable base goals")
 
+        self.grasp_found |= bool(belief.stable_grasps)
         utils = evaluate_paths(paths, belief.target_tsdf, belief.stable_grasps,
-                               cfg, self.state, self._ig_intrinsics(belief),
+                               cfg, self.grasp_found, self._ig_intrinsics(belief),
                                belief.target_bbox, self.maps,
                                unit_weights=self.unit_weights)
-        best, self.state, held = select_from_utilities(
-            utils, cfg, self.state, bool(belief.stable_grasps))
+        best, held = select_from_utilities(utils, cfg, self.prev_goal_id)
+        self.prev_goal_id = best.path.goal_id
         self.last_trace = {
             "goal_utilities": [(u.path.goal_id, u.j_ig, u.j_exec, u.utility)
                                for u in utils],
@@ -314,7 +313,7 @@ class NaivePolicy(Policy):
         target_xy = belief.target_center[:2]
         dist = float(np.linalg.norm(belief.robot.xy - target_xy))
         if dist <= cfg.reach_radius:  # no exploration in this baseline
-            return self._grasp_here(belief) or self._wait_in_place(belief)
+            return self._grasp_here(belief) or self._move_to(belief, belief.robot)
 
         blocked = inflate_occupied(belief.occ)
         candidates = ([self.current_goal] if self.current_goal is not None else []) \
@@ -367,7 +366,7 @@ class RandomPolicy(Policy):
                                        self.current_goal, 0)
         except NoPath:
             self.current_goal = None
-            return self._wait_in_place(belief)
+            return self._move_to(belief, belief.robot)
         return self._move_along(belief, base)
 
 
@@ -428,12 +427,12 @@ class BreyerNbvPolicy(Policy):
         goal = facing(cams[view_id].position, target_xy)
         if float(np.linalg.norm(belief.robot.xy - goal.xy)) < 1e-9:
             self.visited.add(view_id)
-            return self._wait_in_place(belief)
+            return self._move_to(belief, belief.robot)
         try:
             base = self.routes.path_to(belief.occ, blocked, belief.robot, goal, view_id)
         except NoPath:
             self.visited.add(view_id)
-            return self._wait_in_place(belief)
+            return self._move_to(belief, belief.robot)
         move = self._move_along(belief, base)
         if float(np.linalg.norm(move.base.xy - goal.xy)) < 1e-9:
             self.visited.add(view_id)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .geom import CellState, cells_from_rle
-from .scene import Box, Cylinder, Primitive, Scene, Tag, scene_from_json
+from .scene import Box, Cylinder, Primitive, Scene, Tag, scene_from_dict
 
 _COLORS = {
     Tag.TABLE: "#c8a165",
@@ -135,5 +135,5 @@ def render_trace_file(trace_path: str | Path, out_path: str | Path) -> Path:
     records = [json.loads(line) for line in Path(trace_path).read_text().splitlines()
                if line.strip()]
     meta = next(r for r in records if r.get("type") == "meta")
-    scene = scene_from_json(json.dumps(meta["scene"]))
+    scene = scene_from_dict(meta["scene"])
     return render_topdown(scene, records, out_path)

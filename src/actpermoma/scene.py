@@ -10,7 +10,6 @@ primitives, no noise.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -131,20 +130,17 @@ class CameraIntrinsics:
                                 max(self.height // factor, 16),
                                 self.vertical_fov, self.max_range)
 
+    @functools.cache
     def pixel_dirs(self) -> np.ndarray:
         """Camera-frame ray directions with unit forward component, one per
-        pixel, row-major (v, u) order.  Shape (height*width, 3); cached."""
-        cached = _PIXEL_DIR_CACHE.get(self)
-        if cached is not None:
-            return cached
+        pixel, row-major (v, u) order.  Shape (height*width, 3); cached per
+        intrinsics value."""
         f = self.focal
         cx = (self.width - 1) / 2.0
         cy = (self.height - 1) / 2.0
         u, v = np.meshgrid(np.arange(self.width), np.arange(self.height))
         d = np.stack([(u - cx) / f, (v - cy) / f, np.ones_like(u, dtype=float)], axis=-1)
-        d = d.reshape(-1, 3)
-        _PIXEL_DIR_CACHE[self] = d
-        return d
+        return d.reshape(-1, 3)
 
     def project(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unrounded pixel coordinates (u, v) of camera-frame points (..., 3),
@@ -182,9 +178,6 @@ class CameraIntrinsics:
             rows = np.arange(int(v0[b]), int(v1[b]) + 1)
             out.append((rows[:, None] * self.width + cols).ravel())
         return out
-
-
-_PIXEL_DIR_CACHE: dict["CameraIntrinsics", np.ndarray] = {}
 
 
 DEFAULT_INTRINSICS = CameraIntrinsics(64, 64, np.deg2rad(60.0), 3.0)
@@ -558,7 +551,7 @@ def render_depth(scene: Scene, cam: Pose3, intr: CameraIntrinsics) -> DepthImage
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip (fixture replay)
+# JSON-ready dict round trip (the trace meta record, replayed by render)
 # ---------------------------------------------------------------------------
 
 def _pose3_to_list(p: Pose3) -> list[float]:
@@ -569,7 +562,7 @@ def _pose3_from_list(v: Sequence[float]) -> Pose3:
     return Pose3(np.array(v[:3]), np.array(v[3:7]))
 
 
-def scene_to_json(scene: Scene) -> str:
+def scene_to_dict(scene: Scene) -> dict:
     prims = []
     for p in scene.primitives:
         if isinstance(p.shape, Box):
@@ -578,7 +571,7 @@ def scene_to_json(scene: Scene) -> str:
             shape = {"type": "cylinder", "radius": p.shape.radius, "height": p.shape.height}
         prims.append({"shape": shape, "pose": _pose3_to_list(p.pose),
                       "tag": p.tag.value, "object_id": p.object_id})
-    doc = {
+    return {
         "primitives": prims,
         "target_id": scene.target_id,
         "target_center": [*map(float, scene.target_center)],
@@ -593,11 +586,9 @@ def scene_to_json(scene: Scene) -> str:
         "seed": scene.seed,
         "obstacle_azimuth": scene.obstacle_azimuth,
     }
-    return json.dumps(doc, sort_keys=True)
 
 
-def scene_from_json(text: str) -> Scene:
-    doc = json.loads(text)
+def scene_from_dict(doc: dict) -> Scene:
     prims = []
     for p in doc["primitives"]:
         sh = p["shape"]

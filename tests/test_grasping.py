@@ -51,7 +51,6 @@ def fused_scene(seed=2, kind=SceneKind.SIMPLE, views=24):
 @dataclass
 class _FakePath:
     goal_base: Pose2
-    length: float
 
 
 def test_detect_on_unknown_tsdf_is_empty():
@@ -240,32 +239,28 @@ def test_reachability_matches_two_map_oracle():
 
 
 def test_exec_utility_empty_and_arithmetic():
-    path = _FakePath(goal_base=Pose2(0, 0, 0), length=2.0)
+    path = _FakePath(goal_base=Pose2(0, 0, 0))
     assert exec_utility([], path, MAPS) == 0.0
     g = replace(_grasp_at((0, 0, 0)),
                 pose=Pose3(np.array([0.65 * np.cos(ARM_OFFSET[Arm.LEFT]),
                                      0.65 * np.sin(ARM_OFFSET[Arm.LEFT]), 0.8]),
                            TOP_DOWN_Q))
-    # reachability 1.0 over length 2 -> 0.5; with an 0.8-scored grasp -> 0.4
-    assert exec_utility([g], path, MAPS) == pytest.approx(0.5)
-    assert exec_utility([g], _FakePath(Pose2(0, 0, 0), 0.01), MAPS) == pytest.approx(10.0)
-    assert exec_utility([g], path, MAPS, unit_length=True) == pytest.approx(1.0)
+    # the left arm's peak: reachability 1.0, not weighted by any path length
+    assert exec_utility([g], path, MAPS) == pytest.approx(1.0)
 
 
 def test_exec_utility_matches_exhaustive_max():
     rng = np.random.default_rng(7)
     for _ in range(30):
         base = Pose2(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-np.pi, np.pi))
-        length = rng.uniform(0.05, 4.0)
         grasps = []
         for _ in range(rng.integers(1, 8)):
             gp = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(0, 1.6)])
             grasps.append(replace(_grasp_at((0, 0, 0)),
                                   pose=Pose3(gp, quat_from_yaw(rng.uniform(0, 6)))))
-        want = max(reachability(MAPS, g, base)[0] for g in grasps) / max(length, 0.1)
-        got = exec_utility(grasps, _FakePath(base, length), MAPS)
+        want = max(reachability(MAPS, g, base)[0] for g in grasps)
+        got = exec_utility(grasps, _FakePath(base), MAPS)
         assert got == pytest.approx(want, abs=1e-12)
-        assert got <= 10.0 + 1e-9
 
 
 def test_best_grasp_reports_arm():

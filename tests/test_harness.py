@@ -482,10 +482,10 @@ def test_render_deterministic_and_vertex_count(tmp_path):
     cfg = RunConfig(planner=FAST, episodes=1, base_seed=2,
                     scenario=SceneKind.COMPLEX, policy=PolicyKind.ACTPERMOMA)
     result, trace = run_episode_traced(cfg, 0)
-    from actpermoma.scene import scene_from_json
+    from actpermoma.scene import scene_from_dict
 
     meta = trace[0]
-    scene = scene_from_json(json.dumps(meta["scene"]))
+    scene = scene_from_dict(meta["scene"])
     p1 = render_topdown(scene, trace, tmp_path / "a.svg")
     p2 = render_topdown(scene, trace, tmp_path / "b.svg")
     assert p1.read_bytes() == p2.read_bytes()
@@ -501,9 +501,9 @@ def test_render_scene_only_trace(tmp_path):
     cfg = RunConfig(planner=FAST, episodes=1, base_seed=2)
     _, trace = run_episode_traced(cfg, 0)
     bare = [trace[0], trace[-1]]  # meta + result, no steps: scene-only render
-    from actpermoma.scene import scene_from_json
+    from actpermoma.scene import scene_from_dict
 
-    scene = scene_from_json(json.dumps(trace[0]["scene"]))
+    scene = scene_from_dict(trace[0]["scene"])
     out = render_topdown(scene, bare, tmp_path / "bare.svg")
     assert out.exists() and out.stat().st_size > 0
 

@@ -31,7 +31,6 @@ from actpermoma.planning import (
     CandidatePath,
     PathView,
     PlannerConfig,
-    PlannerState,
     camera_at,
     evaluate_paths,
 )
@@ -270,7 +269,7 @@ def path_igs(t: TsdfGrid, paths: list[list[tuple[Pose3, float]]], intr: CameraIn
              bbox: Aabb, unit_weights: bool = False) -> list[float]:
     """J_IG of each path; no grasps, so the executability term is zero."""
     utils = evaluate_paths([_path(i, views) for i, views in enumerate(paths)], t, [],
-                           PlannerConfig(), PlannerState(), intr, bbox, MAPS,
+                           PlannerConfig(), False, intr, bbox, MAPS,
                            unit_weights=unit_weights)
     assert all(u.j_exec == 0.0 for u in utils)
     return [u.j_ig for u in utils]

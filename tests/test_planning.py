@@ -15,7 +15,7 @@ from actpermoma.geom import (
     look_at,
     quat_rotate,
 )
-from actpermoma.grasping import Grasp, build_map_pair
+from actpermoma.grasping import ARM_OFFSET, Arm, Grasp, build_map_pair, reachability
 from actpermoma.perception import TsdfGrid
 from actpermoma.planning import (
     CandidatePath,
@@ -24,7 +24,6 @@ from actpermoma.planning import (
     PathUtility,
     PathView,
     PlannerConfig,
-    PlannerState,
     UNKNOWN_COST,
     camera_at,
     evaluate_paths,
@@ -45,7 +44,8 @@ TOP_DOWN_Q = np.array([0.0, 1.0, 0.0, 0.0])
 
 
 def goal_slots(occ, target, n_b, seed):
-    return sample_base_goal_slots(occ, target, n_b, seed, blocked=inflate_occupied(occ))
+    return sample_base_goal_slots(occ, target, n_b, seed, PlannerConfig().reach_radius,
+                                  blocked=inflate_occupied(occ))
 
 
 def empty_occ(n=64, cell=0.1, state=CellState.FREE) -> OccupancyGrid2:
@@ -265,33 +265,31 @@ def _util(goal_id, utility, length=1.0) -> PathUtility:
 
 def test_select_single_candidate():
     u = [_util(0, -5.0)]
-    best, st, held = select_from_utilities(u, PlannerConfig(), PlannerState(), False)
+    best, held = select_from_utilities(u, PlannerConfig(), None)
     assert best.path.goal_id == 0 and not held
 
 
 def test_select_momentum_hysteresis():
     cfg = replace(PlannerConfig(), momentum=700.0)
-    st = PlannerState(prev_goal_id=1)
     utils = [_util(1, 500.0), _util(2, 900.0)]
-    best, _, held = select_from_utilities(utils, cfg, st, False)
+    best, held = select_from_utilities(utils, cfg, 1)
     assert best.path.goal_id == 1 and held  # 900 < 500 + 700
     cfg0 = replace(PlannerConfig(), momentum=0.0)
-    best, _, held = select_from_utilities(utils, cfg0, st, False)
+    best, held = select_from_utilities(utils, cfg0, 1)
     assert best.path.goal_id == 2 and not held
 
 
 def test_select_momentum_never_picks_worse_than_prev():
     cfg = PlannerConfig()
-    st = PlannerState(prev_goal_id=3)
     utils = [_util(3, 100.0), _util(4, 50.0)]
-    best, _, _ = select_from_utilities(utils, cfg, st, False)
+    best, _ = select_from_utilities(utils, cfg, 3)
     assert best.path.goal_id == 3
 
 
 def test_select_tie_breaks():
     cfg = replace(PlannerConfig(), momentum=0.0)
     utils = [_util(5, 10.0, length=2.0), _util(2, 10.0, length=1.0), _util(7, 10.0, length=1.0)]
-    best, _, _ = select_from_utilities(utils, cfg, PlannerState(), False)
+    best, _ = select_from_utilities(utils, cfg, None)
     assert best.path.goal_id == 2  # shorter first, then lower goal id
 
 
@@ -304,7 +302,7 @@ def test_select_momentum_zero_is_argmax_permutation_independent():
     for _ in range(10):
         perm = list(rng.permutation(len(utils)))
         shuffled = [utils[i] for i in perm]
-        best, _, _ = select_from_utilities(shuffled, cfg, PlannerState(), False)
+        best, _ = select_from_utilities(shuffled, cfg, None)
         assert best.path.goal_id == ranked[0].path.goal_id
 
 
@@ -325,29 +323,30 @@ def test_select_path_ig_only_before_grasps():
         p = sample_camera_poses(base, np.array([0.3, 0.3, 0.3]), 0.4, (0.25, 0.45),
                                 seed=2, goal_id=gid)
         paths.append(p)
-    utils = evaluate_paths(paths, t, [], cfg, PlannerState(), intr, bbox, MAPS)
+    utils = evaluate_paths(paths, t, [], cfg, False, intr, bbox, MAPS)
     by_ig = max(utils, key=lambda u: (u.j_ig, -u.path.length, -u.path.goal_id))
-    best, _, _ = select_from_utilities(utils, cfg, PlannerState(), False)
+    best, _ = select_from_utilities(utils, cfg, None)
     assert all(u.j_exec == 0.0 for u in utils)
     assert best.path.goal_id == by_ig.path.goal_id
 
 
-def test_select_path_latches_grasp_found():
+def test_evaluate_paths_weights_exec_by_path_length():
+    # one grasp at the left arm's peak from the goal: reachability 1.0,
+    # divided by the path length (floored at DIST_CLAMP) or, unweighted, by 1
     t = TsdfGrid.create(np.zeros(3), 0.1, (6, 6, 6))
     bbox = Aabb(np.zeros(3), np.full(3, 0.6))
     intr = CameraIntrinsics(16, 16, np.deg2rad(50.0), 4.0)
-    g = Grasp(pose=Pose3(np.array([0.3, 0.3, 0.8]), TOP_DOWN_Q), quality=0.9, voxel=(3, 3, 3))
-    paths = [_path_with(0, 1.0)]
+    goal = Pose2(1.0, 0.0, 0.0)
+    a = ARM_OFFSET[Arm.LEFT]
+    g = Grasp(pose=Pose3(np.array([1.0 + 0.65 * np.cos(a), 0.65 * np.sin(a), 0.8]),
+                         TOP_DOWN_Q), quality=0.9, voxel=(3, 3, 3))
+    assert reachability(MAPS, g, goal)[0] == pytest.approx(1.0)
+    paths = [_path_with(0, 2.0, goal), _path_with(1, 0.01, goal)]
     cfg = PlannerConfig()
-
-    def select(grasps, st):
-        utils = evaluate_paths(paths, t, grasps, cfg, st, intr, bbox, MAPS)
-        return select_from_utilities(utils, cfg, st, bool(grasps))[1]
-
-    st = select([g], PlannerState())
-    assert st.grasp_found
-    st2 = select([], st)
-    assert st2.grasp_found  # latched even when the grasp set is empty again
+    weighted = evaluate_paths(paths, t, [g], cfg, True, intr, bbox, MAPS)
+    assert [u.j_exec for u in weighted] == pytest.approx([0.5, 10.0])
+    unit = evaluate_paths(paths, t, [g], cfg, True, intr, bbox, MAPS, unit_weights=True)
+    assert [u.j_exec for u in unit] == pytest.approx([1.0, 1.0])
 
 
 def test_step_clamps_at_waypoint():

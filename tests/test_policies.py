@@ -20,7 +20,6 @@ from actpermoma.perception import (
 )
 from actpermoma.planning import (
     PlannerConfig,
-    PlannerState,
     evaluate_paths,
     inflate_occupied,
     sample_base_goal_slots,
@@ -80,18 +79,13 @@ def make_belief(seed=3, kind=SceneKind.SIMPLE, views=2, cfg=None, step_index=0):
                          step_index=step_index, intr=DEFAULT_INTRINSICS)
 
 
-def test_actpermoma_decision_matches_hand_composition():
-    cfg = PlannerConfig()
-    scene, belief = make_belief(seed=8)
-    policy = ActPerMoMaPolicy(cfg, seed=5, map_pair=MAPS)
-    decision = policy.decide(belief)
-    assert isinstance(decision, MoveStep)
-
-    # hand-compose with the public pipeline ops and the policy's seeds
+def hand_paths(policy, belief, routes):
+    """The candidate paths of `policy.decide`, composed from the public
+    pipeline ops with the policy's seeds and the given route cache."""
+    cfg = policy.cfg
     blocked = inflate_occupied(belief.occ)
     slots = sample_base_goal_slots(belief.occ, belief.target_center[:2], cfg.n_b,
                                    policy.goal_seed, cfg.reach_radius, blocked=blocked)
-    routes = RouteCache()
     paths = []
     for slot, goal in slots:
         try:
@@ -101,13 +95,48 @@ def test_actpermoma_decision_matches_hand_composition():
         paths.append(sample_camera_poses(base, belief.target_center, cfg.cam_spacing,
                                          cfg.torso_band, seed=policy.cam_seed,
                                          goal_id=slot))
-    utils = evaluate_paths(paths, belief.target_tsdf, [], cfg, PlannerState(),
+    return paths
+
+
+def test_actpermoma_decision_matches_hand_composition():
+    cfg = PlannerConfig()
+    scene, belief = make_belief(seed=8)
+    policy = ActPerMoMaPolicy(cfg, seed=5, map_pair=MAPS)
+    decision = policy.decide(belief)
+    assert isinstance(decision, MoveStep)
+
+    paths = hand_paths(policy, belief, RouteCache())
+    utils = evaluate_paths(paths, belief.target_tsdf, [], cfg, False,
                            belief.intr.downsampled(cfg.ig_downsample),
                            belief.target_bbox, MAPS)
-    best, _, _ = select_from_utilities(utils, cfg, PlannerState(), False)
+    best, _ = select_from_utilities(utils, cfg, None)
     assert not should_execute(best.path, 0.0, cfg)
     want = step(belief.robot, best.path.base_path, cfg.step_size)
     assert (decision.base.x, decision.base.y) == (want.x, want.y)
+
+
+def test_actpermoma_latches_grasp_found():
+    # a stable grasp seen once keeps the IG weight at cfg.w_ig on a later
+    # step whose grasp set is empty again
+    cfg = PlannerConfig()
+    scene, belief = make_belief(seed=8)
+    policy = ActPerMoMaPolicy(cfg, seed=5, map_pair=MAPS)
+    g = Grasp(pose=Pose3(scene.target_center + np.array([0.0, 0.0, 0.02]),
+                         np.array([0.0, 1.0, 0.0, 0.0])),
+              quality=0.93, voxel=(20, 20, 20), stable_for=3)
+    assert isinstance(policy.decide(replace(belief, stable_grasps=[g])), MoveStep)
+    second = replace(belief, step_index=1)
+    policy.decide(second)
+    paths = hand_paths(policy, second, policy.routes)
+
+    def utilities(grasp_found):
+        return [(u.path.goal_id, u.j_ig, u.j_exec, u.utility)
+                for u in evaluate_paths(paths, second.target_tsdf, [], cfg, grasp_found,
+                                        second.intr.downsampled(cfg.ig_downsample),
+                                        second.target_bbox, MAPS)]
+
+    assert policy.last_trace["goal_utilities"] == utilities(True)
+    assert policy.last_trace["goal_utilities"] != utilities(False)
 
 
 def test_ig_only_executes_within_reach_only():
@@ -142,21 +171,8 @@ def test_no_weights_uses_unweighted_utilities():
     gu = policy.last_trace.get("goal_utilities")
     if gu:
         # utilities must equal the unweighted recomputation
-        blocked = inflate_occupied(belief.occ)
-        slots = sample_base_goal_slots(belief.occ, belief.target_center[:2], cfg.n_b,
-                                       policy.goal_seed, cfg.reach_radius,
-                                       blocked=blocked)
-        routes = RouteCache()
-        paths = []
-        for slot, goal in slots:
-            try:
-                base = routes.path_to(belief.occ, blocked, belief.robot, goal, slot)
-            except Exception:
-                continue
-            paths.append(sample_camera_poses(base, belief.target_center, cfg.cam_spacing,
-                                             cfg.torso_band, seed=policy.cam_seed,
-                                             goal_id=slot))
-        utils = evaluate_paths(paths, belief.target_tsdf, [], cfg, PlannerState(),
+        paths = hand_paths(policy, belief, RouteCache())
+        utils = evaluate_paths(paths, belief.target_tsdf, [], cfg, False,
                                belief.intr.downsampled(cfg.ig_downsample),
                                belief.target_bbox, MAPS, unit_weights=True)
         want = {u.path.goal_id: u.utility for u in utils}
@@ -176,7 +192,7 @@ def test_no_weights_equal_ig_views_contribute_equally():
         views=[PathView(belief.robot, cam, arc)], length=arc)
     cfg = PlannerConfig()
     utils = evaluate_paths([mk(1.0, 0), mk(3.0, 1)], belief.target_tsdf, [], cfg,
-                           PlannerState(), belief.intr.downsampled(2),
+                           False, belief.intr.downsampled(2),
                            belief.target_bbox, MAPS, unit_weights=True)
     assert utils[0].j_ig == pytest.approx(utils[1].j_ig)
 

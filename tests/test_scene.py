@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ from actpermoma.scene import (
     primitive_sdf,
     render_depth,
     sample_start_pose,
-    scene_from_json,
-    scene_to_json,
+    scene_from_dict,
+    scene_to_dict,
 )
 
 INTR = CameraIntrinsics(64, 64, np.deg2rad(60.0), 3.0)
@@ -55,7 +57,7 @@ def sampled_first_hit(prim: Primitive, origin, direction, t_hi, coarse=1e-3, tol
 def test_generate_scene_deterministic():
     a = generate_scene(SceneKind.SIMPLE, False, 7)
     b = generate_scene(SceneKind.SIMPLE, False, 7)
-    assert scene_to_json(a) == scene_to_json(b)
+    assert scene_to_dict(a) == scene_to_dict(b)
 
 
 def test_generate_scene_counts():
@@ -229,6 +231,6 @@ def test_primitive_ray_hits_box():
 
 def test_scene_json_round_trip():
     s = generate_scene(SceneKind.COMPLEX, True, 21)
-    text = scene_to_json(s)
-    back = scene_from_json(text)
-    assert scene_to_json(back) == text
+    text = json.dumps(scene_to_dict(s), sort_keys=True)
+    back = scene_from_dict(json.loads(text))
+    assert json.dumps(scene_to_dict(back), sort_keys=True) == text
