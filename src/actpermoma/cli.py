@@ -83,8 +83,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     a = _load_run(args.a)
     b = _load_run(args.b)
-    verdict = compare(a, b, args.metric)
-    print(verdict.value)
+    verdict, a_wins, b_wins = compare(a, b, args.metric)
+    print(f"{verdict.value} {a_wins}:{b_wins}")
     return 0 if verdict is not Verdict.INCONCLUSIVE else 1
 
 
@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--workers", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="statistically compare two run directories")
+    p_cmp = sub.add_parser("compare", help="paired exact comparison of two run directories")
     p_cmp.add_argument("--a", required=True)
     p_cmp.add_argument("--b", required=True)
     p_cmp.add_argument("--metric", required=True, choices=["sr", "ar", "gfr", "d", "v"])

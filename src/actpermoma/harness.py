@@ -303,10 +303,6 @@ def summarize(results: list[EpisodeResult]) -> MetricsSummary:
 # statistical comparison
 # ---------------------------------------------------------------------------
 
-class InsufficientSamples(ValueError):
-    pass
-
-
 class Verdict(str, Enum):
     A_BETTER = "a_better"
     B_BETTER = "b_better"
@@ -315,112 +311,61 @@ class Verdict(str, Enum):
 
 _RATE_METRICS = {"sr": (Outcome.SUCCESS, True), "ar": (Outcome.ABORT, False),
                  "gfr": (Outcome.GRASP_FAILURE, False)}
-_MEAN_METRICS = {"d": "d_total", "v": "v_total"}
+_SOLVED_METRICS = {"d": "d_total", "v": "v_total"}
 ALPHA = 0.05  # two-sided significance level of `compare`
-Z_CRIT = 1.959963984540054  # the standard normal's two-sided quantile at ALPHA
 
 
-def two_proportion_z(k1: int, n1: int, k2: int, n2: int) -> float:
-    """Pooled two-proportion z statistic with continuity correction (signed)."""
-    p1, p2 = k1 / n1, k2 / n2
-    pooled = (k1 + k2) / (n1 + n2)
-    se = math.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
-    if se == 0.0:
-        return 0.0
-    cc = 0.5 * (1 / n1 + 1 / n2)
-    mag = max(abs(p1 - p2) - cc, 0.0) / se
-    return math.copysign(mag, p1 - p2) if p1 != p2 else 0.0
+def sign_test_p(a_wins: int, b_wins: int) -> float:
+    """Two-sided exact binomial tail at p = 1/2 of an `a_wins`:`b_wins` split."""
+    n = a_wins + b_wins
+    tail = sum(math.comb(n, k) for k in range(min(a_wins, b_wins) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # continued fraction for the regularized incomplete beta function
-    max_it, eps, fpmin = 200, 3e-14, 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c, d = 1.0, 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_it + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        de = d * c
-        h *= de
-        if abs(de - 1.0) < eps:
-            break
-    return h
+def _by_scene(results: list[EpisodeResult], side: str) -> dict[int, EpisodeResult]:
+    seen: set[int] = set()
+    repeated: set[int] = set()
+    for r in results:
+        (repeated if r.scene_seed in seen else seen).add(r.scene_seed)
+    if repeated:
+        raise ValueError(f"{side} repeats scene seeds {sorted(repeated)}")
+    return {r.scene_seed: r for r in results}
 
 
-def _betainc(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_bt = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-             + a * math.log(x) + b * math.log1p(-x))
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
+def compare(a: list[EpisodeResult], b: list[EpisodeResult],
+            metric: str) -> tuple[Verdict, int, int]:
+    """Which side is significantly better at ALPHA on a metric, with the
+    per-scene wins of each side.  Episodes pair by `scene_seed`, so both
+    sides must hold the same scenes once each (ValueError naming the seeds).
 
-
-def student_t_two_sided_p(t: float, df: float) -> float:
-    return _betainc(df / 2.0, 0.5, df / (df + t * t))
-
-
-def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    n1, n2 = len(x), len(y)
-    v1, v2 = np.var(x, ddof=1), np.var(y, ddof=1)
-    se2 = v1 / n1 + v2 / n2
-    if se2 == 0.0:
-        diff = float(x.mean() - y.mean())
-        t = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-        return t, float(n1 + n2 - 2)
-    t = (x.mean() - y.mean()) / math.sqrt(se2)
-    df = se2 ** 2 / ((v1 / n1) ** 2 / (n1 - 1) + (v2 / n2) ** 2 / (n2 - 1))
-    return float(t), float(df)
-
-
-def compare(a: list[EpisodeResult], b: list[EpisodeResult], metric: str) -> Verdict:
-    """Which side is significantly better at ALPHA on a metric (sr: higher is
-    better; ar/gfr/d/v: lower is better).  Rates use a pooled two-proportion z
-    test, d/v use Welch's t test."""
-    if len(a) < 30 or len(b) < 30:
-        raise InsufficientSamples("need at least 30 episodes per side")
+    sr is higher-better and ar/gfr lower-better: a side wins a scene when its
+    outcome indicator is better (McNemar's discordant pairs).  d/v count only
+    the scenes both sides solve; the lower value wins and ties are dropped.
+    The wins go to an exact two-sided sign test, so no split of fewer than 6
+    decisive scenes is significant."""
+    if metric not in _RATE_METRICS and metric not in _SOLVED_METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    by_a, by_b = _by_scene(a, "a"), _by_scene(b, "b")
+    if by_a.keys() != by_b.keys():
+        raise ValueError(f"a and b hold different scenes: only in a "
+                         f"{sorted(by_a.keys() - by_b.keys())}, only in b "
+                         f"{sorted(by_b.keys() - by_a.keys())}")
+    pairs = [(by_a[s], by_b[s]) for s in sorted(by_a)]
     if metric in _RATE_METRICS:
         outcome, higher_better = _RATE_METRICS[metric]
-        k1 = sum(1 for r in a if r.outcome is outcome)
-        k2 = sum(1 for r in b if r.outcome is outcome)
-        z = two_proportion_z(k1, len(a), k2, len(b))
-        if abs(z) <= Z_CRIT:
-            return Verdict.INCONCLUSIVE
-        a_higher = z > 0
-        return Verdict.A_BETTER if a_higher == higher_better else Verdict.B_BETTER
-    if metric in _MEAN_METRICS:
-        attr = _MEAN_METRICS[metric]
-        x = np.array([getattr(r, attr) for r in a], dtype=float)
-        y = np.array([getattr(r, attr) for r in b], dtype=float)
-        t, df = welch_t(x, y)
-        if t == 0.0 or student_t_two_sided_p(t, df) > ALPHA:
-            return Verdict.INCONCLUSIVE
-        return Verdict.A_BETTER if t < 0 else Verdict.B_BETTER  # lower is better
-    raise ValueError(f"unknown metric {metric!r}")
+        keys = [((ra.outcome is outcome) == higher_better,
+                 (rb.outcome is outcome) == higher_better) for ra, rb in pairs]
+    else:
+        attr = _SOLVED_METRICS[metric]
+        keys = [(-getattr(ra, attr), -getattr(rb, attr)) for ra, rb in pairs
+                if ra.outcome is rb.outcome is Outcome.SUCCESS]
+    a_wins = sum(ka > kb for ka, kb in keys)
+    b_wins = sum(kb > ka for ka, kb in keys)
+    if sign_test_p(a_wins, b_wins) > ALPHA:
+        verdict = Verdict.INCONCLUSIVE
+    else:
+        verdict = Verdict.A_BETTER if a_wins > b_wins else Verdict.B_BETTER
+    return verdict, a_wins, b_wins
 
 
 # ---------------------------------------------------------------------------

@@ -342,10 +342,9 @@ class RandomPolicy(Policy):
 
     def _sample_goal(self, belief: Belief, blocked: np.ndarray) -> Pose2 | None:
         target_xy = belief.target_center[:2]
-        r = min(self.cfg.reach_radius, 0.85)
         for _ in range(100):
             a = float(self.rng.uniform(0.0, 2 * np.pi))
-            xy = target_xy + r * np.array([np.cos(a), np.sin(a)])
+            xy = target_xy + self.cfg.reach_radius * np.array([np.cos(a), np.sin(a)])
             if cell_blocked(belief.occ, blocked, xy):
                 continue
             return facing(xy, target_xy)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import re
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -13,7 +14,6 @@ import pytest
 import actpermoma.harness as harness
 from actpermoma.harness import (
     EpisodeResult,
-    InsufficientSamples,
     Outcome,
     RunConfig,
     Verdict,
@@ -26,10 +26,8 @@ from actpermoma.harness import (
     run_config_from_dict,
     run_episode_traced,
     run_experiment,
-    student_t_two_sided_p,
+    sign_test_p,
     summarize,
-    two_proportion_z,
-    welch_t,
 )
 from actpermoma.planning import PlannerConfig, camera_at
 from actpermoma.policies import Abort, MoveStep, PolicyKind
@@ -42,9 +40,10 @@ FAST = PlannerConfig(max_steps=50)
 def fake_results(success: int, abort: int, failure: int) -> list[EpisodeResult]:
     out = []
     rng = np.random.default_rng(0)
-    for i, (n, o) in enumerate([(success, Outcome.SUCCESS), (abort, Outcome.ABORT),
-                                (failure, Outcome.GRASP_FAILURE)]):
-        for k in range(n):
+    for n, o in [(success, Outcome.SUCCESS), (abort, Outcome.ABORT),
+                 (failure, Outcome.GRASP_FAILURE)]:
+        for _ in range(n):
+            k = len(out)  # every result is its own scene
             out.append(EpisodeResult(outcome=o, d_total=float(rng.uniform(1, 8)),
                                      v_total=int(rng.integers(5, 30)), steps=10,
                                      scene_seed=k, policy_seed=k,
@@ -86,45 +85,94 @@ def test_summarize_mean_std_two_pass_oracle():
     assert m.v_std == pytest.approx(vs, abs=1e-12)
 
 
+def episode(scene_seed: int, outcome: Outcome = Outcome.SUCCESS, d: float = 3.0,
+            v: int = 10) -> EpisodeResult:
+    return EpisodeResult(outcome, d, v, v - 1, scene_seed, scene_seed, PolicyKind.NAIVE)
+
+
+def paired(*groups: tuple[int, dict, dict]) -> tuple[list[EpisodeResult], list[EpisodeResult]]:
+    """`(count, a_fields, b_fields)` groups -> two result lists on shared scenes."""
+    a, b = [], []
+    for count, fa, fb in groups:
+        for _ in range(count):
+            a.append(episode(len(a), **fa))
+            b.append(episode(len(b), **fb))
+    return a, b
+
+
+def mirrored(verdict: Verdict) -> Verdict:
+    return {Verdict.A_BETTER: Verdict.B_BETTER, Verdict.B_BETTER: Verdict.A_BETTER,
+            Verdict.INCONCLUSIVE: Verdict.INCONCLUSIVE}[verdict]
+
+
+def assert_compare(a, b, metric, expected):
+    assert compare(a, b, metric) == expected
+    verdict, a_wins, b_wins = expected  # swapping the sides mirrors the answer
+    assert compare(b, a, metric) == (mirrored(verdict), b_wins, a_wins)
+
+
+def test_sign_test_p_hand_values():
+    # 3:12 -> 2 * (C(15,0) + C(15,1) + C(15,2) + C(15,3)) / 2**15 = 2 * 576 / 32768
+    assert sign_test_p(3, 12) == 2 * 576 / 2 ** 15
+    assert sign_test_p(3, 12) == pytest.approx(0.0352, abs=5e-5)
+    assert sign_test_p(12, 3) == sign_test_p(3, 12)
+    assert sign_test_p(6, 0) == 0.03125  # the smallest significant split
+    assert sign_test_p(5, 0) == 0.0625
+    assert sign_test_p(7, 7) == 1.0
+    assert sign_test_p(0, 0) == 1.0
+
+
 def test_compare_identical_inconclusive():
     a = fake_results(50, 5, 5)
-    assert compare(a, list(a), "sr") is Verdict.INCONCLUSIVE
-    assert compare(a, list(a), "d") is Verdict.INCONCLUSIVE
+    for metric in ("sr", "ar", "gfr", "d", "v"):
+        assert compare(a, list(a), metric) == (Verdict.INCONCLUSIVE, 0, 0)
 
 
-def test_compare_two_proportion_hand_value():
-    z = two_proportion_z(90, 100, 40, 100)
-    assert z == pytest.approx(7.25, abs=0.05)  # continuity-corrected pooled z
-    a = fake_results(90, 10, 0)
-    b = fake_results(40, 60, 0)
-    assert compare(a, b, "sr") is Verdict.A_BETTER
-    assert compare(b, a, "sr") is Verdict.B_BETTER  # antisymmetric
-    # abort rate: lower is better, so the high-abort side loses
-    assert compare(a, b, "ar") is Verdict.A_BETTER
+def test_compare_rates_count_discordant_pairs():
+    S, A, F = Outcome.SUCCESS, Outcome.ABORT, Outcome.GRASP_FAILURE
+    a, b = paired((3, {"outcome": S}, {"outcome": A}),
+                  (12, {"outcome": F}, {"outcome": S}),
+                  (20, {"outcome": S}, {"outcome": S}),  # concordant: no win
+                  (5, {"outcome": A}, {"outcome": A}))
+    assert_compare(a, b, "sr", (Verdict.B_BETTER, 3, 12))  # p = 0.0352
+    # ar/gfr are lower-better: a side wins a scene it does not abort or fail
+    assert_compare(a, b, "ar", (Verdict.INCONCLUSIVE, 3, 0))
+    assert_compare(a, b, "gfr", (Verdict.B_BETTER, 0, 12))
+    a, b = paired((7, {"outcome": S}, {"outcome": A}), (7, {"outcome": A}, {"outcome": S}))
+    assert_compare(a, b, "sr", (Verdict.INCONCLUSIVE, 7, 7))
 
 
-def test_compare_welch_direction():
-    rng = np.random.default_rng(1)
-    a = [EpisodeResult(Outcome.SUCCESS, float(rng.normal(2.0, 0.3)), 10, 5, i, i,
-                       PolicyKind.NAIVE) for i in range(60)]
-    b = [EpisodeResult(Outcome.SUCCESS, float(rng.normal(5.0, 0.5)), 30, 5, i, i,
-                       PolicyKind.RANDOM) for i in range(60)]
-    assert compare(a, b, "d") is Verdict.A_BETTER
-    assert compare(b, a, "d") is Verdict.B_BETTER
-    assert compare(a, b, "v") is Verdict.A_BETTER
+def test_compare_six_wins_decide_and_five_do_not():
+    for metric, shorter, longer in (("d", {"d": 1.0}, {"d": 2.5}), ("v", {"v": 4}, {"v": 9})):
+        a, b = paired((6, shorter, longer))
+        assert_compare(a, b, metric, (Verdict.A_BETTER, 6, 0))  # p = 0.03125
+        a, b = paired((5, shorter, longer))
+        assert_compare(a, b, metric, (Verdict.INCONCLUSIVE, 5, 0))  # p = 0.0625
 
 
-def test_compare_insufficient_samples():
-    with pytest.raises(InsufficientSamples):
-        compare(fake_results(10, 0, 0), fake_results(40, 0, 0), "sr")
+def test_compare_d_v_count_scenes_both_solve_without_ties():
+    A = Outcome.ABORT
+    a, b = paired((6, {"d": 1.0, "v": 4}, {"d": 2.0, "v": 8}),
+                  (10, {"d": 1.5, "v": 6}, {"d": 1.5, "v": 6}),  # ties
+                  # b's aborts and a's failures are shorter, yet only one side solves
+                  (10, {"d": 5.0, "v": 20}, {"outcome": A, "d": 0.0, "v": 1}),
+                  (10, {"outcome": Outcome.GRASP_FAILURE, "d": 0.5, "v": 2},
+                   {"d": 5.0, "v": 20}))
+    assert_compare(a, b, "d", (Verdict.A_BETTER, 6, 0))
+    assert_compare(a, b, "v", (Verdict.A_BETTER, 6, 0))
 
 
-def test_student_t_tail_values():
-    # reference quantiles: P(|T| > 2.045, df=29) ~ 0.05
-    assert student_t_two_sided_p(2.045, 29) == pytest.approx(0.05, abs=0.002)
-    assert student_t_two_sided_p(0.0, 29) == pytest.approx(1.0)
-    t, df = welch_t(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
-    assert t == 0.0
+def test_compare_refuses_unpaired_scenes():
+    a = [episode(s) for s in (0, 1, 2)]
+    with pytest.raises(ValueError, match=r"only in a \[0\], only in b \[3\]"):
+        compare(a, [episode(s) for s in (1, 2, 3)], "sr")
+    with pytest.raises(ValueError, match=r"only in a \[\], only in b \[3\]"):
+        compare(a, [episode(s) for s in (0, 1, 2, 3)], "d")
+    # e.g. the pooled cells of an ablate run directory
+    with pytest.raises(ValueError, match=r"b repeats scene seeds \[1\]"):
+        compare(a, [episode(s) for s in (0, 1, 2, 1)], "sr")
+    with pytest.raises(ValueError, match="unknown metric"):
+        compare(a, list(a), "steps")
 
 
 def test_scripted_abort_policy_episode(monkeypatch):
@@ -517,7 +565,7 @@ def test_render_trace_file_round_trip(tmp_path):
     assert out.read_text().startswith("<svg")
 
 
-def test_cli_run_compare_render(tmp_path):
+def test_cli_run_compare_render(tmp_path, capsys):
     from actpermoma.cli import main
 
     cfg_file = tmp_path / "cfg.json"
@@ -530,8 +578,17 @@ def test_cli_run_compare_render(tmp_path):
                "--seed", "0", "--config", str(cfg_file), "--out", str(tmp_path / "b"),
                "--workers", "1"])
     assert rc == 0
-    with pytest.raises(InsufficientSamples):
-        main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+    capsys.readouterr()
+    rc = main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "b"),
+               "--metric", "sr"])
+    assert rc == 1  # 2 scenes can never be significant
+    assert re.fullmatch(r"inconclusive [0-2]:[0-2]\n", capsys.readouterr().out)
+    rc = main(["run", "--policy", "Random", "--scenario", "simple", "--episodes", "2",
+               "--seed", "5", "--config", str(cfg_file), "--out", str(tmp_path / "c"),
+               "--workers", "1"])
+    assert rc == 0
+    with pytest.raises(ValueError, match=r"only in a \[0, 1\], only in b \[5, 6\]"):
+        main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "c"),
               "--metric", "sr"])
     trace = next((tmp_path / "a").glob("**/ep*.jsonl"))
     rc = main(["render", "--trace", str(trace), "--out", str(tmp_path / "img.svg")])

@@ -220,29 +220,30 @@ def test_naive_heads_for_target_and_waits():
 
 
 def test_random_goal_sequence_reproducible_and_feasible():
-    cfg = PlannerConfig(max_steps=200)
     scene, belief = make_belief(seed=11)
-    seqs = []
-    for _ in range(2):
-        policy = RandomPolicy(cfg, seed=21, map_pair=MAPS)
-        robot = belief.robot
-        goals = []
-        for k in range(60):
-            out = policy.decide(replace(belief, robot=robot, step_index=k))
-            if not isinstance(out, MoveStep):
-                break
-            if policy.current_goal is not None and (
-                    not goals or goals[-1] != (policy.current_goal.x, policy.current_goal.y)):
-                goals.append((policy.current_goal.x, policy.current_goal.y))
-            robot = out.base
-        seqs.append(goals)
-    assert seqs[0] == seqs[1]
-    assert len(seqs[0]) >= 2
     blocked = inflate_occupied(belief.occ)
-    for gx, gy in seqs[0]:
-        c = belief.occ.world_to_cell(np.array([gx, gy]))
-        assert not blocked[c[0], c[1]]
-        assert np.linalg.norm(np.array([gx, gy]) - scene.target_center[:2]) == pytest.approx(0.85)
+    for radius in (0.85, 1.0):  # the default ring, and one the config moves
+        cfg = PlannerConfig(max_steps=200, reach_radius=radius)
+        seqs = []
+        for _ in range(2):
+            policy = RandomPolicy(cfg, seed=21, map_pair=MAPS)
+            robot = belief.robot
+            goals = []
+            for k in range(60):
+                out = policy.decide(replace(belief, robot=robot, step_index=k))
+                if not isinstance(out, MoveStep):
+                    break
+                if policy.current_goal is not None and (
+                        not goals or goals[-1] != (policy.current_goal.x, policy.current_goal.y)):
+                    goals.append((policy.current_goal.x, policy.current_goal.y))
+                robot = out.base
+            seqs.append(goals)
+        assert seqs[0] == seqs[1]
+        assert len(seqs[0]) >= 2
+        for gx, gy in seqs[0]:
+            c = belief.occ.world_to_cell(np.array([gx, gy]))
+            assert not blocked[c[0], c[1]]
+            assert np.linalg.norm(np.array([gx, gy]) - scene.target_center[:2]) == pytest.approx(radius)
 
 
 def test_breyer_view_igs_match_direct_calls():
