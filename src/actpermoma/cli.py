@@ -81,9 +81,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    a = _load_run(args.a)
-    b = _load_run(args.b)
-    verdict, a_wins, b_wins = compare(a, b, args.metric)
+    """Exit 0 on a significant verdict, 1 on an inconclusive one, and 2 when
+    the runs cannot be compared (unpaired scenes, a failed cell)."""
+    try:
+        verdict, a_wins, b_wins = compare(_load_run(args.a), _load_run(args.b), args.metric)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"{verdict.value} {a_wins}:{b_wins}")
     return 0 if verdict is not Verdict.INCONCLUSIVE else 1
 

@@ -1,10 +1,10 @@
-"""Core geometry: SE(2)/SE(3) poses, rays, dense voxel grids and exact voxel traversal.
+"""Core geometry: SE(2)/SE(3) poses, rays, dense grids and exact voxel traversal.
 
 Conventions used throughout the package:
   * all lengths in meters, all angles in radians,
   * quaternions are (w, x, y, z), kept unit-norm,
   * camera frames are x-right / y-down / z-forward (optical axis),
-  * voxel grids are dense, flattened x-fastest (x varies quickest).
+  * grids are dense, flattened x-fastest (x varies quickest).
 
 Everything here is value-like and pure: operations return new objects and
 never mutate shared state.
@@ -225,39 +225,52 @@ class Aabb:
 # dense grids
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VoxelGrid3:
-    """Dense 3D grid; `cells` has leading shape (nx, ny, nz) plus free channels.
+class CellState(IntEnum):
+    """The state code of a voxel (`TsdfGrid.state_volume`) and of a map cell."""
 
-    World<->index mapping: voxel (i, j, k) spans
-    origin + (i, j, k) * voxel_size .. origin + (i+1, j+1, k+1) * voxel_size,
-    its center is origin + (i+.5, j+.5, k+.5) * voxel_size.
+    FREE = 0
+    OCCUPIED = 1
+    UNKNOWN = 2
+
+
+@dataclass
+class Grid:
+    """Dense grid of any number of axes; `cells` has leading shape `dims`
+    plus free channels: the TSDF voxel grids and the 2D navigation map.
+
+    World<->index mapping: cell idx spans origin + idx * cell_size ..
+    origin + (idx + 1) * cell_size, its center is origin + (idx + .5) * cell_size.
     """
 
     origin: np.ndarray
-    voxel_size: float
-    dims: tuple[int, int, int]
+    cell_size: float
+    dims: tuple[int, ...]
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=float).reshape(3)
+        self.origin = np.asarray(self.origin, dtype=float).reshape(-1)
         self.dims = tuple(int(d) for d in self.dims)
-        if any(d <= 0 for d in self.dims) or self.voxel_size <= 0:
-            raise ValueError("dims and voxel_size must be positive")
-        if tuple(self.cells.shape[:3]) != self.dims:
-            raise ValueError("cells shape does not match dims")
+        if any(d <= 0 for d in self.dims) or self.cell_size <= 0:
+            raise ValueError("dims and cell_size must be positive")
+        if self.origin.size != len(self.dims) or self.cells.shape[:len(self.dims)] != self.dims:
+            raise ValueError("origin or cells shape does not match dims")
+
+    @property
+    def voxel_size(self) -> float:
+        """`cell_size` by its 3D name; see `VoxelGrid3`."""
+        return self.cell_size
 
     @property
     def max_corner(self) -> np.ndarray:
-        return self.origin + np.asarray(self.dims) * self.voxel_size
+        return self.origin + np.asarray(self.dims) * self.cell_size
 
     def world_to_index(self, points: np.ndarray) -> np.ndarray:
-        """Integer voxel index of each point; may fall outside [0, dims)."""
-        s = (np.asarray(points, dtype=float) - self.origin) / self.voxel_size
+        """Integer cell index of each point; may fall outside [0, dims)."""
+        s = (np.asarray(points, dtype=float) - self.origin) / self.cell_size
         return np.floor(s).astype(np.int64)
 
     def index_to_world_center(self, idx: np.ndarray) -> np.ndarray:
-        return self.origin + (np.asarray(idx, dtype=float) + 0.5) * self.voxel_size
+        return self.origin + (np.asarray(idx, dtype=float) + 0.5) * self.cell_size
 
     def contains_index(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx)
@@ -266,59 +279,32 @@ class VoxelGrid3:
     def flat_index(self, idx: np.ndarray) -> np.ndarray:
         """x-fastest linear index: the order of `cells.ravel(order="F")`."""
         idx = np.asarray(idx)
-        nx, ny, _ = self.dims
-        return idx[..., 0] + nx * (idx[..., 1] + ny * idx[..., 2])
+        flat = idx[..., -1]
+        for a in range(len(self.dims) - 2, -1, -1):
+            flat = idx[..., a] + self.dims[a] * flat
+        return flat
+
+    def axis_centers(self) -> list[np.ndarray]:
+        """Per axis, the center coordinates of its cells."""
+        return [o + (np.arange(n) + 0.5) * self.cell_size for o, n in zip(self.origin, self.dims)]
 
     def centers(self) -> np.ndarray:
-        """All voxel centers, shape (nx, ny, nz, 3); cached (geometry is fixed).
+        """All cell centers, shape (*dims, n_axes); cached (geometry is fixed).
 
         Stored column-major: `np.moveaxis(centers(), -1, 0)` is a C-contiguous
-        (3, nx, ny, nz) view, so each coordinate is one contiguous block."""
+        (n_axes, *dims) view, so each coordinate is one contiguous block."""
         cached = getattr(self, "_centers", None)
         if cached is not None:
             return cached
         idx = np.indices(self.dims, dtype=float)
-        cols = self.origin[:, None, None, None] + (idx + 0.5) * self.voxel_size
+        cols = self.origin.reshape(-1, *[1] * len(self.dims)) + (idx + 0.5) * self.cell_size
         out = np.moveaxis(cols, 0, -1)
         object.__setattr__(self, "_centers", out)
         return out
 
 
-class CellState(IntEnum):
-    FREE = 0
-    OCCUPIED = 1
-    UNKNOWN = 2
-
-
-@dataclass
-class OccupancyGrid2:
-    """2D occupancy map derived from a voxel grid by column reduction."""
-
-    origin: np.ndarray
-    cell_size: float
-    dims: tuple[int, int]
-    cells: np.ndarray  # uint8 CellState codes, shape (nx, ny)
-
-    def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=float).reshape(2)
-        self.dims = tuple(int(d) for d in self.dims)
-
-    def world_to_cell(self, points_xy: np.ndarray) -> np.ndarray:
-        s = (np.asarray(points_xy, dtype=float) - self.origin) / self.cell_size
-        return np.floor(s).astype(np.int64)
-
-    def cell_to_world_center(self, idx: np.ndarray) -> np.ndarray:
-        return self.origin + (np.asarray(idx, dtype=float) + 0.5) * self.cell_size
-
-    def contains_cell(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx)
-        return np.all((idx >= 0) & (idx < np.asarray(self.dims)), axis=-1)
-
-    def state_at(self, point_xy: np.ndarray) -> CellState:
-        c = self.world_to_cell(point_xy)
-        if not bool(self.contains_cell(c)):
-            return CellState.UNKNOWN
-        return CellState(int(self.cells[c[0], c[1]]))
+# the 3D names `tests/test_sensing_oracle.py` copies its grids with
+VoxelGrid3 = Grid
 
 
 # the run-length text form of an occupancy grid's cells in episode traces:
@@ -384,7 +370,7 @@ def ray_aabb_interval(origins: np.ndarray, directions: np.ndarray, box: Aabb
 # x, y, z order.
 
 def traverse_batch(
-    grid: VoxelGrid3,
+    grid: Grid,
     origins: np.ndarray,
     directions: np.ndarray,
     t_max: np.ndarray | float,
@@ -403,7 +389,7 @@ def traverse_batch(
     tm = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
 
     gmin = grid.origin
-    vs = grid.voxel_size
+    vs = grid.cell_size
     dims = np.asarray(grid.dims)
 
     t_entry, t_exit = ray_aabb_interval(o, d, Aabb(gmin, grid.max_corner))
@@ -460,7 +446,7 @@ def traverse_batch(
                 ids[keep], ijk[keep], t_next[keep], t_delta[keep], step[keep], tm[keep])
 
 
-def traverse_ray(grid: VoxelGrid3, ray: Ray, max_range: float) -> list[tuple[int, int, int]]:
+def traverse_ray(grid: Grid, ray: Ray, max_range: float) -> list[tuple[int, int, int]]:
     """Ordered voxel indices a ray visits, from grid entry to exit/max_range.
 
     Empty when the ray never enters the grid within max_range.

@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .geom import Pose2, Pose3, quat_rotate, wrap_angle
-from .perception import TsdfGrid, VoxelState
+from .geom import CellState, Pose2, Pose3, quat_rotate, wrap_angle
+from .perception import TsdfGrid
 from .scene import TABLE_HEIGHT, Approach, Scene, primitive_sdf
 
 # execution success model
@@ -103,8 +103,8 @@ class GraspDetector:
             # true surface (outside-surface voxels fuse as free); voxels flush
             # with the tabletop can never be observed and are no contact area
             sd = primitive_sdf(target, centers)
-            on_surface = (sd <= 0.0) & (sd >= -g.voxel_size)
-            above_table = centers[:, 2] >= TABLE_HEIGHT + 0.5 * g.voxel_size
+            on_surface = (sd <= 0.0) & (sd >= -g.cell_size)
+            above_table = centers[:, 2] >= TABLE_HEIGHT + 0.5 * g.cell_size
             normals = surface_normals(target, centers)
             approach = quat_rotate(pose.orientation, np.array([0.0, 0.0, 1.0]))
             facing = normals @ (-approach) > self.FACING_MIN_DOT
@@ -121,7 +121,7 @@ class GraspDetector:
             eps = float(rng.uniform(-noise_amplitude, noise_amplitude)) if noise_amplitude else 0.0
             if shell.shape[0] == 0:
                 continue
-            observed = states[shell[:, 0], shell[:, 1], shell[:, 2]] == VoxelState.OCCUPIED_SURFACE
+            observed = states[shell[:, 0], shell[:, 1], shell[:, 2]] == CellState.OCCUPIED
             coverage = float(observed.mean())
             q = truth.intrinsic_quality * smoothstep(coverage, 0.3, 0.8) + eps
             q = min(max(q, 0.0), 1.0)
@@ -273,31 +273,31 @@ def best_grasp(map_pair: MapPair, grasps: list[Grasp], base: Pose2
     return best, best_score
 
 
-def exec_utility(grasps: list[Grasp], path, map_pair: MapPair) -> float:
-    """Highest grasp reachability from the path's goal base pose, not yet
-    weighted by the path length (`planning.evaluate_paths` does that); 0 for
-    an empty grasp set."""
-    return best_grasp(map_pair, grasps, path.goal_base)[1]
+def exec_utility(grasps: list[Grasp], path, map_pair: MapPair) -> tuple[Grasp | None, float]:
+    """The most reachable grasp from the path's goal base pose, with its arm,
+    and its reachability, not yet weighted by the path length
+    (`planning.evaluate_paths` does that); (None, 0) for an empty grasp set."""
+    return best_grasp(map_pair, grasps, path.goal_base)
 
 
 # ---------------------------------------------------------------------------
 # execution success model
 # ---------------------------------------------------------------------------
 
-def execute_grasp(scene: Scene, grasp: Grasp, base: Pose2, map_pair: MapPair,
-                  min_intrinsic: float = EXEC_MIN_INTRINSIC) -> GraspOutcome:
+def execute_grasp(scene: Scene, grasp: Grasp, base: Pose2, map_pair: MapPair) -> GraspOutcome:
     """Deterministic surrogate for physical grasp execution.
 
     Succeeds iff the ground-truth grasp the detector matched
     (`grasp.truth_index`) is intrinsically good, the grasp is comfortably
     reachable from the executing base pose, and enough of the contact region
-    has actually been observed.  A grasp with no ground-truth match fails.
+    has actually been observed (the EXEC_MIN_* bounds).  A grasp with no
+    ground-truth match fails.
     """
     if grasp.truth_index < 0:
         return GraspOutcome.FAILED
     truth = scene.truth_grasps[grasp.truth_index]
     score, _ = reachability(map_pair, grasp, base)
-    ok = (truth.intrinsic_quality >= min_intrinsic
+    ok = (truth.intrinsic_quality >= EXEC_MIN_INTRINSIC
           and score >= EXEC_MIN_REACH
           and grasp.coverage >= EXEC_MIN_COVERAGE)
     return GraspOutcome.SUCCEEDED if ok else GraspOutcome.FAILED

@@ -36,7 +36,7 @@ from .grasping import (
     update_stability,
 )
 from .perception import TsdfGrid, integrate_depth, project_occupancy
-from .planning import PlannerConfig, camera_at
+from .planning import PlannerConfig, camera_at, state_at
 from .policies import Abort, Belief, ExecuteGrasp, MoveStep, PolicyKind, make_policy
 from .scene import (
     ARENA_HALF,
@@ -218,7 +218,7 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
             break
         assert isinstance(decision, MoveStep)
         new_base = decision.base
-        cell_state = occ.state_at(new_base.xy)
+        cell_state = state_at(occ, new_base.xy)
         if cell_state == CellState.OCCUPIED:
             raise PolicySafetyError(
                 f"{cfg.policy.value} stepped into an occupied cell at "
@@ -376,10 +376,6 @@ CSV_HEADER = ["policy", "scenario", "hard", "sr", "ar", "gfr",
               "d_mean", "d_std", "v_mean", "v_std", "config_hash"]
 
 
-def _episode_worker(args: tuple[RunConfig, int]) -> tuple[EpisodeResult, list[dict]]:
-    return run_episode_traced(*args)
-
-
 def default_workers() -> int:
     """Pool size when none is given: the CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -453,7 +449,9 @@ def _write_trace(cfg: RunConfig, index: int, trace: list[dict]) -> None:
 def _run_cells(cfgs: list[RunConfig], workers: int | None
                ) -> list[list[EpisodeResult] | Exception]:
     """Per cell, its results in index order or its lowest failed episode's
-    exception, from one pool shared by every episode of every cell."""
+    exception, from one pool shared by every episode of every cell.  The pool
+    pickles `run_episode_traced` by reference, so a worker runs that module
+    attribute as it inherited it; a replacement must be importable there."""
     workers = workers if workers is not None else default_workers()
     jobs = [(c, i) for c, cfg in enumerate(cfgs) for i in range(cfg.episodes)]
     results: list[list] = [[None] * cfg.episodes for cfg in cfgs]
@@ -470,7 +468,7 @@ def _run_cells(cfgs: list[RunConfig], workers: int | None
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
                                  initializer=_one_blas_thread) as pool:
-            futures = {pool.submit(_episode_worker, (cfgs[c], i)): (c, i) for c, i in jobs}
+            futures = {pool.submit(run_episode_traced, cfgs[c], i): (c, i) for c, i in jobs}
             try:
                 for future in as_completed(futures):
                     finish(*futures.pop(future), future.result)
@@ -479,7 +477,7 @@ def _run_cells(cfgs: list[RunConfig], workers: int | None
                 raise
     else:
         for c, i in jobs:
-            finish(c, i, lambda: _episode_worker((cfgs[c], i)))
+            finish(c, i, lambda: run_episode_traced(cfgs[c], i))
     return [next((r for r in rows if isinstance(r, Exception)), rows) for rows in results]
 
 

@@ -24,16 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .geom import (
     Aabb,
     CellState,
-    OccupancyGrid2,
+    Grid,
     Pose3,
-    VoxelGrid3,
     quat_conj,
     quat_to_matrix,
     ray_aabb_interval,
@@ -44,24 +42,18 @@ from .scene import CameraIntrinsics, DepthImage
 WEIGHT_CAP = 64.0
 
 
-class VoxelState(IntEnum):
-    UNKNOWN = 0
-    FREE = 1
-    OCCUPIED_SURFACE = 2
-
-
 @dataclass
 class TsdfGrid:
     """Voxel grid of (tsdf in [-1, 1], weight >= 0); weight 0 marks unknown."""
 
-    grid: VoxelGrid3  # cells float32, shape (nx, ny, nz, 2)
+    grid: Grid  # cells float32, shape (nx, ny, nz, 2)
     truncation: float
 
     @staticmethod
     def create(origin: np.ndarray, voxel_size: float, dims: tuple[int, int, int],
                truncation: float | None = None) -> "TsdfGrid":
         cells = np.zeros((*dims, 2), dtype=np.float32)
-        return TsdfGrid(VoxelGrid3(origin, voxel_size, dims, cells),
+        return TsdfGrid(Grid(origin, voxel_size, dims, cells),
                         truncation if truncation is not None else 4.0 * voxel_size)
 
     @staticmethod
@@ -82,15 +74,18 @@ class TsdfGrid:
         return self.grid.cells[..., 1]
 
     def state_volume(self) -> np.ndarray:
-        """VoxelState codes for every voxel, shape (nx, ny, nz) uint8.
+        """CellState codes for every voxel, shape (nx, ny, nz) uint8: FREE
+        for a positive tsdf, OCCUPIED for one at or below 0, UNKNOWN at zero
+        weight.
 
-        One elementwise pass; a voxel with positive weight and a NaN tsdf
-        stays UNKNOWN."""
+        One elementwise pass, UNKNOWN minus 2 (free) or 1 (occupied) where
+        the weight is positive; a NaN tsdf subtracts nothing, so it stays
+        UNKNOWN."""
         t = self.tsdf
-        return (self.weight > 0) * ((t > 0) + np.uint8(VoxelState.OCCUPIED_SURFACE) * (t <= 0))
+        return np.uint8(CellState.UNKNOWN) - (self.weight > 0) * (np.uint8(2) * (t > 0) + (t <= 0))
 
 
-def _frustum_voxels(g: VoxelGrid3, cam: Pose3, intr: CameraIntrinsics,
+def _frustum_voxels(g: Grid, cam: Pose3, intr: CameraIntrinsics,
                     far: float) -> tuple[slice, slice, slice] | None:
     """Index box of the voxels whose centers may lie in the view frustum cut
     at camera depth `far`, or None when it holds no voxel of `g`.
@@ -105,10 +100,8 @@ def _frustum_voxels(g: VoxelGrid3, cam: Pose3, intr: CameraIntrinsics,
     far_corners = np.array([[(u - cx) / f * far, (v - cy) / f * far, far]
                             for u in (-1.5, intr.width + 0.5) for v in (-1.5, intr.height + 0.5)])
     pts = np.vstack([cam.transform(far_corners), cam.position])
-    lo = np.floor((pts.min(axis=0) - g.origin) / g.voxel_size) - 1
-    hi = np.floor((pts.max(axis=0) - g.origin) / g.voxel_size) + 1
-    lo = np.maximum(lo, 0).astype(np.int64)
-    hi = np.minimum(hi, np.asarray(g.dims) - 1).astype(np.int64)
+    lo = np.maximum(g.world_to_index(pts.min(axis=0)) - 1, 0)
+    hi = np.minimum(g.world_to_index(pts.max(axis=0)) + 1, np.asarray(g.dims) - 1)
     if (lo > hi).any():
         return None
     return tuple(slice(a, b + 1) for a, b in zip(lo, hi))
@@ -181,13 +174,10 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
     return tsdf
 
 
-def _bbox_mask(grid: VoxelGrid3, bbox: Aabb) -> np.ndarray:
+def _bbox_mask(grid: Grid, bbox: Aabb) -> np.ndarray:
     """Boolean volume: voxel center inside bbox."""
-    nx, ny, nz = grid.dims
-    ax = [grid.origin[a] + (np.arange(grid.dims[a]) + 0.5) * grid.voxel_size for a in range(3)]
-    mx = (ax[0] >= bbox.lo[0]) & (ax[0] <= bbox.hi[0])
-    my = (ax[1] >= bbox.lo[1]) & (ax[1] <= bbox.hi[1])
-    mz = (ax[2] >= bbox.lo[2]) & (ax[2] <= bbox.hi[2])
+    mx, my, mz = ((c >= lo) & (c <= hi)
+                  for c, lo, hi in zip(grid.axis_centers(), bbox.lo, bbox.hi))
     return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
 
 
@@ -218,12 +208,12 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     g = tsdf.grid
     states = tsdf.state_volume()
     # flat x-fastest views of the per-voxel predicates for cheap gathers
-    occupied = np.asfortranarray(states == VoxelState.OCCUPIED_SURFACE).ravel(order="F")
-    countable = np.asfortranarray((states == VoxelState.UNKNOWN)
+    occupied = np.asfortranarray(states == CellState.OCCUPIED).ravel(order="F")
+    countable = np.asfortranarray((states == CellState.UNKNOWN)
                                   & _bbox_mask(g, target_bbox)).ravel(order="F")
     n_vox = countable.size
 
-    box = target_bbox.inflated(g.voxel_size * np.sqrt(3.0))
+    box = target_bbox.inflated(g.cell_size * np.sqrt(3.0))
     corners = box.corners()
     keep = intr.box_pixels(np.stack([cam.inverse_transform(corners) for cam in cams]))
 
@@ -256,23 +246,21 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     return np.bincount(cams_hit, minlength=n_cams).astype(np.int64)
 
 
-def project_occupancy(tsdf: TsdfGrid, robot_height_band: tuple[float, float]) -> OccupancyGrid2:
+def project_occupancy(tsdf: TsdfGrid, robot_height_band: tuple[float, float]) -> Grid:
     """Column-reduce a z-band of the grid to a 2D navigation map.
 
     Occupied wins over anything; a cell is Free only when the whole band in
-    that column is observed free; otherwise Unknown.
+    that column is observed free; otherwise Unknown.  Without an occupied
+    voxel the column's largest code is its state (FREE < UNKNOWN).
     """
     g = tsdf.grid
     z_lo, z_hi = robot_height_band
-    zc = g.origin[2] + (np.arange(g.dims[2]) + 0.5) * g.voxel_size
+    zc = g.axis_centers()[2]
     band = (zc >= z_lo) & (zc <= z_hi)
     if not band.any():
         raise ValueError("height band outside the grid z extent")
     states = tsdf.state_volume()[:, :, band]
-    occ_any = (states == VoxelState.OCCUPIED_SURFACE).any(axis=2)
-    all_free = (states == VoxelState.FREE).all(axis=2)
-    cells = np.full(states.shape[:2], CellState.UNKNOWN, dtype=np.uint8)
-    cells[all_free] = CellState.FREE
-    cells[occ_any] = CellState.OCCUPIED
-    return OccupancyGrid2(g.origin[:2].copy(), g.voxel_size, g.dims[:2], cells)
+    cells = np.where((states == CellState.OCCUPIED).any(axis=2),
+                     np.uint8(CellState.OCCUPIED), states.max(axis=2))
+    return Grid(g.origin[:2].copy(), g.cell_size, g.dims[:2], cells)
 

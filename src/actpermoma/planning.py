@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Aabb, CellState, OccupancyGrid2, Pose2, Pose3, facing, look_at
+from .geom import Aabb, CellState, Grid, Pose2, Pose3, facing, look_at
 from .grasping import Grasp, MapPair, exec_utility
 from .perception import TsdfGrid, rear_side_ig_batch
 from .scene import CameraIntrinsics, ROBOT_RADIUS
@@ -87,7 +87,7 @@ class CandidatePath:
 # occupancy helpers
 # ---------------------------------------------------------------------------
 
-def inflate_occupied(occ: OccupancyGrid2, radius: float = ROBOT_RADIUS) -> np.ndarray:
+def inflate_occupied(occ: Grid, radius: float = ROBOT_RADIUS) -> np.ndarray:
     """Boolean blocked mask: occupied cells dilated by the robot radius."""
     r = int(np.ceil(radius / occ.cell_size))
     occ_mask = occ.cells == CellState.OCCUPIED
@@ -103,12 +103,20 @@ def inflate_occupied(occ: OccupancyGrid2, radius: float = ROBOT_RADIUS) -> np.nd
     return blocked
 
 
-def cell_blocked(occ: OccupancyGrid2, blocked: np.ndarray, xy: np.ndarray) -> bool:
+def cell_blocked(occ: Grid, blocked: np.ndarray, xy: np.ndarray) -> bool:
     """True when `xy` lies off the grid or on a cell of the `blocked` mask."""
-    c = occ.world_to_cell(xy)
-    if not bool(occ.contains_cell(c)):
+    c = occ.world_to_index(xy)
+    if not bool(occ.contains_index(c)):
         return True
     return bool(blocked[c[0], c[1]])
+
+
+def state_at(occ: Grid, xy: np.ndarray) -> CellState:
+    """The map state of the cell under `xy`; UNKNOWN off the grid."""
+    c = occ.world_to_index(xy)
+    if not bool(occ.contains_index(c)):
+        return CellState.UNKNOWN
+    return CellState(int(occ.cells[c[0], c[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +129,7 @@ def _stable_unit(*keys: int) -> float:
     return int.from_bytes(h, "little") / 2.0**64
 
 
-def sample_base_goal_slots(occ: OccupancyGrid2, target_xy: np.ndarray, n_b: int,
+def sample_base_goal_slots(occ: Grid, target_xy: np.ndarray, n_b: int,
                            seed: int, reach_radius: float, *,
                            blocked: np.ndarray, epoch: int = 0,
                            ) -> list[tuple[int, Pose2]]:
@@ -170,7 +178,7 @@ def _octile(a: tuple[int, int], b: tuple[int, int]) -> float:
     return max(dx, dy) + (np.sqrt(2.0) - 1.0) * min(dx, dy)
 
 
-def plan_path(occ: OccupancyGrid2, start: Pose2, goal: Pose2,
+def plan_path(occ: Grid, start: Pose2, goal: Pose2,
               blocked: np.ndarray) -> list[Pose2]:
     """8-connected A* over the occupancy grid, avoiding `blocked` (obstacle
     cells inflated by the robot radius, from `inflate_occupied`), unknown
@@ -180,8 +188,8 @@ def plan_path(occ: OccupancyGrid2, start: Pose2, goal: Pose2,
     start cell itself is always treated as traversable.  Raises NoPath.
     """
     nx, ny = occ.dims
-    s = tuple(occ.world_to_cell(start.xy))
-    g = tuple(occ.world_to_cell(goal.xy))
+    s = tuple(occ.world_to_index(start.xy))
+    g = tuple(occ.world_to_index(goal.xy))
     for c in (s, g):
         if not (0 <= c[0] < nx and 0 <= c[1] < ny):
             raise NoPath(f"cell {c} outside the grid")
@@ -191,7 +199,7 @@ def plan_path(occ: OccupancyGrid2, start: Pose2, goal: Pose2,
     cell = occ.cell_size
 
     if s == g:
-        c = occ.cell_to_world_center(np.array(s))
+        c = occ.index_to_world_center(np.array(s))
         return [Pose2(float(c[0]), float(c[1]), start.theta)]
 
     g_cost = {s: 0.0}
@@ -211,9 +219,9 @@ def plan_path(occ: OccupancyGrid2, start: Pose2, goal: Pose2,
             cells.reverse()
             waypoints: list[Pose2] = []
             for i, c in enumerate(cells):
-                w = occ.cell_to_world_center(np.array(c))
+                w = occ.index_to_world_center(np.array(c))
                 if i + 1 < len(cells):
-                    nxt = occ.cell_to_world_center(np.array(cells[i + 1]))
+                    nxt = occ.index_to_world_center(np.array(cells[i + 1]))
                     th = float(np.arctan2(nxt[1] - w[1], nxt[0] - w[0]))
                 else:
                     th = waypoints[-1].theta if waypoints else start.theta
@@ -315,6 +323,8 @@ class PathUtility:
     j_ig: float
     j_exec: float
     utility: float
+    grasp: Grasp | None  # the most reachable grasp from the goal, with its arm
+    goal_reach: float    # its reachability, not weighted by the path length
 
 
 def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Grasp],
@@ -324,10 +334,11 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
     """Score every candidate path: information gain of its views, each
     weighted down by the squared travel to it, plus the best grasp
     reachability at its goal (`exec_utility`) weighted down by the path
-    length.  Both weights floor the distance at DIST_CLAMP; `unit_weights`
-    drops them.  The IG weight switches from 1 to cfg.w_ig once `grasp_found`
-    (the caller's latch: a stable grasp has been seen): exploit once there is
-    something to exploit."""
+    length; that grasp and its unweighted reachability ride along for the
+    grasp trigger.  Both weights floor the distance at DIST_CLAMP;
+    `unit_weights` drops them.  The IG weight switches from 1 to cfg.w_ig
+    once `grasp_found` (the caller's latch: a stable grasp has been seen):
+    exploit once there is something to exploit."""
     w_ig_eff = cfg.w_ig if grasp_found else 1.0
     # deduplicate identical camera views across paths; view_ids[i][j] is the
     # batch slot of path i's view j
@@ -355,13 +366,14 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
             d = 1.0 if unit_weights else max(v.arc, DIST_CLAMP)
             j_ig += float(counts[i]) / (d * d)
         length = 1.0 if unit_weights else max(p.length, DIST_CLAMP)
-        j_exec = exec_utility(grasps, p, map_pair) / length
+        grasp, goal_reach = exec_utility(grasps, p, map_pair)
+        j_exec = goal_reach / length
         # the cross-scale constant converts the per-meter executability to the
         # voxel-count scale of the gain term; without length weighting the
         # executability is already unitless, so the constant goes too
         scale = 1.0 if unit_weights else cfg.utility_scale
         u = w_ig_eff * ig_norm * j_ig + cfg.w_exec * scale * j_exec
-        out.append(PathUtility(p, j_ig, j_exec, u))
+        out.append(PathUtility(p, j_ig, j_exec, u, grasp, goal_reach))
     return out
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geom import Aabb, OccupancyGrid2, Pose2, Pose3, facing, look_at
+from .geom import Aabb, Grid, Pose2, Pose3, facing, look_at
 from .grasping import Grasp, MapPair, best_grasp, reachability
 from .perception import TsdfGrid, rear_side_ig_batch
 from .planning import (
@@ -74,7 +74,7 @@ class Belief:
 
     robot: Pose2
     target_tsdf: TsdfGrid
-    occ: OccupancyGrid2
+    occ: Grid
     stable_grasps: list[Grasp]
     target_center: np.ndarray
     target_bbox: Aabb
@@ -101,7 +101,7 @@ class RouteCache:
     def __init__(self) -> None:
         self.routes: dict[int, list[Pose2]] = {}
 
-    def path_to(self, occ: OccupancyGrid2, blocked: np.ndarray, robot: Pose2,
+    def path_to(self, occ: Grid, blocked: np.ndarray, robot: Pose2,
                 goal: Pose2, key: int) -> list[Pose2]:
         cached = self.routes.get(key)
         if cached is not None and self._valid(cached, occ, blocked, robot, goal):
@@ -130,15 +130,15 @@ class RouteCache:
                 best = i
         return float(d[best]), best
 
-    def _valid(self, route: list[Pose2], occ: OccupancyGrid2, blocked: np.ndarray,
+    def _valid(self, route: list[Pose2], occ: Grid, blocked: np.ndarray,
                robot: Pose2, goal: Pose2) -> bool:
         if float(np.linalg.norm(route[-1].xy - goal.xy)) > 1e-9:
             return False
         lateral, _ = self._projection(route, robot.xy)
         if lateral > self.MAX_LATERAL:
             return False
-        cells = occ.world_to_cell(np.array([w.xy for w in route]))
-        inside = occ.contains_cell(cells)
+        cells = occ.world_to_index(np.array([w.xy for w in route]))
+        inside = occ.contains_index(cells)
         if not bool(inside.all()):
             return False
         return not bool(blocked[cells[:, 0], cells[:, 1]].any())
@@ -252,14 +252,11 @@ class ActPerMoMaPolicy(Policy):
         }
 
         if self.exec_rule == "utility":
-            if belief.stable_grasps:
-                # gate on the undiscounted executability at the goal: at the
-                # goal the path-length weight of the selection utility has
-                # collapsed and would make any threshold meaningless
-                g, goal_score = best_grasp(self.maps, belief.stable_grasps,
-                                           best.path.goal_base)
-                if should_execute(best.path, goal_score, cfg):
-                    return ExecuteGrasp(g)
+            # gate on the undiscounted executability at the goal: at the goal
+            # the path-length weight of the selection utility has collapsed
+            # and would make any threshold meaningless
+            if best.grasp is not None and should_execute(best.path, best.goal_reach, cfg):
+                return ExecuteGrasp(best.grasp)
         else:  # proximity: grab as soon as the target ring is reached
             d = float(np.linalg.norm(belief.robot.xy - target_xy))
             if belief.stable_grasps and d <= cfg.reach_radius:

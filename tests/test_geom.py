@@ -6,11 +6,10 @@ import pytest
 from actpermoma.geom import (
     Aabb,
     CellState,
-    OccupancyGrid2,
+    Grid,
     Pose2,
     Pose3,
     Ray,
-    VoxelGrid3,
     cells_from_rle,
     cells_to_rle,
     look_at,
@@ -21,20 +20,21 @@ from actpermoma.geom import (
     traverse_ray,
     wrap_angle,
 )
+from actpermoma.planning import state_at
 
 
-def make_grid(dims=(8, 8, 8), voxel=0.1, origin=(0.0, 0.0, 0.0)) -> VoxelGrid3:
-    return VoxelGrid3(np.array(origin), voxel, dims, np.zeros(dims, dtype=np.uint8))
+def make_grid(dims=(8, 8, 8), voxel=0.1, origin=(0.0, 0.0, 0.0)) -> Grid:
+    return Grid(np.array(origin), voxel, dims, np.zeros(dims, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
 # oracle: dense sampling along the ray at voxel_size/100 steps
 # ---------------------------------------------------------------------------
 
-def sampling_traversal(grid: VoxelGrid3, origin, direction, max_range, substep=100):
+def sampling_traversal(grid: Grid, origin, direction, max_range, substep=100):
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    ts = np.arange(0.0, max_range, grid.voxel_size / substep)
+    ts = np.arange(0.0, max_range, grid.cell_size / substep)
     pts = np.asarray(origin, dtype=float) + ts[:, None] * direction
     idx = grid.world_to_index(pts)
     inside = grid.contains_index(idx)
@@ -47,10 +47,10 @@ def sampling_traversal(grid: VoxelGrid3, origin, direction, max_range, substep=1
     return seq
 
 
-def chord_length(grid: VoxelGrid3, origin, direction, ijk) -> float:
+def chord_length(grid: Grid, origin, direction, ijk) -> float:
     """Exact length of the ray segment inside voxel ijk (0 when grazing)."""
-    lo = grid.origin + np.asarray(ijk) * grid.voxel_size
-    box = Aabb(lo, lo + grid.voxel_size)
+    lo = grid.origin + np.asarray(ijk) * grid.cell_size
+    box = Aabb(lo, lo + grid.cell_size)
     from actpermoma.geom import ray_aabb_interval
 
     t0, t1 = ray_aabb_interval(np.asarray(origin)[None, :], np.asarray(direction)[None, :], box)
@@ -105,23 +105,26 @@ def test_look_at_points_at_target():
     assert abs(np.linalg.norm(cam.orientation) - 1) < 1e-9
 
 
-def test_grid_round_trip_world_index():
-    g = make_grid((7, 5, 9), 0.015, (-0.3, 0.2, 0.7))
-    for i in range(7):
-        for j in range(5):
-            for k in range(9):
-                c = g.index_to_world_center(np.array([i, j, k]))
-                assert tuple(g.world_to_index(c)) == (i, j, k)
-
-
-def test_grid_flat_index_is_x_fastest():
-    g = make_grid((2, 3, 2), 1.0)
-    g.cells = np.arange(12, dtype=np.uint8).reshape(2, 3, 2)  # cells[i,j,k]
-    idx = np.argwhere(np.ones(g.dims, dtype=bool))
-    flat = np.empty(12, dtype=np.uint8)
-    flat[g.flat_index(idx)] = g.cells[idx[:, 0], idx[:, 1], idx[:, 2]]
-    # expected order: (0,0,0), (1,0,0), (0,1,0), (1,1,0), (0,2,0), (1,2,0), (0,0,1), ...
-    assert list(flat) == [0, 6, 2, 8, 4, 10, 1, 7, 3, 9, 5, 11]
+@pytest.mark.parametrize("origin,cell,dims", [((-0.3, 0.2), 0.1, (7, 5)),
+                                               ((-0.3, 0.2, 0.7), 0.015, (7, 5, 9))],
+                         ids=["2d", "3d"])
+def test_grid_index_maps(origin, cell, dims):
+    g = Grid(np.array(origin), cell, dims, np.arange(np.prod(dims)).reshape(dims))
+    idx = np.argwhere(np.ones(dims, dtype=bool))  # every cell
+    centers = g.index_to_world_center(idx)
+    assert np.array_equal(g.world_to_index(centers), idx)
+    assert np.array_equal(g.centers()[tuple(idx.T)], centers)
+    for a, axis in enumerate(g.axis_centers()):
+        assert np.array_equal(axis[idx[:, a]], centers[:, a])
+    assert g.contains_index(idx).all()
+    for a, n in enumerate(dims):
+        for off in (-1, n):  # one cell past either end of each axis
+            assert not g.contains_index(np.where(np.arange(len(dims)) == a, off, idx)).any()
+    assert (g.world_to_index(g.origin) == 0).all()
+    assert not g.contains_index(g.world_to_index(g.max_corner))
+    # x-fastest flat index: the order of cells.ravel(order="F")
+    flat = np.empty_like(g.cells.ravel())
+    flat[g.flat_index(idx)] = g.cells[tuple(idx.T)]
     assert np.array_equal(flat, g.cells.ravel(order="F"))
 
 
@@ -179,7 +182,7 @@ def test_traverse_matches_sampling_oracle_random():
         # every sampled voxel must be traversed; extras must be boundary grazes
         assert want_set <= got_set
         for extra in got_set - want_set:
-            assert chord_length(g, origin, direction, extra) < g.voxel_size / 50
+            assert chord_length(g, origin, direction, extra) < g.cell_size / 50
         n_checked += 1
     assert n_checked >= 50
 
@@ -212,12 +215,12 @@ def test_traverse_batch_equals_scalar():
 
 
 def test_occupancy_grid_lookup():
-    occ = OccupancyGrid2(np.array([0.0, 0.0]), 0.1, (4, 4),
-                         np.full((4, 4), CellState.UNKNOWN, dtype=np.uint8))
+    occ = Grid(np.array([0.0, 0.0]), 0.1, (4, 4),
+               np.full((4, 4), CellState.UNKNOWN, dtype=np.uint8))
     occ.cells[1, 2] = CellState.OCCUPIED
-    assert occ.state_at(np.array([0.15, 0.25])) == CellState.OCCUPIED
-    assert occ.state_at(np.array([5.0, 5.0])) == CellState.UNKNOWN
-    assert tuple(occ.world_to_cell(np.array([0.15, 0.25]))) == (1, 2)
+    assert state_at(occ, np.array([0.15, 0.25])) == CellState.OCCUPIED
+    assert state_at(occ, np.array([0.05, 0.25])) == CellState.UNKNOWN
+    assert state_at(occ, np.array([5.0, 5.0])) == CellState.UNKNOWN
 
 
 def test_occupancy_rle_is_x_fastest_state_runs():

@@ -5,10 +5,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from actpermoma.geom import Pose2, Pose3, look_at, quat_from_yaw, quat_rotate
+from actpermoma.geom import CellState, Pose2, Pose3, look_at, quat_from_yaw, quat_rotate
 from actpermoma.grasping import (
     Arm,
     ARM_OFFSET,
+    EXEC_MIN_INTRINSIC,
     Grasp,
     GraspDetector,
     GraspOutcome,
@@ -22,7 +23,7 @@ from actpermoma.grasping import (
     smoothstep,
     update_stability,
 )
-from actpermoma.perception import TsdfGrid, VoxelState, integrate_depth
+from actpermoma.perception import TsdfGrid, integrate_depth
 from actpermoma.scene import (
     Approach,
     CameraIntrinsics,
@@ -92,7 +93,7 @@ def test_detect_coverage_matches_exhaustive_count():
         idx = np.argwhere(np.ones(g.dims, dtype=bool))
         near = np.linalg.norm(idx - g.world_to_index(pose.position), axis=1) <= 3
         sd = primitive_sdf(target, centers)
-        on_surf = (sd <= 0.0) & (sd >= -g.voxel_size)
+        on_surf = (sd <= 0.0) & (sd >= -g.cell_size)
         approach = quat_rotate(pose.orientation, np.array([0.0, 0.0, 1.0]))
         h = 2e-3
         grad = np.stack([(primitive_sdf(target, centers + e) - primitive_sdf(target, centers - e))
@@ -101,12 +102,12 @@ def test_detect_coverage_matches_exhaustive_count():
         n = np.linalg.norm(grad, axis=1, keepdims=True)
         n[n < 1e-12] = 1.0
         facing = (grad / n) @ (-approach) > 0.2
-        above = centers[:, 2] >= 0.75 + 0.5 * g.voxel_size
+        above = centers[:, 2] >= 0.75 + 0.5 * g.cell_size
         shell = idx[near & on_surf & facing & above]
         if shell.shape[0] == 0:
             continue
         nonempty.add(gi)
-        obs = states[shell[:, 0], shell[:, 1], shell[:, 2]] == VoxelState.OCCUPIED_SURFACE
+        obs = states[shell[:, 0], shell[:, 1], shell[:, 2]] == CellState.OCCUPIED
         assert coverage[gi] == pytest.approx(obs.mean())
     # q_th 0 reports every grasp that has a contact shell
     assert set(coverage) == nonempty
@@ -240,13 +241,15 @@ def test_reachability_matches_two_map_oracle():
 
 def test_exec_utility_empty_and_arithmetic():
     path = _FakePath(goal_base=Pose2(0, 0, 0))
-    assert exec_utility([], path, MAPS) == 0.0
+    assert exec_utility([], path, MAPS) == (None, 0.0)
     g = replace(_grasp_at((0, 0, 0)),
                 pose=Pose3(np.array([0.65 * np.cos(ARM_OFFSET[Arm.LEFT]),
                                      0.65 * np.sin(ARM_OFFSET[Arm.LEFT]), 0.8]),
                            TOP_DOWN_Q))
     # the left arm's peak: reachability 1.0, not weighted by any path length
-    assert exec_utility([g], path, MAPS) == pytest.approx(1.0)
+    chosen, score = exec_utility([g], path, MAPS)
+    assert chosen.pose is g.pose and chosen.arm is Arm.LEFT
+    assert score == pytest.approx(1.0)
 
 
 def test_exec_utility_matches_exhaustive_max():
@@ -259,7 +262,7 @@ def test_exec_utility_matches_exhaustive_max():
             grasps.append(replace(_grasp_at((0, 0, 0)),
                                   pose=Pose3(gp, quat_from_yaw(rng.uniform(0, 6)))))
         want = max(reachability(MAPS, g, base)[0] for g in grasps)
-        got = exec_utility(grasps, _FakePath(base), MAPS)
+        _, got = exec_utility(grasps, _FakePath(base), MAPS)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -289,17 +292,22 @@ def test_execute_grasp_truth_table():
                          float(np.arctan2(gp[1] - xy[1], gp[0] - xy[0])))
         return Pose2(float(gp[0] - 2.5), float(gp[1]), 0.0)
 
+    def with_intrinsic(ok: bool):
+        # the matched truth grasp just below or at the inclusive bound
+        truths = list(scene.truth_grasps)
+        truths[g.truth_index] = replace(
+            truth, intrinsic_quality=EXEC_MIN_INTRINSIC if ok else EXEC_MIN_INTRINSIC - 0.01)
+        return replace(scene, truth_grasps=tuple(truths))
+
     for intrinsic_ok in (False, True):
         for reach_ok in (False, True):
             for cover_ok in (False, True):
                 gg = replace(g, coverage=0.9 if cover_ok else 0.1)
                 base = base_with_reach(reach_ok)
-                out = execute_grasp(scene, gg, base, MAPS,
-                                    min_intrinsic=0.0 if intrinsic_ok else 1.01)
-                # intrinsic_ok False forces the intrinsic condition to fail
+                out = execute_grasp(with_intrinsic(intrinsic_ok), gg, base, MAPS)
                 want = intrinsic_ok and reach_ok and cover_ok
                 assert (out is GraspOutcome.SUCCEEDED) == want, (
-                    intrinsic_ok, reach_ok, cover_ok, truth.intrinsic_quality)
+                    intrinsic_ok, reach_ok, cover_ok)
 
 
 def test_execute_grasp_no_matching_truth_fails():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import re
@@ -295,7 +296,7 @@ def test_run_cell_pooled_traces_equal_serial_bytes(tmp_path):
     assert traces(2) == serial
 
 
-def _blas_threads_worker(args) -> tuple[tuple[int, int | None], list]:
+def _blas_threads_worker(cfg, episode_index) -> tuple[tuple[int, int | None], list]:
     get = harness._openblas_function("get")
     get.restype = ctypes.c_int
     tasks = Path("/proc/self/task")  # the worker's OS threads, where Linux lists them
@@ -308,7 +309,7 @@ def test_run_cell_workers_run_one_blas_thread(monkeypatch):
         pytest.skip("numpy's BLAS is not OpenBLAS: no get_num_threads symbol to read")
     get.restype = ctypes.c_int
     before = get()
-    monkeypatch.setattr(harness, "_episode_worker", _blas_threads_worker)
+    monkeypatch.setattr(harness, "run_episode_traced", _blas_threads_worker)
     cfg = RunConfig(planner=FAST, episodes=2, policy=PolicyKind.NAIVE)
     rows = run_cell(cfg, workers=2)
     assert [blas for blas, _ in rows] == [1, 1]
@@ -384,16 +385,26 @@ def test_run_experiment_pooled_directory_equals_serial_bytes(tmp_path):
     assert pooled == serial
 
 
+# stand-ins for `harness.run_episode_traced` that a process pool runs are
+# module-level: the pool pickles the function it submits by reference
+
+
+def _random_fails_after_episode_0(cfg, episode_index):
+    if cfg.policy is PolicyKind.RANDOM and episode_index > 0:
+        raise RuntimeError(f"boom {episode_index}")
+    return run_episode_traced(cfg, episode_index)
+
+
+def _slow_episode(ran: Path, cfg, episode_index):
+    with ran.open("a") as f:
+        f.write(f"{cfg.base_seed} {episode_index}\n")
+    time.sleep(0.05)
+    return None, []
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_experiment_failing_cell_fails_alone(tmp_path, monkeypatch, workers):
-    real = harness.run_episode_traced
-
-    def flaky(cfg, episode_index):  # forked pool workers inherit the patch
-        if cfg.policy is PolicyKind.RANDOM and episode_index > 0:
-            raise RuntimeError(f"boom {episode_index}")
-        return real(cfg, episode_index)
-
-    monkeypatch.setattr(harness, "run_episode_traced", flaky)
+    monkeypatch.setattr(harness, "run_episode_traced", _random_fails_after_episode_0)
     cells = [RunConfig(planner=FAST, episodes=3, base_seed=1, policy=policy)
              for policy in (PolicyKind.NAIVE, PolicyKind.RANDOM)]
     cells.append(replace(cells[0], base_seed=2))
@@ -414,16 +425,10 @@ class _Interrupt(BaseException):
 def test_run_experiment_interrupt_cancels_queued_episodes(tmp_path, monkeypatch):
     ran = tmp_path / "ran"
 
-    def slow(cfg, episode_index):  # forked pool workers inherit the patch
-        with ran.open("a") as f:
-            f.write(f"{cfg.base_seed} {episode_index}\n")
-        time.sleep(0.05)
-        return None, []
-
     def interrupted(cfg, index, trace):  # the consumer stops at the first result
         raise _Interrupt
 
-    monkeypatch.setattr(harness, "run_episode_traced", slow)
+    monkeypatch.setattr(harness, "run_episode_traced", functools.partial(_slow_episode, ran))
     monkeypatch.setattr(harness, "_write_trace", interrupted)
     cells = [RunConfig(planner=FAST, episodes=8, base_seed=seed) for seed in range(3)]
     with pytest.raises(_Interrupt):
@@ -587,9 +592,13 @@ def test_cli_run_compare_render(tmp_path, capsys):
                "--seed", "5", "--config", str(cfg_file), "--out", str(tmp_path / "c"),
                "--workers", "1"])
     assert rc == 0
-    with pytest.raises(ValueError, match=r"only in a \[0, 1\], only in b \[5, 6\]"):
-        main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "c"),
-              "--metric", "sr"])
+    capsys.readouterr()
+    rc = main(["compare", "--a", str(tmp_path / "a"), "--b", str(tmp_path / "c"),
+               "--metric", "sr"])
+    stdout, stderr = capsys.readouterr()
+    assert rc == 2 and stdout == ""  # a refusal, not an inconclusive result
+    assert re.fullmatch(r"error: a and b hold different scenes: "
+                        r"only in a \[0, 1\], only in b \[5, 6\]\n", stderr)
     trace = next((tmp_path / "a").glob("**/ep*.jsonl"))
     rc = main(["render", "--trace", str(trace), "--out", str(tmp_path / "img.svg")])
     assert rc == 0
@@ -617,8 +626,10 @@ def test_cli_run_refuses_a_cell_with_a_failed_episode(tmp_path, monkeypatch, cap
     assert f"{cell.name}: boom" in stderr
     assert len(list(cell.glob("episodes/ep*.jsonl"))) == 2  # the finished episodes
     for directory in (out, cell):  # nor are its partial traces compared
-        with pytest.raises(ValueError, match=f"{cell.name}: boom"):
-            main(["compare", "--a", str(directory), "--b", str(directory), "--metric", "sr"])
+        rc = main(["compare", "--a", str(directory), "--b", str(directory), "--metric", "sr"])
+        stdout, stderr = capsys.readouterr()
+        assert rc == 2 and stdout == ""
+        assert stderr.startswith("error: ") and f"{cell.name}: boom" in stderr
 
 
 def test_cli_ablate_exits_1_naming_a_failed_cell(tmp_path, monkeypatch, capsys):

@@ -21,7 +21,6 @@ from actpermoma.geom import (
 from actpermoma.grasping import build_map_pair
 from actpermoma.perception import (
     TsdfGrid,
-    VoxelState,
     integrate_depth,
     project_occupancy,
     rear_side_ig_batch,
@@ -65,7 +64,7 @@ def rear_side_oracle(tsdf: TsdfGrid, cam: Pose3, intr: CameraIntrinsics, bbox: A
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = dirs @ cam.rotation_matrix().T
     counted: set[tuple[int, int, int]] = set()
-    ts = np.arange(0.0, intr.max_range, g.voxel_size / 100.0)
+    ts = np.arange(0.0, intr.max_range, g.cell_size / 100.0)
     for d in dirs:
         pts = cam.position + ts[:, None] * d
         idx = g.world_to_index(pts)
@@ -79,18 +78,18 @@ def rear_side_oracle(tsdf: TsdfGrid, cam: Pose3, intr: CameraIntrinsics, bbox: A
                 continue
             prev = t
             st = states[t]
-            if seen and st == VoxelState.UNKNOWN:
+            if seen and st == CellState.UNKNOWN:
                 center = g.index_to_world_center(np.array(t))
                 if bool(bbox.contains(center)):
                     counted.add(t)
-            if st == VoxelState.OCCUPIED_SURFACE:
+            if st == CellState.OCCUPIED:
                 seen = True
     return len(counted)
 
 
 def test_fresh_grid_all_unknown():
     t = fresh_target_grid([0.0, 0.0, 0.9])
-    assert (t.state_volume() == VoxelState.UNKNOWN).all()
+    assert (t.state_volume() == CellState.UNKNOWN).all()
 
 
 def test_state_volume_codes_each_voxel_nan_tsdf_stays_unknown():
@@ -99,13 +98,13 @@ def test_state_volume_codes_each_voxel_nan_tsdf_stays_unknown():
     t.grid.cells[..., 0] = rng.choice([-1.0, -0.3, -0.0, 0.0, 0.2, 1.0, np.nan], size=(7, 6, 5))
     t.grid.cells[..., 1] = rng.choice([0.0, 1.0, 3.0, np.nan], size=(7, 6, 5))
     tsdf, weight = t.tsdf, t.weight
-    want = np.full((7, 6, 5), VoxelState.UNKNOWN, dtype=np.uint8)
-    want[(weight > 0) & (tsdf > 0)] = VoxelState.FREE
-    want[(weight > 0) & (tsdf <= 0)] = VoxelState.OCCUPIED_SURFACE
+    want = np.full((7, 6, 5), CellState.UNKNOWN, dtype=np.uint8)
+    want[(weight > 0) & (tsdf > 0)] = CellState.FREE
+    want[(weight > 0) & (tsdf <= 0)] = CellState.OCCUPIED
     states = t.state_volume()
     assert states.dtype == np.uint8
     assert np.array_equal(states, want)
-    assert (states[np.isnan(tsdf) & (weight > 0)] == VoxelState.UNKNOWN).all()
+    assert (states[np.isnan(tsdf) & (weight > 0)] == CellState.UNKNOWN).all()
 
 
 def test_integrate_twice_idempotent_values():
@@ -130,14 +129,14 @@ def test_plane_sign_convention():
     img = render_depth(scene, cam, INTR)
     integrate_depth(t, img, cam)
     states = t.state_volume()
-    zc = t.grid.origin[2] + (np.arange(40) + 0.5) * t.grid.voxel_size
+    zc = t.grid.axis_centers()[2]
     ci, cj = 20, 20
     high = zc > scene.target_center[2] + 0.15  # free air well above the objects
-    assert (states[ci, cj, high] == VoxelState.FREE).all()
+    assert (states[ci, cj, high] == CellState.FREE).all()
     # voxels below the tabletop (beyond truncation) stay unknown
-    low = zc < 0.75 - t.truncation - t.grid.voxel_size
+    low = zc < 0.75 - t.truncation - t.grid.cell_size
     if low.any():
-        assert (states[ci, cj, low] == VoxelState.UNKNOWN).all()
+        assert (states[ci, cj, low] == CellState.UNKNOWN).all()
 
 
 @pytest.mark.parametrize("res,min_frac", [(128, 0.95), (64, 0.90)])
@@ -174,7 +173,7 @@ def test_fused_surface_matches_analytic_sdf(res, min_frac):
         centers = t.grid.index_to_world_center(shell)
         d = np.abs(scene_sdf(scene, centers))
         hits += len(shell)
-        good += int((d <= t.grid.voxel_size).sum())
+        good += int((d <= t.grid.cell_size).sum())
     assert hits > 0
     assert good / hits >= min_frac
 
@@ -347,7 +346,7 @@ def test_dense_view_sphere_completeness():
 
     mask = _bbox_mask(t.grid, scene.target_bbox)
     states = t.state_volume()
-    unknown_frac = (states[mask] == VoxelState.UNKNOWN).mean()
+    unknown_frac = (states[mask] == CellState.UNKNOWN).mean()
     assert unknown_frac < 0.05
 
 
@@ -368,6 +367,30 @@ def test_project_occupancy_states():
     assert occ.cells[5, 5] == CellState.FREE
     assert occ.cells[8, 3] == CellState.OCCUPIED
     assert occ.cells[2, 2] == CellState.UNKNOWN
+
+    # every column of a random belief: occupied wins, free only if the whole
+    # band is free, else unknown, read from the voxels' state_volume codes
+    rng = np.random.default_rng(4)
+    nav.grid.cells[..., 0] = rng.choice([-0.5, 0.5, np.nan], size=nav.grid.dims, p=[0.02, 0.9, 0.08])
+    nav.grid.cells[..., 1] = rng.choice([0.0, 1.0], size=nav.grid.dims, p=[0.05, 0.95])
+    occ = project_occupancy(nav, (0.15, 1.05))
+    zc = nav.grid.axis_centers()[2]
+    band = nav.state_volume()[:, :, (zc >= 0.15) & (zc <= 1.05)]
+    assert occ.cells.dtype == np.uint8 and occ.dims == (20, 20) and occ.cell_size == 0.1
+    assert np.array_equal(occ.origin, [-1.0, -1.0])
+    seen = set()
+    for i in range(20):
+        for j in range(20):
+            column = set(band[i, j].tolist())
+            if CellState.OCCUPIED in column:
+                want = CellState.OCCUPIED
+            elif column == {CellState.FREE}:
+                want = CellState.FREE
+            else:
+                want = CellState.UNKNOWN
+            assert occ.cells[i, j] == want, (i, j, column)
+            seen.add(want)
+    assert seen == set(CellState)
 
 
 def test_project_occupancy_carved_corridor():
@@ -479,10 +502,10 @@ def rear_side_reference(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsic
         for d in dirs_cam @ cam.rotation_matrix().T:
             seen = False
             for ijk in traverse_ray(g, Ray(cam.position, d), intr.max_range):
-                if (seen and states[ijk] == VoxelState.UNKNOWN
+                if (seen and states[ijk] == CellState.UNKNOWN
                         and bool(bbox.contains(g.index_to_world_center(np.array(ijk))))):
                     hits.add((c, ijk))
-                seen |= states[ijk] == VoxelState.OCCUPIED_SURFACE
+                seen |= states[ijk] == CellState.OCCUPIED
     return [sum(1 for c2, _ in hits if c2 == c) for c in range(len(cams))]
 
 
@@ -547,7 +570,7 @@ def box_rays(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics, bbox: Aa
     dirs_cam = dirs_cam / np.linalg.norm(dirs_cam, axis=1, keepdims=True)
     dirs = np.concatenate([dirs_cam @ cam.rotation_matrix().T for cam in cams])
     origins = np.repeat([cam.position for cam in cams], len(dirs_cam), axis=0)
-    box = bbox.inflated(tsdf.grid.voxel_size * np.sqrt(3.0))
+    box = bbox.inflated(tsdf.grid.cell_size * np.sqrt(3.0))
     t_enter, t_exit = ray_aabb_interval(origins, dirs, box)
     hit = t_enter <= t_exit
     return origins[hit], dirs[hit], np.minimum(t_exit[hit], intr.max_range)

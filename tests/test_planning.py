@@ -9,7 +9,7 @@ import pytest
 from actpermoma.geom import (
     Aabb,
     CellState,
-    OccupancyGrid2,
+    Grid,
     Pose2,
     Pose3,
     look_at,
@@ -48,9 +48,9 @@ def goal_slots(occ, target, n_b, seed):
                                   blocked=inflate_occupied(occ))
 
 
-def empty_occ(n=64, cell=0.1, state=CellState.FREE) -> OccupancyGrid2:
+def empty_occ(n=64, cell=0.1, state=CellState.FREE) -> Grid:
     half = n * cell / 2
-    return OccupancyGrid2(np.array([-half, -half]), cell, (n, n),
+    return Grid(np.array([-half, -half]), cell, (n, n),
                           np.full((n, n), state, dtype=np.uint8))
 
 
@@ -58,19 +58,19 @@ def empty_occ(n=64, cell=0.1, state=CellState.FREE) -> OccupancyGrid2:
 # oracle: uniform-cost Dijkstra under the same cost model
 # ---------------------------------------------------------------------------
 
-def path_cost(occ: OccupancyGrid2, waypoints: list[Pose2]) -> float:
+def path_cost(occ: Grid, waypoints: list[Pose2]) -> float:
     """Traversal cost of a waypoint sequence under the planner's cost model."""
     unknown = occ.cells == CellState.UNKNOWN
     total = 0.0
     for a, b in zip(waypoints, waypoints[1:]):
         step = float(np.linalg.norm(b.xy - a.xy))
-        c = occ.world_to_cell(b.xy)
-        mult = UNKNOWN_COST if bool(occ.contains_cell(c)) and unknown[c[0], c[1]] else 1.0
+        c = occ.world_to_index(b.xy)
+        mult = UNKNOWN_COST if bool(occ.contains_index(c)) and unknown[c[0], c[1]] else 1.0
         total += step * mult
     return total
 
 
-def dijkstra_cost(occ: OccupancyGrid2, blocked, s, g) -> float:
+def dijkstra_cost(occ: Grid, blocked, s, g) -> float:
     nx, ny = occ.dims
     unknown = occ.cells == CellState.UNKNOWN
     dist = {s: 0.0}
@@ -125,7 +125,7 @@ def test_inflate_occupied_equals_brute_force_disc_dilation():
             if rng.random() < 0.5:
                 cells[i, j] = CellState.OCCUPIED
         radius = float(rng.choice([0.0, 0.1, 0.25, 0.3, 0.55]))
-        occ = OccupancyGrid2(np.zeros(2), 0.1, (nx, ny), cells)
+        occ = Grid(np.zeros(2), 0.1, (nx, ny), cells)
         r = int(np.ceil(radius / 0.1))
         want = np.zeros((nx, ny), dtype=bool)
         for oi, oj in np.argwhere(cells == CellState.OCCUPIED):
@@ -142,14 +142,14 @@ def test_sample_base_goals_respects_occupancy():
     cells = occ.cells.copy()
     for i in range(occ.dims[0]):
         for j in range(occ.dims[1]):
-            c = occ.cell_to_world_center(np.array([i, j]))
+            c = occ.index_to_world_center(np.array([i, j]))
             if c[1] > 0.2:
                 cells[i, j] = CellState.OCCUPIED
     occ.cells = cells
     goals = [p for _, p in goal_slots(occ, np.array([0.0, 0.0]), 16, 1)]
     blocked = inflate_occupied(occ)
     for p in goals:
-        c = occ.world_to_cell(p.xy)
+        c = occ.world_to_index(p.xy)
         assert not blocked[c[0], c[1]]
         assert p.y <= 0.2
 
@@ -180,7 +180,7 @@ def test_plan_path_cost_equals_dijkstra_on_random_grids():
     checked = 0
     for trial in range(200):
         n = 20
-        occ = OccupancyGrid2(np.zeros(2), 0.1, (n, n),
+        occ = Grid(np.zeros(2), 0.1, (n, n),
                              np.full((n, n), CellState.FREE, dtype=np.uint8))
         occ.cells[rng.random((n, n)) < 0.25] = CellState.OCCUPIED
         occ.cells[rng.random((n, n)) < 0.2] = CellState.UNKNOWN
@@ -191,8 +191,8 @@ def test_plan_path_cost_equals_dijkstra_on_random_grids():
         blocked = inflate_occupied(occ, radius=0.0)
         blocked[s] = False
         want = dijkstra_cost(occ, blocked, s, g)
-        start = Pose2(*occ.cell_to_world_center(np.array(s)), 0.0)
-        goal = Pose2(*occ.cell_to_world_center(np.array(g)), 0.0)
+        start = Pose2(*occ.index_to_world_center(np.array(s)), 0.0)
+        goal = Pose2(*occ.index_to_world_center(np.array(g)), 0.0)
         if blocked[g] or np.isinf(want):
             with pytest.raises(NoPath):
                 plan_path(occ, start, goal, blocked=blocked)
@@ -260,7 +260,7 @@ def _path_with(goal_id: int, length: float, goal=Pose2(1.0, 0.0, 0.0)) -> Candid
 
 
 def _util(goal_id, utility, length=1.0) -> PathUtility:
-    return PathUtility(_path_with(goal_id, length), 0.0, 0.0, utility)
+    return PathUtility(_path_with(goal_id, length), 0.0, 0.0, utility, None, 0.0)
 
 
 def test_select_single_candidate():
@@ -347,6 +347,13 @@ def test_evaluate_paths_weights_exec_by_path_length():
     assert [u.j_exec for u in weighted] == pytest.approx([0.5, 10.0])
     unit = evaluate_paths(paths, t, [g], cfg, True, intr, bbox, MAPS, unit_weights=True)
     assert [u.j_exec for u in unit] == pytest.approx([1.0, 1.0])
+    # each utility carries the goal's best grasp, armed, and its unweighted
+    # reachability: what the grasp trigger reads without rescoring the goal
+    for u in weighted + unit:
+        assert u.grasp.pose is g.pose and u.grasp.arm is Arm.LEFT
+        assert u.goal_reach == pytest.approx(1.0)
+    assert [(u.grasp, u.goal_reach) for u in evaluate_paths(paths, t, [], cfg, True, intr,
+                                                            bbox, MAPS)] == [(None, 0.0)] * 2
 
 
 def test_step_clamps_at_waypoint():

@@ -241,7 +241,7 @@ def test_random_goal_sequence_reproducible_and_feasible():
         assert seqs[0] == seqs[1]
         assert len(seqs[0]) >= 2
         for gx, gy in seqs[0]:
-            c = belief.occ.world_to_cell(np.array([gx, gy]))
+            c = belief.occ.world_to_index(np.array([gx, gy]))
             assert not blocked[c[0], c[1]]
             assert np.linalg.norm(np.array([gx, gy]) - scene.target_center[:2]) == pytest.approx(radius)
 
