@@ -128,6 +128,26 @@ def test_grid_index_maps(origin, cell, dims):
     assert np.array_equal(flat, g.cells.ravel(order="F"))
 
 
+def test_grid_round_trip_world_index():
+    g = make_grid((7, 5, 9), 0.015, (-0.3, 0.2, 0.7))
+    for i in range(7):
+        for j in range(5):
+            for k in range(9):
+                c = g.index_to_world_center(np.array([i, j, k]))
+                assert tuple(g.world_to_index(c)) == (i, j, k)
+
+
+def test_grid_flat_index_is_x_fastest():
+    g = make_grid((2, 3, 2), 1.0)
+    g.cells = np.arange(12, dtype=np.uint8).reshape(2, 3, 2)  # cells[i,j,k]
+    idx = np.argwhere(np.ones(g.dims, dtype=bool))
+    flat = np.empty(12, dtype=np.uint8)
+    flat[g.flat_index(idx)] = g.cells[idx[:, 0], idx[:, 1], idx[:, 2]]
+    # expected order: (0,0,0), (1,0,0), (0,1,0), (1,1,0), (0,2,0), (1,2,0), (0,0,1), ...
+    assert list(flat) == [0, 6, 2, 8, 4, 10, 1, 7, 3, 9, 5, 11]
+    assert np.array_equal(flat, g.cells.ravel(order="F"))
+
+
 def test_traverse_axis_aligned_row():
     g = make_grid((4, 4, 4), 0.1)
     ray = Ray(np.array([-0.05, 0.25, 0.25]), np.array([1.0, 0.0, 0.0]))
