@@ -159,6 +159,14 @@ class Pose3:
         return quat_to_matrix(self.orientation)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.cross` of two 3-vectors: its three multiply-subtract terms on
+    Python floats, so the same bits without its per-call overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def look_at(position: np.ndarray, target: np.ndarray) -> Pose3:
     """Camera pose at `position` with optical axis (+z, y-down frame) through `target`.
 
@@ -174,9 +182,9 @@ def look_at(position: np.ndarray, target: np.ndarray) -> Pose3:
     ref = np.array([0.0, 0.0, 1.0])
     if abs(float(np.dot(z, ref))) > 1.0 - 1e-9:
         ref = np.array([1.0, 0.0, 0.0])
-    x = np.cross(z, ref)
+    x = _cross(z, ref)
     x /= np.linalg.norm(x)
-    y = np.cross(z, x)
+    y = _cross(z, x)
     rot = np.column_stack([x, y, z])
     return Pose3(position, quat_from_matrix(rot))
 
@@ -256,11 +264,6 @@ class Grid:
             raise ValueError("origin or cells shape does not match dims")
 
     @property
-    def voxel_size(self) -> float:
-        """`cell_size` by its 3D name; see `VoxelGrid3`."""
-        return self.cell_size
-
-    @property
     def max_corner(self) -> np.ndarray:
         return self.origin + np.asarray(self.dims) * self.cell_size
 
@@ -301,10 +304,6 @@ class Grid:
         out = np.moveaxis(cols, 0, -1)
         object.__setattr__(self, "_centers", out)
         return out
-
-
-# the 3D names `tests/test_sensing_oracle.py` copies its grids with
-VoxelGrid3 = Grid
 
 
 # the run-length text form of an occupancy grid's cells in episode traces:

@@ -15,15 +15,18 @@ Information gain of a candidate camera pose is the number of distinct
 unknown voxels inside the target bounding box that lie behind the first
 observed surface along that pose's pixel rays: the voxels the view could
 newly reveal.  `rear_side_ig_batch` scores many poses at once.  It culls the
-pixel rays that cannot reach the (inflated) bounding box, traces the rest in
-one exact batched traversal (`geom.traverse_batch`), and counts distinct
-(camera, voxel) hits sparsely.
+pixel rays that cannot reach the (inflated) bounding box and traces the rest
+in one exact batched traversal (`geom.traverse_batch`).  The voxels a pose's
+rays visit depend on the geometry alone, so the grid caches them per exact
+pose, bounded by IG_CACHE_VISITS, and a pose seen before is not traced
+again.  Every call then counts distinct (camera, voxel) hits in one
+vectorized pass over the visits of all its poses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +43,10 @@ from .geom import (
 from .scene import CameraIntrinsics, DepthImage
 
 WEIGHT_CAP = 64.0
+# rear_side_ig_batch's ray-visit cache bound per grid: 2**18 uint16 voxel
+# indices (512 KiB) plus a one-byte length per ray.  A 302-step ActPerMoMa
+# episode reuses as many poses under it as with no bound, which holds 3.4M.
+IG_CACHE_VISITS = 1 << 18
 
 
 @dataclass
@@ -48,6 +55,9 @@ class TsdfGrid:
 
     grid: Grid  # cells float32, shape (nx, ny, nz, 2)
     truncation: float
+    # rear_side_ig_batch's ray visits per camera pose, least recently used
+    # first; they depend only on the grid geometry
+    ray_visits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def create(origin: np.ndarray, voxel_size: float, dims: tuple[int, int, int],
@@ -181,39 +191,15 @@ def _bbox_mask(grid: Grid, bbox: Aabb) -> np.ndarray:
     return mx[:, None, None] & my[None, :, None] & mz[None, None, :]
 
 
-def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics,
-                       target_bbox: Aabb) -> np.ndarray:
-    """Rear-side counts for many candidate camera poses in one traversal pass.
+def _trace_visits(g: Grid, cams: list[Pose3], intr: CameraIntrinsics, box: Aabb
+                  ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per camera, the voxels its pixel rays visit on their way to `box`.
 
-    Per ray: march through the grid until past the first observed-surface
-    voxel, then every unknown voxel whose center lies in the target bbox
-    counts once per camera.  Only rays that reach the bbox (inflated by one
-    voxel diagonal) can count, so the work runs in three steps:
-
-    1. cull: keep the pixels inside the image rectangle that bounds each
-       camera's view of the inflated bbox (`CameraIntrinsics.box_pixels`),
-       then the rays
-       among them that `ray_aabb_interval` says hit the inflated bbox;
-    2. trace: one `traverse_batch` pass over those rays, each clipped at its
-       bbox exit or at the camera max range;
-    3. count: each countable visit becomes the key `cam * n_vox + flat`, and
-       `np.unique` + `np.bincount` count the distinct keys per camera.
-
-    Culled rays would never visit a countable voxel, so the counts equal
-    those of tracing every pixel ray.
+    The rays that reach `box` run to their exit from it or to the camera max
+    range.  A camera's visits are `(flat, lens)`: the flat indices of the
+    visited voxels, ray after ray, each ray's in hit order, and the number
+    of visits of each of its rays.
     """
-    n_cams = len(cams)
-    if n_cams == 0:
-        return np.zeros(0, dtype=np.int64)
-    g = tsdf.grid
-    states = tsdf.state_volume()
-    # flat x-fastest views of the per-voxel predicates for cheap gathers
-    occupied = np.asfortranarray(states == CellState.OCCUPIED).ravel(order="F")
-    countable = np.asfortranarray((states == CellState.UNKNOWN)
-                                  & _bbox_mask(g, target_bbox)).ravel(order="F")
-    n_vox = countable.size
-
-    box = target_bbox.inflated(g.cell_size * np.sqrt(3.0))
     corners = box.corners()
     keep = intr.box_pixels(np.stack([cam.inverse_transform(corners) for cam in cams]))
 
@@ -223,26 +209,111 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     # need not give the same bits as the full product
     dirs = np.concatenate([(dirs_cam @ cam.rotation_matrix().T)[pix]
                            for cam, pix in zip(cams, keep)])
-    cam_of = np.repeat(np.arange(n_cams), [pix.size for pix in keep])
+    cam_of = np.repeat(np.arange(len(cams)), [pix.size for pix in keep])
     origins = np.stack([cam.position for cam in cams])[cam_of]
 
     t_enter, t_exit = ray_aabb_interval(origins, dirs, box)
     reach = t_enter <= t_exit
-    origins, dirs, key_base = origins[reach], dirs[reach], cam_of[reach] * n_vox
     t_max = np.minimum(t_exit[reach], intr.max_range)
 
-    seen_surface = np.zeros(key_base.size, dtype=bool)
-    keys = []
-    for ids, ijk in traverse_batch(g, origins, dirs, t_max):
-        flat = g.flat_index(ijk)
-        hit = seen_surface[ids] & countable[flat]
-        if hit.any():
-            keys.append(key_base[ids[hit]] + flat[hit])
-        seen_surface[ids[occupied[flat]]] = True
+    # (iteration, ray) table of the visited voxels, n_vox once a ray is done;
+    # a DDA ray visits at most sum(dims) voxels
+    n_vox = math.prod(g.dims)
+    visited = np.full((sum(g.dims), int(np.count_nonzero(reach))), n_vox,
+                      dtype=np.min_scalar_type(n_vox))
+    n_iter = 0
+    for ids, ijk in traverse_batch(g, origins[reach], dirs[reach], t_max):
+        visited[n_iter, ids] = g.flat_index(ijk)
+        n_iter += 1
+    # every ray starts at the first iteration and, once done, never returns,
+    # so row r of the transpose holds ray r's visits in hit order, then fill
+    visited = visited[:n_iter].T
+    alive = visited != n_vox
+    lens = np.count_nonzero(alive, axis=1).astype(np.min_scalar_type(sum(g.dims)))
+    ray_ends = np.cumsum(np.bincount(cam_of[reach], minlength=len(cams)))[:-1]
+    visit_ends = np.r_[0, np.cumsum(lens, dtype=np.int64)][ray_ends]
+    # copies, so that evicting one pose frees its memory
+    return [(f.copy(), n.copy()) for f, n in zip(np.split(visited[alive], visit_ends),
+                                                 np.split(lens, ray_ends))]
 
-    if not keys:
+
+def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics,
+                       target_bbox: Aabb) -> np.ndarray:
+    """Rear-side counts for many candidate camera poses.
+
+    Per ray: march through the grid until past the first observed-surface
+    voxel, then every unknown voxel whose center lies in the target bbox
+    counts once per camera.  Only rays that reach the bbox (inflated by one
+    voxel diagonal) can count, so the work runs in three steps:
+
+    1. cull: keep the pixels inside the image rectangle that bounds each
+       camera's view of the inflated bbox (`CameraIntrinsics.box_pixels`),
+       then the rays among them that `ray_aabb_interval` says hit the
+       inflated bbox;
+    2. trace: one `traverse_batch` pass over those rays, each clipped at its
+       bbox exit or at the camera max range, records the voxels each ray
+       visits, in hit order;
+    3. count, in one pass over the visits of all cameras: gather `occupied`
+       and `countable` at every visit; a visit sees a surface when an
+       earlier visit of its ray was occupied (an exclusive cumulative-any
+       along each ray); each countable visit that sees one becomes the key
+       `cam * n_vox + flat`, and `np.unique` + `np.bincount` count the
+       distinct keys per camera.
+
+    Steps 1 and 2 read only the geometry, never the voxel states, so their
+    visits are cached on `tsdf` (`TsdfGrid.ray_visits`) under the exact
+    bytes of the camera pose, the intrinsics and the inflated bbox, and
+    only the cameras not in the cache are traced.  The cache keeps flat
+    indices in the smallest unsigned type that holds them (uint16 for 40^3
+    voxels) and drops its least recently used poses beyond IG_CACHE_VISITS
+    visits.  Culled rays would never visit a countable voxel, so the counts
+    equal those of tracing every pixel ray.
+    """
+    n_cams = len(cams)
+    if n_cams == 0:
+        return np.zeros(0, dtype=np.int64)
+    g = tsdf.grid
+    box = target_bbox.inflated(g.cell_size * np.sqrt(3.0))
+    view = (intr, box.lo.tobytes(), box.hi.tobytes())
+    keys = [(cam.position.tobytes(), cam.orientation.tobytes(), *view) for cam in cams]
+    cache = tsdf.ray_visits
+    visits = [cache.get(k) for k in keys]
+    missed = [c for c, v in enumerate(visits) if v is None]
+    if missed:
+        for c, v in zip(missed, _trace_visits(g, [cams[c] for c in missed], intr, box)):
+            visits[c] = v
+    # this call's poses become the most recently used, then the oldest go
+    for k, v in zip(keys, visits):
+        cache.pop(k, None)
+        cache[k] = v
+    if missed:
+        total = sum(f.size for f, _ in cache.values())
+        while total > IG_CACHE_VISITS:
+            total -= cache.pop(next(iter(cache)))[0].size
+
+    states = tsdf.state_volume()
+    # flat x-fastest views of the per-voxel predicates for cheap gathers
+    occupied = np.asfortranarray(states == CellState.OCCUPIED).ravel(order="F")
+    countable = np.asfortranarray((states == CellState.UNKNOWN)
+                                  & _bbox_mask(g, target_bbox)).ravel(order="F")
+    n_vox = countable.size
+
+    flat = np.concatenate([f for f, _ in visits])
+    lens = np.concatenate([n for _, n in visits])
+    ray_start = np.cumsum(lens, dtype=np.int64) - lens
+    # a ray sees a surface after its first occupied visit: the first occupied
+    # position at or after its start, when that lies inside the ray
+    occ = np.flatnonzero(occupied.take(flat))
+    first = np.append(occ, flat.size)[np.searchsorted(occ, ray_start)]
+    blind = np.minimum(first + 1 - ray_start, lens)
+    seen = np.repeat(np.tile([False, True], lens.size),
+                     np.stack([blind, lens - blind], axis=1).ravel())
+    hit = np.flatnonzero(seen & countable.take(flat))
+    if hit.size == 0:
         return np.zeros(n_cams, dtype=np.int64)
-    cams_hit = np.unique(np.concatenate(keys)) // n_vox
+    cam_ends = np.cumsum([f.size for f, _ in visits])
+    cams_hit = np.unique(np.searchsorted(cam_ends, hit, side="right") * n_vox
+                         + flat[hit]) // n_vox
     return np.bincount(cams_hit, minlength=n_cams).astype(np.int64)
 
 

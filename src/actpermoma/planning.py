@@ -10,6 +10,7 @@ winning path is ever executed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 from dataclasses import dataclass
@@ -129,6 +130,28 @@ def _stable_unit(*keys: int) -> float:
     return int.from_bytes(h, "little") / 2.0**64
 
 
+GOAL_ATTEMPTS = 10  # jittered candidates per slot, tried in order
+
+
+@functools.lru_cache(maxsize=2)
+def _goal_ring(seed: int, n_b: int, reach_radius: float, epoch: int) -> np.ndarray:
+    """Offsets from the target of every slot's jittered attempts, shape
+    (n_b, GOAL_ATTEMPTS, 2), read-only.  They depend only on the arguments,
+    so each control epoch computes them once; the last two rings are kept."""
+    r_lo = max(reach_radius - 0.3, 0.1)
+    ring = np.empty((n_b, GOAL_ATTEMPTS, 2))
+    for slot in range(n_b):
+        base_angle = 2.0 * np.pi * slot / n_b
+        for attempt in range(GOAL_ATTEMPTS):
+            ja = _stable_unit(seed, slot, attempt, 1, epoch)
+            jr = _stable_unit(seed, slot, attempt, 2, epoch)
+            angle = base_angle + (ja - 0.5) * (2.0 * np.pi / n_b)
+            radius = r_lo + jr * (reach_radius - r_lo)
+            ring[slot, attempt] = radius * np.array([np.cos(angle), np.sin(angle)])
+    ring.flags.writeable = False
+    return ring
+
+
 def sample_base_goal_slots(occ: Grid, target_xy: np.ndarray, n_b: int,
                            seed: int, reach_radius: float, *,
                            blocked: np.ndarray, epoch: int = 0,
@@ -138,26 +161,22 @@ def sample_base_goal_slots(occ: Grid, target_xy: np.ndarray, n_b: int,
     Slots are stratified angles; jitter and radius are seeded per
     (slot, epoch) so a slot identifies roughly the same approach direction
     across steps (what the selection momentum latches onto) while the exact
-    poses drift when the caller advances the epoch.  Slots whose inflated
-    footprint overlaps observed-occupied cells (`blocked`, from
-    `inflate_occupied`) are dropped after 10 retries.
+    poses drift when the caller advances the epoch.  Each slot takes the
+    first of its GOAL_ATTEMPTS candidates that lies on the grid and off the
+    inflated footprint of observed-occupied cells (`blocked`, from
+    `inflate_occupied`); a slot without one is dropped.  The candidates of
+    an epoch come from `_goal_ring`, and one vectorized lookup tests them
+    all against `blocked`.
     """
     if n_b < 1:
         raise ValueError("n_b must be >= 1")
-    r_lo = max(reach_radius - 0.3, 0.1)
-    goals: list[tuple[int, Pose2]] = []
-    for slot in range(n_b):
-        base_angle = 2.0 * np.pi * slot / n_b
-        for attempt in range(10):
-            ja = _stable_unit(seed, slot, attempt, 1, epoch)
-            jr = _stable_unit(seed, slot, attempt, 2, epoch)
-            angle = base_angle + (ja - 0.5) * (2.0 * np.pi / n_b)
-            radius = r_lo + jr * (reach_radius - r_lo)
-            xy = target_xy + radius * np.array([np.cos(angle), np.sin(angle)])
-            if cell_blocked(occ, blocked, xy):
-                continue
-            goals.append((slot, facing(xy, target_xy)))
-            break
+    xy = target_xy + _goal_ring(seed, n_b, reach_radius, epoch)
+    cell = occ.world_to_index(xy)
+    free = occ.contains_index(cell)
+    on_grid = cell[free]
+    free[free] = ~blocked[on_grid[:, 0], on_grid[:, 1]]
+    goals = [(slot, facing(xy[slot, attempt], target_xy))
+             for slot, attempt in enumerate(free.argmax(axis=1)) if free[slot, attempt]]
     if not goals:
         raise NoFeasibleGoals("all base goal slots blocked")
     return goals

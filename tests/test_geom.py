@@ -13,6 +13,7 @@ from actpermoma.geom import (
     cells_from_rle,
     cells_to_rle,
     look_at,
+    quat_from_matrix,
     quat_mul,
     quat_normalize,
     quat_rotate,
@@ -100,6 +101,12 @@ def test_look_at_points_at_target():
         fwd = cam.rotation_matrix()[:, 2]
         want = (tgt - pos) / np.linalg.norm(tgt - pos)
         assert np.allclose(fwd, want, atol=1e-9)
+        # the frame is built with the bits of np.cross
+        z = (tgt - pos) / np.linalg.norm(tgt - pos)
+        x = np.cross(z, np.array([0.0, 0.0, 1.0]))
+        x /= np.linalg.norm(x)
+        ref = quat_normalize(quat_from_matrix(np.column_stack([x, np.cross(z, x), z])))
+        assert cam.orientation.tobytes() == ref.tobytes()
     # degenerate straight-down view still yields a unit quaternion
     cam = look_at(np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 0.0]))
     assert abs(np.linalg.norm(cam.orientation) - 1) < 1e-9

@@ -11,11 +11,13 @@ from actpermoma import perception
 from actpermoma.geom import (
     Aabb,
     CellState,
+    Grid,
     Pose2,
     Pose3,
     Ray,
     look_at,
     ray_aabb_interval,
+    traverse_batch,
     traverse_ray,
 )
 from actpermoma.grasping import build_map_pair
@@ -613,3 +615,125 @@ def test_rear_side_traces_exactly_the_rays_that_hit_the_box(name):
     assert 0 < len(want[0]) < len(cams) * intr.width * intr.height
     for got, w in zip(calls[0], want):
         assert np.array_equal(got, w)
+
+
+# ---------------------------------------------------------------------------
+# the per-pose ray-visit cache: every call equals a fresh grid's uncached call
+# ---------------------------------------------------------------------------
+
+def uncached_counts(t: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics,
+                    bbox: Aabb) -> list[int]:
+    """The scorer without a cache, on a copy of the grid: each camera's box
+    rays traced afresh, counted inside the lockstep loop.  A visit counts
+    when its voxel is countable and an earlier iteration of its ray visited
+    an occupied voxel."""
+    g = t.grid
+    fresh = TsdfGrid(Grid(g.origin.copy(), g.cell_size, g.dims, g.cells.copy()), t.truncation)
+    states = fresh.state_volume()
+    occupied = states == CellState.OCCUPIED
+    countable = (states == CellState.UNKNOWN) & perception._bbox_mask(fresh.grid, bbox)
+    counts = []
+    for cam in cams:
+        origins, dirs, t_max = box_rays(fresh, [cam], intr, bbox)
+        seen = np.zeros(len(origins), dtype=bool)
+        hits: set[tuple[int, int, int]] = set()
+        for ids, ijk in traverse_batch(fresh.grid, origins, dirs, t_max):
+            i, j, k = ijk.T
+            hits.update(map(tuple, ijk[seen[ids] & countable[i, j, k]].tolist()))
+            seen[ids[occupied[i, j, k]]] = True
+        counts.append(len(hits))
+    return counts
+
+
+def ig_cache_sequence():
+    """A fused grid and a fixed sequence of (cams, bbox, cell edit) calls.
+
+    The pose pool has torso-ring views, views from three of the same
+    positions turned slightly, and a view from inside the target bbox; the
+    first call starts with a view turned away, whose rays all miss.  The
+    bbox alternates between the target's and a wider one.  Each call
+    repeats some poses of the call before and draws others from the pool;
+    each edit sets random voxels occupied, free or unknown.  One edit also
+    makes the bbox unknown but for the inside view's own voxel, which it
+    marks occupied: the rays of that view start on a surface, and only that
+    first voxel lets them count the unknown ones behind it."""
+    scene, t = _fused(SceneKind.COMPLEX, 5, [(1.2, -0.3, 0.45), (-0.4, -1.1, 0.5)])
+    c = scene.target_center
+    ring = [camera_at(c[:2] + r * np.array([np.cos(a), np.sin(a)]), c, 5, (1.1, 1.3))
+            for r in (0.75, 1.4) for a in (0.3, 1.9, 3.5, 5.1)]
+    turned = [look_at(cam.position, c + np.array([0.04, -0.03, 0.02])) for cam in ring[:3]]
+    box = scene.target_bbox
+    inside = look_at(box.lo + 0.8 * (box.hi - box.lo), c)
+    pool = ring + turned + [inside]
+    bboxes = [scene.target_bbox, scene.target_bbox.inflated(0.03)]
+    rng = np.random.default_rng(16)
+    g = t.grid
+    calls, prev = [], []
+    for step in range(16):
+        keep = [cam for cam in prev if rng.random() < 0.6]
+        cams = keep + [pool[i] for i in rng.choice(len(pool), int(rng.integers(1, 4)))]
+        if step == 0:
+            cams.insert(0, look_at(c + np.array([0.9, 0.0, 0.2]), c + np.array([2.0, 0.0, 0.2])))
+        if step in (4, 9):
+            cams.append(inside)
+        voxels = tuple(rng.integers(0, n, 150) for n in g.dims)
+        values = np.array([[-0.5, 1.0], [0.5, 1.0], [0.0, 0.0]],
+                          dtype=np.float32)[rng.integers(0, 3, 150)]
+
+        def edit(cells, voxels=voxels, values=values, step=step):
+            cells[voxels] = values
+            if step == 4:
+                lo, hi = g.world_to_index(box.lo), g.world_to_index(box.hi) + 1
+                cells[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = (0.0, 0.0)
+                cells[tuple(g.world_to_index(inside.position))] = (-0.5, 1.0)
+        calls.append((cams, bboxes[int(step % 3 == 2)], edit))
+        prev = cams
+    return t, calls
+
+
+def untraced(cams: list[Pose3], bbox: Aabb, traced_before: set) -> list[Pose3]:
+    """The cameras whose pose was not traced for `bbox` before this call;
+    records every pose of the call as traced."""
+    keys = [(cam.position.tobytes(), cam.orientation.tobytes(), id(bbox)) for cam in cams]
+    new = [cam for cam, k in zip(cams, keys) if k not in traced_before]
+    traced_before.update(keys)
+    return new
+
+
+def test_ig_cache_equals_uncached_scorer():
+    t, calls = ig_cache_sequence()
+    traced_before: set = set()
+    repeats = all_cached = 0
+    for cams, bbox, edit in calls:
+        edit(t.grid.cells)
+        new = untraced(cams, bbox, traced_before)
+        repeats += len(cams) - len(new)
+        counts, traced = traced_rays(t, cams, IG_INTR, bbox)
+        assert counts.tolist() == uncached_counts(t, cams, IG_INTR, bbox)
+        # a pose traced before, for the same bbox, hands no ray to the traversal
+        if not new:
+            all_cached += 1
+            assert traced == []
+        else:
+            assert len(traced) == 1
+            for got, want in zip(traced[0], box_rays(t, new, IG_INTR, bbox)):
+                assert np.array_equal(got, want)
+    assert repeats >= 10 and all_cached >= 2
+
+
+def test_ig_cache_bound_evicts_and_counts_stay_exact():
+    t, calls = ig_cache_sequence()
+    bound = 20_000
+    traced_before: set = set()
+    retraced = 0
+    with mock.patch.object(perception, "IG_CACHE_VISITS", bound):
+        for cams, bbox, edit in calls:
+            edit(t.grid.cells)
+            new = untraced(cams, bbox, traced_before)
+            counts, traced = traced_rays(t, cams, IG_INTR, bbox)
+            assert counts.tolist() == uncached_counts(t, cams, IG_INTR, bbox)
+            assert sum(f.size for f, _ in t.ray_visits.values()) <= bound
+            # more rays than the new poses have: an evicted pose was traced again
+            n_new = sum(len(box_rays(t, [cam], IG_INTR, bbox)[0]) for cam in new)
+            retraced += len(traced[0][0]) > n_new if traced else 0
+    assert retraced >= 2

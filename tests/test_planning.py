@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from actpermoma.geom import (
     Aabb,
@@ -12,6 +14,7 @@ from actpermoma.geom import (
     Grid,
     Pose2,
     Pose3,
+    facing,
     look_at,
     quat_rotate,
 )
@@ -25,7 +28,9 @@ from actpermoma.planning import (
     PathView,
     PlannerConfig,
     UNKNOWN_COST,
+    _stable_unit,
     camera_at,
+    cell_blocked,
     evaluate_paths,
     inflate_occupied,
     plan_path,
@@ -158,6 +163,57 @@ def test_sample_base_goals_all_blocked():
     occ = empty_occ(state=CellState.OCCUPIED)
     with pytest.raises(NoFeasibleGoals):
         goal_slots(occ, np.array([0.0, 0.0]), 8, 0)
+
+
+def scalar_goal_slots(occ, target_xy, n_b, seed, reach_radius, *, blocked, epoch=0):
+    """The per-attempt loop the memoised goal ring replaced: two blake2b
+    draws and one `cell_blocked` probe per attempt, the first free attempt
+    of each slot kept."""
+    r_lo = max(reach_radius - 0.3, 0.1)
+    goals = []
+    for slot in range(n_b):
+        base_angle = 2.0 * np.pi * slot / n_b
+        for attempt in range(10):
+            ja = _stable_unit(seed, slot, attempt, 1, epoch)
+            jr = _stable_unit(seed, slot, attempt, 2, epoch)
+            angle = base_angle + (ja - 0.5) * (2.0 * np.pi / n_b)
+            radius = r_lo + jr * (reach_radius - r_lo)
+            xy = target_xy + radius * np.array([np.cos(angle), np.sin(angle)])
+            if cell_blocked(occ, blocked, xy):
+                continue
+            goals.append((slot, facing(xy, target_xy)))
+            break
+    if not goals:
+        raise NoFeasibleGoals("all base goal slots blocked")
+    return goals
+
+
+def _bits(goals):
+    return [(slot, p.x.hex(), p.y.hex(), p.theta.hex()) for slot, p in goals]
+
+
+@given(seed=st.integers(0, 2**31 - 1), epoch=st.integers(0, 40), n_b=st.integers(1, 24),
+       reach_radius=st.floats(0.1, 1.6), density=st.sampled_from([0.0, 0.3, 0.7, 0.97, 1.0]),
+       mask_seed=st.integers(0, 2**32 - 1), target=st.tuples(st.floats(-1.0, 1.0),
+                                                             st.floats(-1.0, 1.0)))
+# all blocked; a ring that reaches past a grid edge
+@example(seed=3, epoch=0, n_b=8, reach_radius=0.85, density=1.0, mask_seed=0, target=(0.0, 0.0))
+@example(seed=5, epoch=2, n_b=16, reach_radius=1.6, density=0.0, mask_seed=0, target=(0.9, -1.0))
+def test_goal_ring_equals_scalar_loop(seed, epoch, n_b, reach_radius, density, mask_seed,
+                                      target):
+    # a 24 x 24 map of 0.1 m cells: rings of up to 1.6 m around targets up to
+    # 1 m off center leave it, so some attempts fall off the grid
+    occ = Grid(np.array([-1.2, -1.2]), 0.1, (24, 24), np.zeros((24, 24), dtype=np.uint8))
+    blocked = np.random.default_rng(mask_seed).random(occ.dims) < density
+    target_xy = np.array(target)
+    args = (occ, target_xy, n_b, seed, reach_radius)
+    try:
+        want = _bits(scalar_goal_slots(*args, blocked=blocked, epoch=epoch))
+    except NoFeasibleGoals:
+        with pytest.raises(NoFeasibleGoals):
+            sample_base_goal_slots(*args, blocked=blocked, epoch=epoch)
+        return
+    assert _bits(sample_base_goal_slots(*args, blocked=blocked, epoch=epoch)) == want
 
 
 def test_plan_path_start_equals_goal():

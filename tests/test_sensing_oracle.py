@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actpermoma.geom import Aabb, Pose3, VoxelGrid3, look_at, ray_aabb_interval
+from actpermoma.geom import Aabb, Grid, Pose3, look_at, ray_aabb_interval
 from actpermoma.harness import NAV_CELL, NAV_Z_VOXELS, TARGET_GRID_SIDE, TARGET_GRID_VOXELS
 from actpermoma.perception import WEIGHT_CAP, TsdfGrid, integrate_depth
 from actpermoma.scene import (
@@ -46,7 +46,7 @@ AXES = np.eye(3)
 
 def copy_tsdf(tsdf: TsdfGrid) -> TsdfGrid:
     g = tsdf.grid
-    return TsdfGrid(VoxelGrid3(g.origin.copy(), g.voxel_size, g.dims, g.cells.copy()),
+    return TsdfGrid(Grid(g.origin.copy(), g.cell_size, g.dims, g.cells.copy()),
                     tsdf.truncation)
 
 
