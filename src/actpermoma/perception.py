@@ -266,7 +266,7 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     only the cameras not in the cache are traced.  The cache keeps flat
     indices in the smallest unsigned type that holds them (uint16 for 40^3
     voxels) and drops its least recently used poses beyond IG_CACHE_VISITS
-    visits.  Culled rays would never visit a countable voxel, so the counts
+    visits, each pose counting one more.  Culled rays would never visit a countable voxel, so the counts
     equal those of tracing every pixel ray.
     """
     n_cams = len(cams)
@@ -287,9 +287,11 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
         cache.pop(k, None)
         cache[k] = v
     if missed:
-        total = sum(f.size for f, _ in cache.values())
+        # a pose counts one more than its visits, so poses whose rays all
+        # miss the box still fill the cache
+        total = sum(f.size + 1 for f, _ in cache.values())
         while total > IG_CACHE_VISITS:
-            total -= cache.pop(next(iter(cache)))[0].size
+            total -= cache.pop(next(iter(cache)))[0].size + 1
 
     states = tsdf.state_volume()
     # flat x-fastest views of the per-voxel predicates for cheap gathers

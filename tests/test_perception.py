@@ -732,8 +732,21 @@ def test_ig_cache_bound_evicts_and_counts_stay_exact():
             new = untraced(cams, bbox, traced_before)
             counts, traced = traced_rays(t, cams, IG_INTR, bbox)
             assert counts.tolist() == uncached_counts(t, cams, IG_INTR, bbox)
-            assert sum(f.size for f, _ in t.ray_visits.values()) <= bound
+            assert sum(f.size + 1 for f, _ in t.ray_visits.values()) <= bound
             # more rays than the new poses have: an evicted pose was traced again
             n_new = sum(len(box_rays(t, [cam], IG_INTR, bbox)[0]) for cam in new)
             retraced += len(traced[0][0]) > n_new if traced else 0
     assert retraced >= 2
+
+
+def test_ig_cache_bound_counts_poses_without_visits():
+    # views turned away from the box have no visits but still take a slot
+    scene = generate_scene(SceneKind.SIMPLE, False, 4)
+    t = fresh_target_grid(scene.target_center)
+    c = scene.target_center
+    with mock.patch.object(perception, "IG_CACHE_VISITS", 5):
+        for i in range(12):
+            pos = c + np.array([0.9, 0.05 * i, 0.2])
+            cam = look_at(pos, pos + np.array([1.0, 0.0, 0.0]))
+            assert rear_side_ig_batch(t, [cam], IG_INTR, scene.target_bbox).tolist() == [0]
+            assert len(t.ray_visits) <= 5
