@@ -153,7 +153,8 @@ class Pose3:
         return quat_rotate(self.orientation, points) + self.position
 
     def inverse_transform(self, points: np.ndarray) -> np.ndarray:
-        return quat_rotate(quat_conj(self.orientation), np.asarray(points, dtype=float) - self.position)
+        return quat_rotate(quat_conj(self.orientation),
+                           np.asarray(points, dtype=float) - self.position)
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.orientation)

@@ -9,7 +9,10 @@ Fusion (`integrate_depth`) projects only the voxels in the index box of the
 view frustum, cut at camera depth `max_range + truncation`: a voxel outside
 it rounds to no pixel or lies behind every hit's truncation band and every
 carve, so the cull is exact.  The camera-frame coordinates come as three
-contiguous columns of one `R @ (centers - p).T` product.
+contiguous columns of one `R @ (centers - p).T` product.  Every per-voxel
+intermediate is written into a module-level scratch, one array per dtype
+for the whole process, shared by both grids and grown to the largest box,
+so a call allocates no array whose size grows with its box.
 
 Information gain of a candidate camera pose is the number of distinct
 unknown voxels inside the target bounding box that lie behind the first
@@ -117,6 +120,23 @@ def _frustum_voxels(g: Grid, cam: Pose3, intr: CameraIntrinsics,
     return tuple(slice(a, b + 1) for a, b in zip(lo, hi))
 
 
+# integrate_depth's work arrays, by dtype.  They hold no state between calls,
+# but one fusion at a time may use them (the harness runs no threads).  One
+# set per process rather than per grid, so the two grids share the memory of
+# the larger box instead of each holding its own.
+_SCRATCH: dict[type, np.ndarray] = {}
+
+
+def _scratch(dtype: type, size: int) -> np.ndarray:
+    """The first `size` items of this process's 1-D work array of `dtype`,
+    contents undefined.  One array per dtype serves every grid and is
+    reallocated only to grow, so it settles at the largest frustum box."""
+    buf = _SCRATCH.get(dtype)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[dtype] = np.empty(size, dtype)
+    return buf[:size]
+
+
 def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
     """Weighted-average fusion of one depth image; mutates and returns `tsdf`.
 
@@ -134,10 +154,22 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
     row-wise `(centers - p) @ R.T` over the whole grid, except for a single
     column, which goes through matrix-vector code (`tests/test_sensing_oracle.py`
     checks the fused cells against the unculled row-wise fusion).
+
+    Every intermediate goes with `out=` into the process's scratch
+    (`_scratch`), which this function alone uses and which is only grown,
+    never freed; each (3, n) block of it is contiguous, as a fresh product
+    would be.  The elementwise steps are the same ufuncs on the same operands
+    as on freshly allocated arrays, so the scratch changes no bit.  The cells
+    are updated by masked writes: the new (tsdf, weight) of every box voxel
+    is computed and copied where the voxel is updated.  An unseen voxel's
+    pixel index is garbage until that mask drops it, so the depths are
+    gathered with `np.take(mode="clip")`, which also writes straight into
+    its `out` (with `mode="raise"` it buffers it).
     """
     intr = depth.intrinsics
     g = tsdf.grid
-    box = _frustum_voxels(g, cam, intr, intr.max_range + tsdf.truncation)
+    t = tsdf.truncation
+    box = _frustum_voxels(g, cam, intr, intr.max_range + t)
     if box is None:
         return tsdf
     shape = tuple(b.stop - b.start for b in box)
@@ -145,42 +177,55 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
         # a one-column product takes numpy's matrix-vector path, whose bits
         # can differ from the same column of a larger product
         box, shape = tuple(slice(0, n) for n in g.dims), g.dims
-    # (3, nx, ny, nz) C-contiguous view; a proper sub-box is copied once
-    cols = np.moveaxis(g.centers(), -1, 0)[(slice(None), *box)].reshape(3, -1)
-    local = quat_to_matrix(quat_conj(cam.orientation)) @ (cols - cam.position[:, None])
+    n = math.prod(shape)
+    # scratch rows, voxels in the C order of the box: `diff` holds cols - p,
+    # then (u, v) and the depths; `local` the camera-frame (x, y, z)
+    diff, local = _scratch(np.float64, 6 * n).reshape(2, 3, n)
+    seen, hit, update, mask = _scratch(np.bool_, 4 * n).reshape(4, n)
+    # the box of the (3, nx, ny, nz) centers view, read in place
+    np.subtract(np.moveaxis(g.centers(), -1, 0)[(slice(None), *box)],
+                cam.position[:, None, None, None], out=diff.reshape(3, *shape))
+    np.matmul(quat_to_matrix(quat_conj(cam.orientation)), diff, out=local)
     z = local[2]
+    u, v, pix = diff
     # voxels at or behind the optical center project to garbage, masked out
     # by `seen`; rounded pixel coordinates compare as floats, as integers
     with np.errstate(divide="ignore", invalid="ignore"):
-        u, v = (np.rint(c) for c in intr.project(local.T))
-        pixel = v * intr.width + u
-    seen = (z > 1e-9) & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
-    idx = None
-    if not seen.all():
-        idx = np.flatnonzero(seen)
-        if idx.size == 0:
+        intr.project(local.T, out=diff[:2])
+        np.greater(z, 1e-9, out=seen)
+        for c, size in ((u, intr.width), (v, intr.height)):
+            np.rint(c, out=c)
+            seen &= np.greater_equal(c, 0, out=mask)
+            seen &= np.less(c, size, out=mask)
+        if not seen.any():
             return tsdf
-        pixel, z = pixel[idx], z[idx]
-    pix = np.take(depth.depths.reshape(-1), pixel.astype(np.intp))
+        # the pixel index; an unseen voxel's garbage index is clipped by take
+        np.multiply(v, intr.width, out=v)
+        np.add(v, u, out=v)
+        pixel = _scratch(np.intp, n)
+        np.copyto(pixel, v, casting="unsafe")
+    np.take(depth.depths.reshape(-1), pixel, out=pix, mode="clip")
 
     # a no-hit pixel (NaN) fails the band test; it carves out to max range
-    sdf = pix - z
-    hit = sdf >= -tsdf.truncation
-    update = hit | (np.isnan(pix) & (z <= intr.max_range))
-    t = tsdf.truncation
-    val = np.where(hit[update], np.clip(sdf[update], -t, t) / t, 1.0).astype(np.float32)
-    sel = np.flatnonzero(update)
-    if idx is not None:
-        sel = idx[sel]
-    if shape != g.dims:
-        sel = np.ravel_multi_index(tuple(i + b.start for i, b in
-                                         zip(np.unravel_index(sel, shape), box)), g.dims)
-    # (tsdf, weight) pairs are adjacent in the flat cell array
-    flat = g.cells.reshape(-1)
-    ti, wi = 2 * sel, 2 * sel + 1
-    w = flat[wi]
-    flat[ti] = (flat[ti] * w + val) / (w + 1.0)
-    flat[wi] = np.minimum(w + 1.0, WEIGHT_CAP)
+    np.isnan(pix, out=update)
+    update &= np.less_equal(z, intr.max_range, out=mask)
+    sdf = np.subtract(pix, z, out=pix)
+    np.greater_equal(sdf, -t, out=hit)
+    update |= hit
+    update &= seen
+    val, new_tsdf, new_weight = _scratch(np.float32, 3 * n).reshape(3, *shape)
+    np.divide(np.clip(sdf, -t, t, out=sdf), t, out=sdf)
+    val.fill(1.0)
+    np.copyto(val, sdf.reshape(shape), casting="same_kind", where=hit.reshape(shape))
+    # the new (tsdf, weight) of every box voxel, written where it is updated
+    old_tsdf, old_weight = tsdf.tsdf[box], tsdf.weight[box]
+    np.add(old_weight, 1.0, out=new_weight)
+    np.divide(np.add(np.multiply(old_tsdf, old_weight, out=new_tsdf), val, out=new_tsdf),
+              new_weight, out=new_tsdf)
+    np.minimum(new_weight, WEIGHT_CAP, out=new_weight)
+    update = update.reshape(shape)
+    np.copyto(old_tsdf, new_tsdf, where=update)
+    np.copyto(old_weight, new_weight, where=update)
     return tsdf
 
 
@@ -266,8 +311,8 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     only the cameras not in the cache are traced.  The cache keeps flat
     indices in the smallest unsigned type that holds them (uint16 for 40^3
     voxels) and drops its least recently used poses beyond IG_CACHE_VISITS
-    visits, each pose counting one more.  Culled rays would never visit a countable voxel, so the counts
-    equal those of tracing every pixel ray.
+    visits, each pose counting one more.  Culled rays would never visit a
+    countable voxel, so the counts equal those of tracing every pixel ray.
     """
     n_cams = len(cams)
     if n_cams == 0:

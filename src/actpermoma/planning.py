@@ -277,6 +277,10 @@ def torso_height(xy: np.ndarray, seed: int, band: tuple[float, float]) -> float:
     return band[0] + u * (band[1] - band[0])
 
 
+# camera_at's pose cache, cleared when full: about one 400-step episode's
+# poses (~700 B each with the dict, ~12 MB); the 25 s apm_complex benchmark
+# pass makes 5,245
+CAMERA_CACHE_POSES = 1 << 14
 _CAMERA_CACHE: dict[tuple, Pose3] = {}
 
 
@@ -291,7 +295,7 @@ def camera_at(xy: np.ndarray, target: np.ndarray, seed: int,
         return hit
     h = torso_height(xy, seed, band)
     pose = look_at(np.array([xy[0], xy[1], h]), np.asarray(target, dtype=float))
-    if len(_CAMERA_CACHE) > 200_000:
+    if len(_CAMERA_CACHE) >= CAMERA_CACHE_POSES:
         _CAMERA_CACHE.clear()
     _CAMERA_CACHE[key] = pose
     return pose

@@ -142,14 +142,21 @@ class CameraIntrinsics:
         d = np.stack([(u - cx) / f, (v - cy) / f, np.ones_like(u, dtype=float)], axis=-1)
         return d.reshape(-1, 3)
 
-    def project(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def project(self, local: np.ndarray, out: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
         """Unrounded pixel coordinates (u, v) of camera-frame points (..., 3),
-        the inverse of `pixel_dirs`; meaningful only for points with z > 0."""
+        the inverse of `pixel_dirs`; meaningful only for points with z > 0.
+
+        Each is `c + f * x / z`, computed into the two rows of `out`, shape
+        (2, ...), when it is given, else of a new array."""
         f = self.focal
-        cx = (self.width - 1) / 2.0
-        cy = (self.height - 1) / 2.0
         z = local[..., 2]
-        return cx + f * local[..., 0] / z, cy + f * local[..., 1] / z
+        uv = np.empty((2, *z.shape)) if out is None else out
+        for c, center, axis in zip(uv, ((self.width - 1) / 2.0, (self.height - 1) / 2.0), (0, 1)):
+            np.multiply(f, local[..., axis], out=c)
+            np.divide(c, z, out=c)
+            np.add(center, c, out=c)
+        return uv[0], uv[1]
 
     def box_pixels(self, corners: np.ndarray) -> list[np.ndarray]:
         """Per box, the row-major pixel indices, ascending, whose rays can reach it.

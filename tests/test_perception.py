@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from actpermoma.geom import (
     traverse_ray,
 )
 from actpermoma.grasping import build_map_pair
+from actpermoma.harness import NAV_CELL, NAV_Z_VOXELS
 from actpermoma.perception import (
     TsdfGrid,
     integrate_depth,
@@ -36,6 +38,7 @@ from actpermoma.planning import (
     evaluate_paths,
 )
 from actpermoma.scene import (
+    ARENA_HALF,
     CameraIntrinsics,
     SceneKind,
     generate_scene,
@@ -120,6 +123,30 @@ def test_integrate_twice_idempotent_values():
     integrate_depth(t, img, cam)
     assert np.allclose(t.tsdf, tsdf_once, atol=1e-6)
     assert np.array_equal(t.weight[w_once > 0], 2 * w_once[w_once > 0])
+
+
+def test_integrate_depth_steady_state_allocates_no_box_sized_array():
+    # fusion works in one reused scratch: once a view has grown it and built
+    # the grid's centers, fusing that view again allocates only small arrays
+    # (a box-sized temporary on the 40^3 target grid is several MB)
+    scene = generate_scene(SceneKind.SIMPLE, False, 2)
+    side = int(2 * ARENA_HALF / NAV_CELL)
+    grids = [fresh_target_grid(scene.target_center),
+             TsdfGrid.create(np.array([-ARENA_HALF, -ARENA_HALF, 0.0]), NAV_CELL,
+                             (side, side, NAV_Z_VOXELS))]
+    cam = look_at(np.array([1.2, 0.3, 1.2]), scene.target_center)
+    img = render_depth(scene, cam, INTR)
+    for t in grids:
+        integrate_depth(t, img, cam)
+    tracemalloc.start()
+    try:
+        for t in grids:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            integrate_depth(t, img, cam)
+            assert tracemalloc.get_traced_memory()[1] - before < 256 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 def test_plane_sign_convention():

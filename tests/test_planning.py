@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from actpermoma import planning
 from actpermoma.geom import (
     Aabb,
     CellState,
@@ -307,6 +308,25 @@ def test_camera_at_nearby_xy_get_their_own_pose():
         assert np.array_equal(cam.orientation, want.orientation)
     assert not np.array_equal(camera_at(a, target, 5, band).position,
                               camera_at(b, target, 5, band).position)
+
+
+def test_camera_cache_is_bounded_and_recomputes_the_same_bits(monkeypatch):
+    monkeypatch.setattr(planning, "CAMERA_CACHE_POSES", 8)
+    monkeypatch.setattr(planning, "_CAMERA_CACHE", {})
+    target = np.array([0.4, -0.2, 0.8])
+    band = (1.1, 1.3)
+    xys = [np.array([1.0 + 0.07 * i, -0.5 + 0.03 * i]) for i in range(30)]
+    first = []
+    for xy in xys:
+        first.append(camera_at(xy, target, 5, band))
+        assert len(planning._CAMERA_CACHE) <= 8
+    # every pose was cleared out at least once and is computed again
+    for xy, old in zip(xys, first):
+        new = camera_at(xy, target, 5, band)
+        assert len(planning._CAMERA_CACHE) <= 8
+        assert new is not old
+        assert new.position.tobytes() == old.position.tobytes()
+        assert new.orientation.tobytes() == old.orientation.tobytes()
 
 
 def _path_with(goal_id: int, length: float, goal=Pose2(1.0, 0.0, 0.0)) -> CandidatePath:

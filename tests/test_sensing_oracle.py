@@ -12,19 +12,22 @@ through the row-wise `(centers - p) @ R.T`, and the slab test reduced over
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actpermoma import perception
 from actpermoma.geom import Aabb, Grid, Pose3, look_at, ray_aabb_interval
 from actpermoma.harness import NAV_CELL, NAV_Z_VOXELS, TARGET_GRID_SIDE, TARGET_GRID_VOXELS
-from actpermoma.perception import WEIGHT_CAP, TsdfGrid, integrate_depth
+from actpermoma.perception import WEIGHT_CAP, TsdfGrid, _frustum_voxels, integrate_depth
 from actpermoma.scene import (
     ARENA_HALF,
     DEFAULT_INTRINSICS,
     Box,
+    CameraIntrinsics,
     DepthImage,
     Primitive,
     SceneKind,
@@ -233,6 +236,105 @@ def test_culled_sensing_equals_unculled_reference(case):
             integrate_depth(grid, img, cam)
             reference_integrate(ref, img, cam)
             assert np.array_equal(grid.grid.cells, ref.grid.cells)
+
+
+# ---------------------------------------------------------------------------
+# fixed views for fusion's reused scratch: boxes that shrink, grow, fall back
+# to the whole grid or see nothing, and no-hit pixels that carve
+# ---------------------------------------------------------------------------
+
+def target_grid(scene) -> TsdfGrid:
+    return TsdfGrid.create_cube(scene.target_center, TARGET_GRID_SIDE, TARGET_GRID_VOXELS)
+
+
+def nav_grid() -> TsdfGrid:
+    return TsdfGrid.create(np.array([-ARENA_HALF, -ARENA_HALF, 0.0]), NAV_CELL, NAV_DIMS)
+
+
+def box_voxels(tsdf: TsdfGrid, cam: Pose3, intr=INTR) -> int:
+    box = _frustum_voxels(tsdf.grid, cam, intr, intr.max_range + tsdf.truncation)
+    return 0 if box is None else math.prod(b.stop - b.start for b in box)
+
+
+def fuse_and_compare(scene, grid: TsdfGrid, ref: TsdfGrid, cam: Pose3, intr=INTR) -> None:
+    img = render_depth(scene, cam, intr)
+    integrate_depth(grid, img, cam)
+    reference_integrate(ref, img, cam)
+    assert np.array_equal(grid.grid.cells, ref.grid.cells)
+
+
+def test_one_voxel_frustum_box_fuses_like_the_reference():
+    # a narrow view from just outside the grid's min corner, looking away
+    # from it: the frustum box is the corner voxel, and the whole grid is
+    # projected instead, between two views of the target
+    scene = generate_scene(SceneKind.SIMPLE, False, 3)
+    grid = target_grid(scene)
+    ref = copy_tsdf(grid)
+    narrow = CameraIntrinsics(16, 16, np.deg2rad(20.0), INTR.max_range)
+    pos = grid.grid.origin - 0.5 * grid.grid.cell_size
+    away = look_at(pos, pos - 1.0)
+    assert box_voxels(grid, away, narrow) == 1
+    toward = look_at(scene.target_center + np.array([1.0, 0.4, 0.5]), scene.target_center)
+    for cam, intr in ((toward, INTR), (away, narrow), (toward, INTR)):
+        fuse_and_compare(scene, grid, ref, cam, intr)
+
+
+def test_view_that_sees_no_voxel_changes_no_cell():
+    # just outside the grid's +x face, looking out: the frustum box holds the
+    # face's voxels, but they all lie behind the camera
+    scene = generate_scene(SceneKind.SIMPLE, False, 3)
+    grid = target_grid(scene)
+    fuse_and_compare(scene, grid, copy_tsdf(grid),
+                     look_at(scene.target_center + np.array([1.0, 0.4, 0.5]),
+                             scene.target_center), INTR)
+    before = grid.grid.cells.copy()
+    g = grid.grid
+    pos = np.array([g.max_corner[0] + 0.5 * g.cell_size, *scene.target_center[1:]])
+    cam = look_at(pos, pos + AXES[0])
+    assert box_voxels(grid, cam) > 0
+    fuse_and_compare(scene, grid, copy_tsdf(grid), cam)
+    assert np.array_equal(grid.grid.cells, before)
+
+
+def test_scratch_shrinks_and_grows_across_grids(monkeypatch):
+    # from an empty scratch: the full target box, a small nav sub-box that
+    # reuses the front of it, then a finer target grid whose box grows it
+    monkeypatch.setattr(perception, "_SCRATCH", {})
+    scene = generate_scene(SceneKind.COMPLEX, False, 4)
+    target, nav = target_grid(scene), nav_grid()
+    fine = TsdfGrid.create_cube(scene.target_center, TARGET_GRID_SIDE, TARGET_GRID_VOXELS + 8)
+    grids = [target, nav, fine]
+    refs = [copy_tsdf(g) for g in grids]
+    whole = look_at(scene.target_center + np.array([-1.6, 1.2, 0.7]), scene.target_center)
+    # at the arena corner, looking into it: a few columns of nav voxels
+    corner = np.array([-ARENA_HALF + 0.25, -ARENA_HALF + 0.25, 0.6])
+    into_corner = look_at(corner, corner - np.array([1.0, 1.0, 0.3]))
+    assert box_voxels(target, whole) == math.prod(target.grid.dims)
+    assert 0 < box_voxels(nav, into_corner) < 1000
+    assert box_voxels(fine, whole) == math.prod(fine.grid.dims)
+    sizes = []
+    for i, cam in ((0, whole), (1, into_corner), (2, whole), (1, into_corner), (0, whole)):
+        fuse_and_compare(scene, grids[i], refs[i], cam)
+        sizes.append(perception._SCRATCH[np.float64].size)
+    assert sizes[0] == sizes[1] < sizes[2] == sizes[-1]
+    assert (nav.weight > 0).any()
+
+
+def test_no_hit_pixels_carve_like_the_reference():
+    # one view only into the sky, every pixel a no-hit, then one across the
+    # scene whose upper rows miss: both carve out to max range
+    scene = generate_scene(SceneKind.SIMPLE, False, 5)
+    pos = np.array([1.5, -0.5, 0.9])
+    sky = look_at(pos, pos + np.array([0.2, 0.1, 1.0]))
+    across = look_at(pos, scene.target_center + np.array([0.0, 0.0, 0.6]))
+    assert np.isnan(render_depth(scene, sky, INTR).depths).all()
+    mixed = render_depth(scene, across, INTR).depths
+    assert np.isnan(mixed).any() and not np.isnan(mixed).all()
+    for grid in (target_grid(scene), nav_grid()):
+        ref = copy_tsdf(grid)
+        for cam in (sky, across):
+            fuse_and_compare(scene, grid, ref, cam)
+    assert (grid.tsdf[grid.weight > 0] == 1.0).any()
 
 
 def test_slab_columns_equal_the_reduced_reference():
