@@ -377,11 +377,18 @@ def traverse_batch(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Advance all rays in lockstep through `grid`.
 
-    Yields (ray_ids, ijk) per iteration: the voxel each still-active ray is
+    Yields (ray_ids, flat) per iteration: the ids of the rays still active
+    and the x-fastest flat index (`Grid.flat_index`) of the voxel each is
     in, in per-ray hit order.  Directions need not be normalized; t is
     measured in units of |direction|.  A ray is dropped once it leaves the
     grid or its entry parameter reaches its t_max.  The yielded arrays are
     reused between iterations: consume them before advancing the generator.
+
+    Per axis the loop keeps one row of each ray's t at its next boundary,
+    t between boundaries, flat-index step and steps left inside the grid.
+    Each iteration steps every ray along the axis of its smallest next
+    boundary, found with two comparisons (ties go to x, then y, then z, as
+    `argmin` breaks them), and compacts the rows only when a ray drops out.
     """
     o = np.atleast_2d(np.asarray(origins, dtype=float))
     d = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -419,31 +426,53 @@ def traverse_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         next_bound = gmin + (ijk + (step > 0)) * vs
         t_next = (next_bound - o) * inv
-    t_next = np.where(d == 0.0, np.inf, t_next)
-    t_delta = np.where(d == 0.0, np.inf, np.abs(inv) * vs)
+    # per axis, one row of each ray's t at its next boundary, t between
+    # boundaries, flat-index step and in-grid steps left.  A ray never steps
+    # along an axis its direction does not move on (the axis's t stays inf),
+    # so its steps left there do not matter.  The rows and the per-ray
+    # values live in one float and one int block, so that a compaction is
+    # two gathers; each block is C-ordered, so its row ranges flatten to
+    # views that the gathers and scatters address as axis * n + ray.
+    n = ids.size
+    floats = np.empty((7, n))
+    floats[0:3] = np.where(d == 0.0, np.inf, t_next).T
+    floats[3:6] = np.where(d == 0.0, np.inf, np.abs(inv) * vs).T
+    floats[6] = tm
+    ints = np.empty((8, n), dtype=np.int64)
+    ints[0:3] = (step * np.cumprod([1, *grid.dims[:-1]])).T
+    ints[3:6] = np.where(step > 0, dims - 1 - ijk, ijk).T
+    ints[6] = grid.flat_index(ijk)
+    ints[7] = ids
 
-    # (ray, axis) entries are addressed by flat index 3 * row + axis in the
-    # C-ordered (n, 3) arrays, which stay contiguous through the compaction
-    row3 = np.arange(0, 3 * ids.size, 3)
-    while ids.size:
-        yield ids, ijk
+    rows = np.arange(n)
+    while True:
+        tx, ty, tz = floats[0:3]
+        t_next, t_delta, tm = floats[0:3].reshape(-1), floats[3:6].reshape(-1), floats[6]
+        flat_step, left, flat, ids = ints[0:3].reshape(-1), ints[3:6].reshape(-1), ints[6], ints[7]
+        while True:
+            yield ids, flat
 
-        # advance every ray one voxel along its smallest-boundary axis; only
-        # the stepped component can leave the grid, so the bounds check is 1D
-        axis = np.argmin(t_next, axis=1)
-        lin = row3[:ids.size] + axis
-        t_flat, ijk_flat = t_next.reshape(-1), ijk.reshape(-1)
-        t_cur = t_flat[lin]
-        moved = ijk_flat[lin] + step.reshape(-1)[lin]
-        ijk_flat[lin] = moved
-        t_flat[lin] = t_cur + t_delta.reshape(-1)[lin]
-        ok = (moved >= 0) & (moved < dims[axis]) & (t_cur < tm)
-        if not ok.all():
-            keep = np.flatnonzero(ok)
-            if keep.size == 0:
-                return
-            ids, ijk, t_next, t_delta, step, tm = (
-                ids[keep], ijk[keep], t_next[keep], t_delta[keep], step[keep], tm[keep])
+            # advance every ray one voxel along its smallest-boundary axis
+            y_first = ty < tx
+            t_cur = np.minimum(tx, ty)
+            z_first = tz < t_cur
+            np.minimum(t_cur, tz, out=t_cur)
+            lin = np.where(z_first, 2 * n, y_first * n)
+            lin += rows
+            t_next[lin] = t_cur + t_delta[lin]
+            flat += flat_step[lin]
+            stepped_left = left[lin] - 1
+            left[lin] = stepped_left
+            ok = stepped_left >= 0
+            ok &= t_cur < tm
+            if not ok.all():
+                break
+        keep = np.flatnonzero(ok)
+        if keep.size == 0:
+            return
+        floats, ints = floats.take(keep, axis=1), ints.take(keep, axis=1)
+        n = keep.size
+        rows = rows[:n]
 
 
 def traverse_ray(grid: Grid, ray: Ray, max_range: float) -> list[tuple[int, int, int]]:
@@ -453,7 +482,7 @@ def traverse_ray(grid: Grid, ray: Ray, max_range: float) -> list[tuple[int, int,
     """
     if max_range <= 0:
         raise ValueError("max_range must be positive")
-    out: list[tuple[int, int, int]] = []
-    for _, ijk in traverse_batch(grid, ray.origin[None, :], ray.direction[None, :], max_range):
-        out.append((int(ijk[0, 0]), int(ijk[0, 1]), int(ijk[0, 2])))
-    return out
+    flat = [int(f[0]) for _, f in traverse_batch(grid, ray.origin[None, :],
+                                                ray.direction[None, :], max_range)]
+    ijk = np.unravel_index(np.array(flat, dtype=np.intp), grid.dims, order="F")
+    return list(zip(*(a.tolist() for a in ijk)))

@@ -267,8 +267,8 @@ def _trace_visits(g: Grid, cams: list[Pose3], intr: CameraIntrinsics, box: Aabb
     visited = np.full((sum(g.dims), int(np.count_nonzero(reach))), n_vox,
                       dtype=np.min_scalar_type(n_vox))
     n_iter = 0
-    for ids, ijk in traverse_batch(g, origins[reach], dirs[reach], t_max):
-        visited[n_iter, ids] = g.flat_index(ijk)
+    for ids, flat in traverse_batch(g, origins[reach], dirs[reach], t_max):
+        visited[n_iter, ids] = flat
         n_iter += 1
     # every ray starts at the first iteration and, once done, never returns,
     # so row r of the transpose holds ray r's visits in hit order, then fill

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,24 @@ class PathView:
     arc: float  # cumulative base travel from the path start
 
 
+@dataclass(frozen=True, eq=False)
+class Route:
+    """A base route: its waypoints, their (n, 2) positions and the length of
+    each segment, `float(np.linalg.norm(b.xy - a.xy))` for consecutive
+    waypoints a, b.  A 2-vector's `np.linalg.norm` is a BLAS dot, whose last
+    bit `hypot`, `einsum` or a norm over rows need not reproduce."""
+
+    waypoints: list[Pose2]
+    xy: np.ndarray
+    segs: list[float]
+
+    @staticmethod
+    def through(waypoints: list[Pose2]) -> "Route":
+        xy = np.array([w.xy for w in waypoints])
+        return Route(list(waypoints), xy,
+                     [float(np.linalg.norm(d)) for d in np.diff(xy, axis=0)])
+
+
 @dataclass
 class CandidatePath:
     goal_id: int
@@ -125,8 +144,9 @@ def state_at(occ: Grid, xy: np.ndarray) -> CellState:
 # ---------------------------------------------------------------------------
 
 def _stable_unit(*keys: int) -> float:
-    """Deterministic uniform in [0, 1) from integer keys (platform stable)."""
-    h = hashlib.blake2b(np.array(keys, dtype=np.int64).tobytes(), digest_size=8).digest()
+    """Deterministic uniform in [0, 1) from integer keys (platform stable:
+    the keys are hashed as little-endian 64-bit integers)."""
+    h = hashlib.blake2b(np.array(keys, dtype="<i8").tobytes(), digest_size=8).digest()
     return int.from_bytes(h, "little") / 2.0**64
 
 
@@ -190,76 +210,117 @@ _NEIGHBORS = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
               (1, 1, np.sqrt(2.0)), (1, -1, np.sqrt(2.0)),
               (-1, 1, np.sqrt(2.0)), (-1, -1, np.sqrt(2.0))]
 UNKNOWN_COST = 1.05
+# the cell codes of `NavMap.codes`
+_FREE, _UNKNOWN, _BLOCKED = 0, 1, 2
 
 
-def _octile(a: tuple[int, int], b: tuple[int, int]) -> float:
-    dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
-    return max(dx, dy) + (np.sqrt(2.0) - 1.0) * min(dx, dy)
+@dataclass(frozen=True, eq=False)
+class NavMap:
+    """The map one decision plans on: the occupancy grid and its `blocked`
+    mask (obstacle cells inflated by the robot radius, from
+    `inflate_occupied`)."""
+
+    occ: Grid
+    blocked: np.ndarray
+
+    @functools.cached_property
+    def codes(self) -> list[int]:
+        """The grid `plan_path` searches, built on first use: the map padded
+        with a one-cell blocked border, one code per cell (_FREE, _UNKNOWN or
+        _BLOCKED), in the C order of the (nx + 2, ny + 2) padded array."""
+        nx, ny = self.occ.dims
+        padded = np.full((nx + 2, ny + 2), _BLOCKED, dtype=np.uint8)
+        inner = padded[1:-1, 1:-1]
+        inner[...] = np.where(self.occ.cells == CellState.UNKNOWN, _UNKNOWN, _FREE)
+        inner[self.blocked] = _BLOCKED
+        return padded.ravel().tolist()
 
 
-def plan_path(occ: Grid, start: Pose2, goal: Pose2,
-              blocked: np.ndarray) -> list[Pose2]:
-    """8-connected A* over the occupancy grid, avoiding `blocked` (obstacle
-    cells inflated by the robot radius, from `inflate_occupied`), unknown
+def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> list[Pose2]:
+    """8-connected A* over the occupancy grid, avoiding `nav.blocked`, unknown
     cells traversable at a 1.05 step-cost multiplier.
 
     Returns cell-center waypoints from the start cell to the goal cell; the
     start cell itself is always treated as traversable.  Raises NoPath.
+
+    The search runs on `nav.codes` with int cell ids, whose blocked border
+    replaces the bounds test: a bytearray closed set, lists of g-costs and
+    parents, heap entries (f, tie, cell) and the octile heuristic
+    `(max + (sqrt(2) - 1) * min) * cell` inline, in that order.
     """
+    occ = nav.occ
     nx, ny = occ.dims
     s = tuple(occ.world_to_index(start.xy))
     g = tuple(occ.world_to_index(goal.xy))
     for c in (s, g):
         if not (0 <= c[0] < nx and 0 <= c[1] < ny):
             raise NoPath(f"cell {c} outside the grid")
-    if blocked[g]:
+    if nav.blocked[g]:
         raise NoPath("goal cell blocked")
-    unknown = occ.cells == CellState.UNKNOWN
     cell = occ.cell_size
 
     if s == g:
         c = occ.index_to_world_center(np.array(s))
         return [Pose2(float(c[0]), float(c[1]), start.theta)]
 
-    g_cost = {s: 0.0}
-    came: dict[tuple[int, int], tuple[int, int]] = {}
+    codes = nav.codes
+    w = ny + 2  # padded row length: cell (i, j) has id (i + 1) * w + j + 1
+    # per neighbor: id offset, (di, dj) and the step cost on a free and on
+    # an unknown cell, each `base * cell * (multiplier)` as the cost model reads
+    moves = [(di * w + dj, di, dj, float(base * cell), float(base * cell * UNKNOWN_COST))
+             for di, dj, base in _NEIGHBORS]
+    r = float(np.sqrt(2.0) - 1.0)
+    si, sj = int(s[0]), int(s[1])
+    gi, gj = int(g[0]), int(g[1])
+    sid, gid = (si + 1) * w + sj + 1, (gi + 1) * w + gj + 1
+    n = len(codes)
+    g_cost = [math.inf] * n
+    came = [-1] * n
+    closed = bytearray(n)
+    g_cost[sid] = 0.0
+    dx, dy = abs(si - gi), abs(sj - gj)
     tie = 0
-    open_heap: list[tuple[float, int, tuple[int, int]]] = [(_octile(s, g) * cell, tie, s)]
-    closed: set[tuple[int, int]] = set()
+    open_heap = [((max(dx, dy) + r * min(dx, dy)) * cell, tie, sid)]
+    pop, push = heapq.heappop, heapq.heappush
     while open_heap:
-        f, _, cur = heapq.heappop(open_heap)
-        if cur in closed:
+        _, _, cur = pop(open_heap)
+        if closed[cur]:
             continue
-        if cur == g:
-            cells = [cur]
-            while cur in came:
-                cur = came[cur]
-                cells.append(cur)
-            cells.reverse()
-            waypoints: list[Pose2] = []
-            for i, c in enumerate(cells):
-                w = occ.index_to_world_center(np.array(c))
-                if i + 1 < len(cells):
-                    nxt = occ.index_to_world_center(np.array(cells[i + 1]))
-                    th = float(np.arctan2(nxt[1] - w[1], nxt[0] - w[0]))
-                else:
-                    th = waypoints[-1].theta if waypoints else start.theta
-                waypoints.append(Pose2(float(w[0]), float(w[1]), th))
-            return waypoints
-        closed.add(cur)
+        if cur == gid:
+            break
+        closed[cur] = 1
         cg = g_cost[cur]
-        for di, dj, base in _NEIGHBORS:
-            nb = (cur[0] + di, cur[1] + dj)
-            if not (0 <= nb[0] < nx and 0 <= nb[1] < ny) or blocked[nb] or nb in closed:
+        # the expanded cell's offset from the goal, for the heuristic
+        ci, cj = divmod(cur, w)
+        ci -= gi + 1
+        cj -= gj + 1
+        for off, di, dj, free_cost, unknown_cost in moves:
+            nb = cur + off
+            code = codes[nb]
+            if code == _BLOCKED or closed[nb]:
                 continue
-            step_cost = base * cell * (UNKNOWN_COST if unknown[nb] else 1.0)
-            ng = cg + step_cost
-            if ng < g_cost.get(nb, np.inf) - 1e-12:
+            ng = cg + (unknown_cost if code == _UNKNOWN else free_cost)
+            if ng < g_cost[nb] - 1e-12:
                 g_cost[nb] = ng
                 came[nb] = cur
                 tie += 1
-                heapq.heappush(open_heap, (ng + _octile(nb, g) * cell, tie, nb))
-    raise NoPath("goal unreachable")
+                dx, dy = abs(ci + di), abs(cj + dj)
+                h = (dx + r * dy) * cell if dx >= dy else (dy + r * dx) * cell
+                push(open_heap, (ng + h, tie, nb))
+    else:
+        raise NoPath("goal unreachable")
+
+    ids = [gid]
+    while ids[-1] != sid:
+        ids.append(came[ids[-1]])
+    ids.reverse()
+    idx = np.divmod(np.array(ids), w)
+    xy = occ.index_to_world_center(np.stack(idx, axis=1) - 1).tolist()
+    waypoints = []
+    for (x0, y0), (x1, y1) in zip(xy, xy[1:]):
+        waypoints.append(Pose2(x0, y0, float(np.arctan2(y1 - y0, x1 - x0))))
+    waypoints.append(Pose2(xy[-1][0], xy[-1][1], waypoints[-1].theta))
+    return waypoints
 
 
 # ---------------------------------------------------------------------------
@@ -301,35 +362,41 @@ def camera_at(xy: np.ndarray, target: np.ndarray, seed: int,
     return pose
 
 
-def sample_camera_poses(base_path: list[Pose2], target: np.ndarray, cam_spacing: float,
+def sample_camera_poses(route: Route, target: np.ndarray, cam_spacing: float,
                         torso_band: tuple[float, float], seed: int = 0,
                         goal_id: int = -1) -> CandidatePath:
-    """Decorate a base path with target-facing camera views.
+    """Decorate a base route with target-facing camera views.
 
     Views are placed every cam_spacing meters of arc length starting at the
     path start, plus one at the goal.  Camera position is the base position
-    lifted by a seeded torso height; orientation is an exact look-at."""
+    lifted by a seeded torso height; orientation is an exact look-at.
+
+    One walk over the segments places every arc: an arc lies on the first
+    segment whose length is at least what is left of the arc, which is the
+    arc minus the lengths of the segments before, subtracted one at a time
+    (a zero-length segment takes every arc that reaches it)."""
+    base_path = route.waypoints
     if not base_path:
         raise ValueError("base_path is empty")
     target = np.asarray(target, dtype=float)
-    segs = [float(np.linalg.norm(b.xy - a.xy)) for a, b in zip(base_path, base_path[1:])]
+    segs = route.segs
     length = float(sum(segs))
-
-    def base_at(arc: float) -> Pose2:
-        left = arc
-        for a, b, s in zip(base_path, base_path[1:], segs):
-            if left <= s or s == 0.0:
-                t = 0.0 if s == 0.0 else left / s
-                return facing(a.xy + t * (b.xy - a.xy), target)
-            left -= s
-        return base_path[-1]
-
     arcs = [float(a) for a in np.arange(0.0, length, cam_spacing)
             if length - a > 1e-9]
-    views = []
-    for arc in arcs:
-        b = base_at(arc)
-        views.append(PathView(b, camera_at(b.xy, target, seed, torso_band), float(arc)))
+    bases = []  # the base pose of each arc placed so far, in arc order
+    left = list(arcs)  # what is left of each arc past the segments walked
+    for a, b, s in zip(base_path, base_path[1:], segs):
+        while len(bases) < len(arcs) and (left[len(bases)] <= s or s == 0.0):
+            t = 0.0 if s == 0.0 else left[len(bases)] / s
+            bases.append(facing(a.xy + t * (b.xy - a.xy), target))
+        if len(bases) == len(arcs):
+            break
+        for j in range(len(bases), len(arcs)):
+            left[j] -= s
+    # rounding can leave an arc past the last segment: it takes the goal
+    bases += [base_path[-1]] * (len(arcs) - len(bases))
+    views = [PathView(b, camera_at(b.xy, target, seed, torso_band), arc)
+             for b, arc in zip(bases, arcs)]
     goal = base_path[-1]
     views.append(PathView(goal, camera_at(goal.xy, target, seed, torso_band), length))
     return CandidatePath(goal_id=goal_id, base_path=list(base_path), views=views,

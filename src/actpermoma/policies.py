@@ -18,9 +18,11 @@ from .geom import Aabb, Grid, Pose2, Pose3, facing, look_at
 from .grasping import Grasp, MapPair, best_grasp, reachability
 from .perception import TsdfGrid, rear_side_ig_batch
 from .planning import (
+    NavMap,
     NoFeasibleGoals,
     NoPath,
     PlannerConfig,
+    Route,
     camera_at,
     cell_blocked,
     evaluate_paths,
@@ -93,30 +95,32 @@ class RouteCache:
 
     This is the one place that locates the robot on a route: `path_to`
     returns the route trimmed to start exactly at the robot (or collapsed to
-    its goal waypoint), which is the only form `planning.step` walks.
+    its goal waypoint), which is the only form `planning.step` walks.  A
+    route keeps its positions and segment lengths, so a trimmed route
+    measures only its new first segment.
     """
 
     MAX_LATERAL = 0.4
 
     def __init__(self) -> None:
-        self.routes: dict[int, list[Pose2]] = {}
+        self.routes: dict[int, Route] = {}
 
-    def path_to(self, occ: Grid, blocked: np.ndarray, robot: Pose2,
-                goal: Pose2, key: int) -> list[Pose2]:
-        cached = self.routes.get(key)
-        if cached is not None and self._valid(cached, occ, blocked, robot, goal):
-            return self._trim(cached, robot)
-        base = plan_path(occ, robot, goal, blocked=blocked)
-        base = base[:-1] + [goal]
-        self.routes[key] = base
-        return self._trim(base, robot)
+    def path_to(self, nav: NavMap, robot: Pose2, goal: Pose2, key: int) -> Route:
+        rob = robot.xy
+        route = self.routes.get(key)
+        if route is not None and self._reaches(route, nav, goal):
+            lateral, seg = self._projection(route.xy, rob)
+            if lateral <= self.MAX_LATERAL:
+                return self._trim(route, robot, seg)
+        base = plan_path(nav, robot, goal)
+        route = self.routes[key] = Route.through(base[:-1] + [goal])
+        return self._trim(route, robot, self._projection(route.xy, rob)[1])
 
     @staticmethod
-    def _projection(route: list[Pose2], rob: np.ndarray) -> tuple[float, int]:
-        """(lateral distance, segment index) of the closest polyline point;
-        ties prefer the later segment."""
-        pts = np.array([w.xy for w in route])
-        if len(route) == 1:
+    def _projection(pts: np.ndarray, rob: np.ndarray) -> tuple[float, int]:
+        """(lateral distance, segment index) of the closest point of the
+        polyline `pts`; ties prefer the later segment."""
+        if len(pts) == 1:
             return float(np.linalg.norm(rob - pts[0])), 0
         a = pts[:-1]
         seg = pts[1:] - a
@@ -130,29 +134,30 @@ class RouteCache:
                 best = i
         return float(d[best]), best
 
-    def _valid(self, route: list[Pose2], occ: Grid, blocked: np.ndarray,
-               robot: Pose2, goal: Pose2) -> bool:
-        if float(np.linalg.norm(route[-1].xy - goal.xy)) > 1e-9:
+    @staticmethod
+    def _reaches(route: Route, nav: NavMap, goal: Pose2) -> bool:
+        """The route ends at `goal` and every waypoint is on the map and free."""
+        if float(np.linalg.norm(route.xy[-1] - goal.xy)) > 1e-9:
             return False
-        lateral, _ = self._projection(route, robot.xy)
-        if lateral > self.MAX_LATERAL:
+        cells = nav.occ.world_to_index(route.xy)
+        if not bool(nav.occ.contains_index(cells).all()):
             return False
-        cells = occ.world_to_index(np.array([w.xy for w in route]))
-        inside = occ.contains_index(cells)
-        if not bool(inside.all()):
-            return False
-        return not bool(blocked[cells[:, 0], cells[:, 1]].any())
+        return not bool(nav.blocked[cells[:, 0], cells[:, 1]].any())
 
-    def _trim(self, route: list[Pose2], robot: Pose2) -> list[Pose2]:
+    @staticmethod
+    def _trim(route: Route, robot: Pose2, seg: int) -> Route:
+        """`route` from the robot, which projects onto segment `seg`."""
         rob = robot.xy
-        if float(np.linalg.norm(rob - route[-1].xy)) < 1e-9:
-            return [route[-1]]  # arrived: collapsed single-waypoint path
-        if len(route) == 1:
-            return list(route)
-        _, best_i = self._projection(route, rob)
-        remaining = route[best_i + 1:]
+        goal = route.waypoints[-1]
+        if float(np.linalg.norm(rob - route.xy[-1])) < 1e-9:
+            return Route([goal], route.xy[-1:], [])  # arrived: collapsed single-waypoint path
+        if len(route.waypoints) == 1:
+            return route
         start = Pose2(float(rob[0]), float(rob[1]), robot.theta)
-        return [start, *remaining] if remaining else [start, route[-1]]
+        rest = route.waypoints[seg + 1:]
+        xy = np.vstack([rob, route.xy[seg + 1:]])
+        return Route([start, *rest], xy,
+                     [float(np.linalg.norm(xy[1] - xy[0])), *route.segs[seg + 1:]])
 
 
 class Policy:
@@ -211,24 +216,23 @@ class ActPerMoMaPolicy(Policy):
     def decide(self, belief: Belief) -> PolicyDecision:
         cfg = self.cfg
         target_xy = belief.target_center[:2]
-        blocked = inflate_occupied(belief.occ)
+        nav = NavMap(belief.occ, inflate_occupied(belief.occ))
         try:
             # goals drift every few steps: frozen jitter lets two adjacent
             # goals trap the argmax in a visit cycle
             slots = sample_base_goal_slots(belief.occ, target_xy, cfg.n_b,
                                            self.goal_seed, cfg.reach_radius,
-                                           blocked=blocked,
+                                           blocked=nav.blocked,
                                            epoch=belief.step_index // self.GOAL_EPOCH)
         except NoFeasibleGoals:
             return Abort("no feasible base goals")
         paths = []
         for slot, goal in slots:
             try:
-                base = self.routes.path_to(belief.occ, blocked, belief.robot,
-                                           goal, slot)
+                route = self.routes.path_to(nav, belief.robot, goal, slot)
             except NoPath:
                 continue
-            paths.append(sample_camera_poses(base, belief.target_center,
+            paths.append(sample_camera_poses(route, belief.target_center,
                                              cfg.cam_spacing, cfg.torso_band,
                                              seed=self.cam_seed, goal_id=slot))
         if not paths:
@@ -312,19 +316,19 @@ class NaivePolicy(Policy):
         if dist <= cfg.reach_radius:  # no exploration in this baseline
             return self._grasp_here(belief) or self._move_to(belief, belief.robot)
 
-        blocked = inflate_occupied(belief.occ)
+        nav = NavMap(belief.occ, inflate_occupied(belief.occ))
         candidates = ([self.current_goal] if self.current_goal is not None else []) \
-            + self._ring(belief, blocked)
+            + self._ring(belief, nav.blocked)
         for goal in candidates:
-            if cell_blocked(belief.occ, blocked, goal.xy):
+            if cell_blocked(belief.occ, nav.blocked, goal.xy):
                 continue
             try:
-                base = self.routes.path_to(belief.occ, blocked, belief.robot, goal, 0)
+                route = self.routes.path_to(nav, belief.robot, goal, 0)
             except NoPath:
                 self.routes.routes.pop(0, None)
                 continue
             self.current_goal = goal
-            return self._move_along(belief, base)
+            return self._move_along(belief, route.waypoints)
         self.current_goal = None
         return Abort("target ring unreachable")
 
@@ -352,18 +356,17 @@ class RandomPolicy(Policy):
                    and float(np.linalg.norm(belief.robot.xy - self.current_goal.xy)) < 1e-9)
         if arrived and (grasp := self._grasp_here(belief)) is not None:
             return grasp
-        blocked = inflate_occupied(belief.occ)
+        nav = NavMap(belief.occ, inflate_occupied(belief.occ))
         if arrived or self.current_goal is None:
-            self.current_goal = self._sample_goal(belief, blocked)
+            self.current_goal = self._sample_goal(belief, nav.blocked)
             if self.current_goal is None:
                 return Abort("no feasible base goals")
         try:
-            base = self.routes.path_to(belief.occ, blocked, belief.robot,
-                                       self.current_goal, 0)
+            route = self.routes.path_to(nav, belief.robot, self.current_goal, 0)
         except NoPath:
             self.current_goal = None
             return self._move_to(belief, belief.robot)
-        return self._move_along(belief, base)
+        return self._move_along(belief, route.waypoints)
 
 
 class BreyerNbvPolicy(Policy):
@@ -401,15 +404,15 @@ class BreyerNbvPolicy(Policy):
         if dist <= cfg.reach_radius and (grasp := self._grasp_here(belief)) is not None:
             return grasp
 
-        blocked = inflate_occupied(belief.occ)
+        nav = NavMap(belief.occ, inflate_occupied(belief.occ))
         cams = self.view_poses(belief.target_center)
-        feasible = self._feasible(belief, cams, blocked)
+        feasible = self._feasible(belief, cams, nav.blocked)
         if not feasible:
             # sweep exhausted: shrink the hemisphere and start over
             self.radius = max(self.radius * self.SHRINK, 0.45)
             self.visited.clear()
             cams = self.view_poses(belief.target_center)
-            feasible = self._feasible(belief, cams, blocked)
+            feasible = self._feasible(belief, cams, nav.blocked)
             if not feasible:
                 return Abort("no feasible views")
 
@@ -425,11 +428,11 @@ class BreyerNbvPolicy(Policy):
             self.visited.add(view_id)
             return self._move_to(belief, belief.robot)
         try:
-            base = self.routes.path_to(belief.occ, blocked, belief.robot, goal, view_id)
+            route = self.routes.path_to(nav, belief.robot, goal, view_id)
         except NoPath:
             self.visited.add(view_id)
             return self._move_to(belief, belief.robot)
-        move = self._move_along(belief, base)
+        move = self._move_along(belief, route.waypoints)
         if float(np.linalg.norm(move.base.xy - goal.xy)) < 1e-9:
             self.visited.add(view_id)
         return move

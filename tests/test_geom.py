@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from actpermoma.geom import (
     Aabb,
@@ -17,6 +19,7 @@ from actpermoma.geom import (
     quat_mul,
     quat_normalize,
     quat_rotate,
+    ray_aabb_interval,
     traverse_batch,
     traverse_ray,
     wrap_angle,
@@ -52,8 +55,6 @@ def chord_length(grid: Grid, origin, direction, ijk) -> float:
     """Exact length of the ray segment inside voxel ijk (0 when grazing)."""
     lo = grid.origin + np.asarray(ijk) * grid.cell_size
     box = Aabb(lo, lo + grid.cell_size)
-    from actpermoma.geom import ray_aabb_interval
-
     t0, t1 = ray_aabb_interval(np.asarray(origin)[None, :], np.asarray(direction)[None, :], box)
     return max(float(t1[0] - t0[0]), 0.0)
 
@@ -234,11 +235,119 @@ def test_traverse_batch_equals_scalar():
     dirs = rng.normal(size=(40, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     per_ray: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(40)}
-    for ids, ijk in traverse_batch(g, origins, dirs, 1.5):
+    for ids, flat in traverse_batch(g, origins, dirs, 1.5):
+        ijk = np.stack(np.unravel_index(flat, g.dims, order="F"), axis=1)
         for rid, v in zip(ids, ijk):
             per_ray[int(rid)].append(tuple(int(x) for x in v))
     for i in range(40):
         assert per_ray[i] == traverse_ray(g, Ray(origins[i], dirs[i]), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# reference: the lockstep traversal traverse_batch replaced, on (n, 3) rows
+# with an argmin per iteration, yielding (ids, ijk)
+# ---------------------------------------------------------------------------
+
+def lockstep_reference(grid: Grid, origins, directions, t_max):
+    o = np.atleast_2d(np.asarray(origins, dtype=float))
+    d = np.atleast_2d(np.asarray(directions, dtype=float))
+    n = o.shape[0]
+    tm = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
+    gmin = grid.origin
+    vs = grid.cell_size
+    dims = np.asarray(grid.dims)
+    t_entry, t_exit = ray_aabb_interval(o, d, Aabb(gmin, grid.max_corner))
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / d
+    alive = (t_entry <= t_exit) & (t_entry < tm) & np.isfinite(t_entry)
+    ids = np.nonzero(alive)[0]
+    if ids.size == 0:
+        return
+    o, d, inv, tm = o[ids], d[ids], inv[ids], tm[ids]
+    t_cur = t_entry[ids]
+    p = o + t_cur[:, None] * d
+    s = (p - gmin) / vs
+    ijk = np.floor(s).astype(np.int64)
+    on_face = s == np.floor(s)
+    ijk -= (on_face & (d < 0)).astype(np.int64)
+    np.clip(ijk, 0, dims - 1, out=ijk)
+    step = np.where(d > 0, 1, np.where(d < 0, -1, 0)).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        next_bound = gmin + (ijk + (step > 0)) * vs
+        t_next = (next_bound - o) * inv
+    t_next = np.where(d == 0.0, np.inf, t_next)
+    t_delta = np.where(d == 0.0, np.inf, np.abs(inv) * vs)
+    row3 = np.arange(0, 3 * ids.size, 3)
+    while ids.size:
+        yield ids, ijk
+        axis = np.argmin(t_next, axis=1)
+        lin = row3[:ids.size] + axis
+        t_flat, ijk_flat = t_next.reshape(-1), ijk.reshape(-1)
+        t_cur = t_flat[lin]
+        moved = ijk_flat[lin] + step.reshape(-1)[lin]
+        ijk_flat[lin] = moved
+        t_flat[lin] = t_cur + t_delta.reshape(-1)[lin]
+        ok = (moved >= 0) & (moved < dims[axis]) & (t_cur < tm)
+        if not ok.all():
+            keep = np.flatnonzero(ok)
+            if keep.size == 0:
+                return
+            ids, ijk, t_next, t_delta, step, tm = (
+                ids[keep], ijk[keep], t_next[keep], t_delta[keep], step[keep], tm[keep])
+
+
+@st.composite
+def traversal_cases(draw):
+    """A grid and rays that start inside it, on voxel faces, edges and
+    corners (the grid's own included) or outside it, with zero and negative
+    direction components, and t_max random, infinite or exactly a ray's
+    first boundary crossing."""
+    dims = tuple(draw(st.integers(1, 8)) for _ in range(3))
+    vs = draw(st.sampled_from([0.1, 0.07, 0.25]))
+    g = make_grid(dims, vs, tuple(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
+    n = draw(st.integers(1, 12))
+    origins, dirs, t_max = np.empty((n, 3)), np.empty((n, 3)), np.empty(n)
+    for r in range(n):
+        for a in range(3):
+            # on a voxel boundary (0 and dims[a] are the grid's faces), inside
+            # a voxel, or up to two voxels beyond the grid
+            k = draw(st.integers(-2, dims[a] + 2))
+            frac = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+            origins[r, a] = g.origin[a] + (k + frac) * vs
+            dirs[r, a] = draw(st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                                        st.floats(-1.0, 1.0)))
+        kind = draw(st.sampled_from(["random", "inf", "boundary"]))
+        if kind == "random":
+            t_max[r] = draw(st.floats(0.01, 3.0))
+        elif kind == "inf":
+            t_max[r] = np.inf
+        else:
+            # the t of the first boundary along a moving axis, as the
+            # traversal computes it
+            moving = np.flatnonzero(dirs[r] != 0.0)
+            a = int(moving[0]) if moving.size else 0
+            da = dirs[r, a] if moving.size else 1.0
+            idx = np.floor((origins[r, a] - g.origin[a]) / vs) + (da > 0)
+            t_max[r] = (g.origin[a] + idx * vs - origins[r, a]) * (1.0 / da)
+    return g, origins, dirs, t_max
+
+
+@given(traversal_cases())
+@example((make_grid((4, 4, 4), 0.1), np.array([[0.2, 0.2, 0.2], [0.0, 0.0, 0.0], [0.4, 0.4, 0.4]]),
+          np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [-1.0, -1.0, -1.0]]), 1.0))
+@example((make_grid((4, 4, 4), 0.1), np.array([[-0.05, 0.25, 0.25], [-1.0, 0.4, 0.4]]),
+          np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.array([0.25, 5.0])))
+def test_traverse_batch_equals_lockstep_reference(case):
+    # every iteration yields the same live rays, each at the flat index of
+    # the reference's voxel
+    g, origins, dirs, t_max = case
+    got = [(ids.copy(), flat.copy()) for ids, flat in traverse_batch(g, origins, dirs, t_max)]
+    want = [(ids.copy(), g.flat_index(ijk)) for ids, ijk in
+            lockstep_reference(g, origins, dirs, t_max)]
+    assert len(got) == len(want)
+    for (ids, flat), (want_ids, want_flat) in zip(got, want):
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(flat, want_flat)
 
 
 def test_occupancy_grid_lookup():

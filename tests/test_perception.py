@@ -657,17 +657,18 @@ def uncached_counts(t: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics,
     g = t.grid
     fresh = TsdfGrid(Grid(g.origin.copy(), g.cell_size, g.dims, g.cells.copy()), t.truncation)
     states = fresh.state_volume()
-    occupied = states == CellState.OCCUPIED
-    countable = (states == CellState.UNKNOWN) & perception._bbox_mask(fresh.grid, bbox)
+    # x-fastest, as traverse_batch's flat indices
+    occupied = (states == CellState.OCCUPIED).ravel(order="F")
+    countable = ((states == CellState.UNKNOWN)
+                 & perception._bbox_mask(fresh.grid, bbox)).ravel(order="F")
     counts = []
     for cam in cams:
         origins, dirs, t_max = box_rays(fresh, [cam], intr, bbox)
         seen = np.zeros(len(origins), dtype=bool)
-        hits: set[tuple[int, int, int]] = set()
-        for ids, ijk in traverse_batch(fresh.grid, origins, dirs, t_max):
-            i, j, k = ijk.T
-            hits.update(map(tuple, ijk[seen[ids] & countable[i, j, k]].tolist()))
-            seen[ids[occupied[i, j, k]]] = True
+        hits: set[int] = set()
+        for ids, flat in traverse_batch(fresh.grid, origins, dirs, t_max):
+            hits.update(flat[seen[ids] & countable[flat]].tolist())
+            seen[ids[occupied[flat]]] = True
         counts.append(len(hits))
     return counts
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actpermoma import planning
@@ -23,11 +23,13 @@ from actpermoma.grasping import ARM_OFFSET, Arm, Grasp, build_map_pair, reachabi
 from actpermoma.perception import TsdfGrid
 from actpermoma.planning import (
     CandidatePath,
+    NavMap,
     NoFeasibleGoals,
     NoPath,
     PathUtility,
     PathView,
     PlannerConfig,
+    Route,
     UNKNOWN_COST,
     _stable_unit,
     camera_at,
@@ -217,10 +219,16 @@ def test_goal_ring_equals_scalar_loop(seed, epoch, n_b, reach_radius, density, m
     assert _bits(sample_base_goal_slots(*args, blocked=blocked, epoch=epoch)) == want
 
 
+def test_stable_unit_is_pinned():
+    # the keys are hashed as little-endian int64s whatever the platform's
+    # byte order
+    assert _stable_unit(7, 3, 1, 2, 5).hex() == "0x1.68b4dc361944bp-1"
+
+
 def test_plan_path_start_equals_goal():
     occ = empty_occ()
     p = Pose2(0.31, 0.29, 1.0)
-    path = plan_path(occ, p, Pose2(0.33, 0.27, 0.0), inflate_occupied(occ))
+    path = plan_path(NavMap(occ, inflate_occupied(occ)), p, Pose2(0.33, 0.27, 0.0))
     assert len(path) == 1
     assert path[0].theta == pytest.approx(1.0)
 
@@ -229,7 +237,7 @@ def test_plan_path_blocked_goal():
     occ = empty_occ()
     occ.cells[:, 40:] = CellState.OCCUPIED
     with pytest.raises(NoPath):
-        plan_path(occ, Pose2(0, 0, 0), Pose2(0, 2.5, 0), inflate_occupied(occ))
+        plan_path(NavMap(occ, inflate_occupied(occ)), Pose2(0, 0, 0), Pose2(0, 2.5, 0))
 
 
 def test_plan_path_cost_equals_dijkstra_on_random_grids():
@@ -252,9 +260,9 @@ def test_plan_path_cost_equals_dijkstra_on_random_grids():
         goal = Pose2(*occ.index_to_world_center(np.array(g)), 0.0)
         if blocked[g] or np.isinf(want):
             with pytest.raises(NoPath):
-                plan_path(occ, start, goal, blocked=blocked)
+                plan_path(NavMap(occ, blocked), start, goal)
             continue
-        got = plan_path(occ, start, goal, blocked=blocked)
+        got = plan_path(NavMap(occ, blocked), start, goal)
         assert path_cost(occ, got) == pytest.approx(want, abs=1e-9)
         checked += 1
     assert checked >= 120
@@ -263,17 +271,179 @@ def test_plan_path_cost_equals_dijkstra_on_random_grids():
 def test_plan_path_waypoints_adjacent():
     occ = empty_occ()
     occ.cells[30:34, 28:36] = CellState.OCCUPIED
-    path = plan_path(occ, Pose2(-1.0, 0.0, 0), Pose2(1.5, 0.4, 0),
-                     inflate_occupied(occ))
+    path = plan_path(NavMap(occ, inflate_occupied(occ)), Pose2(-1.0, 0.0, 0),
+                     Pose2(1.5, 0.4, 0))
     step_limit = occ.cell_size * np.sqrt(2) + 1e-9
     for a, b in zip(path, path[1:]):
         assert np.linalg.norm(b.xy - a.xy) <= step_limit
 
 
+# ---------------------------------------------------------------------------
+# reference: the A* loop plan_path replaced, on tuples, dicts and a set
+# ---------------------------------------------------------------------------
+
+REF_NEIGHBORS = [(1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
+                 (1, 1, np.sqrt(2.0)), (1, -1, np.sqrt(2.0)),
+                 (-1, 1, np.sqrt(2.0)), (-1, -1, np.sqrt(2.0))]
+
+
+def _ref_octile(a: tuple[int, int], b: tuple[int, int]) -> float:
+    dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
+    return max(dx, dy) + (np.sqrt(2.0) - 1.0) * min(dx, dy)
+
+
+def reference_plan_path(occ: Grid, start: Pose2, goal: Pose2,
+                        blocked: np.ndarray) -> list[Pose2]:
+    nx, ny = occ.dims
+    s = tuple(occ.world_to_index(start.xy))
+    g = tuple(occ.world_to_index(goal.xy))
+    for c in (s, g):
+        if not (0 <= c[0] < nx and 0 <= c[1] < ny):
+            raise NoPath(f"cell {c} outside the grid")
+    if blocked[g]:
+        raise NoPath("goal cell blocked")
+    unknown = occ.cells == CellState.UNKNOWN
+    cell = occ.cell_size
+
+    if s == g:
+        c = occ.index_to_world_center(np.array(s))
+        return [Pose2(float(c[0]), float(c[1]), start.theta)]
+
+    g_cost = {s: 0.0}
+    came: dict[tuple[int, int], tuple[int, int]] = {}
+    tie = 0
+    open_heap: list[tuple[float, int, tuple[int, int]]] = [(_ref_octile(s, g) * cell, tie, s)]
+    closed: set[tuple[int, int]] = set()
+    while open_heap:
+        f, _, cur = heapq.heappop(open_heap)
+        if cur in closed:
+            continue
+        if cur == g:
+            cells = [cur]
+            while cur in came:
+                cur = came[cur]
+                cells.append(cur)
+            cells.reverse()
+            waypoints: list[Pose2] = []
+            for i, c in enumerate(cells):
+                w = occ.index_to_world_center(np.array(c))
+                if i + 1 < len(cells):
+                    nxt = occ.index_to_world_center(np.array(cells[i + 1]))
+                    th = float(np.arctan2(nxt[1] - w[1], nxt[0] - w[0]))
+                else:
+                    th = waypoints[-1].theta if waypoints else start.theta
+                waypoints.append(Pose2(float(w[0]), float(w[1]), th))
+            return waypoints
+        closed.add(cur)
+        cg = g_cost[cur]
+        for di, dj, base in REF_NEIGHBORS:
+            nb = (cur[0] + di, cur[1] + dj)
+            if not (0 <= nb[0] < nx and 0 <= nb[1] < ny) or blocked[nb] or nb in closed:
+                continue
+            step_cost = base * cell * (UNKNOWN_COST if unknown[nb] else 1.0)
+            ng = cg + step_cost
+            if ng < g_cost.get(nb, np.inf) - 1e-12:
+                g_cost[nb] = ng
+                came[nb] = cur
+                tie += 1
+                heapq.heappush(open_heap, (ng + _ref_octile(nb, g) * cell, tie, nb))
+    raise NoPath("goal unreachable")
+
+
+def _plan_bits(plan, *args):
+    """Waypoint bits of a plan, or its NoPath message."""
+    try:
+        return [(p.x.hex(), p.y.hex(), p.theta.hex()) for p in plan(*args)]
+    except NoPath as e:
+        return f"NoPath: {e}"
+
+
+# a cell index on an axis of n cells, often on the border, rarely off the grid
+def _axis_cell(n):
+    return st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.integers(-2, n + 1))
+
+
+@st.composite
+def astar_cases(draw):
+    nx, ny = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.where(rng.random((nx, ny)) < draw(st.floats(0.0, 0.6)),
+                     CellState.UNKNOWN, CellState.FREE).astype(np.uint8)
+    blocked = rng.random((nx, ny)) < draw(st.floats(0.0, 0.6))
+    cell = draw(st.sampled_from([0.1, 0.05, 0.3]))
+    occ = Grid(np.array([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))]), cell,
+               (nx, ny), cells)
+
+    def pose():
+        # a point inside its cell, the cell often on the border or off the grid
+        i, j = draw(_axis_cell(nx)), draw(_axis_cell(ny))
+        u, v = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
+        return Pose2(float(occ.origin[0] + (i + u) * cell), float(occ.origin[1] + (j + v) * cell),
+                     draw(st.floats(-3.0, 3.0)))
+
+    start = pose()
+    goal = start if draw(st.integers(0, 7)) == 0 else pose()
+    return occ, blocked, start, goal
+
+
+def _corner_case(wall: bool, goal_blocked: bool = False, same: bool = False):
+    # a free 12 x 9 map, the start in a corner and the goal in the opposite
+    # one (or on the start); a blocked column between them cuts the goal off
+    occ = Grid(np.zeros(2), 0.1, (12, 9), np.zeros((12, 9), dtype=np.uint8))
+    blocked = np.zeros((12, 9), dtype=bool)
+    blocked[6, :] = wall
+    blocked[11, 8] = goal_blocked
+    start = Pose2(0.05, 0.05, 0.3)
+    return occ, blocked, start, start if same else Pose2(1.15, 0.85, 0.0)
+
+
+@settings(max_examples=300)
+@given(astar_cases())
+@example(_corner_case(wall=True))  # unreachable goal
+@example(_corner_case(wall=False))  # open map, many equal-cost routes
+@example(_corner_case(wall=False, goal_blocked=True))
+@example(_corner_case(wall=False, same=True))
+def test_plan_path_equals_reference_search(case):
+    occ, blocked, start, goal = case
+    want = _plan_bits(reference_plan_path, occ, start, goal, blocked)
+    assert _plan_bits(plan_path, NavMap(occ, blocked), start, goal) == want
+
+
+# mirror-symmetric maps, where two optimal routes part with two mirrored
+# moves of equal f: only the order of _NEIGHBORS decides which route wins.
+# (start, goal, blocked cells) on a free 9 x 9 map, each under the 8
+# symmetries of the square, so that every pair of neighbors meets in a tie
+SYMMETRIC_SPLITS = {
+    "axial": ((4, 0), (4, 8), [(x, 1) for x in range(2, 7)]),
+    "diagonal": ((4, 0), (4, 8), [(4, 1)]),
+    "off_the_diagonal": ((0, 0), (8, 8), [(1, 1)]),
+    "across_the_diagonal": ((2, 2), (6, 6), [(3, 3), (3, 2), (2, 3)]),
+}
+SQUARE_SYMMETRIES = [lambda i, j: (i, j), lambda i, j: (8 - i, j), lambda i, j: (i, 8 - j),
+                     lambda i, j: (8 - i, 8 - j), lambda i, j: (j, i), lambda i, j: (8 - j, i),
+                     lambda i, j: (j, 8 - i), lambda i, j: (8 - j, 8 - i)]
+
+
+@pytest.mark.parametrize("split", sorted(SYMMETRIC_SPLITS))
+@pytest.mark.parametrize("sym", range(len(SQUARE_SYMMETRIES)))
+def test_plan_path_equals_reference_where_mirrored_routes_tie(split, sym):
+    occ = Grid(np.zeros(2), 0.1, (9, 9), np.zeros((9, 9), dtype=np.uint8))
+    blocked = np.zeros((9, 9), dtype=bool)
+    t = SQUARE_SYMMETRIES[sym]
+    s, g, walls = SYMMETRIC_SPLITS[split]
+    for c in walls:
+        blocked[t(*c)] = True
+    start, goal = (Pose2(*occ.index_to_world_center(np.array(t(*c))), 0.0) for c in (s, g))
+    want = _plan_bits(reference_plan_path, occ, start, goal, blocked)
+    assert isinstance(want, list) and len(want) > 2
+    assert _plan_bits(plan_path, NavMap(occ, blocked), start, goal) == want
+
+
 def test_sample_camera_poses_look_at_and_count():
     base = [Pose2(x, 0.0, 0.0) for x in np.arange(0.0, 2.0001, 0.1)]
     target = np.array([5.0, 0.0, 0.8])
-    path = sample_camera_poses(base, target, 0.5, (1.1, 1.3), seed=7)
+    path = sample_camera_poses(Route.through(base), target, 0.5, (1.1, 1.3), seed=7)
     assert path.length == pytest.approx(2.0)
     assert len(path.views) == 5  # four interior (incl. the start) + goal
     for v in path.views:
@@ -286,10 +456,63 @@ def test_sample_camera_poses_look_at_and_count():
     assert path.views[-1].base.xy == pytest.approx(base[-1].xy)
 
 
+def reference_camera_poses(base_path: list[Pose2], target: np.ndarray, cam_spacing: float,
+                           torso_band: tuple[float, float], seed: int) -> list[PathView]:
+    """The view placement sample_camera_poses replaced: every arc walks the
+    segments from the path start."""
+    target = np.asarray(target, dtype=float)
+    segs = [float(np.linalg.norm(b.xy - a.xy)) for a, b in zip(base_path, base_path[1:])]
+    length = float(sum(segs))
+
+    def base_at(arc: float) -> Pose2:
+        left = arc
+        for a, b, s in zip(base_path, base_path[1:], segs):
+            if left <= s or s == 0.0:
+                t = 0.0 if s == 0.0 else left / s
+                return facing(a.xy + t * (b.xy - a.xy), target)
+            left -= s
+        return base_path[-1]
+
+    arcs = [float(a) for a in np.arange(0.0, length, cam_spacing) if length - a > 1e-9]
+    views = []
+    for arc in arcs:
+        b = base_at(arc)
+        views.append(PathView(b, camera_at(b.xy, target, seed, torso_band), float(arc)))
+    goal = base_path[-1]
+    views.append(PathView(goal, camera_at(goal.xy, target, seed, torso_band), length))
+    return views
+
+
+def _view_bits(views: list[PathView]):
+    return [(v.base.x.hex(), v.base.y.hex(), v.base.theta.hex(), v.arc.hex(),
+             v.cam.position.tobytes(), v.cam.orientation.tobytes()) for v in views]
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
+                                st.floats(0.0, 0.3)), min_size=0, max_size=40),
+       start=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       cam_spacing=st.sampled_from([0.5, 0.3, 0.17]))
+@example(steps=[(1, 0, 0.1)] * 10, start=(0.0, 0.0), cam_spacing=0.5)  # arcs on waypoints
+@example(steps=[(1, 1, 0.1), (0, 0, 0.0), (1, 0, 0.1), (0, 0, 0.0)], start=(0.3, -0.2),
+         cam_spacing=0.1)  # zero-length segments
+def test_sample_camera_poses_equals_reference_walk(steps, start, cam_spacing):
+    # grid-like routes (axis and diagonal steps, zero-length ones included)
+    # and random ones: the same views, bit for bit, and the same length
+    base = [Pose2(start[0], start[1], 0.3)]
+    for di, dj, size in steps:
+        base.append(Pose2(base[-1].x + di * size, base[-1].y + dj * size, 0.0))
+    target = np.array([0.4, -0.3, 0.8])
+    got = sample_camera_poses(Route.through(base), target, cam_spacing, (1.1, 1.3), seed=3,
+                              goal_id=2)
+    want = reference_camera_poses(base, target, cam_spacing, (1.1, 1.3), seed=3)
+    assert _view_bits(got.views) == _view_bits(want)
+    assert got.length == want[-1].arc and got.base_path == base and got.goal_id == 2
+
+
 def test_camera_above_target_fallback():
     base = [Pose2(0.0, 0.0, 0.0)]
     target = np.array([0.0, 0.0, 0.5])  # straight below the camera
-    path = sample_camera_poses(base, target, 0.5, (1.1, 1.3), seed=1)
+    path = sample_camera_poses(Route.through(base), target, 0.5, (1.1, 1.3), seed=1)
     q = path.views[-1].cam.orientation
     assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
@@ -396,8 +619,8 @@ def test_select_path_ig_only_before_grasps():
         ang = rng.uniform(0, 2 * np.pi)
         goal = Pose2(0.3 + 0.9 * np.cos(ang), 0.3 + 0.9 * np.sin(ang), 0.0)
         base = [Pose2(-0.6, 0.31, 0.0), Pose2((goal.x - 0.6) / 2, (goal.y + 0.31) / 2, 0.0), goal]
-        p = sample_camera_poses(base, np.array([0.3, 0.3, 0.3]), 0.4, (0.25, 0.45),
-                                seed=2, goal_id=gid)
+        p = sample_camera_poses(Route.through(base), np.array([0.3, 0.3, 0.3]), 0.4,
+                                (0.25, 0.45), seed=2, goal_id=gid)
         paths.append(p)
     utils = evaluate_paths(paths, t, [], cfg, False, intr, bbox, MAPS)
     by_ig = max(utils, key=lambda u: (u.j_ig, -u.path.length, -u.path.goal_id))
@@ -452,14 +675,17 @@ def _retrimmed(base: list[Pose2]):
     """`robot -> route`: `base` re-trimmed by a route cache to start at the
     robot, as the policies hand routes to `step`."""
     occ = empty_occ()
-    blocked = np.zeros(occ.dims, dtype=bool)
+    nav = NavMap(occ, np.zeros(occ.dims, dtype=bool))
     cache = RouteCache()
-    cache.routes[0] = list(base)
+    cache.routes[0] = Route.through(base)
 
     def route_from(robot: Pose2) -> list[Pose2]:
-        route = cache.path_to(occ, blocked, robot, base[-1], 0)
-        assert cache.routes[0] == base  # trimmed, never re-planned
-        return route
+        route = cache.path_to(nav, robot, base[-1], 0)
+        assert cache.routes[0].waypoints == base  # trimmed, never re-planned
+        # the kept lengths and the new first one are those of the trimmed route
+        assert route.segs == Route.through(route.waypoints).segs
+        assert route.xy.tobytes() == Route.through(route.waypoints).xy.tobytes()
+        return route.waypoints
     return route_from
 
 

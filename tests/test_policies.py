@@ -19,6 +19,7 @@ from actpermoma.perception import (
     rear_side_ig_batch,
 )
 from actpermoma.planning import (
+    NavMap,
     PlannerConfig,
     evaluate_paths,
     inflate_occupied,
@@ -83,16 +84,16 @@ def hand_paths(policy, belief, routes):
     """The candidate paths of `policy.decide`, composed from the public
     pipeline ops with the policy's seeds and the given route cache."""
     cfg = policy.cfg
-    blocked = inflate_occupied(belief.occ)
+    nav = NavMap(belief.occ, inflate_occupied(belief.occ))
     slots = sample_base_goal_slots(belief.occ, belief.target_center[:2], cfg.n_b,
-                                   policy.goal_seed, cfg.reach_radius, blocked=blocked)
+                                   policy.goal_seed, cfg.reach_radius, blocked=nav.blocked)
     paths = []
     for slot, goal in slots:
         try:
-            base = routes.path_to(belief.occ, blocked, belief.robot, goal, slot)
+            route = routes.path_to(nav, belief.robot, goal, slot)
         except Exception:
             continue
-        paths.append(sample_camera_poses(base, belief.target_center, cfg.cam_spacing,
+        paths.append(sample_camera_poses(route, belief.target_center, cfg.cam_spacing,
                                          cfg.torso_band, seed=policy.cam_seed,
                                          goal_id=slot))
     return paths
