@@ -12,6 +12,7 @@ never mutate shared state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
@@ -300,11 +301,22 @@ class Grid:
         cached = getattr(self, "_centers", None)
         if cached is not None:
             return cached
-        idx = np.indices(self.dims, dtype=float)
-        cols = self.origin.reshape(-1, *[1] * len(self.dims)) + (idx + 0.5) * self.cell_size
+        cols = (self.origin.reshape(-1, *[1] * len(self.dims))
+                + _center_offsets(self.dims, self.cell_size))
         out = np.moveaxis(cols, 0, -1)
         object.__setattr__(self, "_centers", out)
         return out
+
+
+@functools.lru_cache(maxsize=4)
+def _center_offsets(dims: tuple[int, ...], cell_size: float) -> np.ndarray:
+    """Read-only (n_axes, *dims) offsets of the cell centers from the grid
+    origin, `(idx + 0.5) * cell_size`.  Every episode's target and nav grids
+    share their dims and cell size, so each grid pays one add for its
+    centers."""
+    out = (np.indices(dims, dtype=float) + 0.5) * cell_size
+    out.flags.writeable = False
+    return out
 
 
 # the run-length text form of an occupancy grid's cells in episode traces:
@@ -347,7 +359,8 @@ def ray_aabb_interval(origins: np.ndarray, directions: np.ndarray, box: Aabb
     t_enter = t_exit = None
     for a in range(o.shape[1]):
         oa, da = o[:, a], d[:, a]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a subnormal component's reciprocal overflows to inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = 1.0 / da
             lo = (box.lo[a] - oa) * inv
             hi = (box.hi[a] - oa) * inv
@@ -400,7 +413,7 @@ def traverse_batch(
     dims = np.asarray(grid.dims)
 
     t_entry, t_exit = ray_aabb_interval(o, d, Aabb(gmin, grid.max_corner))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / d
 
     # strict: a voxel entered exactly at t_max is only grazed by the segment

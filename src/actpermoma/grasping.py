@@ -9,6 +9,7 @@ path utilities and the final arm/grasp selection.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -85,44 +86,58 @@ class GraspDetector:
         g = grid_template.grid
         self._world_poses = scene.world_truth_grasp_poses()
         target = scene.target_primitive
-        self.shells: list[np.ndarray] = []
-        self.voxels: list[tuple[int, int, int]] = []
         r = self.BALL_RADIUS_VOXELS
         offs = np.array([(i, j, k)
                          for i in range(-r, r + 1)
                          for j in range(-r, r + 1)
                          for k in range(-r, r + 1)
                          if i * i + j * j + k * k <= r * r])
-        for pose in self._world_poses:
-            center = g.world_to_index(pose.position)
-            ball = center + offs
-            inside = g.contains_index(ball)
-            ball = ball[inside]
-            centers = g.index_to_world_center(ball)
-            # voxels fusion can mark occupied: centers on or just inside the
-            # true surface (outside-surface voxels fuse as free); voxels flush
-            # with the tabletop can never be observed and are no contact area
-            sd = primitive_sdf(target, centers)
-            on_surface = (sd <= 0.0) & (sd >= -g.cell_size)
-            above_table = centers[:, 2] >= TABLE_HEIGHT + 0.5 * g.cell_size
-            normals = surface_normals(target, centers)
+        # every grasp's ball in one array, grasp after grasp: the centers,
+        # the SDF and the normals are computed row by row, so each row gets
+        # the bits that a call per grasp gives it
+        positions = np.array([p.position for p in self._world_poses]).reshape(-1, 3)
+        center = g.world_to_index(positions)
+        balls = center[:, None, :] + offs
+        inside = g.contains_index(balls)
+        ball = balls[inside]
+        centers = g.index_to_world_center(ball)
+        # voxels fusion can mark occupied: centers on or just inside the
+        # true surface (outside-surface voxels fuse as free); voxels flush
+        # with the tabletop can never be observed and are no contact area
+        sd = primitive_sdf(target, centers)
+        keep = (sd <= 0.0) & (sd >= -g.cell_size)
+        keep &= centers[:, 2] >= TABLE_HEIGHT + 0.5 * g.cell_size
+        normals = surface_normals(target, centers)
+        ends = np.cumsum(np.count_nonzero(inside, axis=1))[:-1]
+        self.shells: list[np.ndarray] = []
+        for pose, b, k, n in zip(self._world_poses, np.split(ball, ends),
+                                 np.split(keep, ends), np.split(normals, ends)):
+            # one matrix-vector product per grasp, as its own product
             approach = quat_rotate(pose.orientation, np.array([0.0, 0.0, 1.0]))
-            facing = normals @ (-approach) > self.FACING_MIN_DOT
-            self.shells.append(ball[on_surface & facing & above_table])
-            self.voxels.append(tuple(int(x) for x in np.clip(center, 0, np.array(g.dims) - 1)))
+            self.shells.append(b[k & (n @ (-approach) > self.FACING_MIN_DOT)])
+        self.voxels: list[tuple[int, int, int]] = [
+            tuple(int(x) for x in v) for v in np.clip(center, 0, np.array(g.dims) - 1)]
+        # detect's single gather: every shell's voxels in one index (offs[:0]
+        # keeps it defined for a scene without grasps) and the grasp of each
+        self._shell_sizes = [s.shape[0] for s in self.shells]
+        self._shell_index = tuple(np.concatenate([offs[:0], *self.shells]).T)
+        self._shell_owner = np.repeat(np.arange(len(self.shells)), self._shell_sizes)
 
     def detect(self, tsdf: TsdfGrid, q_th: float, seed: int,
                noise_amplitude: float = 0.05) -> list[Grasp]:
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x6A59]))
-        states = tsdf.state_volume()
+        occupied = tsdf.states(self._shell_index) == CellState.OCCUPIED
+        hits = np.bincount(self._shell_owner[occupied], minlength=len(self.shells)).tolist()
         out: list[Grasp] = []
-        for gi, (truth, shell, pose) in enumerate(
-                zip(self.scene.truth_grasps, self.shells, self._world_poses)):
+        for gi, (truth, size, hit, pose) in enumerate(
+                zip(self.scene.truth_grasps, self._shell_sizes, hits, self._world_poses)):
+            # one noise draw per grasp, empty shells included
             eps = float(rng.uniform(-noise_amplitude, noise_amplitude)) if noise_amplitude else 0.0
-            if shell.shape[0] == 0:
+            if size == 0:
                 continue
-            observed = states[shell[:, 0], shell[:, 1], shell[:, 2]] == CellState.OCCUPIED
-            coverage = float(observed.mean())
+            # the shell's observed fraction: both integers are exact, so the
+            # correctly rounded quotient has the bits of `observed.mean()`
+            coverage = hit / size
             q = truth.intrinsic_quality * smoothstep(coverage, 0.3, 0.8) + eps
             q = min(max(q, 0.0), 1.0)
             if q >= q_th:
@@ -225,8 +240,15 @@ def grasp_pitch_class(grasp_pose: Pose3) -> Approach:
 MapPair = tuple[ReachabilityMap, ReachabilityMap]
 
 
+@functools.cache
 def build_map_pair() -> MapPair:
-    return build_reachability_map(Arm.LEFT), build_reachability_map(Arm.RIGHT)
+    """The two arms' maps, built once per process.  They are constants that
+    every caller shares, so their arrays are read-only."""
+    pair = build_reachability_map(Arm.LEFT), build_reachability_map(Arm.RIGHT)
+    for m in pair:
+        for a in (m.dist_edges, m.height_edges, m.scores):
+            a.flags.writeable = False
+    return pair
 
 
 def reachability(map_pair: MapPair, grasp: Grasp, base: Pose2) -> tuple[float, Arm]:

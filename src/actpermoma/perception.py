@@ -86,16 +86,21 @@ class TsdfGrid:
     def weight(self) -> np.ndarray:
         return self.grid.cells[..., 1]
 
-    def state_volume(self) -> np.ndarray:
-        """CellState codes for every voxel, shape (nx, ny, nz) uint8: FREE
-        for a positive tsdf, OCCUPIED for one at or below 0, UNKNOWN at zero
-        weight.
+    def states(self, index) -> np.ndarray:
+        """CellState codes (uint8) of the voxels at numpy index `index`:
+        FREE for a positive tsdf, OCCUPIED for one at or below 0, UNKNOWN at
+        zero weight.
 
         One elementwise pass, UNKNOWN minus 2 (free) or 1 (occupied) where
         the weight is positive; a NaN tsdf subtracts nothing, so it stays
         UNKNOWN."""
-        t = self.tsdf
-        return np.uint8(CellState.UNKNOWN) - (self.weight > 0) * (np.uint8(2) * (t > 0) + (t <= 0))
+        t = self.tsdf[index]
+        return np.uint8(CellState.UNKNOWN) - (self.weight[index] > 0) * (
+            np.uint8(2) * (t > 0) + (t <= 0))
+
+    def state_volume(self) -> np.ndarray:
+        """`states` of every voxel, shape (nx, ny, nz)."""
+        return self.states(...)
 
 
 def _frustum_voxels(g: Grid, cam: Pose3, intr: CameraIntrinsics,
@@ -377,7 +382,7 @@ def project_occupancy(tsdf: TsdfGrid, robot_height_band: tuple[float, float]) ->
     band = (zc >= z_lo) & (zc <= z_hi)
     if not band.any():
         raise ValueError("height band outside the grid z extent")
-    states = tsdf.state_volume()[:, :, band]
+    states = tsdf.states((slice(None), slice(None), band))
     cells = np.where((states == CellState.OCCUPIED).any(axis=2),
                      np.uint8(CellState.OCCUPIED), states.max(axis=2))
     return Grid(g.origin[:2].copy(), g.cell_size, g.dims[:2], cells)

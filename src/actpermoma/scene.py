@@ -20,6 +20,7 @@ from .geom import (
     Aabb,
     Pose2,
     Pose3,
+    _cross,
     facing,
     quat_from_matrix,
     ray_aabb_interval,
@@ -351,9 +352,9 @@ def _grasp_orientation(approach_dir: np.ndarray, rng: np.random.Generator) -> np
     ref = np.array([1.0, 0.0, 0.0])
     if abs(float(np.dot(z, ref))) > 1.0 - 1e-6:
         ref = np.array([0.0, 1.0, 0.0])
-    x = np.cross(ref, z)
+    x = _cross(ref, z)
     x /= np.linalg.norm(x)
-    y = np.cross(z, x)
+    y = _cross(z, x)
     rot = np.column_stack([x, y, z])
     # random wrist roll about the approach axis
     roll = rng.uniform(0.0, 2 * np.pi)

@@ -12,6 +12,7 @@ from actpermoma.geom import (
     Pose2,
     Pose3,
     Ray,
+    _center_offsets,
     cells_from_rle,
     cells_to_rle,
     look_at,
@@ -136,6 +137,23 @@ def test_grid_index_maps(origin, cell, dims):
     assert np.array_equal(flat, g.cells.ravel(order="F"))
 
 
+@pytest.mark.parametrize("cell,dims", [(0.1, (7, 5)), (0.015, (7, 5, 9))], ids=["2d", "3d"])
+def test_grid_centers_equal_indices_formula_across_origins(cell, dims):
+    # grids that share dims and cell size share their cached center offsets;
+    # each must still get the bits of the np.indices formula at its own origin
+    rng = np.random.default_rng(len(dims))
+    for origin in [np.zeros(len(dims)), *rng.uniform(-3.0, 3.0, size=(3, len(dims)))]:
+        g = Grid(origin, cell, dims, np.zeros(dims))
+        want = origin.reshape(-1, *[1] * len(dims)) + (np.indices(dims, dtype=float) + 0.5) * cell
+        got = g.centers()
+        assert got.tobytes() == np.moveaxis(want, 0, -1).tobytes()
+        assert np.moveaxis(got, -1, 0).flags.c_contiguous
+    offsets = _center_offsets(dims, cell)
+    assert not offsets.flags.writeable
+    with pytest.raises(ValueError):
+        offsets[(0,) * offsets.ndim] = 1.0
+
+
 def test_grid_round_trip_world_index():
     g = make_grid((7, 5, 9), 0.015, (-0.3, 0.2, 0.7))
     for i in range(7):
@@ -257,7 +275,7 @@ def lockstep_reference(grid: Grid, origins, directions, t_max):
     vs = grid.cell_size
     dims = np.asarray(grid.dims)
     t_entry, t_exit = ray_aabb_interval(o, d, Aabb(gmin, grid.max_corner))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / d
     alive = (t_entry <= t_exit) & (t_entry < tm) & np.isfinite(t_entry)
     ids = np.nonzero(alive)[0]

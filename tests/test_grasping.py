@@ -21,12 +21,15 @@ from actpermoma.grasping import (
     grasp_pitch_class,
     reachability,
     smoothstep,
+    surface_normals,
     update_stability,
 )
 from actpermoma.perception import TsdfGrid, integrate_depth
 from actpermoma.scene import (
+    TABLE_HEIGHT,
     Approach,
     CameraIntrinsics,
+    GroundTruthGrasp,
     SceneKind,
     generate_scene,
     primitive_sdf,
@@ -125,6 +128,122 @@ def test_detect_deterministic_per_seed():
     assert [(g.voxel, g.quality) for g in a] == [(g.voxel, g.quality) for g in b]
     c = GraspDetector(t, scene).detect(t, 0.7, seed=6)
     assert [(g.voxel, g.quality) for g in a] != [(g.voxel, g.quality) for g in c]
+
+
+# ---------------------------------------------------------------------------
+# references: the per-grasp shell loop and the full-grid detect that
+# GraspDetector's single pass and single gather replaced
+# ---------------------------------------------------------------------------
+
+def reference_shells(g, scene):
+    target = scene.target_primitive
+    r = GraspDetector.BALL_RADIUS_VOXELS
+    offs = np.array([(i, j, k)
+                     for i in range(-r, r + 1)
+                     for j in range(-r, r + 1)
+                     for k in range(-r, r + 1)
+                     if i * i + j * j + k * k <= r * r])
+    shells, voxels = [], []
+    for pose in scene.world_truth_grasp_poses():
+        center = g.world_to_index(pose.position)
+        ball = center + offs
+        ball = ball[g.contains_index(ball)]
+        centers = g.index_to_world_center(ball)
+        sd = primitive_sdf(target, centers)
+        on_surface = (sd <= 0.0) & (sd >= -g.cell_size)
+        above_table = centers[:, 2] >= TABLE_HEIGHT + 0.5 * g.cell_size
+        normals = surface_normals(target, centers)
+        approach = quat_rotate(pose.orientation, np.array([0.0, 0.0, 1.0]))
+        facing = normals @ (-approach) > GraspDetector.FACING_MIN_DOT
+        shells.append(ball[on_surface & facing & above_table])
+        voxels.append(tuple(int(x) for x in np.clip(center, 0, np.array(g.dims) - 1)))
+    return shells, voxels
+
+
+def reference_detect(det, tsdf, q_th, seed, noise_amplitude=0.05):
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, 0x6A59]))
+    states = tsdf.state_volume()
+    out = []
+    for gi, (truth, shell, pose) in enumerate(
+            zip(det.scene.truth_grasps, det.shells, det._world_poses)):
+        eps = float(rng.uniform(-noise_amplitude, noise_amplitude)) if noise_amplitude else 0.0
+        if shell.shape[0] == 0:
+            continue
+        observed = states[shell[:, 0], shell[:, 1], shell[:, 2]] == CellState.OCCUPIED
+        coverage = float(observed.mean())
+        q = min(max(truth.intrinsic_quality * smoothstep(coverage, 0.3, 0.8) + eps, 0.0), 1.0)
+        if q >= q_th:
+            out.append(Grasp(pose=pose, quality=q, voxel=det.voxels[gi],
+                             coverage=coverage, truth_index=gi))
+    return out
+
+
+def with_empty_shell_grasps(scene):
+    """`scene` with two truth grasps whose shells are empty put first: one
+    whose ball lies in free space above the target, one whose ball lies
+    outside the target grid."""
+    empty = [GroundTruthGrasp(Pose3(np.array([0.0, 0.0, dz]), TOP_DOWN_Q), 0.9,
+                              Approach.TOP_DOWN) for dz in (0.2, 1.0)]
+    return replace(scene, truth_grasps=(*empty, *scene.truth_grasps))
+
+
+def test_detector_shells_equal_per_grasp_loop():
+    n_scenes = n_empty = 0
+    for kind in SceneKind:
+        for hard in (False, True):
+            for seed in range(50):
+                scene = generate_scene(kind, hard, 1000 + seed)
+                if seed == 0:
+                    scene = with_empty_shell_grasps(scene)
+                t = TsdfGrid.create_cube(scene.target_center, 0.6, 40)
+                det = GraspDetector(t, scene)
+                shells, voxels = reference_shells(t.grid, scene)
+                assert det.voxels == voxels
+                assert len(det.shells) == len(shells)
+                for got, want in zip(det.shells, shells):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                n_empty += sum(s.shape[0] == 0 for s in shells)
+                n_scenes += 1
+    assert n_scenes >= 200
+    assert n_empty >= 8
+
+
+def test_detect_equals_full_grid_reference():
+    # random cells with NaN tsdf, zero weights and zero tsdf; the two
+    # empty-shell grasps come first, so a skipped noise draw shifts every
+    # later grasp's quality
+    rng = np.random.default_rng(20)
+    for seed in range(6):
+        scene = with_empty_shell_grasps(generate_scene(list(SceneKind)[seed % 2],
+                                                       seed >= 3, 300 + seed))
+        t = TsdfGrid.create_cube(scene.target_center, 0.6, 40)
+        det = GraspDetector(t, scene)
+        assert [s.shape[0] == 0 for s in det.shells[:2]] == [True, True]
+        n = t.tsdf.size
+        for trial in range(4):
+            tsdf = rng.uniform(-1.0, 1.0, n)
+            tsdf[rng.random(n) < 0.1] = np.nan
+            tsdf[rng.random(n) < 0.05] = 0.0
+            weight = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.5, 64.0, n))
+            t.grid.cells[..., 0] = tsdf.reshape(t.tsdf.shape)
+            t.grid.cells[..., 1] = weight.reshape(t.weight.shape)
+            for q_th, noise in ((0.0, 0.05), (0.3, 0.2), (0.5, 0.0)):
+                got = det.detect(t, q_th, seed=7 * trial + seed, noise_amplitude=noise)
+                want = reference_detect(det, t, q_th, seed=7 * trial + seed, noise_amplitude=noise)
+                assert got == want
+        assert len({g.coverage for g in det.detect(t, 0.0, 0)}) > 1
+
+
+def test_build_map_pair_is_read_only_and_equals_a_fresh_build():
+    pair = build_map_pair()
+    assert build_map_pair() is pair
+    for m, fresh in zip(pair, build_map_pair.__wrapped__()):
+        assert (m.arm, m.yaw_lo, m.yaw_step) == (fresh.arm, fresh.yaw_lo, fresh.yaw_step)
+        for name in ("dist_edges", "height_edges", "scores"):
+            a, b = getattr(m, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
 
 TOP_DOWN_Q = np.array([0.0, 1.0, 0.0, 0.0])  # z axis points straight down
