@@ -160,6 +160,11 @@ class Pose3:
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.orientation)
 
+    def key(self) -> tuple[bytes, bytes]:
+        """The exact bytes of the pose: equal keys give every computation
+        on the pose the same bits, which the per-pose caches rely on."""
+        return self.position.tobytes(), self.orientation.tobytes()
+
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`np.cross` of two 3-vectors: its three multiply-subtract terms on

@@ -27,7 +27,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
-from .geom import CellState, Pose2, cells_to_rle
+from .geom import CellState, Pose2, Pose3, cells_to_rle
 from .grasping import (
     GraspDetector,
     GraspOutcome,
@@ -35,12 +35,15 @@ from .grasping import (
     execute_grasp,
     update_stability,
 )
-from .perception import TsdfGrid, integrate_depth, project_occupancy
+from .perception import TsdfGrid, integrate_depth, lru_put, project_occupancy
 from .planning import PlannerConfig, camera_at, state_at
 from .policies import Abort, Belief, ExecuteGrasp, MoveStep, PolicyKind, make_policy
 from .scene import (
     ARENA_HALF,
     DEFAULT_INTRINSICS,
+    CameraIntrinsics,
+    DepthImage,
+    Scene,
     SceneGenFailure,
     SceneKind,
     generate_scene,
@@ -128,6 +131,18 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 # episode loop
 # ---------------------------------------------------------------------------
 
+def cached_render(images: dict, scene: Scene, cam: Pose3, intr: CameraIntrinsics
+                  ) -> DepthImage:
+    """`render_depth(scene, cam, intr)`, kept in `images`: one episode's
+    depth images of its last VIEW_CACHE_POSES views, least recently used
+    first.  The scene is fixed within an episode, so an image is a pure
+    function of the exact pose and the intrinsics; a view that repeats a
+    kept one reuses its (read-only) image, and only the others call this
+    module's `render_depth`."""
+    key = (*cam.key(), intr)
+    return lru_put(images, key, images.get(key) or render_depth(scene, cam, intr))
+
+
 def run_episode_traced(cfg: RunConfig, episode_index: int
                        ) -> tuple[EpisodeResult, list[dict]]:
     """Run one episode and return its result plus the per-step trace records.
@@ -164,10 +179,12 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
                   "policy": cfg.policy.value, "scene_seed": scene_seed,
                   "policy_seed": policy_seed, "config_hash": config_hash(cfg)})
 
+    images: dict = {}
+
     def integrate_view(base: Pose2, cam=None) -> None:
         cam = cam or camera_at(base.xy, scene.target_center, policy.cam_seed,
                                cfg.planner.torso_band)
-        img = render_depth(scene, cam, intr)
+        img = cached_render(images, scene, cam, intr)
         integrate_depth(target_tsdf, img, cam)
         integrate_depth(nav_tsdf, img, cam)
 

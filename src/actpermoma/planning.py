@@ -131,6 +131,15 @@ def cell_blocked(occ: Grid, blocked: np.ndarray, xy: np.ndarray) -> bool:
     return bool(blocked[c[0], c[1]])
 
 
+def cells_blocked(occ: Grid, blocked: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """`cell_blocked` of every point of `xy` (..., 2), in one lookup."""
+    cell = occ.world_to_index(xy)
+    free = occ.contains_index(cell)
+    on_grid = cell[free]
+    free[free] = ~blocked[on_grid[:, 0], on_grid[:, 1]]
+    return ~free
+
+
 def state_at(occ: Grid, xy: np.ndarray) -> CellState:
     """The map state of the cell under `xy`; UNKNOWN off the grid."""
     c = occ.world_to_index(xy)
@@ -191,10 +200,7 @@ def sample_base_goal_slots(occ: Grid, target_xy: np.ndarray, n_b: int,
     if n_b < 1:
         raise ValueError("n_b must be >= 1")
     xy = target_xy + _goal_ring(seed, n_b, reach_radius, epoch)
-    cell = occ.world_to_index(xy)
-    free = occ.contains_index(cell)
-    on_grid = cell[free]
-    free[free] = ~blocked[on_grid[:, 0], on_grid[:, 1]]
+    free = ~cells_blocked(occ, blocked, xy)
     goals = [(slot, facing(xy[slot, attempt], target_xy))
              for slot, attempt in enumerate(free.argmax(axis=1)) if free[slot, attempt]]
     if not goals:

@@ -25,6 +25,7 @@ from .planning import (
     Route,
     camera_at,
     cell_blocked,
+    cells_blocked,
     evaluate_paths,
     inflate_occupied,
     plan_path,
@@ -297,15 +298,23 @@ class NaivePolicy(Policy):
     def __init__(self, cfg: PlannerConfig, seed: int, map_pair: MapPair):
         super().__init__(cfg, seed, map_pair)
         self.current_goal: Pose2 | None = None
+        # the ring around the target, built once per target: its bytes, the
+        # poses facing the target and their (RING_POINTS, 2) points
+        self._ring_target = b""
+        self._ring_poses: list[Pose2] = []
+        self._ring_xy = np.zeros((0, 2))
 
     def _ring(self, belief: Belief, blocked: np.ndarray) -> list[Pose2]:
+        """The unblocked ring poses, nearest the robot first."""
         target_xy = belief.target_center[:2]
-        ring = []
-        for k in range(self.RING_POINTS):
-            a = 2 * np.pi * k / self.RING_POINTS
-            xy = target_xy + self.cfg.reach_radius * np.array([np.cos(a), np.sin(a)])
-            if not cell_blocked(belief.occ, blocked, xy):
-                ring.append(facing(xy, target_xy))
+        if target_xy.tobytes() != self._ring_target:
+            angles = [2 * np.pi * k / self.RING_POINTS for k in range(self.RING_POINTS)]
+            self._ring_target = target_xy.tobytes()
+            self._ring_xy = np.array([target_xy + self.cfg.reach_radius
+                                      * np.array([np.cos(a), np.sin(a)]) for a in angles])
+            self._ring_poses = [facing(xy, target_xy) for xy in self._ring_xy]
+        free = ~cells_blocked(belief.occ, blocked, self._ring_xy)
+        ring = [p for p, ok in zip(self._ring_poses, free.tolist()) if ok]
         ring.sort(key=lambda p: float(np.linalg.norm(p.xy - belief.robot.xy)))
         return ring
 

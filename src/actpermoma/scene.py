@@ -193,13 +193,17 @@ DEFAULT_INTRINSICS = CameraIntrinsics(64, 64, np.deg2rad(60.0), 3.0)
 
 @dataclass(frozen=True)
 class DepthImage:
+    """A depth image is a value: `depths` is a read-only copy of the array it
+    is built from, so a cache may hold the image and key work on it."""
+
     intrinsics: CameraIntrinsics
     depths: np.ndarray  # (height, width), z-depth in meters, NaN = no hit
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.depths, dtype=float)
+        d = np.array(self.depths, dtype=float)
         if d.shape != (self.intrinsics.height, self.intrinsics.width):
             raise ValueError("depth shape does not match intrinsics")
+        d.flags.writeable = False
         object.__setattr__(self, "depths", d)
 
 

@@ -4,11 +4,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actpermoma.geom import CellState, Pose2, Pose3, look_at, quat_from_yaw, quat_rotate
 from actpermoma.grasping import (
     Arm,
     ARM_OFFSET,
+    EXEC_MIN_COVERAGE,
     EXEC_MIN_INTRINSIC,
     Grasp,
     GraspDetector,
@@ -444,3 +447,21 @@ def test_execute_grasp_zero_reach_fails():
     g = replace(max(grasps, key=lambda x: x.coverage), coverage=1.0)
     far = Pose2(g.pose.position[0] - 3.0, g.pose.position[1], 0.0)
     assert execute_grasp(scene, g, far, MAPS) is GraspOutcome.FAILED
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(SceneKind)), st.booleans(), st.integers(0, 10_000),
+       st.floats(0.55, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_detected_grasps_pass_execution_quality_and_coverage(kind, hard, scene_seed, q_th,
+                                                             observed, seed):
+    # detect reports q = intrinsic * smoothstep(coverage, 0.3, 0.8) + noise,
+    # noise within +-0.05; q >= q_th >= 0.55 needs intrinsic >= 0.5 and a
+    # coverage whose smoothstep is >= 0.5, above 0.5.  So at such q_th
+    # execution can fail a detected grasp on reach alone.  The shells are
+    # observed occupied at random, `observed` of their voxels on average.
+    scene = generate_scene(kind, hard, scene_seed)
+    t = TsdfGrid.create_cube(scene.target_center, 0.6, 40)
+    t.grid.cells[np.random.default_rng(seed).random(t.grid.dims) < observed] = (-0.5, 1.0)
+    for g in GraspDetector(t, scene).detect(t, q_th, seed):
+        assert scene.truth_grasps[g.truth_index].intrinsic_quality >= EXEC_MIN_INTRINSIC
+        assert g.coverage >= EXEC_MIN_COVERAGE

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -778,3 +781,28 @@ def test_ig_cache_bound_counts_poses_without_visits():
             cam = look_at(pos, pos + np.array([1.0, 0.0, 0.0]))
             assert rear_side_ig_batch(t, [cam], IG_INTR, scene.target_bbox).tolist() == [0]
             assert len(t.ray_visits) <= 5
+
+
+IG_EPISODE = """
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from actpermoma import harness
+from actpermoma.planning import PlannerConfig
+from actpermoma.scene import SceneKind
+harness.run_episode_traced(harness.RunConfig(planner=PlannerConfig(max_steps=3),
+                                             scenario=SceneKind.COMPLEX, episodes=1), 0)
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
+def test_ig_scoring_episode_does_not_import_numpy_ma():
+    # rear_side_ig_batch counts distinct keys without np.unique, whose
+    # masked-array check imports numpy.ma (tens of ms) in every process
+    # and pool worker; a fresh interpreter shows what an episode imports
+    out = subprocess.run([sys.executable, "-c", IG_EPISODE], capture_output=True, text=True,
+                         check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert out[1] == "False"

@@ -34,6 +34,7 @@ from actpermoma.planning import (
     _stable_unit,
     camera_at,
     cell_blocked,
+    cells_blocked,
     evaluate_paths,
     inflate_occupied,
     plan_path,
@@ -166,6 +167,19 @@ def test_sample_base_goals_all_blocked():
     occ = empty_occ(state=CellState.OCCUPIED)
     with pytest.raises(NoFeasibleGoals):
         goal_slots(occ, np.array([0.0, 0.0]), 8, 0)
+
+
+def test_cells_blocked_equals_cell_blocked_per_point():
+    # points on, off and at the edges of the grid, over a random mask
+    rng = np.random.default_rng(3)
+    occ = empty_occ(n=20)
+    blocked = rng.random(occ.dims) < 0.4
+    xy = rng.uniform(-1.3, 1.3, size=(6, 50, 2))
+    xy[0, :8] = [[-1.0, -1.0], [0.999, 0.999], [1.0, 0.0], [-1.0 - 1e-12, 0.0],
+                 [0.0, 1.0], [0.0, -1.0], [-0.95, 0.95], [0.95, -0.95]]
+    got = cells_blocked(occ, blocked, xy)
+    assert got.shape == (6, 50)
+    assert got.tolist() == [[cell_blocked(occ, blocked, p) for p in row] for row in xy]
 
 
 def scalar_goal_slots(occ, target_xy, n_b, seed, reach_radius, *, blocked, epoch=0):

@@ -8,6 +8,11 @@ unculled forms: every primitive against every pixel, every voxel projected
 through the row-wise `(centers - p) @ R.T`, and the slab test reduced over
 (n, 3) arrays.  After each view of a sequence, the depth image and the
 `cells` of a target and a navigation grid must equal theirs exactly.
+
+A repeated view reuses the harness's cached depth image and each grid's
+cached fusion plan.  Over pose walks that stay, oscillate and revisit a pose
+after it was evicted, the cached sensing must equal a fresh render and a
+fresh fusion bit for bit, with read-only cached arrays and bounded caches.
 """
 
 from __future__ import annotations
@@ -16,13 +21,20 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actpermoma import perception
+from actpermoma import harness, perception
 from actpermoma.geom import Aabb, Grid, Pose3, look_at, ray_aabb_interval
 from actpermoma.harness import NAV_CELL, NAV_Z_VOXELS, TARGET_GRID_SIDE, TARGET_GRID_VOXELS
-from actpermoma.perception import WEIGHT_CAP, TsdfGrid, _frustum_voxels, integrate_depth
+from actpermoma.perception import (
+    VIEW_CACHE_POSES,
+    WEIGHT_CAP,
+    TsdfGrid,
+    _frustum_voxels,
+    integrate_depth,
+)
 from actpermoma.scene import (
     ARENA_HALF,
     DEFAULT_INTRINSICS,
@@ -353,3 +365,122 @@ def test_slab_columns_equal_the_reduced_reference():
         o[face] = np.where(rng.random((n, 3)) < 0.5, box.lo, box.hi)[face]
         for got, want in zip(ray_aabb_interval(o, d, box), reference_slabs(o, d, box)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# repeated views: the harness's depth images and the grids' fusion plans
+# ---------------------------------------------------------------------------
+
+POOL = 10  # distinct poses per walk, more than either cache holds
+
+
+def pose_pool(scene) -> list[Pose3]:
+    rng = np.random.default_rng(int(scene.seed))
+    cams = []
+    for _ in range(POOL):
+        az, r = rng.uniform(0.0, 2 * np.pi), rng.uniform(0.7, 2.2)
+        pos = scene.target_center + np.array([r * np.cos(az), r * np.sin(az),
+                                              rng.uniform(0.1, 0.9)])
+        cams.append(look_at(pos, scene.target_center + rng.uniform(-0.1, 0.1, 3)))
+    return cams
+
+
+@st.composite
+def pose_walks(draw) -> list[int]:
+    """Indices into a pose pool: stationary runs, A-B-A oscillations, and
+    revisits of a pose after every other pose of the pool has evicted it."""
+    walk: list[int] = []
+    for kind in draw(st.lists(st.sampled_from(["stay", "oscillate", "revisit", "hop"]),
+                              min_size=1, max_size=4)):
+        a, b = draw(st.integers(0, POOL - 1)), draw(st.integers(0, POOL - 1))
+        if kind == "stay":
+            walk += [a] * draw(st.integers(2, 4))
+        elif kind == "oscillate":
+            walk += [a, b] * draw(st.integers(1, 3)) + [a]
+        elif kind == "revisit":
+            walk += [a, *(k for k in range(POOL) if k != a), a]
+        else:
+            walk.append(a)
+    return walk
+
+
+def walk_cached_and_fresh(scene, walk: list[int], monkeypatch) -> int:
+    """Sense `walk` through the harness's image cache and the grids' plan
+    caches, and through a fresh render and fusion per view (a new image
+    object, so a plan miss), checking both after every view; returns the
+    number of renders the cached side made."""
+    cams = pose_pool(scene)
+    renders = []
+
+    def counted_render(*args):
+        renders.append(args[1])
+        return render_depth(*args)
+
+    monkeypatch.setattr(harness, "render_depth", counted_render)
+    grids = [target_grid(scene), nav_grid()]
+    refs = [copy_tsdf(g) for g in grids]
+    images: dict = {}
+    for i in walk:
+        cam = cams[i]
+        img = harness.cached_render(images, scene, cam, INTR)
+        fresh = render_depth(scene, cam, INTR)
+        assert np.array_equal(img.depths, fresh.depths, equal_nan=True)
+        assert not img.depths.flags.writeable
+        assert len(images) <= VIEW_CACHE_POSES
+        for grid, ref in zip(grids, refs):
+            integrate_depth(grid, img, cam)
+            integrate_depth(ref, fresh, cam)
+            assert np.array_equal(grid.grid.cells, ref.grid.cells)
+            assert len(grid.fusion_plans) <= VIEW_CACHE_POSES
+            for depth, voxels, values in grid.fusion_plans.values():
+                assert not (depth.depths.flags.writeable or voxels.flags.writeable
+                            or values.flags.writeable)
+    return len(renders)
+
+
+def lru_misses(walk: list[int]) -> int:
+    """Misses of an LRU of VIEW_CACHE_POSES entries over `walk`."""
+    kept: list[int] = []
+    misses = 0
+    for i in walk:
+        if i in kept:
+            kept.remove(i)
+        else:
+            misses += 1
+        kept.append(i)
+        del kept[:-VIEW_CACHE_POSES]
+    return misses
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.sampled_from(list(SceneKind)), st.integers(0, 30), pose_walks())
+def test_cached_sensing_equals_fresh_sensing(kind, seed, walk):
+    scene = generate_scene(kind, False, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        renders = walk_cached_and_fresh(scene, walk, mp)
+    assert renders == lru_misses(walk)
+
+
+def test_cached_sensing_stays_oscillates_and_revisits_after_eviction(monkeypatch):
+    # 0 stays, 0-1 oscillate, 2..9 evict 0 and 1, 0 is rendered again, and
+    # 9 and 0 are still kept
+    walk = [0, 0, 0, 1, 0, 1, 0, *range(2, POOL), 0, 9, 0]
+    scene = generate_scene(SceneKind.COMPLEX, False, 4)
+    assert walk_cached_and_fresh(scene, walk, monkeypatch) == POOL + 1 == lru_misses(walk)
+
+
+def test_same_pose_with_another_image_builds_a_new_plan():
+    # a plan is reused only with the image object it was built from: a
+    # different image at the same pose, or an equal copy, is fused afresh
+    scene = generate_scene(SceneKind.SIMPLE, False, 3)
+    other = generate_scene(SceneKind.COMPLEX, False, 3)
+    cam = look_at(scene.target_center + np.array([1.1, -0.4, 0.6]), scene.target_center)
+    grid = nav_grid()
+    ref = copy_tsdf(grid)
+    first = render_depth(scene, cam, INTR)
+    for img in (first, render_depth(other, cam, INTR), first,
+                DepthImage(INTR, first.depths), first):
+        integrate_depth(grid, img, cam)
+        reference_integrate(ref, img, cam)
+        assert np.array_equal(grid.grid.cells, ref.grid.cells)
+        assert grid.fusion_plans[cam.key()][0] is img
