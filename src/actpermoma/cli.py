@@ -67,7 +67,11 @@ def _load_run(directory: str | Path) -> list[EpisodeResult]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
+    try:
+        cfg = _build_run_config(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     csv_path = run_experiment([cfg], args.out, workers=args.workers)
     print(f"wrote {csv_path}")
     try:
@@ -93,7 +97,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    cells = ablation_preset(args.preset, episodes=args.episodes, base_seed=args.seed)
+    try:
+        cells = ablation_preset(args.preset, episodes=args.episodes, base_seed=args.seed)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     csv_path = run_experiment(cells, args.out, workers=args.workers)
     print(f"wrote {csv_path}")
     print(csv_path.read_text())

@@ -4,7 +4,9 @@ Conventions used throughout the package:
   * all lengths in meters, all angles in radians,
   * quaternions are (w, x, y, z), kept unit-norm,
   * camera frames are x-right / y-down / z-forward (optical axis),
-  * grids are dense, flattened x-fastest (x varies quickest).
+  * grids are dense; an in-memory flat voxel id is the C-order index (z
+    fastest, the order of `cells.reshape(-1)`) in traversal, fusion plans and
+    IG counts alike; only the trace file's occupancy RLE runs x-fastest.
 
 Everything here is value-like and pure: operations return new objects and
 never mutate shared state.
@@ -145,10 +147,6 @@ class Pose3:
         return Pose3(self.position + quat_rotate(self.orientation, other.position),
                      quat_mul(self.orientation, other.orientation))
 
-    def inverse(self) -> "Pose3":
-        qi = quat_conj(self.orientation)
-        return Pose3(-quat_rotate(qi, self.position), qi)
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Map local point(s) (..., 3) into the parent frame."""
         return quat_rotate(self.orientation, points) + self.position
@@ -286,14 +284,6 @@ class Grid:
         idx = np.asarray(idx)
         return np.all((idx >= 0) & (idx < np.asarray(self.dims)), axis=-1)
 
-    def flat_index(self, idx: np.ndarray) -> np.ndarray:
-        """x-fastest linear index: the order of `cells.ravel(order="F")`."""
-        idx = np.asarray(idx)
-        flat = idx[..., -1]
-        for a in range(len(self.dims) - 2, -1, -1):
-            flat = idx[..., a] + self.dims[a] * flat
-        return flat
-
     def axis_centers(self) -> list[np.ndarray]:
         """Per axis, the center coordinates of its cells."""
         return [o + (np.arange(n) + 0.5) * self.cell_size for o, n in zip(self.origin, self.dims)]
@@ -396,14 +386,14 @@ def traverse_batch(
     """Advance all rays in lockstep through `grid`.
 
     Yields (ray_ids, flat) per iteration: the ids of the rays still active
-    and the x-fastest flat index (`Grid.flat_index`) of the voxel each is
-    in, in per-ray hit order.  Directions need not be normalized; t is
-    measured in units of |direction|.  A ray is dropped once it leaves the
-    grid or its entry parameter reaches its t_max.  The yielded arrays are
-    reused between iterations: consume them before advancing the generator.
+    and the C-order flat id of the voxel each is in, in per-ray hit order.
+    Directions need not be normalized; t is measured in units of
+    |direction|.  A ray is dropped once it leaves the grid or its entry
+    parameter reaches its t_max.  The yielded arrays are reused between
+    iterations: consume them before advancing the generator.
 
     Per axis the loop keeps one row of each ray's t at its next boundary,
-    t between boundaries, flat-index step and steps left inside the grid.
+    t between boundaries, signed id stride and steps left inside the grid.
     Each iteration steps every ray along the axis of its smallest next
     boundary, found with two comparisons (ties go to x, then y, then z, as
     `argmin` breaks them), and compacts the rows only when a ray drops out.
@@ -445,7 +435,7 @@ def traverse_batch(
         next_bound = gmin + (ijk + (step > 0)) * vs
         t_next = (next_bound - o) * inv
     # per axis, one row of each ray's t at its next boundary, t between
-    # boundaries, flat-index step and in-grid steps left.  A ray never steps
+    # boundaries, signed id stride and in-grid steps left.  A ray never steps
     # along an axis its direction does not move on (the axis's t stays inf),
     # so its steps left there do not matter.  The rows and the per-ray
     # values live in one float and one int block, so that a compaction is
@@ -457,9 +447,10 @@ def traverse_batch(
     floats[3:6] = np.where(d == 0.0, np.inf, np.abs(inv) * vs).T
     floats[6] = tm
     ints = np.empty((8, n), dtype=np.int64)
-    ints[0:3] = (step * np.cumprod([1, *grid.dims[:-1]])).T
+    strides = np.array([grid.dims[1] * grid.dims[2], grid.dims[2], 1])
+    ints[0:3] = (step * strides).T
     ints[3:6] = np.where(step > 0, dims - 1 - ijk, ijk).T
-    ints[6] = grid.flat_index(ijk)
+    ints[6] = ijk @ strides
     ints[7] = ids
 
     rows = np.arange(n)
@@ -502,5 +493,5 @@ def traverse_ray(grid: Grid, ray: Ray, max_range: float) -> list[tuple[int, int,
         raise ValueError("max_range must be positive")
     flat = [int(f[0]) for _, f in traverse_batch(grid, ray.origin[None, :],
                                                 ray.direction[None, :], max_range)]
-    ijk = np.unravel_index(np.array(flat, dtype=np.intp), grid.dims, order="F")
+    ijk = np.unravel_index(np.array(flat, dtype=np.intp), grid.dims)
     return list(zip(*(a.tolist() for a in ijk)))

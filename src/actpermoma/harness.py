@@ -97,6 +97,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
 
 
 def config_hash(cfg: RunConfig) -> str:

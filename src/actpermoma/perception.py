@@ -171,7 +171,7 @@ def _scratch(dtype: type, size: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _voxel_ids(dims: tuple[int, ...]) -> np.ndarray:
-    """Read-only C-order flat index of every voxel of a grid of `dims`, in
+    """Read-only C-order flat id of every voxel of a grid of `dims`, in
     the smallest unsigned type that holds them (uint16 for 40^3 voxels)."""
     n = math.prod(dims)
     ids = np.arange(n, dtype=np.min_scalar_type(n)).reshape(dims)
@@ -331,7 +331,7 @@ def _trace_visits(g: Grid, cams: list[Pose3], intr: CameraIntrinsics, box: Aabb
     """Per camera, the voxels its pixel rays visit on their way to `box`.
 
     The rays that reach `box` run to their exit from it or to the camera max
-    range.  A camera's visits are `(flat, lens)`: the flat indices of the
+    range.  A camera's visits are `(flat, lens)`: the C-order ids of the
     visited voxels, ray after ray, each ray's in hit order, and the number
     of visits of each of its rays.
     """
@@ -386,22 +386,23 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
        then the rays among them that `ray_aabb_interval` says hit the
        inflated bbox;
     2. trace: one `traverse_batch` pass over those rays, each clipped at its
-       bbox exit or at the camera max range, records the voxels each ray
-       visits, in hit order;
+       bbox exit or at the camera max range, records the C-order ids of the
+       voxels each ray visits, in hit order;
     3. count, in one pass over the visits of all cameras: gather `occupied`
-       and `countable` at every visit; a visit sees a surface when an
-       earlier visit of its ray was occupied (an exclusive cumulative-any
-       along each ray); each countable visit that sees one becomes the key
-       `cam * n_vox + flat`; sorted, a key that differs from its
-       predecessor is a distinct one, and `np.bincount` counts those per
-       camera (without `np.unique`, whose masked-array check imports
-       `numpy.ma` on first use).
+       and `countable` at every visit from flat views of the state volume
+       and the bbox mask, which those ids index directly; a visit sees a
+       surface when an earlier visit of its ray was occupied (an exclusive
+       cumulative-any along each ray); each countable visit that sees one
+       becomes the key `cam * n_vox + flat`; sorted, a key that differs
+       from its predecessor is a distinct one, and `np.bincount` counts
+       those per camera (without `np.unique`, whose masked-array check
+       imports `numpy.ma` on first use).
 
     Steps 1 and 2 read only the geometry, never the voxel states, so their
     visits are cached on `tsdf` (`TsdfGrid.ray_visits`) under the exact
     bytes of the camera pose, the intrinsics and the inflated bbox, and
-    only the cameras not in the cache are traced.  The cache keeps flat
-    indices in the smallest unsigned type that holds them (uint16 for 40^3
+    only the cameras not in the cache are traced.  The cache keeps voxel
+    ids in the smallest unsigned type that holds them (uint16 for 40^3
     voxels) and drops its least recently used poses beyond IG_CACHE_VISITS
     visits, each pose counting one more.  Culled rays would never visit a
     countable voxel, so the counts equal those of tracing every pixel ray.
@@ -430,11 +431,9 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
         while total > IG_CACHE_VISITS:
             total -= cache.pop(next(iter(cache)))[0].size + 1
 
-    states = tsdf.state_volume()
-    # flat x-fastest views of the per-voxel predicates for cheap gathers
-    occupied = np.asfortranarray(states == CellState.OCCUPIED).ravel(order="F")
-    countable = np.asfortranarray((states == CellState.UNKNOWN)
-                                  & _bbox_mask(g, target_bbox)).ravel(order="F")
+    states = tsdf.state_volume().reshape(-1)
+    occupied = states == CellState.OCCUPIED
+    countable = (states == CellState.UNKNOWN) & _bbox_mask(g, target_bbox).reshape(-1)
     n_vox = countable.size
 
     flat = np.concatenate([f for f, _ in visits])

@@ -123,18 +123,11 @@ def inflate_occupied(occ: Grid, radius: float = ROBOT_RADIUS) -> np.ndarray:
     return blocked
 
 
-def cell_blocked(occ: Grid, blocked: np.ndarray, xy: np.ndarray) -> bool:
-    """True when `xy` lies off the grid or on a cell of the `blocked` mask."""
-    c = occ.world_to_index(xy)
-    if not bool(occ.contains_index(c)):
-        return True
-    return bool(blocked[c[0], c[1]])
-
-
 def cells_blocked(occ: Grid, blocked: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """`cell_blocked` of every point of `xy` (..., 2), in one lookup."""
+    """Per point of `xy` (..., 2; a single point gives a 0-d array): True
+    when it lies off the grid or on a cell of the `blocked` mask."""
     cell = occ.world_to_index(xy)
-    free = occ.contains_index(cell)
+    free = np.asarray(occ.contains_index(cell))
     on_grid = cell[free]
     free[free] = ~blocked[on_grid[:, 0], on_grid[:, 1]]
     return ~free
@@ -436,8 +429,13 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
     once `grasp_found` (the caller's latch: a stable grasp has been seen):
     exploit once there is something to exploit."""
     w_ig_eff = cfg.w_ig if grasp_found else 1.0
-    # deduplicate identical camera views across paths; view_ids[i][j] is the
-    # batch slot of path i's view j
+    # one batch slot per camera position rounded to 1e-9 m.  Every view
+    # looks at the target from its position, so paths that reach a point
+    # along different float routes give twins whose positions differ in the
+    # last bits (at most 4.4e-16 m measured) and whose orientations may
+    # differ too; twins scored the same IG count wherever measured, while
+    # the IG visit cache, keyed on exact pose bytes, would trace each one.
+    # view_ids[i][j] is the batch slot of path i's view j
     keys: dict[tuple, int] = {}
     cams = []
     view_ids = []

@@ -24,7 +24,6 @@ from .planning import (
     PlannerConfig,
     Route,
     camera_at,
-    cell_blocked,
     cells_blocked,
     evaluate_paths,
     inflate_occupied,
@@ -140,10 +139,7 @@ class RouteCache:
         """The route ends at `goal` and every waypoint is on the map and free."""
         if float(np.linalg.norm(route.xy[-1] - goal.xy)) > 1e-9:
             return False
-        cells = nav.occ.world_to_index(route.xy)
-        if not bool(nav.occ.contains_index(cells).all()):
-            return False
-        return not bool(nav.blocked[cells[:, 0], cells[:, 1]].any())
+        return not cells_blocked(nav.occ, nav.blocked, route.xy).any()
 
     @staticmethod
     def _trim(route: Route, robot: Pose2, seg: int) -> Route:
@@ -329,7 +325,7 @@ class NaivePolicy(Policy):
         candidates = ([self.current_goal] if self.current_goal is not None else []) \
             + self._ring(belief, nav.blocked)
         for goal in candidates:
-            if cell_blocked(belief.occ, nav.blocked, goal.xy):
+            if cells_blocked(belief.occ, nav.blocked, goal.xy):
                 continue
             try:
                 route = self.routes.path_to(nav, belief.robot, goal, 0)
@@ -355,7 +351,7 @@ class RandomPolicy(Policy):
         for _ in range(100):
             a = float(self.rng.uniform(0.0, 2 * np.pi))
             xy = target_xy + self.cfg.reach_radius * np.array([np.cos(a), np.sin(a)])
-            if cell_blocked(belief.occ, blocked, xy):
+            if cells_blocked(belief.occ, blocked, xy):
                 continue
             return facing(xy, target_xy)
         return None
@@ -403,8 +399,8 @@ class BreyerNbvPolicy(Policy):
         return views
 
     def _feasible(self, belief: Belief, cams: list[Pose3], blocked: np.ndarray) -> list[int]:
-        return [i for i, cam in enumerate(cams) if i not in self.visited
-                and not cell_blocked(belief.occ, blocked, cam.position[:2])]
+        free = ~cells_blocked(belief.occ, blocked, np.array([cam.position[:2] for cam in cams]))
+        return [i for i, ok in enumerate(free.tolist()) if ok and i not in self.visited]
 
     def decide(self, belief: Belief) -> PolicyDecision:
         cfg = self.cfg

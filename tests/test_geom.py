@@ -25,6 +25,7 @@ from actpermoma.geom import (
     traverse_ray,
     wrap_angle,
 )
+from actpermoma.perception import _voxel_ids
 from actpermoma.planning import state_at
 
 
@@ -76,9 +77,8 @@ def test_pose3_compose_associativity_and_inverse():
         assert np.allclose(lhs.position, rhs.position, atol=1e-9)
         assert min(np.linalg.norm(lhs.orientation - rhs.orientation),
                    np.linalg.norm(lhs.orientation + rhs.orientation)) < 1e-9
-        ident = a.compose(a.inverse())
-        assert np.allclose(ident.position, 0, atol=1e-9)
-        assert abs(abs(ident.orientation[0]) - 1) < 1e-9
+        p = rng.normal(size=(4, 3))
+        assert np.allclose(a.inverse_transform(a.transform(p)), p, atol=1e-9)
         assert abs(np.linalg.norm(a.orientation) - 1) < 1e-9
 
 
@@ -131,10 +131,6 @@ def test_grid_index_maps(origin, cell, dims):
             assert not g.contains_index(np.where(np.arange(len(dims)) == a, off, idx)).any()
     assert (g.world_to_index(g.origin) == 0).all()
     assert not g.contains_index(g.world_to_index(g.max_corner))
-    # x-fastest flat index: the order of cells.ravel(order="F")
-    flat = np.empty_like(g.cells.ravel())
-    flat[g.flat_index(idx)] = g.cells[tuple(idx.T)]
-    assert np.array_equal(flat, g.cells.ravel(order="F"))
 
 
 @pytest.mark.parametrize("cell,dims", [(0.1, (7, 5)), (0.015, (7, 5, 9))], ids=["2d", "3d"])
@@ -163,15 +159,30 @@ def test_grid_round_trip_world_index():
                 assert tuple(g.world_to_index(c)) == (i, j, k)
 
 
-def test_grid_flat_index_is_x_fastest():
+def test_voxel_id_is_one_c_order_id_in_traversal_fusion_and_cells():
+    # a voxel's id is the same in a traversal, in the fusion plans' id table
+    # and in the flat cells: C order, z fastest
     g = make_grid((2, 3, 2), 1.0)
-    g.cells = np.arange(12, dtype=np.uint8).reshape(2, 3, 2)  # cells[i,j,k]
+    g.cells = np.arange(12).reshape(2, 3, 2)  # cells[i, j, k] is its C-order id
     idx = np.argwhere(np.ones(g.dims, dtype=bool))
-    flat = np.empty(12, dtype=np.uint8)
-    flat[g.flat_index(idx)] = g.cells[idx[:, 0], idx[:, 1], idx[:, 2]]
-    # expected order: (0,0,0), (1,0,0), (0,1,0), (1,1,0), (0,2,0), (1,2,0), (0,0,1), ...
-    assert list(flat) == [0, 6, 2, 8, 4, 10, 1, 7, 3, 9, 5, 11]
-    assert np.array_equal(flat, g.cells.ravel(order="F"))
+    # one ray per voxel, from its center along +z, cut inside that voxel
+    ids, flat = next(traverse_batch(g, g.index_to_world_center(idx),
+                                    np.tile([0.0, 0.0, 1.0], (12, 1)), 0.25))
+    assert ids.tolist() == list(range(12))
+    want = np.ravel_multi_index(idx.T, g.dims)
+    assert want.tolist() == [(i * 3 + j) * 2 + k for i, j, k in idx.tolist()]
+    assert np.array_equal(flat, want)
+    assert np.array_equal(_voxel_ids(g.dims)[tuple(idx.T)], want)
+    assert np.array_equal(g.cells.reshape(-1)[flat], g.cells[tuple(idx.T)])
+    # a step along x, y or z moves the id by that axis's stride, 6, 2 or 1,
+    # and traverse_ray unravels the ids back to the voxels
+    start = g.index_to_world_center(np.zeros(3))
+    for d, want_ids, want_ijk in [((1, 0, 0), [0, 6], [(0, 0, 0), (1, 0, 0)]),
+                                  ((0, 1, 0), [0, 2, 4], [(0, 0, 0), (0, 1, 0), (0, 2, 0)]),
+                                  ((0, 0, 1), [0, 1], [(0, 0, 0), (0, 0, 1)])]:
+        got = [int(f[0]) for _, f in traverse_batch(g, start, np.array(d, float), 10.0)]
+        assert got == want_ids
+        assert traverse_ray(g, Ray(start, np.array(d, float)), 10.0) == want_ijk
 
 
 def test_traverse_axis_aligned_row():
@@ -254,7 +265,7 @@ def test_traverse_batch_equals_scalar():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     per_ray: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(40)}
     for ids, flat in traverse_batch(g, origins, dirs, 1.5):
-        ijk = np.stack(np.unravel_index(flat, g.dims, order="F"), axis=1)
+        ijk = np.stack(np.unravel_index(flat, g.dims), axis=1)
         for rid, v in zip(ids, ijk):
             per_ray[int(rid)].append(tuple(int(x) for x in v))
     for i in range(40):
@@ -356,11 +367,11 @@ def traversal_cases(draw):
 @example((make_grid((4, 4, 4), 0.1), np.array([[-0.05, 0.25, 0.25], [-1.0, 0.4, 0.4]]),
           np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.array([0.25, 5.0])))
 def test_traverse_batch_equals_lockstep_reference(case):
-    # every iteration yields the same live rays, each at the flat index of
+    # every iteration yields the same live rays, each at the C-order id of
     # the reference's voxel
     g, origins, dirs, t_max = case
     got = [(ids.copy(), flat.copy()) for ids, flat in traverse_batch(g, origins, dirs, t_max)]
-    want = [(ids.copy(), g.flat_index(ijk)) for ids, ijk in
+    want = [(ids.copy(), np.ravel_multi_index(ijk.T, g.dims)) for ids, ijk in
             lockstep_reference(g, origins, dirs, t_max)]
     assert len(got) == len(want)
     for (ids, flat), (want_ids, want_flat) in zip(got, want):

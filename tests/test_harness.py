@@ -652,3 +652,26 @@ def test_cli_ablate_exits_1_naming_a_failed_cell(tmp_path, monkeypatch, capsys):
     (failed,) = [cell_name(c) for c in ablation_preset("table2", episodes=1)
                  if c.policy is PolicyKind.NO_WEIGHTS]
     assert f"{failed}: boom" in stderr
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["run", "--policy", "Naive", "--episodes", "2", "--seed", "-3"], "base_seed"),
+    (["run", "--policy", "Naive", "--episodes", "0"], "episodes"),
+    (["run", "--policy", "Naive", "--config", "{cfg}"], "unknown config keys"),
+    (["ablate", "--preset", "table2", "--episodes", "1", "--seed", "-1"], "base_seed"),
+    (["ablate", "--preset", "table2", "--episodes", "0"], "episodes"),
+], ids=["run-negative-seed", "run-zero-episodes", "run-unknown-key",
+        "ablate-negative-seed", "ablate-zero-episodes"])
+def test_cli_refuses_an_unrunnable_config_with_exit_2(tmp_path, capsys, argv, field):
+    # one error line naming the field, exit 2 and nothing written, the way
+    # compare refuses runs it cannot compare
+    from actpermoma.cli import main
+
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"seed": 0}))
+    out = tmp_path / "out"
+    rc = main([a.format(cfg=cfg_file) for a in argv] + ["--out", str(out), "--workers", "1"])
+    stdout, stderr = capsys.readouterr()
+    assert rc == 2 and stdout == ""
+    assert re.fullmatch(rf"error: [^\n]*{field}[^\n]*\n", stderr)
+    assert not out.exists()

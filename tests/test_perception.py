@@ -660,10 +660,10 @@ def uncached_counts(t: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics,
     g = t.grid
     fresh = TsdfGrid(Grid(g.origin.copy(), g.cell_size, g.dims, g.cells.copy()), t.truncation)
     states = fresh.state_volume()
-    # x-fastest, as traverse_batch's flat indices
-    occupied = (states == CellState.OCCUPIED).ravel(order="F")
+    # C order, as traverse_batch's voxel ids
+    occupied = (states == CellState.OCCUPIED).ravel()
     countable = ((states == CellState.UNKNOWN)
-                 & perception._bbox_mask(fresh.grid, bbox)).ravel(order="F")
+                 & perception._bbox_mask(fresh.grid, bbox)).ravel()
     counts = []
     for cam in cams:
         origins, dirs, t_max = box_rays(fresh, [cam], intr, bbox)

@@ -33,7 +33,6 @@ from actpermoma.planning import (
     UNKNOWN_COST,
     _stable_unit,
     camera_at,
-    cell_blocked,
     cells_blocked,
     evaluate_paths,
     inflate_occupied,
@@ -169,6 +168,15 @@ def test_sample_base_goals_all_blocked():
         goal_slots(occ, np.array([0.0, 0.0]), 8, 0)
 
 
+def cell_blocked(occ, blocked, xy) -> bool:
+    """The scalar lookup `cells_blocked` replaced: True when `xy` lies off
+    the grid or on a cell of the `blocked` mask."""
+    c = occ.world_to_index(xy)
+    if not bool(occ.contains_index(c)):
+        return True
+    return bool(blocked[c[0], c[1]])
+
+
 def test_cells_blocked_equals_cell_blocked_per_point():
     # points on, off and at the edges of the grid, over a random mask
     rng = np.random.default_rng(3)
@@ -180,6 +188,10 @@ def test_cells_blocked_equals_cell_blocked_per_point():
     got = cells_blocked(occ, blocked, xy)
     assert got.shape == (6, 50)
     assert got.tolist() == [[cell_blocked(occ, blocked, p) for p in row] for row in xy]
+    # a single point gives a 0-d answer
+    for p in xy[0]:
+        one = cells_blocked(occ, blocked, p)
+        assert one.shape == () and bool(one) == cell_blocked(occ, blocked, p)
 
 
 def scalar_goal_slots(occ, target_xy, n_b, seed, reach_radius, *, blocked, epoch=0):
@@ -667,6 +679,29 @@ def test_evaluate_paths_weights_exec_by_path_length():
         assert u.goal_reach == pytest.approx(1.0)
     assert [(u.grasp, u.goal_reach) for u in evaluate_paths(paths, t, [], cfg, True, intr,
                                                             bbox, MAPS)] == [(None, 0.0)] * 2
+
+
+def test_evaluate_paths_merges_views_one_ulp_apart(monkeypatch):
+    # the exact-pose IG cache would trace two views whose positions differ
+    # in the last bit; they get one batch slot and one count, while a view
+    # 1e-6 m away keeps its own
+    t = TsdfGrid.create(np.zeros(3), 0.1, (6, 6, 6))
+    bbox = Aabb(np.zeros(3), np.full(3, 0.6))
+    intr = CameraIntrinsics(16, 16, np.deg2rad(50.0), 4.0)
+    scored = []
+
+    def recording(tsdf, cams, *args):
+        scored.append(cams)
+        return np.arange(1, len(cams) + 1)
+
+    monkeypatch.setattr(planning, "rear_side_ig_batch", recording)
+    paths = [_path_with(i, 1.0, Pose2(x, 0.0, 0.0))
+             for i, x in enumerate([1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-6])]
+    assert paths[0].views[0].cam.key() != paths[1].views[0].cam.key()
+    utils = evaluate_paths(paths, t, [], PlannerConfig(), False, intr, bbox, MAPS)
+    assert [len(cams) for cams in scored] == [2]
+    assert scored[0][0] is paths[0].views[0].cam and scored[0][1] is paths[2].views[0].cam
+    assert [u.j_ig for u in utils] == [1.0, 1.0, 2.0]
 
 
 def test_step_clamps_at_waypoint():
