@@ -57,19 +57,23 @@ def _failed_cells(directory: Path) -> str:
 
 
 def _load_run(directory: str | Path) -> list[EpisodeResult]:
-    """A directory's episode results, refused (ValueError) when it holds a
+    """A directory's episode results, refused (ValueError) when it holds no
+    episode trace, so that a mistyped path does not read as a result, or a
     failed cell: such a cell keeps only the traces of the episodes that
     finished, and reading them would bias every rate."""
     failed = _failed_cells(Path(directory))
     if failed:
         raise ValueError(f"{directory}: {failed.removeprefix('# ')}")
-    return load_results_dir(directory)
+    results = load_results_dir(directory)
+    if not results:
+        raise ValueError(f"no episode traces under {directory}")
+    return results
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _build_run_config(args)
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # an unreadable or unrunnable --config
         print(f"error: {e}", file=sys.stderr)
         return 2
     csv_path = run_experiment([cfg], args.out, workers=args.workers)
@@ -86,7 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Exit 0 on a significant verdict, 1 on an inconclusive one, and 2 when
-    the runs cannot be compared (unpaired scenes, a failed cell)."""
+    the runs cannot be compared (unpaired scenes, a failed cell, no traces)."""
     try:
         verdict, a_wins, b_wins = compare(_load_run(args.a), _load_run(args.b), args.metric)
     except ValueError as e:
@@ -113,7 +117,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    out = render_trace_file(args.trace, args.out)
+    try:
+        out = render_trace_file(args.trace, args.out)
+    except (OSError, ValueError) as e:  # unreadable, or no scene to draw
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"wrote {out}")
     return 0
 

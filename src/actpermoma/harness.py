@@ -16,9 +16,10 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .grasping import (
 )
 from .perception import TsdfGrid, integrate_depth, lru_put, project_occupancy
 from .planning import PlannerConfig, camera_at, state_at
-from .policies import Abort, Belief, ExecuteGrasp, MoveStep, PolicyKind, make_policy
+from .policies import Abort, Belief, MoveStep, PolicyKind, make_policy
 from .scene import (
     ARENA_HALF,
     DEFAULT_INTRINSICS,
@@ -106,27 +107,45 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
-_RUNCONFIG_KEYS = {f.name for f in fields(RunConfig)}
-_PLANNER_KEYS = {f.name for f in fields(PlannerConfig)}
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, type(None): type(None)}
+
+
+def _typed(key: str, value, hint):
+    """`value`, read from a JSON config, as field `key` of type `hint`, or a
+    ValueError naming `key`.  Each dataclass field is read as its annotation:
+    an int is also a float, a bool is only a bool, a tuple comes as a list of
+    its length, an enum as one of its values; unknown keys are refused."""
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValueError(f"{key} must be an object, not {value!r}")
+        hints = get_type_hints(hint)
+        unknown = set(value) - {f.name for f in fields(hint)}
+        if unknown:
+            raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
+        return hint(**{k: _typed(k, v, hints[k]) for k, v in value.items()})
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)) and len(value) == len(args):
+            return tuple(_typed(key, v, a) for v, a in zip(value, args))
+    elif args:  # a union: its first member that reads the value
+        for member in args:
+            try:
+                return _typed(key, value, member)
+            except ValueError:
+                pass
+    elif isinstance(hint, type) and issubclass(hint, Enum):
+        if value in [k.value for k in hint]:
+            return hint(value)
+    elif isinstance(value, _JSON_TYPES[hint]) and isinstance(value, bool) == (hint is bool):
+        return value
+    name = hint.__name__ if isinstance(hint, type) else str(hint)
+    raise ValueError(f"{key} must be {name}, not {value!r}")
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
-    """Strict deserialization: unknown keys are rejected."""
-    unknown = set(doc) - _RUNCONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    planner_doc = dict(doc.get("planner", {}))
-    unknown = set(planner_doc) - _PLANNER_KEYS
-    if unknown:
-        raise ValueError(f"unknown planner keys: {sorted(unknown)}")
-    if "torso_band" in planner_doc:
-        planner_doc["torso_band"] = tuple(planner_doc["torso_band"])
-    kwargs = {k: v for k, v in doc.items() if k != "planner"}
-    if "scenario" in kwargs:
-        kwargs["scenario"] = SceneKind(kwargs["scenario"])
-    if "policy" in kwargs:
-        kwargs["policy"] = PolicyKind(kwargs["policy"])
-    return RunConfig(planner=PlannerConfig(**planner_doc), **kwargs)
+    """Strict deserialization: unknown keys and wrongly typed values are
+    refused (ValueError naming the key)."""
+    return _typed("config", doc, RunConfig)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +164,54 @@ def cached_render(images: dict, scene: Scene, cam: Pose3, intr: CameraIntrinsics
     return lru_put(images, key, images.get(key) or render_depth(scene, cam, intr))
 
 
+class Episode:
+    """One episode's world and belief: the scene, both TSDFs, the detector and
+    its tracked grasps, the robot, `d_total`, the depth images of the last
+    views (`cached_render`) and the occupancy `observe` last projected.  A
+    policy decides on what `observe` returns; `move` drives and `sense`s anew."""
+
+    def __init__(self, cfg: RunConfig, scene: Scene, start: Pose2, policy_seed: int):
+        self.cfg, self.scene, self.policy_seed = cfg, scene, policy_seed
+        self.target_tsdf = TsdfGrid.create_cube(scene.target_center, TARGET_GRID_SIDE,
+                                                TARGET_GRID_VOXELS)
+        self.nav_tsdf = TsdfGrid.create(np.array([-ARENA_HALF, -ARENA_HALF, 0.0]), NAV_CELL,
+                                        (int(2 * ARENA_HALF / NAV_CELL),
+                                         int(2 * ARENA_HALF / NAV_CELL), NAV_Z_VOXELS))
+        self.detector = GraspDetector(self.target_tsdf, scene)
+        self.robot, self.d_total, self.tracked, self.images, self.occ = start, 0.0, [], {}, None
+
+    def sense(self, cam: Pose3) -> None:
+        """Fuse the depth image seen from `cam` into both grids."""
+        img = cached_render(self.images, self.scene, cam, DEFAULT_INTRINSICS)
+        integrate_depth(self.target_tsdf, img, cam)
+        integrate_depth(self.nav_tsdf, img, cam)
+
+    def observe(self, step_index: int) -> Belief:
+        """Detect grasps, track their stability and project the occupancy:
+        the belief of step `step_index`."""
+        raw = self.detector.detect(self.target_tsdf, self.cfg.planner.q_th,
+                                   derive_seed(self.policy_seed, "detect", step_index))
+        self.tracked = update_stability(self.tracked, raw)
+        self.occ = project_occupancy(self.nav_tsdf, NAV_HEIGHT_BAND)
+        stable = [g for g in self.tracked if g.stable_for >= self.cfg.planner.n_stab]
+        return Belief(robot=self.robot, target_tsdf=self.target_tsdf, occ=self.occ,
+                      stable_grasps=stable, target_center=self.scene.target_center,
+                      target_bbox=self.scene.target_bbox, step_index=step_index,
+                      intr=DEFAULT_INTRINSICS)
+
+    def move(self, base: Pose2, cam: Pose3) -> CellState:
+        """Drive to `base` and sense from `cam`; returns the observed state of
+        the cell moved onto, which must not be occupied (PolicySafetyError)."""
+        cell_state = state_at(self.occ, base.xy)
+        if cell_state == CellState.OCCUPIED:
+            raise PolicySafetyError(f"{self.cfg.policy.value} stepped into an occupied "
+                                    f"cell at ({base.x:.2f}, {base.y:.2f})")
+        self.d_total += float(np.linalg.norm(base.xy - self.robot.xy))
+        self.robot = base
+        self.sense(cam)
+        return cell_state
+
+
 def run_episode_traced(cfg: RunConfig, episode_index: int
                        ) -> tuple[EpisodeResult, list[dict]]:
     """Run one episode and return its result plus the per-step trace records.
@@ -158,108 +225,60 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
     policy_seed = derive_seed(cfg.base_seed, episode_index, "policy")
     maps = build_map_pair()
     trace: list[dict] = []
-
+    occupancy: dict = {}
     try:
         scene = generate_scene(cfg.scenario, cfg.hard_grasps, scene_seed)
         start = sample_start_pose(scene, derive_seed(scene_seed, "start"))
-    except SceneGenFailure as e:
-        result = EpisodeResult(Outcome.ABORT, 0.0, 1, 0, scene_seed, policy_seed,
-                               cfg.policy, abort_reason=f"scene generation: {e}")
-        return result, [{"type": "result", **asdict(result)}]
-
-    policy = make_policy(cfg.policy, cfg.planner, policy_seed, maps)
-    intr = DEFAULT_INTRINSICS
-    target_tsdf = TsdfGrid.create_cube(scene.target_center, TARGET_GRID_SIDE,
-                                       TARGET_GRID_VOXELS)
-    nav_tsdf = TsdfGrid.create(np.array([-ARENA_HALF, -ARENA_HALF, 0.0]), NAV_CELL,
-                               (int(2 * ARENA_HALF / NAV_CELL),
-                                int(2 * ARENA_HALF / NAV_CELL), NAV_Z_VOXELS))
-    detector = GraspDetector(target_tsdf, scene)
-
-    trace.append({"type": "meta", "scene": scene_to_dict(scene),
-                  "start": [start.x, start.y, start.theta],
-                  "policy": cfg.policy.value, "scene_seed": scene_seed,
-                  "policy_seed": policy_seed, "config_hash": config_hash(cfg)})
-
-    images: dict = {}
-
-    def integrate_view(base: Pose2, cam=None) -> None:
-        cam = cam or camera_at(base.xy, scene.target_center, policy.cam_seed,
-                               cfg.planner.torso_band)
-        img = cached_render(images, scene, cam, intr)
-        integrate_depth(target_tsdf, img, cam)
-        integrate_depth(nav_tsdf, img, cam)
-
-    robot = start
-    integrate_view(robot)
-    d_total = 0.0
-    tracked: list = []
-
-    for step_index in range(cfg.planner.max_steps + 1):
-        raw = detector.detect(target_tsdf, cfg.planner.q_th,
-                              derive_seed(policy_seed, "detect", step_index))
-        tracked = update_stability(tracked, raw)
-        stable = [g for g in tracked if g.stable_for >= cfg.planner.n_stab]
-        rec = {"type": "step", "step": step_index,
-               "robot": [robot.x, robot.y, robot.theta],
-               "grasps": [{"step": step_index, "voxel": list(g.voxel),
-                           "quality": round(g.quality, 6),
-                           "stable_for": g.stable_for} for g in stable]}
-        if step_index == cfg.planner.max_steps:
-            decision = Abort("step budget exhausted")
-        else:
-            occ = project_occupancy(nav_tsdf, NAV_HEIGHT_BAND)
-            belief = Belief(robot=robot, target_tsdf=target_tsdf, occ=occ,
-                            stable_grasps=stable, target_center=scene.target_center,
-                            target_bbox=scene.target_bbox, step_index=step_index,
-                            intr=intr)
-            decision = policy.decide(belief)
-            rec.update(policy.last_trace)
-            policy.last_trace = {}
-
-        if isinstance(decision, Abort):
-            rec["action"] = {"kind": "abort", "reason": decision.reason}
+    except SceneGenFailure as e:  # the trace is the result record alone
+        outcome, reason, step_index, d_total = Outcome.ABORT, f"scene generation: {e}", 0, 0.0
+    else:
+        policy = make_policy(cfg.policy, cfg.planner, policy_seed, maps)
+        ep = Episode(cfg, scene, start, policy_seed)
+        trace.append({"type": "meta", "scene": scene_to_dict(scene),
+                      "start": [start.x, start.y, start.theta],
+                      "policy": cfg.policy.value, "scene_seed": scene_seed,
+                      "policy_seed": policy_seed, "config_hash": config_hash(cfg)})
+        ep.sense(camera_at(start.xy, scene.target_center, policy.cam_seed,
+                           cfg.planner.torso_band))
+        for step_index in range(cfg.planner.max_steps + 1):
+            belief = ep.observe(step_index)
+            rec = {"type": "step", "step": step_index,
+                   "robot": [ep.robot.x, ep.robot.y, ep.robot.theta],
+                   "grasps": [{"step": step_index, "voxel": list(g.voxel),
+                               "quality": round(g.quality, 6),
+                               "stable_for": g.stable_for} for g in belief.stable_grasps]}
+            if step_index == cfg.planner.max_steps:
+                decision = Abort("step budget exhausted")
+            else:
+                decision = policy.decide(belief)
+                rec.update(policy.last_trace)
+                policy.last_trace = {}
+            if isinstance(decision, MoveStep):
+                base = decision.base
+                rec["action"] = {"kind": "move", "to": [base.x, base.y, base.theta],
+                                 "cell_state": int(ep.move(base, decision.cam))}
+            elif isinstance(decision, Abort):
+                rec["action"] = {"kind": "abort", "reason": decision.reason}
+                outcome, reason = Outcome.ABORT, decision.reason
+            else:
+                g = decision.grasp
+                rec["action"] = {"kind": "execute",
+                                 "grasp": {"voxel": list(g.voxel), "quality": g.quality,
+                                           "position": [*map(float, g.pose.position)],
+                                           "arm": g.arm.value}}
+                succeeded = execute_grasp(scene, g, ep.robot, maps) is GraspOutcome.SUCCEEDED
+                outcome = Outcome.SUCCESS if succeeded else Outcome.GRASP_FAILURE
+                reason = ""
             trace.append(rec)
-            outcome = Outcome.ABORT
-            abort_reason = decision.reason
-            break
-        if isinstance(decision, ExecuteGrasp):
-            g = decision.grasp
-            rec["action"] = {"kind": "execute",
-                             "grasp": {"voxel": list(g.voxel), "quality": g.quality,
-                                       "position": [*map(float, g.pose.position)],
-                                       "arm": g.arm.value}}
-            trace.append(rec)
-            exec_out = execute_grasp(scene, g, robot, maps)
-            outcome = (Outcome.SUCCESS if exec_out is GraspOutcome.SUCCEEDED
-                       else Outcome.GRASP_FAILURE)
-            abort_reason = ""
-            break
-        assert isinstance(decision, MoveStep)
-        new_base = decision.base
-        cell_state = state_at(occ, new_base.xy)
-        if cell_state == CellState.OCCUPIED:
-            raise PolicySafetyError(
-                f"{cfg.policy.value} stepped into an occupied cell at "
-                f"({new_base.x:.2f}, {new_base.y:.2f})")
-        rec["action"] = {"kind": "move",
-                         "to": [new_base.x, new_base.y, new_base.theta],
-                         "cell_state": int(cell_state)}
-        trace.append(rec)
-        d_total += float(np.linalg.norm(new_base.xy - robot.xy))
-        robot = new_base
-        integrate_view(robot, decision.cam)
-
-    occ = project_occupancy(nav_tsdf, NAV_HEIGHT_BAND)
-    result = EpisodeResult(outcome=outcome, d_total=d_total, v_total=step_index + 1,
-                           steps=step_index, scene_seed=scene_seed,
-                           policy_seed=policy_seed, policy=cfg.policy,
-                           abort_reason=abort_reason)
-    trace.append({"type": "result", **asdict(result),
-                  "occupancy": {"dims": list(occ.dims),
-                                "origin": [*map(float, occ.origin)],
-                                "cell_size": occ.cell_size,
-                                "rle": cells_to_rle(occ.cells)}})
+            if not isinstance(decision, MoveStep):
+                break
+        # the step that ended the episode sensed nothing after `observe`
+        d_total, occ = ep.d_total, ep.occ
+        occupancy["occupancy"] = {"dims": list(occ.dims), "origin": [*map(float, occ.origin)],
+                                  "cell_size": occ.cell_size, "rle": cells_to_rle(occ.cells)}
+    result = EpisodeResult(outcome, d_total, step_index + 1, step_index, scene_seed,
+                           policy_seed, cfg.policy, reason)
+    trace.append({"type": "result", **asdict(result), **occupancy})
     return result, trace
 
 

@@ -131,9 +131,12 @@ def render_topdown(scene: Scene, trace: list[dict], out_path: str | Path) -> Pat
 
 
 def render_trace_file(trace_path: str | Path, out_path: str | Path) -> Path:
-    """Render a stored episode trace; the scene is embedded in its meta record."""
+    """Render a stored episode trace; the scene is embedded in its meta record.
+    A trace without one (its scene could not be generated) is a ValueError."""
     records = [json.loads(line) for line in Path(trace_path).read_text().splitlines()
                if line.strip()]
-    meta = next(r for r in records if r.get("type") == "meta")
+    meta = next((r for r in records if r.get("type") == "meta"), None)
+    if meta is None:
+        raise ValueError(f"{trace_path} holds no scene to draw: it has no meta record")
     scene = scene_from_dict(meta["scene"])
     return render_topdown(scene, records, out_path)

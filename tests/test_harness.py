@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import actpermoma.harness as harness
+from actpermoma.geom import CellState, Pose2
 from actpermoma.harness import (
     EpisodeResult,
     Outcome,
+    PolicySafetyError,
     RunConfig,
     Verdict,
     ablation_preset,
@@ -33,7 +35,7 @@ from actpermoma.harness import (
 from actpermoma.planning import PlannerConfig, camera_at
 from actpermoma.policies import Abort, MoveStep, PolicyKind
 from actpermoma.render import render_topdown, render_trace_file
-from actpermoma.scene import SceneKind
+from actpermoma.scene import SceneGenFailure, SceneKind
 
 FAST = PlannerConfig(max_steps=50)
 
@@ -493,6 +495,25 @@ def test_run_config_rejects_unknown_keys():
     assert cfg.policy is PolicyKind.NAIVE
 
 
+def test_run_config_from_dict_checks_value_types():
+    cfg = run_config_from_dict({"planner": {"momentum": 700, "torso_band": [1, 1.2]},
+                                "hard_grasps": True, "output_dir": None})
+    assert cfg.planner.momentum == 700  # an int is a float
+    assert cfg.planner.torso_band == (1, 1.2) and cfg.hard_grasps is True
+    for doc, key in [({"episodes": True}, "episodes"),  # a bool is not an int
+                     ({"hard_grasps": 1}, "hard_grasps"),
+                     ({"planner": {"q_th": "0.7"}}, "q_th"),
+                     ({"planner": {"torso_band": [1.1]}}, "torso_band"),
+                     ({"planner": {"torso_band": [1.1, "x"]}}, "torso_band"),
+                     ({"planner": {"torso_band": 3}}, "torso_band"),
+                     ({"scenario": "nowhere"}, "scenario"),
+                     ({"policy": ["Naive"]}, "policy"),
+                     ({"output_dir": 3}, "output_dir"),
+                     ({"planner": [1]}, "planner")]:
+        with pytest.raises(ValueError, match=rf"^{key} must be "):
+            run_config_from_dict(doc)
+
+
 def test_run_config_dict_round_trip_every_field():
     planner = PlannerConfig(n_b=7, q_th=0.65, n_stab=3, w_ig=0.5, w_exec=2.0, momentum=50.0,
                             reach_radius=0.9, exec_threshold=0.25, cam_spacing=0.4,
@@ -654,24 +675,112 @@ def test_cli_ablate_exits_1_naming_a_failed_cell(tmp_path, monkeypatch, capsys):
     assert f"{failed}: boom" in stderr
 
 
-@pytest.mark.parametrize("argv,field", [
-    (["run", "--policy", "Naive", "--episodes", "2", "--seed", "-3"], "base_seed"),
-    (["run", "--policy", "Naive", "--episodes", "0"], "episodes"),
-    (["run", "--policy", "Naive", "--config", "{cfg}"], "unknown config keys"),
-    (["ablate", "--preset", "table2", "--episodes", "1", "--seed", "-1"], "base_seed"),
-    (["ablate", "--preset", "table2", "--episodes", "0"], "episodes"),
+CONFIG_RUN = ["run", "--policy", "Naive", "--config", "{cfg}"]
+
+
+@pytest.mark.parametrize("argv,field,doc", [
+    (["run", "--policy", "Naive", "--episodes", "2", "--seed", "-3"], "base_seed", None),
+    (["run", "--policy", "Naive", "--episodes", "0"], "episodes", None),
+    (CONFIG_RUN, "unknown config keys", {"seed": 0}),
+    (["ablate", "--preset", "table2", "--episodes", "1", "--seed", "-1"], "base_seed", None),
+    (["ablate", "--preset", "table2", "--episodes", "0"], "episodes", None),
+    (CONFIG_RUN, "max_steps", {"planner": {"max_steps": "x"}}),
+    (CONFIG_RUN, "episodes", {"episodes": "2"}),
+    (CONFIG_RUN, "episodes", {"episodes": True}),
+    (CONFIG_RUN, "torso_band", {"planner": {"torso_band": 3}}),
+    (CONFIG_RUN, "hard_grasps", {"hard_grasps": "yes"}),
+    (["run", "--policy", "Naive", "--config", "{missing}"], "missing.json", None),
 ], ids=["run-negative-seed", "run-zero-episodes", "run-unknown-key",
-        "ablate-negative-seed", "ablate-zero-episodes"])
-def test_cli_refuses_an_unrunnable_config_with_exit_2(tmp_path, capsys, argv, field):
+        "ablate-negative-seed", "ablate-zero-episodes", "run-str-max-steps",
+        "run-str-episodes", "run-bool-episodes", "run-int-torso-band",
+        "run-str-hard-grasps", "run-missing-config"])
+def test_cli_refuses_an_unrunnable_config_with_exit_2(tmp_path, capsys, argv, field, doc):
     # one error line naming the field, exit 2 and nothing written, the way
     # compare refuses runs it cannot compare
     from actpermoma.cli import main
 
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"seed": 0}))
+    cfg_file.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    rc = main([a.format(cfg=cfg_file) for a in argv] + ["--out", str(out), "--workers", "1"])
+    argv = [a.format(cfg=cfg_file, missing=tmp_path / "missing.json") for a in argv]
+    rc = main(argv + ["--out", str(out), "--workers", "1"])
     stdout, stderr = capsys.readouterr()
     assert rc == 2 and stdout == ""
     assert re.fullmatch(rf"error: [^\n]*{field}[^\n]*\n", stderr)
     assert not out.exists()
+
+
+def test_cli_compare_refuses_a_directory_without_traces(tmp_path, capsys):
+    # a mistyped path must not read as an inconclusive result
+    from actpermoma.cli import main
+
+    cfg = RunConfig(planner=FAST, episodes=2, base_seed=0, policy=PolicyKind.NAIVE,
+                    output_dir=str(tmp_path / "run"))
+    run_cell(cfg, workers=1)
+    (tmp_path / "empty").mkdir()
+    for side, nowhere in [(side, tmp_path / name) for side in "ab"
+                          for name in ("nodir", "empty")]:
+        sides = {"a": tmp_path / "run", "b": tmp_path / "run", side: nowhere}
+        rc = main(["compare", "--a", str(sides["a"]), "--b", str(sides["b"]),
+                   "--metric", "sr"])
+        stdout, stderr = capsys.readouterr()
+        assert rc == 2 and stdout == ""
+        assert stderr == f"error: no episode traces under {nowhere}\n"
+
+
+def test_cli_render_refuses_a_trace_it_cannot_draw(tmp_path, monkeypatch, capsys):
+    from actpermoma.cli import main
+
+    def no_scene(*args):
+        raise SceneGenFailure("no room for the target")
+
+    monkeypatch.setattr(harness, "generate_scene", no_scene)
+    cfg = RunConfig(planner=FAST, episodes=1, base_seed=0, output_dir=str(tmp_path / "run"))
+    (result,) = run_cell(cfg, workers=1)
+    assert result.abort_reason == "scene generation: no room for the target"
+    trace = tmp_path / "run" / "episodes" / "ep00000.jsonl"
+    assert [json.loads(line)["type"] for line in trace.read_text().splitlines()] == ["result"]
+    for path, message in ((trace, "no scene to draw"),
+                          (tmp_path / "missing.jsonl", "No such file")):
+        out = tmp_path / "img.svg"
+        rc = main(["render", "--trace", str(path), "--out", str(out)])
+        stdout, stderr = capsys.readouterr()
+        assert rc == 2 and stdout == ""
+        assert re.fullmatch(rf"error: [^\n]*{message}[^\n]*\n", stderr)
+        assert not out.exists()
+
+
+class Trespasser:
+    """Steps onto the first observed-occupied cell of the map, and waits in
+    place while there is none."""
+
+    cam_seed = 0
+    last_trace: dict = {}
+
+    def decide(self, belief):
+        occupied = np.argwhere(belief.occ.cells == CellState.OCCUPIED)
+        xy = belief.occ.index_to_world_center(occupied[0]) if len(occupied) else belief.robot.xy
+        base = Pose2(float(xy[0]), float(xy[1]), 0.0)
+        return MoveStep(base, camera_at(base.xy, belief.target_center, 0, (1.1, 1.3)))
+
+
+def test_a_step_onto_an_occupied_cell_raises_policy_safety_error(monkeypatch):
+    monkeypatch.setattr(harness, "make_policy", lambda *a, **k: Trespasser())
+    cfg = RunConfig(planner=FAST, episodes=1, base_seed=0, scenario=SceneKind.COMPLEX)
+    with pytest.raises(PolicySafetyError,
+                       match=r"^ActPerMoMa stepped into an occupied cell at \("):
+        run_episode_traced(cfg, 0)
+
+
+def test_a_policy_safety_error_fails_only_its_own_cell(tmp_path, monkeypatch):
+    real = harness.make_policy
+    monkeypatch.setattr(harness, "make_policy", lambda kind, *args: (
+        Trespasser() if kind is PolicyKind.RANDOM else real(kind, *args)))
+    cells = [RunConfig(planner=FAST, episodes=2, base_seed=1, policy=policy,
+                       scenario=SceneKind.COMPLEX)
+             for policy in (PolicyKind.NAIVE, PolicyKind.RANDOM)]
+    lines = run_experiment(cells, tmp_path / "out", workers=1).read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[1].split(",")[0] == PolicyKind.NAIVE.value
+    assert lines[2].startswith(f"# failed cells: {cell_name(cells[1])}: "
+                               "Random stepped into an occupied cell at (")

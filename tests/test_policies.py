@@ -7,20 +7,12 @@ import pytest
 
 from actpermoma.geom import CellState, Pose2, Pose3
 from actpermoma.grasping import Arm, Grasp, build_map_pair
-from actpermoma.harness import (
-    NAV_HEIGHT_BAND,
-    RunConfig,
-    run_episode_traced,
-)
-from actpermoma.perception import (
-    TsdfGrid,
-    integrate_depth,
-    project_occupancy,
-    rear_side_ig_batch,
-)
+from actpermoma.harness import Episode, RunConfig, run_episode_traced
+from actpermoma.perception import rear_side_ig_batch
 from actpermoma.planning import (
     NavMap,
     PlannerConfig,
+    camera_at,
     evaluate_paths,
     inflate_occupied,
     sample_base_goal_slots,
@@ -33,7 +25,6 @@ import actpermoma.policies as policies
 from actpermoma.policies import (
     Abort,
     ActPerMoMaPolicy,
-    Belief,
     BreyerNbvPolicy,
     ExecuteGrasp,
     IgOnlyPolicy,
@@ -45,39 +36,24 @@ from actpermoma.policies import (
     RouteCache,
     make_policy,
 )
-from actpermoma.scene import (
-    DEFAULT_INTRINSICS,
-    SceneKind,
-    generate_scene,
-    render_depth,
-    sample_start_pose,
-)
-from actpermoma.planning import camera_at
-from actpermoma.harness import TARGET_GRID_SIDE, TARGET_GRID_VOXELS, NAV_CELL, NAV_Z_VOXELS
-from actpermoma.scene import ARENA_HALF
+from actpermoma.scene import SceneKind, generate_scene, sample_start_pose
 from actpermoma.seeding import derive_seed
 
 MAPS = build_map_pair()
 
 
 def make_belief(seed=3, kind=SceneKind.SIMPLE, views=2, cfg=None, step_index=0):
+    """A scene and the belief at `step_index` of an episode on it (policy seed
+    `seed`) that sensed `views` times from its start pose.  The belief holds
+    no stable grasp: a test fabricates the grasps it needs."""
     cfg = cfg or PlannerConfig()
     scene = generate_scene(kind, False, seed)
     start = sample_start_pose(scene, derive_seed(seed, "start"))
-    target = TsdfGrid.create_cube(scene.target_center, TARGET_GRID_SIDE, TARGET_GRID_VOXELS)
-    nav = TsdfGrid.create(np.array([-ARENA_HALF, -ARENA_HALF, 0.0]), NAV_CELL,
-                          (int(2 * ARENA_HALF / NAV_CELL),) * 2 + (NAV_Z_VOXELS,))
-    robot = start
-    for k in range(views):
-        cam = camera_at(robot.xy, scene.target_center, derive_seed(seed, "torso"),
-                        cfg.torso_band)
-        img = render_depth(scene, cam, DEFAULT_INTRINSICS)
-        integrate_depth(target, img, cam)
-        integrate_depth(nav, img, cam)
-    occ = project_occupancy(nav, NAV_HEIGHT_BAND)
-    return scene, Belief(robot=robot, target_tsdf=target, occ=occ, stable_grasps=[],
-                         target_center=scene.target_center, target_bbox=scene.target_bbox,
-                         step_index=step_index, intr=DEFAULT_INTRINSICS)
+    episode = Episode(RunConfig(planner=cfg, scenario=kind), scene, start, seed)
+    cam = camera_at(start.xy, scene.target_center, derive_seed(seed, "torso"), cfg.torso_band)
+    for _ in range(views):
+        episode.sense(cam)
+    return scene, replace(episode.observe(step_index), stable_grasps=[])
 
 
 def hand_paths(policy, belief, routes):
