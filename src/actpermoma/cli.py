@@ -71,18 +71,25 @@ def _load_run(directory: str | Path) -> list[EpisodeResult]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Exit 0 on a summarized cell, 1 when an episode failed, and 2 on a
+    refused --config or --workers (nothing is written), an unwritable --out
+    or an unreadable trace under it."""
     try:
         cfg = _build_run_config(args)
-    except (OSError, ValueError) as e:  # an unreadable or unrunnable --config
+        csv_path = run_experiment([cfg], args.out, workers=args.workers)
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    csv_path = run_experiment([cfg], args.out, workers=args.workers)
     print(f"wrote {csv_path}")
+    failed = _failed_cells(Path(args.out))
+    if failed:
+        print(f"error: {failed.removeprefix('# ')}", file=sys.stderr)
+        return 1
     try:
         m = summarize(_load_run(args.out))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2
     print(f"SR {m.sr:.1f}%  AR {m.ar:.1f}%  GFR {m.gfr:.1f}%  "
           f"d {m.d_mean:.2f}+-{m.d_std:.2f} m  v {m.v_mean:.1f}+-{m.v_std:.1f}")
     return 0
@@ -103,10 +110,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     try:
         cells = ablation_preset(args.preset, episodes=args.episodes, base_seed=args.seed)
-    except ValueError as e:
+        csv_path = run_experiment(cells, args.out, workers=args.workers)
+    except ValueError as e:  # a negative --seed, or --episodes or --workers below 1
         print(f"error: {e}", file=sys.stderr)
         return 2
-    csv_path = run_experiment(cells, args.out, workers=args.workers)
     print(f"wrote {csv_path}")
     print(csv_path.read_text())
     failed = _failed_cells(Path(args.out))

@@ -299,7 +299,7 @@ def exec_utility(grasps: list[Grasp], path, map_pair: MapPair) -> tuple[Grasp | 
     """The most reachable grasp from the path's goal base pose, with its arm,
     and its reachability, not yet weighted by the path length
     (`planning.evaluate_paths` does that); (None, 0) for an empty grasp set."""
-    return best_grasp(map_pair, grasps, path.goal_base)
+    return best_grasp(map_pair, grasps, path.route.goal)
 
 
 # ---------------------------------------------------------------------------

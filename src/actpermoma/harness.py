@@ -111,10 +111,11 @@ _JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, type(None): 
 
 
 def _typed(key: str, value, hint):
-    """`value`, read from a JSON config, as field `key` of type `hint`, or a
-    ValueError naming `key`.  Each dataclass field is read as its annotation:
-    an int is also a float, a bool is only a bool, a tuple comes as a list of
-    its length, an enum as one of its values; unknown keys are refused."""
+    """`value`, read from JSON (a config, a result record), as field `key` of
+    type `hint`, or a ValueError naming `key`.  Each dataclass field is read
+    as its annotation: an int is also a float, a bool is only a bool, a tuple
+    comes as a list of its length, an enum as one of its values; unknown keys
+    are refused."""
     if is_dataclass(hint):
         if not isinstance(value, dict):
             raise ValueError(f"{key} must be an object, not {value!r}")
@@ -283,16 +284,21 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
 
 
 def _read_result(path: Path) -> EpisodeResult:
-    """Decode the result record that ends an episode trace file."""
+    """Decode the result record that ends an episode trace file, its fields
+    read as `run_config_from_dict` reads a config's; a record cut short, of
+    another type, or lacking or mistyping a field is refused (ValueError
+    naming the file)."""
     try:
         rec = json.loads(path.read_text().strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError) as e:
         raise ValueError(f"truncated episode trace {path}: {e}") from None
     if not isinstance(rec, dict) or rec.get("type") != "result":
         raise ValueError(f"episode trace {path} does not end in a result record")
-    result = EpisodeResult(**{f.name: rec[f.name] for f in fields(EpisodeResult)})
-    return replace(result, outcome=Outcome(result.outcome),
-                   policy=PolicyKind(result.policy))
+    names = {f.name for f in fields(EpisodeResult)}
+    try:
+        return _typed("result", {k: v for k, v in rec.items() if k in names}, EpisodeResult)
+    except (TypeError, ValueError) as e:  # a TypeError names a missing field
+        raise ValueError(f"episode trace {path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +493,13 @@ def _write_trace(cfg: RunConfig, index: int, trace: list[dict]) -> None:
 def _run_cells(cfgs: list[RunConfig], workers: int | None
                ) -> list[list[EpisodeResult] | Exception]:
     """Per cell, its results in index order or its lowest failed episode's
-    exception, from one pool shared by every episode of every cell.  The pool
+    exception, from one pool shared by every episode of every cell; fewer
+    than one worker is refused (ValueError) before anything runs.  The pool
     pickles `run_episode_traced` by reference, so a worker runs that module
     attribute as it inherited it; a replacement must be importable there."""
     workers = workers if workers is not None else default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, not {workers}")
     jobs = [(c, i) for c, cfg in enumerate(cfgs) for i in range(cfg.episodes)]
     results: list[list] = [[None] * cfg.episodes for cfg in cfgs]
 
@@ -550,10 +559,10 @@ def run_experiment(cells: list[RunConfig], out_dir: str | Path,
     (`BrokenProcessPool`, e.g. after an out-of-memory kill) fails every cell
     not finished yet, not just its own."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cells = [replace(cfg, output_dir=str(out_dir / cell_name(cfg))) for cfg in cells]
     distinct = {config_hash(cfg): cfg for cfg in cells}
     runs = dict(zip(distinct, _run_cells(list(distinct.values()), workers)))
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "metrics.csv"
     failures: list[str] = []
     with csv_path.open("w", newline="") as f:
@@ -575,8 +584,8 @@ def run_experiment(cells: list[RunConfig], out_dir: str | Path,
 
 def load_results_dir(directory: str | Path) -> list[EpisodeResult]:
     """Episode results from a run directory's episodes/*.jsonl traces; a
-    trace that is truncated or lacks its final result record raises
-    ValueError naming the file."""
+    trace that is truncated, lacks its final result record or holds a
+    malformed one raises ValueError naming the file."""
     directory = Path(directory)
     files = sorted((directory / "episodes").glob("ep*.jsonl"))
     if not files:

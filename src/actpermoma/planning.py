@@ -1,4 +1,4 @@
-"""Candidate base goals, grid A*, camera waypoints and receding-horizon selection.
+"""Candidate base goals, grid A*, camera views along a route and receding-horizon selection.
 
 Every control step the planner samples base goals on a ring around the
 target, plans one grid path per goal, decorates each path with target-facing
@@ -66,41 +66,28 @@ class PlannerConfig:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class PathView:
-    base: Pose2
-    cam: Pose3
-    arc: float  # cumulative base travel from the path start
-
-
 @dataclass(frozen=True, eq=False)
 class Route:
-    """A base route: its waypoints, their (n, 2) positions and the length of
-    each segment, `float(np.linalg.norm(b.xy - a.xy))` for consecutive
-    waypoints a, b.  A 2-vector's `np.linalg.norm` is a BLAS dot, whose last
-    bit `hypot`, `einsum` or a norm over rows need not reproduce."""
+    """A base route to `goal`: its (n, 2) positions `xy`, the last one
+    `goal.xy`, and each segment's length `float(np.linalg.norm(b - a))`, a
+    BLAS dot whose last bit `hypot`, `einsum` or a norm over rows need not
+    reproduce."""
 
-    waypoints: list[Pose2]
     xy: np.ndarray
     segs: list[float]
+    goal: Pose2
 
     @staticmethod
-    def through(waypoints: list[Pose2]) -> "Route":
-        xy = np.array([w.xy for w in waypoints])
-        return Route(list(waypoints), xy,
-                     [float(np.linalg.norm(d)) for d in np.diff(xy, axis=0)])
+    def through(xy: np.ndarray, goal: Pose2) -> "Route":
+        return Route(xy, [float(np.linalg.norm(d)) for d in np.diff(xy, axis=0)], goal)
 
 
 @dataclass
 class CandidatePath:
     goal_id: int
-    base_path: list[Pose2]   # dense grid waypoints, last one is the goal pose
-    views: list[PathView]    # sparse camera views, last one at the goal
+    route: Route  # from the robot to the goal
+    views: list[tuple[Pose3, float]]  # (camera, arc from the route start), last at the goal
     length: float
-
-    @property
-    def goal_base(self) -> Pose2:
-        return self.base_path[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +222,12 @@ class NavMap:
         return padded.ravel().tolist()
 
 
-def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> list[Pose2]:
+def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> np.ndarray:
     """8-connected A* over the occupancy grid, avoiding `nav.blocked`, unknown
     cells traversable at a 1.05 step-cost multiplier.
 
-    Returns cell-center waypoints from the start cell to the goal cell; the
-    start cell itself is always treated as traversable.  Raises NoPath.
+    Returns the (n, 2) cell-center positions from the start cell to the
+    goal cell; the start cell itself is always traversable.  Raises NoPath.
 
     The search runs on `nav.codes` with int cell ids, whose blocked border
     replaces the bounds test: a bytearray closed set, lists of g-costs and
@@ -259,8 +246,7 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> list[Pose2]:
     cell = occ.cell_size
 
     if s == g:
-        c = occ.index_to_world_center(np.array(s))
-        return [Pose2(float(c[0]), float(c[1]), start.theta)]
+        return occ.index_to_world_center(np.array([s]))
 
     codes = nav.codes
     w = ny + 2  # padded row length: cell (i, j) has id (i + 1) * w + j + 1
@@ -314,16 +300,11 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> list[Pose2]:
         ids.append(came[ids[-1]])
     ids.reverse()
     idx = np.divmod(np.array(ids), w)
-    xy = occ.index_to_world_center(np.stack(idx, axis=1) - 1).tolist()
-    waypoints = []
-    for (x0, y0), (x1, y1) in zip(xy, xy[1:]):
-        waypoints.append(Pose2(x0, y0, float(np.arctan2(y1 - y0, x1 - x0))))
-    waypoints.append(Pose2(xy[-1][0], xy[-1][1], waypoints[-1].theta))
-    return waypoints
+    return occ.index_to_world_center(np.stack(idx, axis=1) - 1)
 
 
 # ---------------------------------------------------------------------------
-# camera views along a path
+# camera views along a route
 # ---------------------------------------------------------------------------
 
 TORSO_CELL = 0.1  # meters; ground cell over which the torso height is constant
@@ -367,39 +348,33 @@ def sample_camera_poses(route: Route, target: np.ndarray, cam_spacing: float,
     """Decorate a base route with target-facing camera views.
 
     Views are placed every cam_spacing meters of arc length starting at the
-    path start, plus one at the goal.  Camera position is the base position
+    route start, plus one at the goal.  Camera position is the base position
     lifted by a seeded torso height; orientation is an exact look-at.
 
     One walk over the segments places every arc: an arc lies on the first
     segment whose length is at least what is left of the arc, which is the
     arc minus the lengths of the segments before, subtracted one at a time
     (a zero-length segment takes every arc that reaches it)."""
-    base_path = route.waypoints
-    if not base_path:
-        raise ValueError("base_path is empty")
     target = np.asarray(target, dtype=float)
-    segs = route.segs
+    xy, segs = route.xy, route.segs
     length = float(sum(segs))
     arcs = [float(a) for a in np.arange(0.0, length, cam_spacing)
             if length - a > 1e-9]
-    bases = []  # the base pose of each arc placed so far, in arc order
+    points = []  # the base position of each arc placed so far, in arc order
     left = list(arcs)  # what is left of each arc past the segments walked
-    for a, b, s in zip(base_path, base_path[1:], segs):
-        while len(bases) < len(arcs) and (left[len(bases)] <= s or s == 0.0):
-            t = 0.0 if s == 0.0 else left[len(bases)] / s
-            bases.append(facing(a.xy + t * (b.xy - a.xy), target))
-        if len(bases) == len(arcs):
+    for i, s in enumerate(segs):
+        while len(points) < len(arcs) and (left[len(points)] <= s or s == 0.0):
+            t = 0.0 if s == 0.0 else left[len(points)] / s
+            points.append(xy[i] + t * (xy[i + 1] - xy[i]))
+        if len(points) == len(arcs):
             break
-        for j in range(len(bases), len(arcs)):
+        for j in range(len(points), len(arcs)):
             left[j] -= s
     # rounding can leave an arc past the last segment: it takes the goal
-    bases += [base_path[-1]] * (len(arcs) - len(bases))
-    views = [PathView(b, camera_at(b.xy, target, seed, torso_band), arc)
-             for b, arc in zip(bases, arcs)]
-    goal = base_path[-1]
-    views.append(PathView(goal, camera_at(goal.xy, target, seed, torso_band), length))
-    return CandidatePath(goal_id=goal_id, base_path=list(base_path), views=views,
-                         length=length)
+    points += [xy[-1]] * (len(arcs) - len(points))
+    views = [(camera_at(p, target, seed, torso_band), arc)
+             for p, arc in zip(points + [xy[-1]], arcs + [length])]
+    return CandidatePath(goal_id=goal_id, route=route, views=views, length=length)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +416,11 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
     view_ids = []
     for p in paths:
         ids = []
-        for v in p.views:
-            k = tuple(np.round(v.cam.position, 9))
+        for cam, _ in p.views:
+            k = tuple(np.round(cam.position, 9))
             if k not in keys:
                 keys[k] = len(cams)
-                cams.append(v.cam)
+                cams.append(cam)
             ids.append(keys[k])
         view_ids.append(ids)
     counts = rear_side_ig_batch(tsdf, cams, intr, target_bbox)
@@ -456,8 +431,8 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
     out = []
     for p, ids in zip(paths, view_ids):
         j_ig = 0.0
-        for v, i in zip(p.views, ids):
-            d = 1.0 if unit_weights else max(v.arc, DIST_CLAMP)
+        for (_, arc), i in zip(p.views, ids):
+            d = 1.0 if unit_weights else max(arc, DIST_CLAMP)
             j_ig += float(counts[i]) / (d * d)
         length = 1.0 if unit_weights else max(p.length, DIST_CLAMP)
         grasp, goal_reach = exec_utility(grasps, p, map_pair)
@@ -499,21 +474,17 @@ def select_from_utilities(utils: list[PathUtility], cfg: PlannerConfig,
 # stepping
 # ---------------------------------------------------------------------------
 
-def step(robot: Pose2, base_path: list[Pose2], step_size: float) -> Pose2:
+def step(robot: Pose2, route: Route, step_size: float) -> Pose2:
     """Kinematic advance of at most step_size along a route that starts at
-    the robot, as `RouteCache.path_to` trims it; a one-waypoint route is the
-    straight line from the robot to that waypoint.  The motion clamps exactly
+    the robot, as `RouteCache.path_to` trims it; a one-position route is the
+    straight line from the robot to that position.  The motion clamps exactly
     at the route end, where the goal heading is adopted; heading during
     travel is the direction of motion.  Raises ValueError on an empty route
-    or on a longer one whose first waypoint is not the robot's position."""
-    if not base_path:
-        raise ValueError("empty path")
-    goal = base_path[-1]
-    if len(base_path) == 1:
-        pts = [robot.xy, goal.xy]
-    elif (base_path[0].x, base_path[0].y) == (robot.x, robot.y):
-        pts = [w.xy for w in base_path]
-    else:
+    or on a longer one whose first position is not the robot's."""
+    pts = route.xy
+    if len(pts) == 1:
+        pts = [robot.xy, pts[0]]
+    elif not (len(pts) and (pts[0, 0], pts[0, 1]) == (robot.x, robot.y)):
         raise ValueError("route does not start at the robot")
 
     pos = pts[0]
@@ -535,14 +506,14 @@ def step(robot: Pose2, base_path: list[Pose2], step_size: float) -> Pose2:
             pos = pos + (budget / d) * seg
             heading = float(np.arctan2(seg[1], seg[0]))
             break
-    if float(np.linalg.norm(pos - goal.xy)) < 1e-9:
-        return Pose2(float(goal.x), float(goal.y), goal.theta)
+    if float(np.linalg.norm(pos - pts[-1])) < 1e-9:
+        return Pose2(float(route.goal.x), float(route.goal.y), route.goal.theta)
     return Pose2(float(pos[0]), float(pos[1]), heading)
 
 
 def should_execute(path: CandidatePath, goal_score: float, cfg: PlannerConfig) -> bool:
     """Grasp trigger: the chosen path, trimmed to start at the robot, has
-    collapsed to its goal waypoint (the robot is within one step of the goal)
+    collapsed to its goal position (the robot is within one step of the goal)
     and `goal_score`, the undiscounted reachability of the best grasp from
     the goal, clears the threshold (inclusive)."""
     return path.length <= cfg.step_size + 1e-9 and goal_score >= cfg.exec_threshold

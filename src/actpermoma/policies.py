@@ -95,7 +95,7 @@ class RouteCache:
 
     This is the one place that locates the robot on a route: `path_to`
     returns the route trimmed to start exactly at the robot (or collapsed to
-    its goal waypoint), which is the only form `planning.step` walks.  A
+    its goal position), which is the only form `planning.step` walks.  A
     route keeps its positions and segment lengths, so a trimmed route
     measures only its new first segment.
     """
@@ -112,8 +112,9 @@ class RouteCache:
             lateral, seg = self._projection(route.xy, rob)
             if lateral <= self.MAX_LATERAL:
                 return self._trim(route, robot, seg)
-        base = plan_path(nav, robot, goal)
-        route = self.routes[key] = Route.through(base[:-1] + [goal])
+        xy = plan_path(nav, robot, goal)
+        xy[-1] = goal.xy  # the goal's exact position, not its cell's centre
+        route = self.routes[key] = Route.through(xy, goal)
         return self._trim(route, robot, self._projection(route.xy, rob)[1])
 
     @staticmethod
@@ -136,7 +137,7 @@ class RouteCache:
 
     @staticmethod
     def _reaches(route: Route, nav: NavMap, goal: Pose2) -> bool:
-        """The route ends at `goal` and every waypoint is on the map and free."""
+        """The route ends at `goal` and every position is on the map and free."""
         if float(np.linalg.norm(route.xy[-1] - goal.xy)) > 1e-9:
             return False
         return not cells_blocked(nav.occ, nav.blocked, route.xy).any()
@@ -145,16 +146,13 @@ class RouteCache:
     def _trim(route: Route, robot: Pose2, seg: int) -> Route:
         """`route` from the robot, which projects onto segment `seg`."""
         rob = robot.xy
-        goal = route.waypoints[-1]
         if float(np.linalg.norm(rob - route.xy[-1])) < 1e-9:
-            return Route([goal], route.xy[-1:], [])  # arrived: collapsed single-waypoint path
-        if len(route.waypoints) == 1:
+            return Route(route.xy[-1:], [], route.goal)  # arrived: collapsed to the goal
+        if len(route.xy) == 1:
             return route
-        start = Pose2(float(rob[0]), float(rob[1]), robot.theta)
-        rest = route.waypoints[seg + 1:]
         xy = np.vstack([rob, route.xy[seg + 1:]])
-        return Route([start, *rest], xy,
-                     [float(np.linalg.norm(xy[1] - xy[0])), *route.segs[seg + 1:]])
+        return Route(xy, [float(np.linalg.norm(xy[1] - xy[0])), *route.segs[seg + 1:]],
+                     route.goal)
 
 
 class Policy:
@@ -177,8 +175,8 @@ class Policy:
                         self.cfg.torso_band)
         return MoveStep(base, cam)
 
-    def _move_along(self, belief: Belief, base_path: list[Pose2]) -> MoveStep:
-        return self._move_to(belief, step(belief.robot, base_path, self.cfg.step_size))
+    def _move_along(self, belief: Belief, route: Route) -> MoveStep:
+        return self._move_to(belief, step(belief.robot, route, self.cfg.step_size))
 
     def _ig_intrinsics(self, belief: Belief) -> CameraIntrinsics:
         return belief.intr.downsampled(self.cfg.ig_downsample)
@@ -248,8 +246,8 @@ class ActPerMoMaPolicy(Policy):
             "selected_goal": best.path.goal_id,
             "momentum_held": held,
             "goals": [[slot, round(g.x, 4), round(g.y, 4)] for slot, g in slots],
-            "selected_path": [[round(w.x, 4), round(w.y, 4)]
-                              for w in best.path.base_path],
+            "selected_path": [[round(x, 4), round(y, 4)]
+                              for x, y in best.path.route.xy.tolist()],
         }
 
         if self.exec_rule == "utility":
@@ -264,7 +262,7 @@ class ActPerMoMaPolicy(Policy):
                 g = max(belief.stable_grasps, key=lambda s: s.quality)
                 _, arm = reachability(self.maps, g, belief.robot)
                 return ExecuteGrasp(replace(g, arm=arm))
-        return self._move_along(belief, best.path.base_path)
+        return self._move_along(belief, best.path.route)
 
 
 class IgOnlyPolicy(ActPerMoMaPolicy):
@@ -333,7 +331,7 @@ class NaivePolicy(Policy):
                 self.routes.routes.pop(0, None)
                 continue
             self.current_goal = goal
-            return self._move_along(belief, route.waypoints)
+            return self._move_along(belief, route)
         self.current_goal = None
         return Abort("target ring unreachable")
 
@@ -371,7 +369,7 @@ class RandomPolicy(Policy):
         except NoPath:
             self.current_goal = None
             return self._move_to(belief, belief.robot)
-        return self._move_along(belief, route.waypoints)
+        return self._move_along(belief, route)
 
 
 class BreyerNbvPolicy(Policy):
@@ -437,7 +435,7 @@ class BreyerNbvPolicy(Policy):
         except NoPath:
             self.visited.add(view_id)
             return self._move_to(belief, belief.robot)
-        move = self._move_along(belief, route.waypoints)
+        move = self._move_along(belief, route)
         if float(np.linalg.norm(move.base.xy - goal.xy)) < 1e-9:
             self.visited.add(view_id)
         return move

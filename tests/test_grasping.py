@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from actpermoma.grasping import (
     update_stability,
 )
 from actpermoma.perception import TsdfGrid, integrate_depth
+from actpermoma.planning import CandidatePath, Route
 from actpermoma.scene import (
     TABLE_HEIGHT,
     Approach,
@@ -55,9 +56,8 @@ def fused_scene(seed=2, kind=SceneKind.SIMPLE, views=24):
     return scene, t
 
 
-@dataclass
-class _FakePath:
-    goal_base: Pose2
+def _path_to(goal: Pose2) -> CandidatePath:
+    return CandidatePath(0, Route.through(goal.xy[None], goal), [], 0.0)
 
 
 def test_detect_on_unknown_tsdf_is_empty():
@@ -362,7 +362,7 @@ def test_reachability_matches_two_map_oracle():
 
 
 def test_exec_utility_empty_and_arithmetic():
-    path = _FakePath(goal_base=Pose2(0, 0, 0))
+    path = _path_to(Pose2(0, 0, 0))
     assert exec_utility([], path, MAPS) == (None, 0.0)
     g = replace(_grasp_at((0, 0, 0)),
                 pose=Pose3(np.array([0.65 * np.cos(ARM_OFFSET[Arm.LEFT]),
@@ -384,7 +384,7 @@ def test_exec_utility_matches_exhaustive_max():
             grasps.append(replace(_grasp_at((0, 0, 0)),
                                   pose=Pose3(gp, quat_from_yaw(rng.uniform(0, 6)))))
         want = max(reachability(MAPS, g, base)[0] for g in grasps)
-        _, got = exec_utility(grasps, _FakePath(base), MAPS)
+        _, got = exec_utility(grasps, _path_to(base), MAPS)
         assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -467,7 +467,8 @@ def test_load_results_dir_round_trip(tmp_path):
     assert got == want
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no_result"])
+@pytest.mark.parametrize("damage", ["truncated", "no_result", "missing_field",
+                                    "mistyped_field"])
 def test_load_results_dir_names_damaged_trace(tmp_path, damage):
     cfg = RunConfig(planner=FAST, episodes=2, base_seed=5, policy=PolicyKind.NAIVE,
                     output_dir=str(tmp_path / "cell"))
@@ -477,8 +478,15 @@ def test_load_results_dir_names_damaged_trace(tmp_path, damage):
     assert len(lines) >= 3 and json.loads(lines[-2])["type"] == "step"
     if damage == "truncated":  # cut mid-way through the result record
         path.write_text("\n".join(lines[:-1] + [lines[-1][:len(lines[-1]) // 2]]))
-    else:  # the last record is a step record
+    elif damage == "no_result":  # the last record is a step record
         path.write_text("\n".join(lines[:-1]) + "\n")
+    else:  # the result record lacks a field or holds a distance that is no number
+        result = json.loads(lines[-1])
+        if damage == "missing_field":
+            del result["v_total"]
+        else:
+            result["d_total"] = "x"
+        path.write_text("\n".join(lines[:-1] + [json.dumps(result)]) + "\n")
     with pytest.raises(ValueError, match="ep00001.jsonl"):
         load_results_dir(tmp_path / "cell")
 
@@ -690,10 +698,14 @@ CONFIG_RUN = ["run", "--policy", "Naive", "--config", "{cfg}"]
     (CONFIG_RUN, "torso_band", {"planner": {"torso_band": 3}}),
     (CONFIG_RUN, "hard_grasps", {"hard_grasps": "yes"}),
     (["run", "--policy", "Naive", "--config", "{missing}"], "missing.json", None),
+    (["run", "--policy", "Naive", "--episodes", "2", "--workers", "0"], "workers", None),
+    (["run", "--policy", "Naive", "--episodes", "2", "--workers", "-4"], "workers", None),
+    (["ablate", "--preset", "table2", "--episodes", "1", "--workers", "0"], "workers", None),
 ], ids=["run-negative-seed", "run-zero-episodes", "run-unknown-key",
         "ablate-negative-seed", "ablate-zero-episodes", "run-str-max-steps",
         "run-str-episodes", "run-bool-episodes", "run-int-torso-band",
-        "run-str-hard-grasps", "run-missing-config"])
+        "run-str-hard-grasps", "run-missing-config", "run-zero-workers",
+        "run-negative-workers", "ablate-zero-workers"])
 def test_cli_refuses_an_unrunnable_config_with_exit_2(tmp_path, capsys, argv, field, doc):
     # one error line naming the field, exit 2 and nothing written, the way
     # compare refuses runs it cannot compare
@@ -703,7 +715,8 @@ def test_cli_refuses_an_unrunnable_config_with_exit_2(tmp_path, capsys, argv, fi
     cfg_file.write_text(json.dumps(doc))
     out = tmp_path / "out"
     argv = [a.format(cfg=cfg_file, missing=tmp_path / "missing.json") for a in argv]
-    rc = main(argv + ["--out", str(out), "--workers", "1"])
+    # one worker unless argv, read after it, says otherwise
+    rc = main([argv[0], "--workers", "1", *argv[1:], "--out", str(out)])
     stdout, stderr = capsys.readouterr()
     assert rc == 2 and stdout == ""
     assert re.fullmatch(rf"error: [^\n]*{field}[^\n]*\n", stderr)
@@ -726,6 +739,32 @@ def test_cli_compare_refuses_a_directory_without_traces(tmp_path, capsys):
         stdout, stderr = capsys.readouterr()
         assert rc == 2 and stdout == ""
         assert stderr == f"error: no episode traces under {nowhere}\n"
+
+
+def test_cli_refuses_a_trace_whose_result_record_lacks_a_field(tmp_path, monkeypatch, capsys):
+    # run, summarizing the traces it wrote, and compare name the damaged
+    # trace on one error line and exit 2 instead of a traceback
+    from actpermoma.cli import main
+
+    real = harness.run_episode_traced
+
+    def lacking(cfg, episode_index):
+        result, trace = real(cfg, episode_index)
+        del trace[-1]["v_total"]
+        return result, trace
+
+    monkeypatch.setattr(harness, "run_episode_traced", lacking)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"planner": {"max_steps": 5}}))
+    out = tmp_path / "run"
+    for argv in (["run", "--policy", "Naive", "--episodes", "2", "--config", str(cfg_file),
+                  "--out", str(out), "--workers", "1"],
+                 ["compare", "--a", str(out), "--b", str(out), "--metric", "sr"]):
+        rc = main(argv)
+        stdout, stderr = capsys.readouterr()
+        assert rc == 2 and "SR " not in stdout
+        assert re.fullmatch(r"error: episode trace [^\n]*ep00000\.jsonl: [^\n]*'v_total'\n",
+                            stderr)
 
 
 def test_cli_render_refuses_a_trace_it_cannot_draw(tmp_path, monkeypatch, capsys):

@@ -35,8 +35,8 @@ from actpermoma.perception import (
 from actpermoma.planning import (
     DIST_CLAMP,
     CandidatePath,
-    PathView,
     PlannerConfig,
+    Route,
     camera_at,
     evaluate_paths,
 )
@@ -291,9 +291,8 @@ MAPS = build_map_pair()
 
 
 def _path(goal_id: int, views: list[tuple[Pose3, float]]) -> CandidatePath:
-    base = Pose2(0.0, 0.0, 0.0)
-    return CandidatePath(goal_id=goal_id, base_path=[base],
-                         views=[PathView(base, cam, arc) for cam, arc in views], length=0.0)
+    route = Route.through(np.zeros((1, 2)), Pose2(0.0, 0.0, 0.0))
+    return CandidatePath(goal_id=goal_id, route=route, views=views, length=0.0)
 
 
 def path_igs(t: TsdfGrid, paths: list[list[tuple[Pose3, float]]], intr: CameraIntrinsics,

@@ -27,7 +27,6 @@ from actpermoma.planning import (
     NoFeasibleGoals,
     NoPath,
     PathUtility,
-    PathView,
     PlannerConfig,
     Route,
     UNKNOWN_COST,
@@ -51,6 +50,11 @@ MAPS = build_map_pair()
 TOP_DOWN_Q = np.array([0.0, 1.0, 0.0, 0.0])
 
 
+def route_through(base: list[Pose2]) -> Route:
+    """The route through the positions of `base` to its last pose."""
+    return Route.through(np.array([p.xy for p in base]), base[-1])
+
+
 def goal_slots(occ, target, n_b, seed):
     return sample_base_goal_slots(occ, target, n_b, seed, PlannerConfig().reach_radius,
                                   blocked=inflate_occupied(occ))
@@ -66,13 +70,13 @@ def empty_occ(n=64, cell=0.1, state=CellState.FREE) -> Grid:
 # oracle: uniform-cost Dijkstra under the same cost model
 # ---------------------------------------------------------------------------
 
-def path_cost(occ: Grid, waypoints: list[Pose2]) -> float:
-    """Traversal cost of a waypoint sequence under the planner's cost model."""
+def path_cost(occ: Grid, xy: np.ndarray) -> float:
+    """Traversal cost of a position sequence under the planner's cost model."""
     unknown = occ.cells == CellState.UNKNOWN
     total = 0.0
-    for a, b in zip(waypoints, waypoints[1:]):
-        step = float(np.linalg.norm(b.xy - a.xy))
-        c = occ.world_to_index(b.xy)
+    for a, b in zip(xy, xy[1:]):
+        step = float(np.linalg.norm(b - a))
+        c = occ.world_to_index(b)
         mult = UNKNOWN_COST if bool(occ.contains_index(c)) and unknown[c[0], c[1]] else 1.0
         total += step * mult
     return total
@@ -255,8 +259,8 @@ def test_plan_path_start_equals_goal():
     occ = empty_occ()
     p = Pose2(0.31, 0.29, 1.0)
     path = plan_path(NavMap(occ, inflate_occupied(occ)), p, Pose2(0.33, 0.27, 0.0))
-    assert len(path) == 1
-    assert path[0].theta == pytest.approx(1.0)
+    assert path.shape == (1, 2)
+    assert path[0].tobytes() == occ.index_to_world_center(occ.world_to_index(p.xy)).tobytes()
 
 
 def test_plan_path_blocked_goal():
@@ -301,7 +305,7 @@ def test_plan_path_waypoints_adjacent():
                      Pose2(1.5, 0.4, 0))
     step_limit = occ.cell_size * np.sqrt(2) + 1e-9
     for a, b in zip(path, path[1:]):
-        assert np.linalg.norm(b.xy - a.xy) <= step_limit
+        assert np.linalg.norm(b - a) <= step_limit
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +323,7 @@ def _ref_octile(a: tuple[int, int], b: tuple[int, int]) -> float:
 
 
 def reference_plan_path(occ: Grid, start: Pose2, goal: Pose2,
-                        blocked: np.ndarray) -> list[Pose2]:
+                        blocked: np.ndarray) -> list[tuple[float, float]]:
     nx, ny = occ.dims
     s = tuple(occ.world_to_index(start.xy))
     g = tuple(occ.world_to_index(goal.xy))
@@ -333,7 +337,7 @@ def reference_plan_path(occ: Grid, start: Pose2, goal: Pose2,
 
     if s == g:
         c = occ.index_to_world_center(np.array(s))
-        return [Pose2(float(c[0]), float(c[1]), start.theta)]
+        return [(float(c[0]), float(c[1]))]
 
     g_cost = {s: 0.0}
     came: dict[tuple[int, int], tuple[int, int]] = {}
@@ -350,16 +354,8 @@ def reference_plan_path(occ: Grid, start: Pose2, goal: Pose2,
                 cur = came[cur]
                 cells.append(cur)
             cells.reverse()
-            waypoints: list[Pose2] = []
-            for i, c in enumerate(cells):
-                w = occ.index_to_world_center(np.array(c))
-                if i + 1 < len(cells):
-                    nxt = occ.index_to_world_center(np.array(cells[i + 1]))
-                    th = float(np.arctan2(nxt[1] - w[1], nxt[0] - w[0]))
-                else:
-                    th = waypoints[-1].theta if waypoints else start.theta
-                waypoints.append(Pose2(float(w[0]), float(w[1]), th))
-            return waypoints
+            centers = [occ.index_to_world_center(np.array(c)) for c in cells]
+            return [(float(w[0]), float(w[1])) for w in centers]
         closed.add(cur)
         cg = g_cost[cur]
         for di, dj, base in REF_NEIGHBORS:
@@ -377,9 +373,9 @@ def reference_plan_path(occ: Grid, start: Pose2, goal: Pose2,
 
 
 def _plan_bits(plan, *args):
-    """Waypoint bits of a plan, or its NoPath message."""
+    """Position bits of a plan, or its NoPath message."""
     try:
-        return [(p.x.hex(), p.y.hex(), p.theta.hex()) for p in plan(*args)]
+        return [(x.hex(), y.hex()) for x, y in np.asarray(plan(*args)).tolist()]
     except NoPath as e:
         return f"NoPath: {e}"
 
@@ -469,21 +465,23 @@ def test_plan_path_equals_reference_where_mirrored_routes_tie(split, sym):
 def test_sample_camera_poses_look_at_and_count():
     base = [Pose2(x, 0.0, 0.0) for x in np.arange(0.0, 2.0001, 0.1)]
     target = np.array([5.0, 0.0, 0.8])
-    path = sample_camera_poses(Route.through(base), target, 0.5, (1.1, 1.3), seed=7)
+    path = sample_camera_poses(route_through(base), target, 0.5, (1.1, 1.3), seed=7)
     assert path.length == pytest.approx(2.0)
     assert len(path.views) == 5  # four interior (incl. the start) + goal
-    for v in path.views:
-        fwd = quat_rotate(v.cam.orientation, np.array([0.0, 0.0, 1.0]))
-        want = target - v.cam.position
+    for cam, _ in path.views:
+        fwd = quat_rotate(cam.orientation, np.array([0.0, 0.0, 1.0]))
+        want = target - cam.position
         want = want / np.linalg.norm(want)
         assert np.dot(fwd, want) > 1 - 1e-12
-        assert 1.1 <= v.cam.position[2] <= 1.3
-    assert path.views[-1].arc == pytest.approx(2.0)
-    assert path.views[-1].base.xy == pytest.approx(base[-1].xy)
+        assert 1.1 <= cam.position[2] <= 1.3
+    cam, arc = path.views[-1]
+    assert arc == pytest.approx(2.0)
+    assert cam.position[:2] == pytest.approx(base[-1].xy)
 
 
 def reference_camera_poses(base_path: list[Pose2], target: np.ndarray, cam_spacing: float,
-                           torso_band: tuple[float, float], seed: int) -> list[PathView]:
+                           torso_band: tuple[float, float], seed: int
+                           ) -> list[tuple[Pose3, float]]:
     """The view placement sample_camera_poses replaced: every arc walks the
     segments from the path start."""
     target = np.asarray(target, dtype=float)
@@ -503,15 +501,17 @@ def reference_camera_poses(base_path: list[Pose2], target: np.ndarray, cam_spaci
     views = []
     for arc in arcs:
         b = base_at(arc)
-        views.append(PathView(b, camera_at(b.xy, target, seed, torso_band), float(arc)))
+        views.append((camera_at(b.xy, target, seed, torso_band), float(arc)))
     goal = base_path[-1]
-    views.append(PathView(goal, camera_at(goal.xy, target, seed, torso_band), length))
+    views.append((camera_at(goal.xy, target, seed, torso_band), length))
     return views
 
 
-def _view_bits(views: list[PathView]):
-    return [(v.base.x.hex(), v.base.y.hex(), v.base.theta.hex(), v.arc.hex(),
-             v.cam.position.tobytes(), v.cam.orientation.tobytes()) for v in views]
+def _view_bits(views: list[tuple[Pose3, float]]):
+    """Per view, its arc and its camera's bytes; the camera position is the
+    base position, as `camera_at` was given it, lifted by the torso height."""
+    return [(arc.hex(), cam.position.tobytes(), cam.orientation.tobytes())
+            for cam, arc in views]
 
 
 @given(steps=st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
@@ -528,18 +528,18 @@ def test_sample_camera_poses_equals_reference_walk(steps, start, cam_spacing):
     for di, dj, size in steps:
         base.append(Pose2(base[-1].x + di * size, base[-1].y + dj * size, 0.0))
     target = np.array([0.4, -0.3, 0.8])
-    got = sample_camera_poses(Route.through(base), target, cam_spacing, (1.1, 1.3), seed=3,
-                              goal_id=2)
+    route = route_through(base)
+    got = sample_camera_poses(route, target, cam_spacing, (1.1, 1.3), seed=3, goal_id=2)
     want = reference_camera_poses(base, target, cam_spacing, (1.1, 1.3), seed=3)
     assert _view_bits(got.views) == _view_bits(want)
-    assert got.length == want[-1].arc and got.base_path == base and got.goal_id == 2
+    assert got.length == want[-1][1] and got.route is route and got.goal_id == 2
 
 
 def test_camera_above_target_fallback():
     base = [Pose2(0.0, 0.0, 0.0)]
     target = np.array([0.0, 0.0, 0.5])  # straight below the camera
-    path = sample_camera_poses(Route.through(base), target, 0.5, (1.1, 1.3), seed=1)
-    q = path.views[-1].cam.orientation
+    path = sample_camera_poses(route_through(base), target, 0.5, (1.1, 1.3), seed=1)
+    q = path.views[-1][0].orientation
     assert abs(np.linalg.norm(q) - 1.0) < 1e-9
 
 
@@ -580,8 +580,8 @@ def test_camera_cache_is_bounded_and_recomputes_the_same_bits(monkeypatch):
 
 def _path_with(goal_id: int, length: float, goal=Pose2(1.0, 0.0, 0.0)) -> CandidatePath:
     cam = look_at(np.array([goal.x, goal.y, 1.2]), np.array([0.0, 0.0, 0.8]))
-    return CandidatePath(goal_id=goal_id, base_path=[Pose2(0, 0, 0), goal],
-                         views=[PathView(goal, cam, length)], length=length)
+    return CandidatePath(goal_id=goal_id, route=route_through([Pose2(0, 0, 0), goal]),
+                         views=[(cam, length)], length=length)
 
 
 def _util(goal_id, utility, length=1.0) -> PathUtility:
@@ -645,7 +645,7 @@ def test_select_path_ig_only_before_grasps():
         ang = rng.uniform(0, 2 * np.pi)
         goal = Pose2(0.3 + 0.9 * np.cos(ang), 0.3 + 0.9 * np.sin(ang), 0.0)
         base = [Pose2(-0.6, 0.31, 0.0), Pose2((goal.x - 0.6) / 2, (goal.y + 0.31) / 2, 0.0), goal]
-        p = sample_camera_poses(Route.through(base), np.array([0.3, 0.3, 0.3]), 0.4,
+        p = sample_camera_poses(route_through(base), np.array([0.3, 0.3, 0.3]), 0.4,
                                 (0.25, 0.45), seed=2, goal_id=gid)
         paths.append(p)
     utils = evaluate_paths(paths, t, [], cfg, False, intr, bbox, MAPS)
@@ -697,27 +697,65 @@ def test_evaluate_paths_merges_views_one_ulp_apart(monkeypatch):
     monkeypatch.setattr(planning, "rear_side_ig_batch", recording)
     paths = [_path_with(i, 1.0, Pose2(x, 0.0, 0.0))
              for i, x in enumerate([1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-6])]
-    assert paths[0].views[0].cam.key() != paths[1].views[0].cam.key()
+    assert paths[0].views[0][0].key() != paths[1].views[0][0].key()
     utils = evaluate_paths(paths, t, [], PlannerConfig(), False, intr, bbox, MAPS)
     assert [len(cams) for cams in scored] == [2]
-    assert scored[0][0] is paths[0].views[0].cam and scored[0][1] is paths[2].views[0].cam
+    assert scored[0][0] is paths[0].views[0][0] and scored[0][1] is paths[2].views[0][0]
     assert [u.j_ig for u in utils] == [1.0, 1.0, 2.0]
 
 
 def test_step_clamps_at_waypoint():
-    out = step(Pose2(0.0, 0.0, 0.5), [Pose2(0, 0, 0), Pose2(0.1, 0.0, 0.0)], step_size=0.2)
+    route = route_through([Pose2(0, 0, 0), Pose2(0.1, 0.0, 0.0)])
+    out = step(Pose2(0.0, 0.0, 0.5), route, step_size=0.2)
     assert (out.x, out.y) == pytest.approx((0.1, 0.0))
     assert out.theta == pytest.approx(0.0)  # adopted the goal heading
 
 
 def test_step_refuses_a_route_that_does_not_start_at_the_robot():
-    route = [Pose2(0, 0, 0), Pose2(0.1, 0.0, 0.0), Pose2(0.2, 0.0, 0.0)]
+    route = route_through([Pose2(0, 0, 0), Pose2(0.1, 0.0, 0.0), Pose2(0.2, 0.0, 0.0)])
     with pytest.raises(ValueError):
         step(Pose2(0.05, 0.0, 0.0), route, 0.2)  # on the route, past its start
     with pytest.raises(ValueError):
         step(Pose2(0.0, 0.3, 0.0), route, 0.2)  # off the route
     with pytest.raises(ValueError):
-        step(Pose2(0.0, 0.0, 0.0), [], 0.2)
+        step(Pose2(0.0, 0.0, 0.0), Route(np.zeros((0, 2)), [], Pose2(0, 0, 0)), 0.2)
+
+
+def reference_step(robot: Pose2, base_path: list[Pose2], step_size: float) -> Pose2:
+    """The step `step` replaced, along a list of poses of which it reads the
+    positions and the last pose's heading."""
+    if not base_path:
+        raise ValueError("empty path")
+    goal = base_path[-1]
+    if len(base_path) == 1:
+        pts = [robot.xy, goal.xy]
+    elif (base_path[0].x, base_path[0].y) == (robot.x, robot.y):
+        pts = [w.xy for w in base_path]
+    else:
+        raise ValueError("route does not start at the robot")
+
+    pos = pts[0]
+    budget = step_size
+    heading = robot.theta
+    i = 0
+    while i < len(pts) - 1:
+        seg = pts[i + 1] - pos
+        d = float(np.linalg.norm(seg))
+        if d < 1e-12:
+            i += 1
+            continue
+        if d <= budget:
+            budget -= d
+            pos = pts[i + 1]
+            heading = float(np.arctan2(seg[1], seg[0]))
+            i += 1
+        else:
+            pos = pos + (budget / d) * seg
+            heading = float(np.arctan2(seg[1], seg[0]))
+            break
+    if float(np.linalg.norm(pos - goal.xy)) < 1e-9:
+        return Pose2(float(goal.x), float(goal.y), goal.theta)
+    return Pose2(float(pos[0]), float(pos[1]), heading)
 
 
 def _retrimmed(base: list[Pose2]):
@@ -726,16 +764,51 @@ def _retrimmed(base: list[Pose2]):
     occ = empty_occ()
     nav = NavMap(occ, np.zeros(occ.dims, dtype=bool))
     cache = RouteCache()
-    cache.routes[0] = Route.through(base)
+    planned = cache.routes[0] = route_through(base)
 
-    def route_from(robot: Pose2) -> list[Pose2]:
+    def route_from(robot: Pose2) -> Route:
         route = cache.path_to(nav, robot, base[-1], 0)
-        assert cache.routes[0].waypoints == base  # trimmed, never re-planned
+        assert cache.routes[0] is planned  # trimmed, never re-planned
+        assert route.goal is base[-1]
         # the kept lengths and the new first one are those of the trimmed route
-        assert route.segs == Route.through(route.waypoints).segs
-        assert route.xy.tobytes() == Route.through(route.waypoints).xy.tobytes()
-        return route.waypoints
+        assert route.segs == Route.through(route.xy, route.goal).segs
+        return route
     return route_from
+
+
+@settings(max_examples=200)
+@given(steps=st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
+                                st.floats(0.0, 0.1)), min_size=0, max_size=20),
+       start=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       offset=st.tuples(st.floats(-0.25, 0.25), st.floats(-0.25, 0.25)),
+       goal_theta=st.floats(-3.0, 3.0),
+       step_size=st.sampled_from([0.2, 0.15, 0.05]))
+@example(steps=[(1, 1, 0.1), (0, 0, 0.0), (1, 0, 0.1), (0, 0, 0.0)], start=(0.3, -0.2),
+         offset=(0.0, 0.0), goal_theta=1.0, step_size=0.2)  # zero-length segments
+@example(steps=[], start=(0.0, 0.0), offset=(0.1, -0.2), goal_theta=-2.0,
+         step_size=0.05)  # a one-position route
+def test_step_on_trimmed_routes_equals_reference_step(steps, start, offset, goal_theta,
+                                                      step_size):
+    # grid-like routes walked from near their start to the goal: each step
+    # along the route the cache trims gives the bits of the reference step
+    # along the same positions and goal
+    base = [Pose2(start[0], start[1], 0.0)]
+    for di, dj, size in steps:
+        base.append(Pose2(base[-1].x + di * size, base[-1].y + dj * size, 0.0))
+    base[-1] = Pose2(base[-1].x, base[-1].y, goal_theta)
+    route_from = _retrimmed(base)
+    robot = Pose2(start[0] + offset[0], start[1] + offset[1], 0.7)
+    for _ in range(200):
+        route = route_from(robot)
+        poses = [Pose2(x, y, 0.0) for x, y in route.xy[:-1].tolist()] + [route.goal]
+        want = reference_step(robot, poses, step_size)
+        got = step(robot, route, step_size)
+        assert [float(v).hex() for v in (got.x, got.y, got.theta)] == \
+            [float(v).hex() for v in (want.x, want.y, want.theta)]
+        if (got.x, got.y) == (robot.x, robot.y):
+            break
+        robot = got
+    assert (robot.x, robot.y) == (base[-1].x, base[-1].y)
 
 
 def test_step_straight_path_five_steps():
@@ -777,8 +850,8 @@ def test_step_displacement_accumulates():
 
 def test_should_execute_rules():
     cfg = PlannerConfig()
-    long_path = CandidatePath(0, [Pose2(0, 0, 0), Pose2(1, 0, 0)], [], 1.0)
-    at_goal = CandidatePath(0, [Pose2(1, 0, 0)], [], 0.0)
+    long_path = CandidatePath(0, route_through([Pose2(0, 0, 0), Pose2(1, 0, 0)]), [], 1.0)
+    at_goal = CandidatePath(0, route_through([Pose2(1, 0, 0)]), [], 0.0)
     assert not should_execute(long_path, 1e9, cfg)
     assert not should_execute(at_goal, 0.0, cfg)
     assert should_execute(at_goal, cfg.exec_threshold, cfg)

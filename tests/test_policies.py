@@ -88,7 +88,7 @@ def test_actpermoma_decision_matches_hand_composition():
                            belief.target_bbox, MAPS)
     best, _ = select_from_utilities(utils, cfg, None)
     assert not should_execute(best.path, 0.0, cfg)
-    want = step(belief.robot, best.path.base_path, cfg.step_size)
+    want = step(belief.robot, best.path.route, cfg.step_size)
     assert (decision.base.x, decision.base.y) == (want.x, want.y)
 
 
@@ -159,14 +159,17 @@ def test_no_weights_uses_unweighted_utilities():
 
 def test_no_weights_equal_ig_views_contribute_equally():
     # two identical camera views at 1 m and 3 m arc: same unweighted term
-    from actpermoma.planning import CandidatePath, PathView
+    from actpermoma.planning import CandidatePath, Route
 
     scene, belief = make_belief(seed=6, views=1)
     cam = camera_at(belief.robot.xy + np.array([0.3, 0.0]), scene.target_center, 7,
                     (1.1, 1.3))
-    mk = lambda arc, gid: CandidatePath(
-        goal_id=gid, base_path=[belief.robot, Pose2(belief.robot.x + arc, belief.robot.y, 0.0)],
-        views=[PathView(belief.robot, cam, arc)], length=arc)
+
+    def mk(arc, gid):
+        goal = Pose2(belief.robot.x + arc, belief.robot.y, 0.0)
+        route = Route.through(np.array([belief.robot.xy, goal.xy]), goal)
+        return CandidatePath(goal_id=gid, route=route, views=[(cam, arc)], length=arc)
+
     cfg = PlannerConfig()
     utils = evaluate_paths([mk(1.0, 0), mk(3.0, 1)], belief.target_tsdf, [], cfg,
                            False, belief.intr.downsampled(2),
