@@ -19,7 +19,7 @@ import json
 from dataclasses import replace
 
 import pytest
-from test_traces_pinned import DIGESTS, SEED
+from test_traces_pinned import DIGESTS, SEED, trace_digest
 
 import actpermoma.harness as harness
 from actpermoma.geom import Pose2
@@ -42,12 +42,6 @@ def belief_digest(belief) -> str:
                    for g in belief.stable_grasps]).encode())
     h.update(repr((belief.robot, belief.step_index)).encode())
     return h.hexdigest()
-
-
-def trace_digest(trace: list[dict]) -> str:
-    """The SHA-256 of the trace as its episode file is written."""
-    doc = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
-    return hashlib.sha256(doc.encode()).hexdigest()
 
 
 class Replay:

@@ -8,6 +8,13 @@ a single output byte fails here.  A change that means to alter the outputs
 re-pins the digests and says which outputs changed and why.  The digests are
 those of the numpy/BLAS build the suite runs on; a different build may round
 the last bit of a float differently.
+
+Every episode of that run ends within 40 steps, so `TAIL_DIGESTS` also pins
+episodes that run to a 150-step budget: for ActPerMoMa and for NoWeights,
+from base seed 13 on the complex scene, the first two episodes that reach
+the budget (by episode index).  They pin what acts only late in an episode,
+such as the 8-view LRUs on long walks, the camera-pose cache and the route
+cache across many goal epochs.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 
-from actpermoma.harness import RunConfig, run_experiment
+import pytest
+
+from actpermoma.harness import RunConfig, run_episode_traced, run_experiment
 from actpermoma.planning import PlannerConfig
 from actpermoma.policies import PolicyKind
 from actpermoma.scene import SceneKind
@@ -38,6 +47,22 @@ DIGESTS = {
     "Random_complex_ba8f8a/episodes/ep00001.jsonl": "4dd6adacc85f38520daa249ac23e2ee78ae0d37b800ef7ba77247379b5594663",
 }
 
+TAIL_STEPS = 150
+# (policy, episode index) -> trace_digest, the episodes of 11-episode cells
+# (their config hash is in each trace); scene seed = SEED + episode index
+TAIL_DIGESTS = {
+    (PolicyKind.ACTPERMOMA, 2): "8b4197c024b54b6ecec0089a899464b71f9bd340dbff6e6a031cdacf2dac2504",
+    (PolicyKind.ACTPERMOMA, 10): "9d52b3d8bbc71794e65b19be902465dce71e064bdad41f30ce797c401c9f3051",
+    (PolicyKind.NO_WEIGHTS, 0): "2262ea02be638fcd6086f40f25f0c24e9b7ce12983af184b02d930bb1a2c3111",
+    (PolicyKind.NO_WEIGHTS, 2): "80b0fc05e61f9b1ef32e5e74d990cee98e7dae9f0f973a4d7f18ee0538a18807",
+}
+
+
+def trace_digest(trace: list[dict]) -> str:
+    """The SHA-256 of the trace as its episode file is written."""
+    doc = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
 
 def test_fixed_experiment_outputs_are_pinned(tmp_path):
     cells = [RunConfig(planner=PlannerConfig(max_steps=40), scenario=SceneKind.COMPLEX,
@@ -52,3 +77,13 @@ def test_fixed_experiment_outputs_are_pinned(tmp_path):
                        for line in f.read_text().splitlines())}
     assert {"ActPerMoMa", "Naive", "Random", "BreyerNbv"} <= executed
     assert got == DIGESTS
+
+
+@pytest.mark.parametrize("kind, index", list(TAIL_DIGESTS),
+                         ids=[f"{k.value}-{i}" for k, i in TAIL_DIGESTS])
+def test_tail_episodes_are_pinned(kind, index):
+    cfg = RunConfig(planner=PlannerConfig(max_steps=TAIL_STEPS), scenario=SceneKind.COMPLEX,
+                    episodes=11, base_seed=SEED, policy=kind)
+    result, trace = run_episode_traced(cfg, index)
+    assert result.steps == TAIL_STEPS
+    assert trace_digest(trace) == TAIL_DIGESTS[kind, index]
