@@ -288,19 +288,15 @@ class Grid:
         """Per axis, the center coordinates of its cells."""
         return [o + (np.arange(n) + 0.5) * self.cell_size for o, n in zip(self.origin, self.dims)]
 
+    @functools.cached_property
     def centers(self) -> np.ndarray:
         """All cell centers, shape (*dims, n_axes); cached (geometry is fixed).
 
-        Stored column-major: `np.moveaxis(centers(), -1, 0)` is a C-contiguous
+        Stored column-major: `np.moveaxis(centers, -1, 0)` is a C-contiguous
         (n_axes, *dims) view, so each coordinate is one contiguous block."""
-        cached = getattr(self, "_centers", None)
-        if cached is not None:
-            return cached
         cols = (self.origin.reshape(-1, *[1] * len(self.dims))
                 + _center_offsets(self.dims, self.cell_size))
-        out = np.moveaxis(cols, 0, -1)
-        object.__setattr__(self, "_centers", out)
-        return out
+        return np.moveaxis(cols, 0, -1)
 
 
 @functools.lru_cache(maxsize=4)

@@ -159,17 +159,17 @@ def cached_render(images: dict, scene: Scene, cam: Pose3, intr: CameraIntrinsics
     depth images of its last VIEW_CACHE_POSES views, least recently used
     first.  The scene is fixed within an episode, so an image is a pure
     function of the exact pose and the intrinsics; a view that repeats a
-    kept one reuses its (read-only) image, and only the others call this
-    module's `render_depth`."""
+    kept one reuses its (read-only) image and the fusion plans it carries,
+    and only the others call this module's `render_depth`."""
     key = (*cam.key(), intr)
     return lru_put(images, key, images.get(key) or render_depth(scene, cam, intr))
 
 
 class Episode:
     """One episode's world and belief: the scene, both TSDFs, the detector and
-    its tracked grasps, the robot, `d_total`, the depth images of the last
-    views (`cached_render`) and the occupancy `observe` last projected.  A
-    policy decides on what `observe` returns; `move` drives and `sense`s anew."""
+    its tracked grasps, the robot, `d_total`, the last views' depth images and
+    fusion plans (`cached_render`) and the occupancy `observe` last projected.
+    A policy decides on what `observe` returns; `move` drives and `sense`s anew."""
 
     def __init__(self, cfg: RunConfig, scene: Scene, start: Pose2, policy_seed: int):
         self.cfg, self.scene, self.policy_seed = cfg, scene, policy_seed

@@ -13,9 +13,9 @@ contiguous columns of one `R @ (centers - p).T` product.  Every per-voxel
 intermediate is written into a module-level scratch, one array per dtype
 for the whole process, shared by both grids and grown to the largest box,
 so a call allocates no array whose size grows with its box.  What a view
-updates, and with what value, depends on the pose and the image alone: each
-grid keeps this plan for its last VIEW_CACHE_POSES views, so a repeated view
-only updates the cells.
+updates, and with what value, depends on the grid geometry, the pose and the
+image alone: the image keeps this plan (`DepthImage.plans`), so a view that
+reuses a kept image only updates the cells.
 
 Information gain of a candidate camera pose is the number of distinct
 unknown voxels inside the target bounding box that lie behind the first
@@ -54,19 +54,19 @@ WEIGHT_CAP = 64.0
 # indices (512 KiB) plus a one-byte length per ray.  A 302-step ActPerMoMa
 # episode reuses as many poses under it as with no bound, which holds 3.4M.
 IG_CACHE_VISITS = 1 << 18
-# the views whose fusion plans a grid keeps, and whose depth images the
-# harness keeps per episode: a repeated view recurred within 5 distinct
-# views in every episode measured
+# the views whose depth images, each with its fusion plans, the harness
+# keeps per episode: a repeated view recurred within 5 distinct views in
+# every episode measured
 VIEW_CACHE_POSES = 8
 
 
-def lru_put(cache: dict, key, value):
+def lru_put(cache: dict, key, value, limit: int = VIEW_CACHE_POSES):
     """Store `value` as the most recently used entry of `cache` (a dict in
-    use order, least recent first), drop the least recent beyond
-    VIEW_CACHE_POSES entries, and return `value`."""
+    use order, least recent first), drop the least recent beyond `limit`
+    entries, and return `value`."""
     cache.pop(key, None)
     cache[key] = value
-    if len(cache) > VIEW_CACHE_POSES:
+    if len(cache) > limit:
         del cache[next(iter(cache))]
     return value
 
@@ -80,9 +80,6 @@ class TsdfGrid:
     # rear_side_ig_batch's ray visits per camera pose, least recently used
     # first; they depend only on the grid geometry
     ray_visits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # integrate_depth's (image, voxels, values) fusion plans per camera pose,
-    # least recently used first
-    fusion_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = self.grid.cells
@@ -223,7 +220,7 @@ def _fusion_plan(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3
     diff, local = _scratch(np.float64, 6 * n).reshape(2, 3, n)
     seen, hit, update, mask = _scratch(np.bool_, 4 * n).reshape(4, n)
     # the box of the (3, nx, ny, nz) centers view, read in place
-    np.subtract(np.moveaxis(g.centers(), -1, 0)[(slice(None), *box)],
+    np.subtract(np.moveaxis(g.centers, -1, 0)[(slice(None), *box)],
                 cam.position[:, None, None, None], out=diff.reshape(3, *shape))
     np.matmul(quat_to_matrix(quat_conj(cam.orientation)), diff, out=local)
     z = local[2]
@@ -301,21 +298,18 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
 
     A view's fusion is its plan (`_fusion_plan`: which voxels it updates and
     with what value), then the cell update (`_fuse_plan`).  The plan reads
-    no cell, so the grid keeps those of its last VIEW_CACHE_POSES views
-    (`TsdfGrid.fusion_plans`) under the exact pose bytes, each with the
-    depth image it was built from.  A view at a cached pose with that same
-    image object (images are read-only) runs only the cell update; any
-    other view builds its plan first.
+    no cell, so the image keeps it (`DepthImage.plans`, read-only arrays)
+    under the grid geometry and the exact pose bytes.  Fusing a kept image
+    again from the same pose into a grid of the same geometry runs only the
+    cell update; any other view builds its plan first.
     """
-    plans = tsdf.fusion_plans
-    key = cam.key()
-    plan = plans.get(key)
-    if plan is None or plan[0] is not depth:
-        voxels, values = _fusion_plan(tsdf, depth, cam)
-        voxels.flags.writeable = values.flags.writeable = False
-        plan = (depth, voxels, values)
-    lru_put(plans, key, plan)
-    _fuse_plan(tsdf, *plan[1:])
+    g = tsdf.grid
+    key = (g.origin.tobytes(), g.cell_size, g.dims, tsdf.truncation, *cam.key())
+    if key not in depth.plans:
+        depth.plans[key] = _fusion_plan(tsdf, depth, cam)
+        for a in depth.plans[key]:
+            a.flags.writeable = False
+    _fuse_plan(tsdf, *depth.plans[key])
     return tsdf
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geom import Aabb, CellState, Grid, Pose2, Pose3, facing, look_at
 from .grasping import Grasp, MapPair, exec_utility
-from .perception import TsdfGrid, rear_side_ig_batch
+from .perception import TsdfGrid, lru_put, rear_side_ig_batch
 from .scene import CameraIntrinsics, ROBOT_RADIUS
 
 
@@ -318,9 +318,10 @@ def torso_height(xy: np.ndarray, seed: int, band: tuple[float, float]) -> float:
     return band[0] + u * (band[1] - band[0])
 
 
-# camera_at's pose cache, cleared when full: about one 400-step episode's
-# poses (~700 B each with the dict, ~12 MB); the 25 s apm_complex benchmark
-# pass makes 5,245
+# camera_at's pose cache, least recently used first, which evicts its least
+# recently used pose beyond this bound: about one 400-step episode's poses
+# (~700 B each with the dict, ~12 MB); the 25 s apm_complex benchmark pass
+# makes 5,245
 CAMERA_CACHE_POSES = 1 << 14
 _CAMERA_CACHE: dict[tuple, Pose3] = {}
 
@@ -331,15 +332,11 @@ def camera_at(xy: np.ndarray, target: np.ndarray, seed: int,
     # arguments, never on which calls the process made before
     key = (np.asarray(xy, dtype=float).tobytes(), np.asarray(target, dtype=float).tobytes(),
            int(seed), float(band[0]), float(band[1]))
-    hit = _CAMERA_CACHE.get(key)
-    if hit is not None:
-        return hit
-    h = torso_height(xy, seed, band)
-    pose = look_at(np.array([xy[0], xy[1], h]), np.asarray(target, dtype=float))
-    if len(_CAMERA_CACHE) >= CAMERA_CACHE_POSES:
-        _CAMERA_CACHE.clear()
-    _CAMERA_CACHE[key] = pose
-    return pose
+    pose = _CAMERA_CACHE.get(key)
+    if pose is None:
+        h = torso_height(xy, seed, band)
+        pose = look_at(np.array([xy[0], xy[1], h]), np.asarray(target, dtype=float))
+    return lru_put(_CAMERA_CACHE, key, pose, CAMERA_CACHE_POSES)
 
 
 def sample_camera_poses(route: Route, target: np.ndarray, cam_spacing: float,

@@ -292,18 +292,16 @@ class NaivePolicy(Policy):
     def __init__(self, cfg: PlannerConfig, seed: int, map_pair: MapPair):
         super().__init__(cfg, seed, map_pair)
         self.current_goal: Pose2 | None = None
-        # the ring around the target, built once per target: its bytes, the
-        # poses facing the target and their (RING_POINTS, 2) points
-        self._ring_target = b""
+        # the ring of poses facing the target and their (RING_POINTS, 2)
+        # points, built on first use (a policy serves one episode, one target)
         self._ring_poses: list[Pose2] = []
         self._ring_xy = np.zeros((0, 2))
 
     def _ring(self, belief: Belief, blocked: np.ndarray) -> list[Pose2]:
         """The unblocked ring poses, nearest the robot first."""
-        target_xy = belief.target_center[:2]
-        if target_xy.tobytes() != self._ring_target:
+        if not self._ring_poses:
+            target_xy = belief.target_center[:2]
             angles = [2 * np.pi * k / self.RING_POINTS for k in range(self.RING_POINTS)]
-            self._ring_target = target_xy.tobytes()
             self._ring_xy = np.array([target_xy + self.cfg.reach_radius
                                       * np.array([np.cos(a), np.sin(a)]) for a in angles])
             self._ring_poses = [facing(xy, target_xy) for xy in self._ring_xy]

@@ -10,7 +10,7 @@ primitives, no noise.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -194,10 +194,12 @@ DEFAULT_INTRINSICS = CameraIntrinsics(64, 64, np.deg2rad(60.0), 3.0)
 @dataclass(frozen=True)
 class DepthImage:
     """A depth image is a value: `depths` is a read-only copy of the array it
-    is built from, so a cache may hold the image and key work on it."""
+    is built from, so a cache may hold the image and key work on it, such as
+    the fusion plans in `plans` (`perception.integrate_depth`)."""
 
     intrinsics: CameraIntrinsics
     depths: np.ndarray  # (height, width), z-depth in meters, NaN = no hit
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = np.array(self.depths, dtype=float)

@@ -122,7 +122,7 @@ def test_grid_index_maps(origin, cell, dims):
     idx = np.argwhere(np.ones(dims, dtype=bool))  # every cell
     centers = g.index_to_world_center(idx)
     assert np.array_equal(g.world_to_index(centers), idx)
-    assert np.array_equal(g.centers()[tuple(idx.T)], centers)
+    assert np.array_equal(g.centers[tuple(idx.T)], centers)
     for a, axis in enumerate(g.axis_centers()):
         assert np.array_equal(axis[idx[:, a]], centers[:, a])
     assert g.contains_index(idx).all()
@@ -141,7 +141,7 @@ def test_grid_centers_equal_indices_formula_across_origins(cell, dims):
     for origin in [np.zeros(len(dims)), *rng.uniform(-3.0, 3.0, size=(3, len(dims)))]:
         g = Grid(origin, cell, dims, np.zeros(dims))
         want = origin.reshape(-1, *[1] * len(dims)) + (np.indices(dims, dtype=float) + 0.5) * cell
-        got = g.centers()
+        got = g.centers
         assert got.tobytes() == np.moveaxis(want, 0, -1).tobytes()
         assert np.moveaxis(got, -1, 0).flags.c_contiguous
     offsets = _center_offsets(dims, cell)

@@ -95,7 +95,7 @@ def test_detect_coverage_matches_exhaustive_count():
     g = t.grid
     for gi, pose in enumerate(scene.world_truth_grasp_poses()):
         # independent recount: scan the whole grid for approach-facing shell voxels
-        centers = g.centers().reshape(-1, 3)
+        centers = g.centers.reshape(-1, 3)
         idx = np.argwhere(np.ones(g.dims, dtype=bool))
         near = np.linalg.norm(idx - g.world_to_index(pose.position), axis=1) <= 3
         sd = primitive_sdf(target, centers)

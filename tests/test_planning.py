@@ -569,13 +569,21 @@ def test_camera_cache_is_bounded_and_recomputes_the_same_bits(monkeypatch):
     for xy in xys:
         first.append(camera_at(xy, target, 5, band))
         assert len(planning._CAMERA_CACHE) <= 8
-    # every pose was cleared out at least once and is computed again
+    # every pose was evicted at least once and is computed again
     for xy, old in zip(xys, first):
         new = camera_at(xy, target, 5, band)
         assert len(planning._CAMERA_CACHE) <= 8
         assert new is not old
         assert new.position.tobytes() == old.position.tobytes()
         assert new.orientation.tobytes() == old.orientation.tobytes()
+    # a hit makes a pose the most recently used, so the least recently used
+    # one is evicted in its place
+    monkeypatch.setattr(planning, "_CAMERA_CACHE", {})
+    kept = [camera_at(xy, target, 5, band) for xy in xys[:8]]
+    assert camera_at(xys[0], target, 5, band) is kept[0]
+    camera_at(xys[8], target, 5, band)
+    assert camera_at(xys[0], target, 5, band) is kept[0]
+    assert camera_at(xys[1], target, 5, band) is not kept[1]
 
 
 def _path_with(goal_id: int, length: float, goal=Pose2(1.0, 0.0, 0.0)) -> CandidatePath:

@@ -405,10 +405,10 @@ def pose_walks(draw) -> list[int]:
 
 
 def walk_cached_and_fresh(scene, walk: list[int], monkeypatch) -> int:
-    """Sense `walk` through the harness's image cache and the grids' plan
-    caches, and through a fresh render and fusion per view (a new image
-    object, so a plan miss), checking both after every view; returns the
-    number of renders the cached side made."""
+    """Sense `walk` through the harness's image cache, whose images keep
+    their fusion plans, and through a fresh render and fusion per view (a
+    new image object, so a plan miss), checking both after every view;
+    returns the number of renders the cached side made."""
     cams = pose_pool(scene)
     renders = []
 
@@ -431,10 +431,10 @@ def walk_cached_and_fresh(scene, walk: list[int], monkeypatch) -> int:
             integrate_depth(grid, img, cam)
             integrate_depth(ref, fresh, cam)
             assert np.array_equal(grid.grid.cells, ref.grid.cells)
-            assert len(grid.fusion_plans) <= VIEW_CACHE_POSES
-            for depth, voxels, values in grid.fusion_plans.values():
-                assert not (depth.depths.flags.writeable or voxels.flags.writeable
-                            or values.flags.writeable)
+        for kept in images.values():
+            assert len(kept.plans) <= 2
+            for voxels, values in kept.plans.values():
+                assert not (voxels.flags.writeable or values.flags.writeable)
     return len(renders)
 
 
@@ -478,9 +478,13 @@ def test_same_pose_with_another_image_builds_a_new_plan():
     grid = nav_grid()
     ref = copy_tsdf(grid)
     first = render_depth(scene, cam, INTR)
+    plans = []
     for img in (first, render_depth(other, cam, INTR), first,
                 DepthImage(INTR, first.depths), first):
         integrate_depth(grid, img, cam)
         reference_integrate(ref, img, cam)
         assert np.array_equal(grid.grid.cells, ref.grid.cells)
-        assert grid.fusion_plans[cam.key()][0] is img
+        (plan,) = img.plans.values()
+        plans.append(plan)
+    assert plans[0] is plans[2] is plans[4]
+    assert len({id(p) for p in plans}) == 3
