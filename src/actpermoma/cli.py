@@ -13,6 +13,7 @@ from .harness import (
     RunConfig,
     Verdict,
     ablation_preset,
+    cell_name,
     compare,
     load_results_dir,
     run_config_from_dict,
@@ -86,7 +87,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {failed.removeprefix('# ')}", file=sys.stderr)
         return 1
     try:
-        m = summarize(_load_run(args.out))
+        m = summarize(_load_run(Path(args.out) / cell_name(cfg)))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -108,10 +109,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    """Exit 0 when every cell ran, 1 when a cell failed, and 2 on a refused
+    --seed, --episodes or --workers (nothing is written) or an unwritable
+    --out."""
     try:
         cells = ablation_preset(args.preset, episodes=args.episodes, base_seed=args.seed)
         csv_path = run_experiment(cells, args.out, workers=args.workers)
-    except ValueError as e:  # a negative --seed, or --episodes or --workers below 1
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(f"wrote {csv_path}")

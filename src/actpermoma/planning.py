@@ -81,13 +81,17 @@ class Route:
     def through(xy: np.ndarray, goal: Pose2) -> "Route":
         return Route(xy, [float(np.linalg.norm(d)) for d in np.diff(xy, axis=0)], goal)
 
+    @property
+    def length(self) -> float:
+        """The sum of the segment lengths."""
+        return float(sum(self.segs))
+
 
 @dataclass
 class CandidatePath:
     goal_id: int
     route: Route  # from the robot to the goal
     views: list[tuple[Pose3, float]]  # (camera, arc from the route start), last at the goal
-    length: float
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +357,7 @@ def sample_camera_poses(route: Route, target: np.ndarray, cam_spacing: float,
     arc minus the lengths of the segments before, subtracted one at a time
     (a zero-length segment takes every arc that reaches it)."""
     target = np.asarray(target, dtype=float)
-    xy, segs = route.xy, route.segs
-    length = float(sum(segs))
+    xy, segs, length = route.xy, route.segs, route.length
     arcs = [float(a) for a in np.arange(0.0, length, cam_spacing)
             if length - a > 1e-9]
     points = []  # the base position of each arc placed so far, in arc order
@@ -371,7 +374,7 @@ def sample_camera_poses(route: Route, target: np.ndarray, cam_spacing: float,
     points += [xy[-1]] * (len(arcs) - len(points))
     views = [(camera_at(p, target, seed, torso_band), arc)
              for p, arc in zip(points + [xy[-1]], arcs + [length])]
-    return CandidatePath(goal_id=goal_id, route=route, views=views, length=length)
+    return CandidatePath(goal_id=goal_id, route=route, views=views)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +434,7 @@ def evaluate_paths(paths: list[CandidatePath], tsdf: TsdfGrid, grasps: list[Gras
         for (_, arc), i in zip(p.views, ids):
             d = 1.0 if unit_weights else max(arc, DIST_CLAMP)
             j_ig += float(counts[i]) / (d * d)
-        length = 1.0 if unit_weights else max(p.length, DIST_CLAMP)
+        length = 1.0 if unit_weights else max(p.route.length, DIST_CLAMP)
         grasp, goal_reach = exec_utility(grasps, p, map_pair)
         j_exec = goal_reach / length
         # the cross-scale constant converts the per-meter executability to the
@@ -455,12 +458,12 @@ def select_from_utilities(utils: list[PathUtility], cfg: PlannerConfig,
     parked robot is free to follow the plain argmax."""
     if not utils:
         raise ValueError("no candidate paths")
-    best = min(utils, key=lambda u: (-u.utility, u.path.length, u.path.goal_id))
+    best = min(utils, key=lambda u: (-u.utility, u.path.route.length, u.path.goal_id))
     held = False
     if prev_goal_id is not None:
         prev = next((u for u in utils if u.path.goal_id == prev_goal_id), None)
         if prev is not None and best.path.goal_id != prev.path.goal_id:
-            traveling = prev.path.length > cfg.step_size + 1e-9
+            traveling = prev.path.route.length > cfg.step_size + 1e-9
             if traveling and not best.utility > prev.utility + cfg.momentum:
                 best = prev
                 held = True
@@ -513,4 +516,4 @@ def should_execute(path: CandidatePath, goal_score: float, cfg: PlannerConfig) -
     collapsed to its goal position (the robot is within one step of the goal)
     and `goal_score`, the undiscounted reachability of the best grasp from
     the goal, clears the threshold (inclusive)."""
-    return path.length <= cfg.step_size + 1e-9 and goal_score >= cfg.exec_threshold
+    return path.route.length <= cfg.step_size + 1e-9 and goal_score >= cfg.exec_threshold

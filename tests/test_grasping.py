@@ -57,7 +57,7 @@ def fused_scene(seed=2, kind=SceneKind.SIMPLE, views=24):
 
 
 def _path_to(goal: Pose2) -> CandidatePath:
-    return CandidatePath(0, Route.through(goal.xy[None], goal), [], 0.0)
+    return CandidatePath(0, Route.through(goal.xy[None], goal), [])
 
 
 def test_detect_on_unknown_tsdf_is_empty():

@@ -292,7 +292,7 @@ MAPS = build_map_pair()
 
 def _path(goal_id: int, views: list[tuple[Pose3, float]]) -> CandidatePath:
     route = Route.through(np.zeros((1, 2)), Pose2(0.0, 0.0, 0.0))
-    return CandidatePath(goal_id=goal_id, route=route, views=views, length=0.0)
+    return CandidatePath(goal_id=goal_id, route=route, views=views)
 
 
 def path_igs(t: TsdfGrid, paths: list[list[tuple[Pose3, float]]], intr: CameraIntrinsics,

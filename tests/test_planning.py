@@ -466,7 +466,7 @@ def test_sample_camera_poses_look_at_and_count():
     base = [Pose2(x, 0.0, 0.0) for x in np.arange(0.0, 2.0001, 0.1)]
     target = np.array([5.0, 0.0, 0.8])
     path = sample_camera_poses(route_through(base), target, 0.5, (1.1, 1.3), seed=7)
-    assert path.length == pytest.approx(2.0)
+    assert path.route.length == pytest.approx(2.0)
     assert len(path.views) == 5  # four interior (incl. the start) + goal
     for cam, _ in path.views:
         fwd = quat_rotate(cam.orientation, np.array([0.0, 0.0, 1.0]))
@@ -532,7 +532,7 @@ def test_sample_camera_poses_equals_reference_walk(steps, start, cam_spacing):
     got = sample_camera_poses(route, target, cam_spacing, (1.1, 1.3), seed=3, goal_id=2)
     want = reference_camera_poses(base, target, cam_spacing, (1.1, 1.3), seed=3)
     assert _view_bits(got.views) == _view_bits(want)
-    assert got.length == want[-1][1] and got.route is route and got.goal_id == 2
+    assert got.route.length == want[-1][1] and got.route is route and got.goal_id == 2
 
 
 def test_camera_above_target_fallback():
@@ -587,9 +587,10 @@ def test_camera_cache_is_bounded_and_recomputes_the_same_bits(monkeypatch):
 
 
 def _path_with(goal_id: int, length: float, goal=Pose2(1.0, 0.0, 0.0)) -> CandidatePath:
+    """A straight path of (about) `length` m along x to `goal`, viewed from there."""
     cam = look_at(np.array([goal.x, goal.y, 1.2]), np.array([0.0, 0.0, 0.8]))
-    return CandidatePath(goal_id=goal_id, route=route_through([Pose2(0, 0, 0), goal]),
-                         views=[(cam, length)], length=length)
+    route = route_through([Pose2(goal.x - length, goal.y, 0.0), goal])
+    return CandidatePath(goal_id=goal_id, route=route, views=[(cam, route.length)])
 
 
 def _util(goal_id, utility, length=1.0) -> PathUtility:
@@ -631,7 +632,7 @@ def test_select_momentum_zero_is_argmax_permutation_independent():
     cfg = replace(PlannerConfig(), momentum=0.0)
     utils = [_util(i, float(rng.integers(0, 50)), length=float(rng.uniform(0.5, 3)))
              for i in range(12)]
-    ranked = sorted(utils, key=lambda u: (-u.utility, u.path.length, u.path.goal_id))
+    ranked = sorted(utils, key=lambda u: (-u.utility, u.path.route.length, u.path.goal_id))
     for _ in range(10):
         perm = list(rng.permutation(len(utils)))
         shuffled = [utils[i] for i in perm]
@@ -657,7 +658,7 @@ def test_select_path_ig_only_before_grasps():
                                 (0.25, 0.45), seed=2, goal_id=gid)
         paths.append(p)
     utils = evaluate_paths(paths, t, [], cfg, False, intr, bbox, MAPS)
-    by_ig = max(utils, key=lambda u: (u.j_ig, -u.path.length, -u.path.goal_id))
+    by_ig = max(utils, key=lambda u: (u.j_ig, -u.path.route.length, -u.path.goal_id))
     best, _ = select_from_utilities(utils, cfg, None)
     assert all(u.j_exec == 0.0 for u in utils)
     assert best.path.goal_id == by_ig.path.goal_id
@@ -858,8 +859,8 @@ def test_step_displacement_accumulates():
 
 def test_should_execute_rules():
     cfg = PlannerConfig()
-    long_path = CandidatePath(0, route_through([Pose2(0, 0, 0), Pose2(1, 0, 0)]), [], 1.0)
-    at_goal = CandidatePath(0, route_through([Pose2(1, 0, 0)]), [], 0.0)
+    long_path = CandidatePath(0, route_through([Pose2(0, 0, 0), Pose2(1, 0, 0)]), [])
+    at_goal = CandidatePath(0, route_through([Pose2(1, 0, 0)]), [])
     assert not should_execute(long_path, 1e9, cfg)
     assert not should_execute(at_goal, 0.0, cfg)
     assert should_execute(at_goal, cfg.exec_threshold, cfg)

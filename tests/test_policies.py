@@ -168,7 +168,7 @@ def test_no_weights_equal_ig_views_contribute_equally():
     def mk(arc, gid):
         goal = Pose2(belief.robot.x + arc, belief.robot.y, 0.0)
         route = Route.through(np.array([belief.robot.xy, goal.xy]), goal)
-        return CandidatePath(goal_id=gid, route=route, views=[(cam, arc)], length=arc)
+        return CandidatePath(goal_id=gid, route=route, views=[(cam, arc)])
 
     cfg = PlannerConfig()
     utils = evaluate_paths([mk(1.0, 0), mk(3.0, 1)], belief.target_tsdf, [], cfg,
