@@ -322,10 +322,9 @@ def torso_height(xy: np.ndarray, seed: int, band: tuple[float, float]) -> float:
     return band[0] + u * (band[1] - band[0])
 
 
-# camera_at's pose cache, least recently used first, which evicts its least
-# recently used pose beyond this bound: about one 400-step episode's poses
-# (~700 B each with the dict, ~12 MB); the 25 s apm_complex benchmark pass
-# makes 5,245
+# camera_at's pose cache, least recently used first (`lru_put`), and its
+# bound: about one 400-step episode's poses (~700 B each with the dict,
+# ~12 MB); the 25 s apm_complex benchmark pass makes 5,245
 CAMERA_CACHE_POSES = 1 << 14
 _CAMERA_CACHE: dict[tuple, Pose3] = {}
 
