@@ -699,26 +699,22 @@ def test_cli_ablate_refuses_an_unwritable_out_with_exit_2(tmp_path, monkeypatch,
 
 
 def test_cli_run_summarizes_only_its_own_cell(tmp_path, capsys):
-    # a second run into the same --out prints the summary of its own cell,
-    # not of every trace under --out
+    # a second run into the same --out prints the summary that the same cell
+    # gets alone, not one of every trace under --out
     from actpermoma.cli import main
 
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"planner": {"max_steps": 5}}))
-    out = tmp_path / "out"
-    for policy, episodes in (("Naive", "2"), ("Random", "1")):
+    summaries = []
+    for policy, episodes, out in (("Naive", "2", "shared"), ("Random", "1", "shared"),
+                                  ("Random", "1", "alone")):
         rc = main(["run", "--policy", policy, "--scenario", "simple", "--episodes", episodes,
-                   "--seed", "0", "--config", str(cfg_file), "--out", str(out),
+                   "--seed", "0", "--config", str(cfg_file), "--out", str(tmp_path / out),
                    "--workers", "1"])
         assert rc == 0
-    stdout = capsys.readouterr().out
-    cfg = RunConfig(planner=PlannerConfig(max_steps=5), episodes=1, base_seed=0,
-                    policy=PolicyKind.RANDOM)
-    m = summarize(load_results_dir(out / cell_name(cfg)))
-    assert len(list(out.glob("*/episodes/ep*.jsonl"))) == 3
-    assert stdout.splitlines()[-1] == (
-        f"SR {m.sr:.1f}%  AR {m.ar:.1f}%  GFR {m.gfr:.1f}%  "
-        f"d {m.d_mean:.2f}+-{m.d_std:.2f} m  v {m.v_mean:.1f}+-{m.v_std:.1f}")
+        summaries.append(capsys.readouterr().out.splitlines()[-1])
+    assert len(list((tmp_path / "shared").glob("*/episodes/ep*.jsonl"))) == 3
+    assert summaries[1] == summaries[2]
 
 
 CONFIG_RUN = ["run", "--policy", "Naive", "--config", "{cfg}"]
