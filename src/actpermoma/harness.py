@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import hashlib
+import io
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -93,7 +94,6 @@ class RunConfig:
     episodes: int = 100
     base_seed: int = 0
     policy: PolicyKind = PolicyKind.ACTPERMOMA
-    output_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.episodes < 1:
@@ -103,19 +103,20 @@ class RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    doc = json.dumps(asdict(replace(cfg, output_dir=None)), sort_keys=True, default=str)
+    # a null output_dir keeps the hash in cell names, trace meta records and pinned digests
+    doc = json.dumps({**asdict(cfg), "output_dir": None}, sort_keys=True, default=str)
     return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
-_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str, type(None): type(None)}
+_JSON_TYPES = {bool: bool, int: int, float: (int, float), str: str}
 
 
 def _typed(key: str, value, hint):
     """`value`, read from JSON (a config, a result record), as field `key` of
     type `hint`, or a ValueError naming `key`.  Each dataclass field is read
-    as its annotation: an int is also a float, a bool is only a bool, a tuple
-    comes as a list of its length, an enum as one of its values; unknown keys
-    are refused."""
+    as its annotation: an int is also a float, a float must be finite, a bool
+    is only a bool, a tuple comes as a list of its length, an enum as one of
+    its values; unknown keys are refused."""
     if is_dataclass(hint):
         if not isinstance(value, dict):
             raise ValueError(f"{key} must be an object, not {value!r}")
@@ -128,17 +129,13 @@ def _typed(key: str, value, hint):
     if get_origin(hint) is tuple:
         if isinstance(value, (list, tuple)) and len(value) == len(args):
             return tuple(_typed(key, v, a) for v, a in zip(value, args))
-    elif args:  # a union: its first member that reads the value
-        for member in args:
-            try:
-                return _typed(key, value, member)
-            except ValueError:
-                pass
     elif isinstance(hint, type) and issubclass(hint, Enum):
         if value in [k.value for k in hint]:
             return hint(value)
     elif isinstance(value, _JSON_TYPES[hint]) and isinstance(value, bool) == (hint is bool):
-        return value
+        if hint is not float or math.isfinite(value):  # JSON reads NaN and Infinity
+            return value
+        raise ValueError(f"{key} must be finite, not {value!r}")
     name = hint.__name__ if isinstance(hint, type) else str(hint)
     raise ValueError(f"{key} must be {name}, not {value!r}")
 
@@ -476,38 +473,43 @@ def _one_blas_thread() -> None:
         shutdown()
 
 
-def _write_trace(cfg: RunConfig, index: int, trace: list[dict]) -> None:
-    """Write `<output_dir>/episodes/ep<index>.jsonl` via a temporary name outside
-    the `ep*.jsonl` pattern, so a failed write leaves no partial trace."""
-    out = Path(cfg.output_dir) / "episodes"
-    out.mkdir(parents=True, exist_ok=True)
-    tmp = out / f".ep{index:05d}.jsonl.tmp"
+def _write_atomic(path: Path, lines: Iterable[str]) -> None:
+    """Write `lines` to `path` through a dot-prefixed temporary name beside it,
+    outside the `ep*.jsonl` and `metrics.csv` names, then `os.replace`: a
+    failed write leaves no partial file."""
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with tmp.open("w") as f:
-            f.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in trace)
-        os.replace(tmp, out / f"ep{index:05d}.jsonl")
+        with tmp.open("w", newline="") as f:
+            f.writelines(lines)
+        os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _run_cells(cfgs: list[RunConfig], workers: int | None
+def _run_cells(cfgs: list[RunConfig], workers: int | None,
+               cell_dirs: list[Path] | None = None
                ) -> list[list[EpisodeResult] | Exception]:
     """Per cell, its results in index order or its lowest failed episode's
-    exception, from one pool shared by every episode of every cell; fewer
-    than one worker is refused (ValueError) before anything runs.  The pool
-    pickles `run_episode_traced` by reference, so a worker runs that module
+    exception, from one pool shared by every episode of every cell; cell c's
+    traces go to `cell_dirs[c]/episodes` as its episodes finish.  Fewer than
+    one worker is refused (ValueError) before anything is written, and every
+    `episodes` directory is made before any episode runs.  The pool pickles
+    `run_episode_traced` by reference, so a worker runs that module
     attribute as it inherited it; a replacement must be importable there."""
     workers = workers if workers is not None else default_workers()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
+    for d in cell_dirs or ():
+        (d / "episodes").mkdir(parents=True, exist_ok=True)
     jobs = [(c, i) for c, cfg in enumerate(cfgs) for i in range(cfg.episodes)]
     results: list[list] = [[None] * cfg.episodes for cfg in cfgs]
 
     def finish(c: int, i: int, run) -> None:
         try:
             result, trace = run()
-            if cfgs[c].output_dir:
-                _write_trace(cfgs[c], i, trace)
+            if cell_dirs:
+                _write_atomic(cell_dirs[c] / "episodes" / f"ep{i:05d}.jsonl",
+                              (json.dumps(rec, sort_keys=True) + "\n" for rec in trace))
             results[c][i] = result
         except Exception as e:  # fails this episode's cell only
             results[c][i] = e
@@ -529,11 +531,10 @@ def _run_cells(cfgs: list[RunConfig], workers: int | None
 
 
 def run_cell(cfg: RunConfig, workers: int | None = None) -> list[EpisodeResult]:
-    """All episodes of one experiment cell in index order: the one-cell case of
-    `run_experiment`'s pool, traces in `episodes/ep<index>.jsonl` written as
-    episodes finish (deterministic output) when cfg.output_dir is set.  An
-    episode's exception is raised once every episode has run; the finished
-    episodes keep their traces."""
+    """All episodes of one experiment cell in index order, run as
+    `run_experiment` runs a cell, but only returned: this writes no file, and
+    traces come from `run_experiment`.  An episode's exception is raised once
+    every episode has run."""
     results = _run_cells([cfg], workers)[0]
     if isinstance(results, Exception):
         raise results
@@ -547,38 +548,38 @@ def cell_name(cfg: RunConfig) -> str:
 
 def run_experiment(cells: list[RunConfig], out_dir: str | Path,
                    workers: int | None = None) -> Path:
-    """Run every cell, write metrics.csv plus per-episode JSONL traces.
+    """Run every cell into `out_dir`, the one writer of a run directory: each
+    `<cell_name>/episodes` directory before any episode runs, each trace as
+    its episode finishes and metrics.csv once all have, every file atomically.
 
     Writes one CSV row per cell, but runs each distinct config (by
     config_hash) only once: rows that repeat a config reuse its results and
-    its cell directory.  All episodes of all cells run on one process pool;
-    each trace is written as its episode finishes, metrics.csv once all have.
+    its cell directory.  All episodes of all cells run on one process pool.
     An exception in an episode fails only its cell: no CSV row, a mention on a
     trailing `# failed cells:` line, and its finished episodes keep their
     traces.  The cost of the shared pool: a worker that dies hard
     (`BrokenProcessPool`, e.g. after an out-of-memory kill) fails every cell
     not finished yet, not just its own."""
     out_dir = Path(out_dir)
-    cells = [replace(cfg, output_dir=str(out_dir / cell_name(cfg))) for cfg in cells]
     distinct = {config_hash(cfg): cfg for cfg in cells}
-    runs = dict(zip(distinct, _run_cells(list(distinct.values()), workers)))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "metrics.csv"
+    dirs = [out_dir / cell_name(cfg) for cfg in distinct.values()]
+    runs = dict(zip(distinct, _run_cells(list(distinct.values()), workers, dirs)))
+    csv_text = io.StringIO()
+    writer = csv.writer(csv_text)
+    writer.writerow(CSV_HEADER)
     failures: list[str] = []
-    with csv_path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        for cfg in cells:
-            results = runs[config_hash(cfg)]
-            if isinstance(results, Exception):
-                failures.append(f"{cell_name(cfg)}: {results}")
-                continue
-            m = summarize(results)
-            writer.writerow([cfg.policy.value, cfg.scenario.value,
-                             int(cfg.hard_grasps),
-                             *(f"{x:.6f}" for x in m.row()), config_hash(cfg)])
-        if failures:
-            f.write("# failed cells: " + "; ".join(failures) + "\n")
+    for cfg in cells:
+        results = runs[config_hash(cfg)]
+        if isinstance(results, Exception):
+            failures.append(f"{cell_name(cfg)}: {results}")
+            continue
+        m = summarize(results)
+        writer.writerow([cfg.policy.value, cfg.scenario.value, int(cfg.hard_grasps),
+                         *(f"{x:.6f}" for x in m.row()), config_hash(cfg)])
+    if failures:
+        csv_text.write("# failed cells: " + "; ".join(failures) + "\n")
+    csv_path = out_dir / "metrics.csv"
+    _write_atomic(csv_path, [csv_text.getvalue()])
     return csv_path
 
 

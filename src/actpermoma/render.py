@@ -132,11 +132,15 @@ def render_topdown(scene: Scene, trace: list[dict], out_path: str | Path) -> Pat
 
 def render_trace_file(trace_path: str | Path, out_path: str | Path) -> Path:
     """Render a stored episode trace; the scene is embedded in its meta record.
-    A trace without one (its scene could not be generated) is a ValueError."""
+    A trace without one (its scene could not be generated) or with a malformed
+    one is a ValueError naming the file."""
     records = [json.loads(line) for line in Path(trace_path).read_text().splitlines()
                if line.strip()]
     meta = next((r for r in records if r.get("type") == "meta"), None)
     if meta is None:
         raise ValueError(f"{trace_path} holds no scene to draw: it has no meta record")
-    scene = scene_from_dict(meta["scene"])
+    try:
+        scene = scene_from_dict(meta["scene"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{trace_path} holds a malformed meta record: {e!r}") from None
     return render_topdown(scene, records, out_path)

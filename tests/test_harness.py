@@ -285,12 +285,12 @@ def test_run_cell_pooled_traces_equal_serial_bytes(tmp_path):
     # ActPerMoMa on the complex scene scores paths by IG, the matmul-heavy
     # path whose BLAS thread count differs between the pool and this process
     def traces(workers: int) -> dict[str, bytes]:
-        out = tmp_path / f"w{workers}"
         cfg = RunConfig(planner=PlannerConfig(max_steps=4), episodes=2, base_seed=2,
-                        scenario=SceneKind.COMPLEX, policy=PolicyKind.ACTPERMOMA,
-                        output_dir=str(out))
-        run_cell(cfg, workers=workers)
-        return {p.name: p.read_bytes() for p in sorted((out / "episodes").iterdir())}
+                        scenario=SceneKind.COMPLEX, policy=PolicyKind.ACTPERMOMA)
+        out = tmp_path / f"w{workers}"
+        run_experiment([cfg], out, workers=workers)
+        episodes = out / cell_name(cfg) / "episodes"
+        return {p.name: p.read_bytes() for p in sorted(episodes.iterdir())}
 
     serial = traces(1)
     assert len(serial) == 2
@@ -418,6 +418,8 @@ def test_run_experiment_failing_cell_fails_alone(tmp_path, monkeypatch, workers)
              for cfg in cells}
     assert names[cell_name(cells[1])] == ["ep00000.jsonl"]  # its finished episode
     assert all(len(names[cell_name(cfg)]) == 3 for cfg in (cells[0], cells[2]))
+    with pytest.raises(RuntimeError, match="^boom 1$"):  # once every episode has run
+        run_cell(cells[1], workers=workers)
 
 
 class _Interrupt(BaseException):
@@ -427,11 +429,11 @@ class _Interrupt(BaseException):
 def test_run_experiment_interrupt_cancels_queued_episodes(tmp_path, monkeypatch):
     ran = tmp_path / "ran"
 
-    def interrupted(cfg, index, trace):  # the consumer stops at the first result
+    def interrupted(path, lines):  # the consumer stops at the first result
         raise _Interrupt
 
     monkeypatch.setattr(harness, "run_episode_traced", functools.partial(_slow_episode, ran))
-    monkeypatch.setattr(harness, "_write_trace", interrupted)
+    monkeypatch.setattr(harness, "_write_atomic", interrupted)
     cells = [RunConfig(planner=FAST, episodes=8, base_seed=seed) for seed in range(3)]
     with pytest.raises(_Interrupt):
         run_experiment(cells, tmp_path / "out", workers=2)
@@ -440,9 +442,8 @@ def test_run_experiment_interrupt_cancels_queued_episodes(tmp_path, monkeypatch)
 
 
 def test_trace_write_failure_leaves_no_partial_trace(tmp_path, monkeypatch):
-    cfg = RunConfig(planner=FAST, episodes=3, base_seed=5, policy=PolicyKind.NAIVE,
-                    output_dir=str(tmp_path / "cell"))
-    want = run_cell(replace(cfg, output_dir=None), workers=1)
+    cfg = RunConfig(planner=FAST, episodes=3, base_seed=5, policy=PolicyKind.NAIVE)
+    want = run_cell(cfg, workers=1)
     real = harness.run_episode_traced
 
     def unwritable(cfg, episode_index):  # episode 1's second record cannot be encoded
@@ -452,28 +453,25 @@ def test_trace_write_failure_leaves_no_partial_trace(tmp_path, monkeypatch):
         return result, trace
 
     monkeypatch.setattr(harness, "run_episode_traced", unwritable)
-    with pytest.raises(TypeError):
-        run_cell(cfg, workers=1)
-    episodes = tmp_path / "cell" / "episodes"
+    lines = run_experiment([cfg], tmp_path, workers=1).read_text().splitlines()
+    assert lines[-1].startswith(f"# failed cells: {cell_name(cfg)}: Object of type object")
+    episodes = tmp_path / cell_name(cfg) / "episodes"
     assert sorted(p.name for p in episodes.iterdir()) == ["ep00000.jsonl", "ep00002.jsonl"]
-    assert load_results_dir(tmp_path / "cell") == [want[0], want[2]]
+    assert load_results_dir(tmp_path / cell_name(cfg)) == [want[0], want[2]]
 
 
 def test_load_results_dir_round_trip(tmp_path):
-    cfg = RunConfig(planner=FAST, episodes=3, base_seed=5, policy=PolicyKind.NAIVE,
-                    output_dir=str(tmp_path / "cell"))
-    want = run_cell(cfg, workers=1)
-    got = load_results_dir(tmp_path / "cell")
-    assert got == want
+    cfg = RunConfig(planner=FAST, episodes=3, base_seed=5, policy=PolicyKind.NAIVE)
+    run_experiment([cfg], tmp_path, workers=1)
+    assert load_results_dir(tmp_path / cell_name(cfg)) == run_cell(cfg, workers=1)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "no_result", "missing_field",
-                                    "mistyped_field"])
+                                    "mistyped_field", "nan_field"])
 def test_load_results_dir_names_damaged_trace(tmp_path, damage):
-    cfg = RunConfig(planner=FAST, episodes=2, base_seed=5, policy=PolicyKind.NAIVE,
-                    output_dir=str(tmp_path / "cell"))
-    run_cell(cfg, workers=1)
-    path = tmp_path / "cell" / "episodes" / "ep00001.jsonl"
+    cfg = RunConfig(planner=FAST, episodes=2, base_seed=5, policy=PolicyKind.NAIVE)
+    run_experiment([cfg], tmp_path, workers=1)
+    path = tmp_path / cell_name(cfg) / "episodes" / "ep00001.jsonl"
     lines = path.read_text().splitlines()
     assert len(lines) >= 3 and json.loads(lines[-2])["type"] == "step"
     if damage == "truncated":  # cut mid-way through the result record
@@ -484,11 +482,11 @@ def test_load_results_dir_names_damaged_trace(tmp_path, damage):
         result = json.loads(lines[-1])
         if damage == "missing_field":
             del result["v_total"]
-        else:
-            result["d_total"] = "x"
+        else:  # json writes a NaN that Python's json reads back
+            result["d_total"] = "x" if damage == "mistyped_field" else math.nan
         path.write_text("\n".join(lines[:-1] + [json.dumps(result)]) + "\n")
     with pytest.raises(ValueError, match="ep00001.jsonl"):
-        load_results_dir(tmp_path / "cell")
+        load_results_dir(tmp_path / cell_name(cfg))
 
 
 def test_run_config_rejects_unknown_keys():
@@ -505,7 +503,7 @@ def test_run_config_rejects_unknown_keys():
 
 def test_run_config_from_dict_checks_value_types():
     cfg = run_config_from_dict({"planner": {"momentum": 700, "torso_band": [1, 1.2]},
-                                "hard_grasps": True, "output_dir": None})
+                                "hard_grasps": True})
     assert cfg.planner.momentum == 700  # an int is a float
     assert cfg.planner.torso_band == (1, 1.2) and cfg.hard_grasps is True
     for doc, key in [({"episodes": True}, "episodes"),  # a bool is not an int
@@ -514,9 +512,11 @@ def test_run_config_from_dict_checks_value_types():
                      ({"planner": {"torso_band": [1.1]}}, "torso_band"),
                      ({"planner": {"torso_band": [1.1, "x"]}}, "torso_band"),
                      ({"planner": {"torso_band": 3}}, "torso_band"),
+                     ({"planner": {"w_ig": math.nan}}, "w_ig"),  # JSON's NaN
+                     ({"planner": {"momentum": math.inf}}, "momentum"),  # and Infinity
+                     ({"planner": {"torso_band": [1.1, -math.inf]}}, "torso_band"),
                      ({"scenario": "nowhere"}, "scenario"),
                      ({"policy": ["Naive"]}, "policy"),
-                     ({"output_dir": 3}, "output_dir"),
                      ({"planner": [1]}, "planner")]:
         with pytest.raises(ValueError, match=rf"^{key} must be "):
             run_config_from_dict(doc)
@@ -528,8 +528,7 @@ def test_run_config_dict_round_trip_every_field():
                             max_steps=77, step_size=0.15, utility_scale=500.0,
                             ig_unit_rays=50.0, torso_band=(1.0, 1.2), ig_downsample=4)
     cfg = RunConfig(planner=planner, scenario=SceneKind.COMPLEX, hard_grasps=True,
-                    episodes=9, base_seed=42, policy=PolicyKind.BREYER_NBV,
-                    output_dir="runs/x")
+                    episodes=9, base_seed=42, policy=PolicyKind.BREYER_NBV)
     for obj, default in ((planner, PlannerConfig()), (cfg, RunConfig())):
         for f in fields(obj):
             assert getattr(obj, f.name) != getattr(default, f.name), f.name
@@ -537,12 +536,14 @@ def test_run_config_dict_round_trip_every_field():
     assert run_config_from_dict(doc) == cfg
 
 
-def test_config_hash_stable_and_output_independent():
-    a = RunConfig(episodes=5)
-    b = replace(a, output_dir="/somewhere/else")
-    c = replace(a, episodes=6)
-    assert config_hash(a) == config_hash(b)
-    assert config_hash(a) != config_hash(c)
+def test_config_hash_bytes_are_pinned():
+    # cell names and the pinned trace digests (whose meta records carry the
+    # hash) depend on these exact values
+    assert config_hash(RunConfig()) == "3ad0b0d9035f"
+    assert config_hash(RunConfig(episodes=6)) == "289ba0495b4f"
+    cfg = RunConfig(policy=PolicyKind.NAIVE, scenario=SceneKind.COMPLEX, hard_grasps=True,
+                    planner=PlannerConfig(torso_band=(1.0, 1.2)))
+    assert cell_name(cfg) == "Naive_complex_hard_60449e"
 
 
 def test_ablation_preset_row_structure():
@@ -591,10 +592,9 @@ def test_render_scene_only_trace(tmp_path):
 
 
 def test_render_trace_file_round_trip(tmp_path):
-    cfg = RunConfig(planner=FAST, episodes=1, base_seed=4,
-                    output_dir=str(tmp_path / "run"), policy=PolicyKind.NAIVE)
-    run_cell(cfg, workers=1)
-    trace_file = tmp_path / "run" / "episodes" / "ep00000.jsonl"
+    cfg = RunConfig(planner=FAST, episodes=1, base_seed=4, policy=PolicyKind.NAIVE)
+    run_experiment([cfg], tmp_path / "run", workers=1)
+    trace_file = tmp_path / "run" / cell_name(cfg) / "episodes" / "ep00000.jsonl"
     out = render_trace_file(trace_file, tmp_path / "img.svg")
     assert out.read_text().startswith("<svg")
 
@@ -686,9 +686,14 @@ def test_cli_ablate_exits_1_naming_a_failed_cell(tmp_path, monkeypatch, capsys):
 def test_cli_ablate_refuses_an_unwritable_out_with_exit_2(tmp_path, monkeypatch, capsys):
     from actpermoma.cli import main
 
+    calls = []
     real = harness.run_episode_traced
-    monkeypatch.setattr(harness, "run_episode_traced", lambda cfg, episode_index: real(
-        replace(cfg, planner=replace(cfg.planner, max_steps=1)), episode_index))
+
+    def counted(cfg, episode_index):
+        calls.append(episode_index)
+        return real(replace(cfg, planner=replace(cfg.planner, max_steps=1)), episode_index)
+
+    monkeypatch.setattr(harness, "run_episode_traced", counted)
     out = tmp_path / "taken"
     out.write_text("")
     rc = main(["ablate", "--preset", "table1", "--episodes", "1", "--out", str(out),
@@ -696,6 +701,7 @@ def test_cli_ablate_refuses_an_unwritable_out_with_exit_2(tmp_path, monkeypatch,
     stdout, stderr = capsys.readouterr()
     assert rc == 2 and stdout == ""
     assert re.fullmatch(rf"error: [^\n]*{re.escape(str(out))}[^\n]*\n", stderr)
+    assert calls == []  # refused before any episode runs
 
 
 def test_cli_run_summarizes_only_its_own_cell(tmp_path, capsys):
@@ -731,6 +737,8 @@ CONFIG_RUN = ["run", "--policy", "Naive", "--config", "{cfg}"]
     (CONFIG_RUN, "episodes", {"episodes": True}),
     (CONFIG_RUN, "torso_band", {"planner": {"torso_band": 3}}),
     (CONFIG_RUN, "hard_grasps", {"hard_grasps": "yes"}),
+    (CONFIG_RUN, "momentum", {"planner": {"momentum": math.inf}}),
+    (CONFIG_RUN, "unknown config keys", {"output_dir": "elsewhere"}),
     (["run", "--policy", "Naive", "--config", "{missing}"], "missing.json", None),
     (["run", "--policy", "Naive", "--episodes", "2", "--workers", "0"], "workers", None),
     (["run", "--policy", "Naive", "--episodes", "2", "--workers", "-4"], "workers", None),
@@ -738,13 +746,16 @@ CONFIG_RUN = ["run", "--policy", "Naive", "--config", "{cfg}"]
 ], ids=["run-negative-seed", "run-zero-episodes", "run-unknown-key",
         "ablate-negative-seed", "ablate-zero-episodes", "run-str-max-steps",
         "run-str-episodes", "run-bool-episodes", "run-int-torso-band",
-        "run-str-hard-grasps", "run-missing-config", "run-zero-workers",
+        "run-str-hard-grasps", "run-infinite-momentum", "run-output-dir",
+        "run-missing-config", "run-zero-workers",
         "run-negative-workers", "ablate-zero-workers"])
-def test_cli_refuses_an_unrunnable_config_with_exit_2(tmp_path, capsys, argv, field, doc):
+def test_cli_refuses_an_unrunnable_config_with_exit_2(tmp_path, monkeypatch, capsys, argv,
+                                                      field, doc):
     # one error line naming the field, exit 2 and nothing written, the way
     # compare refuses runs it cannot compare
     from actpermoma.cli import main
 
+    monkeypatch.chdir(tmp_path)  # where a relative path in the config would point
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -754,16 +765,15 @@ def test_cli_refuses_an_unrunnable_config_with_exit_2(tmp_path, capsys, argv, fi
     stdout, stderr = capsys.readouterr()
     assert rc == 2 and stdout == ""
     assert re.fullmatch(rf"error: [^\n]*{field}[^\n]*\n", stderr)
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_compare_refuses_a_directory_without_traces(tmp_path, capsys):
     # a mistyped path must not read as an inconclusive result
     from actpermoma.cli import main
 
-    cfg = RunConfig(planner=FAST, episodes=2, base_seed=0, policy=PolicyKind.NAIVE,
-                    output_dir=str(tmp_path / "run"))
-    run_cell(cfg, workers=1)
+    cfg = RunConfig(planner=FAST, episodes=2, base_seed=0, policy=PolicyKind.NAIVE)
+    run_experiment([cfg], tmp_path / "run", workers=1)
     (tmp_path / "empty").mkdir()
     for side, nowhere in [(side, tmp_path / name) for side in "ab"
                           for name in ("nodir", "empty")]:
@@ -808,12 +818,17 @@ def test_cli_render_refuses_a_trace_it_cannot_draw(tmp_path, monkeypatch, capsys
         raise SceneGenFailure("no room for the target")
 
     monkeypatch.setattr(harness, "generate_scene", no_scene)
-    cfg = RunConfig(planner=FAST, episodes=1, base_seed=0, output_dir=str(tmp_path / "run"))
-    (result,) = run_cell(cfg, workers=1)
+    cfg = RunConfig(planner=FAST, episodes=1, base_seed=0)
+    run_experiment([cfg], tmp_path / "run", workers=1)
+    (result,) = load_results_dir(tmp_path / "run" / cell_name(cfg))
     assert result.abort_reason == "scene generation: no room for the target"
-    trace = tmp_path / "run" / "episodes" / "ep00000.jsonl"
+    trace = tmp_path / "run" / cell_name(cfg) / "episodes" / "ep00000.jsonl"
     assert [json.loads(line)["type"] for line in trace.read_text().splitlines()] == ["result"]
+    malformed = tmp_path / "malformed.jsonl"  # a meta record whose scene lacks fields
+    malformed.write_text(json.dumps({"type": "meta", "scene": {"primitives": []}}) + "\n")
     for path, message in ((trace, "no scene to draw"),
+                          (malformed, r"malformed\.jsonl holds a malformed meta record: "
+                                      r"KeyError\('target_id'\)"),
                           (tmp_path / "missing.jsonl", "No such file")):
         out = tmp_path / "img.svg"
         rc = main(["render", "--trace", str(path), "--out", str(out)])
