@@ -152,21 +152,30 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 
 def cached_render(images: dict, scene: Scene, cam: Pose3, intr: CameraIntrinsics
                   ) -> DepthImage:
-    """`render_depth(scene, cam, intr)`, kept in `images`: one episode's
-    depth images of its last VIEW_CACHE_POSES views, least recently used
-    first.  The scene is fixed within an episode, so an image is a pure
-    function of the exact pose and the intrinsics; a view that repeats a
-    kept one reuses its (read-only) image and the fusion plans it carries,
-    and only the others call this module's `render_depth`."""
+    """`render_depth(scene, cam, intr)`, kept in `images`: one scene's depth
+    images of its last VIEW_CACHE_POSES views, least recently used first.
+    `images` holds views of `scene` alone, so an image is a pure function of
+    the exact pose and the intrinsics; a view that repeats a kept one (of any
+    episode on the scene) reuses its read-only image and the fusion plans it
+    carries, and only the others call this module's `render_depth`."""
     key = (*cam.key(), intr)
     return lru_put(images, key, images.get(key) or render_depth(scene, cam, intr))
 
 
+# the views of the last scene this process sensed, shared by its episodes
+# until another scene replaces them: {(kind, hard_grasps, seed): (depth
+# images, target-grid IG ray visits)}; a scene is `generate_scene`'s pure
+# function of that key, and so is each value
+_SCENE_VIEWS: dict = {}
+
+
 class Episode:
     """One episode's world and belief: the scene, both TSDFs, the detector and
-    its tracked grasps, the robot, `d_total`, the last views' depth images and
-    fusion plans (`cached_render`) and the occupancy `observe` last projected.
-    A policy decides on what `observe` returns; `move` drives and `sense`s anew."""
+    its tracked grasps, the robot, `d_total`, the occupancy `observe` last
+    projected, and the scene's last views' depth images, fusion plans
+    (`cached_render`) and target-grid IG ray visits, shared with the scene's
+    earlier episodes in this process (`_SCENE_VIEWS`).  A policy decides on
+    what `observe` returns; `move` drives and `sense`s anew."""
 
     def __init__(self, cfg: RunConfig, scene: Scene, start: Pose2, policy_seed: int):
         self.cfg, self.scene, self.policy_seed = cfg, scene, policy_seed
@@ -176,7 +185,10 @@ class Episode:
                                         (int(2 * ARENA_HALF / NAV_CELL),
                                          int(2 * ARENA_HALF / NAV_CELL), NAV_Z_VOXELS))
         self.detector = GraspDetector(self.target_tsdf, scene)
-        self.robot, self.d_total, self.tracked, self.images, self.occ = start, 0.0, [], {}, None
+        self.robot, self.d_total, self.tracked, self.occ = start, 0.0, [], None
+        key = (scene.kind, scene.hard_grasps, scene.seed)
+        self.images, self.target_tsdf.ray_visits = lru_put(
+            _SCENE_VIEWS, key, _SCENE_VIEWS.get(key) or ({}, {}), 1)
 
     def sense(self, cam: Pose3) -> None:
         """Fuse the depth image seen from `cam` into both grids."""
@@ -486,47 +498,75 @@ def _write_atomic(path: Path, lines: Iterable[str]) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _run_scene(jobs: list[tuple[RunConfig, int]]) -> list:
+    """Each `run_episode_traced(cfg, i)`, or its exception, of one scene's
+    `jobs`, back to back from an empty `_SCENE_VIEWS`: the later episodes reuse
+    what the earlier ones sensed, never what this process ran before."""
+    _SCENE_VIEWS.clear()
+    out = []
+    for cfg, i in jobs:
+        try:
+            out.append(run_episode_traced(cfg, i))
+        except Exception as e:  # fails this episode only
+            out.append(e)
+    return out
+
+
 def _run_cells(cfgs: list[RunConfig], workers: int | None,
                cell_dirs: list[Path] | None = None
                ) -> list[list[EpisodeResult] | Exception]:
     """Per cell, its results in index order or its lowest failed episode's
-    exception, from one pool shared by every episode of every cell; cell c's
-    traces go to `cell_dirs[c]/episodes` as its episodes finish.  Fewer than
-    one worker is refused (ValueError) before anything is written, and every
-    `episodes` directory is made before any episode runs.  The pool pickles
-    `run_episode_traced` by reference, so a worker runs that module
-    attribute as it inherited it; a replacement must be importable there."""
+    exception, from one pool shared by every cell; cell c's traces go to
+    `cell_dirs[c]/episodes` as their scene's task finishes.  Fewer than one
+    worker is refused (ValueError) before anything is written, and every
+    `episodes` directory is made before any episode runs.  A task runs one
+    scene's episodes of every cell (`_run_scene`), in order of first sight,
+    serially too; one that fails whole (`BrokenProcessPool`) fails each.  A
+    worker calls the `run_episode_traced` it inherited, so a replacement
+    must be importable there."""
     workers = workers if workers is not None else default_workers()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
     for d in cell_dirs or ():
         (d / "episodes").mkdir(parents=True, exist_ok=True)
-    jobs = [(c, i) for c, cfg in enumerate(cfgs) for i in range(cfg.episodes)]
+    scenes: dict[tuple, list[tuple[int, int]]] = {}
+    for c, cfg in enumerate(cfgs):
+        for i in range(cfg.episodes):
+            key = (cfg.scenario, cfg.hard_grasps, cfg.base_seed + i)
+            scenes.setdefault(key, []).append((c, i))
     results: list[list] = [[None] * cfg.episodes for cfg in cfgs]
 
-    def finish(c: int, i: int, run) -> None:
+    def finish(group: list[tuple[int, int]], run) -> None:
         try:
-            result, trace = run()
-            if cell_dirs:
-                _write_atomic(cell_dirs[c] / "episodes" / f"ep{i:05d}.jsonl",
-                              (json.dumps(rec, sort_keys=True) + "\n" for rec in trace))
-            results[c][i] = result
-        except Exception as e:  # fails this episode's cell only
-            results[c][i] = e
+            runs = run()
+        except Exception as e:  # the task failed whole
+            runs = [e] * len(group)
+        for (c, i), ran in zip(group, runs):
+            try:
+                if isinstance(ran, Exception):
+                    raise ran
+                result, trace = ran
+                if cell_dirs:
+                    _write_atomic(cell_dirs[c] / "episodes" / f"ep{i:05d}.jsonl",
+                                  (json.dumps(rec, sort_keys=True) + "\n" for rec in trace))
+                results[c][i] = result
+            except Exception as e:  # fails this episode's cell only
+                results[c][i] = e
 
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+    if workers > 1 and len(scenes) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(scenes)),
                                  initializer=_one_blas_thread) as pool:
-            futures = {pool.submit(run_episode_traced, cfgs[c], i): (c, i) for c, i in jobs}
+            futures = {pool.submit(_run_scene, [(cfgs[c], i) for c, i in group]): group
+                       for group in scenes.values()}
             try:
                 for future in as_completed(futures):
-                    finish(*futures.pop(future), future.result)
-            except BaseException:  # e.g. Ctrl-C: run no queued episode
+                    finish(futures.pop(future), future.result)
+            except BaseException:  # e.g. Ctrl-C: run no queued scene
                 pool.shutdown(cancel_futures=True)
                 raise
     else:
-        for c, i in jobs:
-            finish(c, i, lambda: run_episode_traced(cfgs[c], i))
+        for group in scenes.values():
+            finish(group, lambda: _run_scene([(cfgs[c], i) for c, i in group]))
     return [next((r for r in rows if isinstance(r, Exception)), rows) for rows in results]
 
 
@@ -550,7 +590,8 @@ def run_experiment(cells: list[RunConfig], out_dir: str | Path,
                    workers: int | None = None) -> Path:
     """Run every cell into `out_dir`, the one writer of a run directory: each
     `<cell_name>/episodes` directory before any episode runs, each trace as
-    its episode finishes and metrics.csv once all have, every file atomically.
+    its scene's task finishes and metrics.csv once all have, every file
+    atomically.
 
     Writes one CSV row per cell, but runs each distinct config (by
     config_hash) only once: rows that repeat a config reuse its results and

@@ -51,13 +51,19 @@ from .scene import CameraIntrinsics, DepthImage
 
 WEIGHT_CAP = 64.0
 # rear_side_ig_batch's ray-visit cache bound per grid: 2**18 uint16 voxel
-# indices (512 KiB) plus a one-byte length per ray.  A 302-step ActPerMoMa
-# episode reuses as many poses under it as with no bound, which holds 3.4M.
+# indices (512 KiB) plus a one-byte length per ray; the harness shares one
+# among a scene's target grids.  A 302-step ActPerMoMa episode reuses as many
+# poses under it as with no bound, which holds 3.4M.
 IG_CACHE_VISITS = 1 << 18
 # the views whose depth images, each with its fusion plans, the harness
-# keeps per episode: a repeated view recurred within 5 distinct views in
-# every episode measured
-VIEW_CACHE_POSES = 8
+# keeps per scene, shared by the episodes that run on it.  Within an episode
+# a repeated view recurred within 5 distinct views in every episode
+# measured, but the next episode on the scene repeats the first one's
+# opening views: at 8 it finds only the last 8, and the 10-step ablation
+# benchmark kept all its reuse from 12 up.  32 holds a typical real episode
+# (25 steps or fewer) whole; a view with its two plans is ~270 KB, so 32
+# take at most ~8.6 MB per process.
+VIEW_CACHE_POSES = 32
 
 
 def lru_put(cache: dict, key, value, limit: int = VIEW_CACHE_POSES):
@@ -395,7 +401,9 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     Steps 1 and 2 read only the geometry, never the voxel states, so their
     visits are cached on `tsdf` (`TsdfGrid.ray_visits`) under the exact
     bytes of the camera pose, the intrinsics and the inflated bbox, and
-    only the cameras not in the cache are traced.  The cache keeps voxel
+    only the cameras not in the cache are traced.  The harness gives a
+    scene's target grids one cache, so an episode reuses the visits of the
+    poses an earlier one on the scene scored.  The cache keeps voxel
     ids in the smallest unsigned type that holds them (uint16 for 40^3
     voxels) and drops its least recently used poses beyond IG_CACHE_VISITS
     visits, each pose counting one more.  Culled rays would never visit a

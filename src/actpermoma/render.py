@@ -132,10 +132,13 @@ def render_topdown(scene: Scene, trace: list[dict], out_path: str | Path) -> Pat
 
 def render_trace_file(trace_path: str | Path, out_path: str | Path) -> Path:
     """Render a stored episode trace; the scene is embedded in its meta record.
-    A trace without one (its scene could not be generated) or with a malformed
-    one is a ValueError naming the file."""
+    A trace without one (its scene could not be generated), with a malformed
+    one, with a record that is not an object or with a step or result record
+    that cannot be drawn is a ValueError naming the file."""
     records = [json.loads(line) for line in Path(trace_path).read_text().splitlines()
                if line.strip()]
+    if not all(isinstance(r, dict) for r in records):
+        raise ValueError(f"{trace_path} holds a record that is not an object")
     meta = next((r for r in records if r.get("type") == "meta"), None)
     if meta is None:
         raise ValueError(f"{trace_path} holds no scene to draw: it has no meta record")
@@ -143,4 +146,8 @@ def render_trace_file(trace_path: str | Path, out_path: str | Path) -> Path:
         scene = scene_from_dict(meta["scene"])
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{trace_path} holds a malformed meta record: {e!r}") from None
-    return render_topdown(scene, records, out_path)
+    try:
+        return render_topdown(scene, records, out_path)
+    except (LookupError, TypeError, ValueError) as e:
+        raise ValueError(f"{trace_path} holds a malformed step or result record: "
+                         f"{e!r}") from None

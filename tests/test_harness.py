@@ -6,6 +6,7 @@ import json
 import math
 import re
 import time
+from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 import actpermoma.harness as harness
-from actpermoma.geom import CellState, Pose2
+from actpermoma import perception
+from actpermoma.geom import CellState, Pose2, look_at
 from actpermoma.harness import (
+    Episode,
     EpisodeResult,
     Outcome,
     PolicySafetyError,
@@ -35,7 +38,14 @@ from actpermoma.harness import (
 from actpermoma.planning import PlannerConfig, camera_at
 from actpermoma.policies import Abort, MoveStep, PolicyKind
 from actpermoma.render import render_topdown, render_trace_file
-from actpermoma.scene import SceneGenFailure, SceneKind
+from actpermoma.scene import (
+    DEFAULT_INTRINSICS,
+    SceneGenFailure,
+    SceneKind,
+    generate_scene,
+    render_depth,
+    sample_start_pose,
+)
 
 FAST = PlannerConfig(max_steps=50)
 
@@ -387,6 +397,59 @@ def test_run_experiment_pooled_directory_equals_serial_bytes(tmp_path):
     assert pooled == serial
 
 
+def test_a_scene_task_shares_its_views_and_repeats_its_work_exactly(monkeypatch):
+    renders, traversals = [], []
+    real_render, real_traverse = harness.render_depth, perception.traverse_batch
+    monkeypatch.setattr(harness, "render_depth",
+                        lambda *args: renders.append(1) or real_render(*args))
+    monkeypatch.setattr(perception, "traverse_batch",
+                        lambda *args: traversals.append(1) or real_traverse(*args))
+
+    def task(jobs):  # renders, traversals and the episodes' results and trace bytes
+        renders.clear()
+        traversals.clear()
+        runs = harness._run_scene(jobs)
+        return len(renders), len(traversals), [(r, json.dumps(t)) for r, t in runs]
+
+    # both policies score IG on scene 3, from the same start view
+    jobs = [(RunConfig(planner=PlannerConfig(max_steps=6), scenario=SceneKind.COMPLEX,
+                       base_seed=3, policy=policy), 0)
+            for policy in (PolicyKind.ACTPERMOMA, PolicyKind.NO_WEIGHTS)]
+    together = task(jobs)
+    assert task(jobs) == together  # the second run starts from no kept view
+    alone = [task([job]) for job in jobs]
+    assert together[2] == [ran for *_, (ran,) in alone]
+    assert together[0] < sum(a[0] for a in alone)
+    assert together[1] < sum(a[1] for a in alone)
+
+
+def test_episodes_share_views_only_with_their_own_scene():
+    cam = look_at(np.array([1.2, -0.5, 1.2]), np.array([0.0, 0.0, 0.75]))
+
+    def sensed(kind: SceneKind, hard: bool, seed: int) -> Episode:
+        scene = generate_scene(kind, hard, seed)
+        episode = Episode(RunConfig(scenario=kind, hard_grasps=hard), scene,
+                          sample_start_pose(scene, seed), seed)
+        episode.sense(cam)
+        perception.rear_side_ig_batch(episode.target_tsdf, [cam], DEFAULT_INTRINSICS,
+                                      scene.target_bbox)
+        (image,) = episode.images.values()
+        fresh = render_depth(scene, cam, DEFAULT_INTRINSICS)
+        assert np.array_equal(image.depths, fresh.depths, equal_nan=True)
+        assert len(episode.target_tsdf.ray_visits) == 1
+        return episode
+
+    first = sensed(SceneKind.COMPLEX, False, 4)
+    views = (first.images, first.target_tsdf.ray_visits)
+    again = sensed(SceneKind.COMPLEX, False, 4)
+    assert again.images is views[0] and again.target_tsdf.ray_visits is views[1]
+    for kind, hard, seed in ((SceneKind.COMPLEX, False, 5), (SceneKind.COMPLEX, True, 4),
+                             (SceneKind.SIMPLE, False, 4)):
+        other = sensed(kind, hard, seed)  # the same pose sees another scene
+        assert other.images is not views[0]
+        assert other.target_tsdf.ray_visits is not views[1]
+
+
 # stand-ins for `harness.run_episode_traced` that a process pool runs are
 # module-level: the pool pickles the function it submits by reference
 
@@ -437,8 +500,14 @@ def test_run_experiment_interrupt_cancels_queued_episodes(tmp_path, monkeypatch)
     cells = [RunConfig(planner=FAST, episodes=8, base_seed=seed) for seed in range(3)]
     with pytest.raises(_Interrupt):
         run_experiment(cells, tmp_path / "out", workers=2)
-    # only the running and the already dispatched episodes finish, not all 24
-    assert len(ran.read_text().splitlines()) < 12
+    # the 24 episodes form 10 scene tasks, scene s holding one episode of each
+    # cell that reaches it; only the running and the already dispatched tasks
+    # finish, each whole: 2 running, 3 in the pool's call queue and the one
+    # the pool queues as the first finishes, before the consumer stops
+    scenes = Counter(sum(map(int, line.split())) for line in ran.read_text().splitlines())
+    sizes = Counter(cfg.base_seed + i for cfg in cells for i in range(cfg.episodes))
+    assert all(scenes[s] == sizes[s] for s in scenes)
+    assert len(scenes) <= 6 and sum(scenes.values()) < 24
 
 
 def test_trace_write_failure_leaves_no_partial_trace(tmp_path, monkeypatch):
@@ -817,6 +886,7 @@ def test_cli_render_refuses_a_trace_it_cannot_draw(tmp_path, monkeypatch, capsys
     def no_scene(*args):
         raise SceneGenFailure("no room for the target")
 
+    good = run_episode_traced(RunConfig(planner=PlannerConfig(max_steps=2), base_seed=1), 0)[1]
     monkeypatch.setattr(harness, "generate_scene", no_scene)
     cfg = RunConfig(planner=FAST, episodes=1, base_seed=0)
     run_experiment([cfg], tmp_path / "run", workers=1)
@@ -826,9 +896,19 @@ def test_cli_render_refuses_a_trace_it_cannot_draw(tmp_path, monkeypatch, capsys
     assert [json.loads(line)["type"] for line in trace.read_text().splitlines()] == ["result"]
     malformed = tmp_path / "malformed.jsonl"  # a meta record whose scene lacks fields
     malformed.write_text(json.dumps({"type": "meta", "scene": {"primitives": []}}) + "\n")
+    # a drawable trace's meta record, then a line that is no object; its
+    # records without the robot pose
+    not_object, no_robot = tmp_path / "not_object.jsonl", tmp_path / "no_robot.jsonl"
+    not_object.write_text(json.dumps(good[0]) + "\n3\n")
+    no_robot.write_text("".join(json.dumps({k: v for k, v in rec.items() if k != "robot"})
+                                + "\n" for rec in good))
     for path, message in ((trace, "no scene to draw"),
                           (malformed, r"malformed\.jsonl holds a malformed meta record: "
                                       r"KeyError\('target_id'\)"),
+                          (not_object, r"not_object\.jsonl holds a record that is not an "
+                                       r"object"),
+                          (no_robot, r"no_robot\.jsonl holds a malformed step or result "
+                                     r"record: KeyError\('robot'\)"),
                           (tmp_path / "missing.jsonl", "No such file")):
         out = tmp_path / "img.svg"
         rc = main(["render", "--trace", str(path), "--out", str(out)])

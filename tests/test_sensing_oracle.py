@@ -371,7 +371,7 @@ def test_slab_columns_equal_the_reduced_reference():
 # repeated views: the harness's depth images and the grids' fusion plans
 # ---------------------------------------------------------------------------
 
-POOL = 10  # distinct poses per walk, more than either cache holds
+POOL = VIEW_CACHE_POSES + 2  # distinct poses per walk, more than either cache holds
 
 
 def pose_pool(scene) -> list[Pose3]:
@@ -462,9 +462,9 @@ def test_cached_sensing_equals_fresh_sensing(kind, seed, walk):
 
 
 def test_cached_sensing_stays_oscillates_and_revisits_after_eviction(monkeypatch):
-    # 0 stays, 0-1 oscillate, 2..9 evict 0 and 1, 0 is rendered again, and
-    # 9 and 0 are still kept
-    walk = [0, 0, 0, 1, 0, 1, 0, *range(2, POOL), 0, 9, 0]
+    # 0 stays, 0-1 oscillate, 2..POOL-1 evict 0 and 1, 0 is rendered again,
+    # and POOL-1 and 0 are still kept
+    walk = [0, 0, 0, 1, 0, 1, 0, *range(2, POOL), 0, POOL - 1, 0]
     scene = generate_scene(SceneKind.COMPLEX, False, 4)
     assert walk_cached_and_fresh(scene, walk, monkeypatch) == POOL + 1 == lru_misses(walk)
 

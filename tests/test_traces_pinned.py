@@ -23,7 +23,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 
-from actpermoma.harness import RunConfig, run_episode_traced, run_experiment
+from actpermoma.harness import RunConfig, _run_scene, run_episode_traced, run_experiment
 from actpermoma.planning import PlannerConfig
 from actpermoma.policies import PolicyKind
 from actpermoma.scene import SceneKind
@@ -78,13 +78,28 @@ def test_fixed_experiment_outputs_are_pinned(tmp_path):
     assert got == DIGESTS
 
 
+def tail_cell(kind: PolicyKind) -> RunConfig:
+    return RunConfig(planner=PlannerConfig(max_steps=TAIL_STEPS), scenario=SceneKind.COMPLEX,
+                     episodes=11, base_seed=SEED, policy=kind)
+
+
 def test_tail_episodes_are_pinned():
-    cells = {kind: RunConfig(planner=PlannerConfig(max_steps=TAIL_STEPS),
-                             scenario=SceneKind.COMPLEX, episodes=11, base_seed=SEED,
-                             policy=kind) for kind, _ in TAIL_DIGESTS}
     # two workers, the longest episodes first
     keys = sorted(TAIL_DIGESTS, key=lambda key: key[0] is not PolicyKind.NO_WEIGHTS)
     with ProcessPoolExecutor(max_workers=2) as pool:
-        runs = pool.map(run_episode_traced, [cells[k] for k, _ in keys], [i for _, i in keys])
+        runs = pool.map(run_episode_traced, [tail_cell(k) for k, _ in keys], [i for _, i in keys])
         got = {key: (result.steps, trace_digest(trace)) for key, (result, trace) in zip(keys, runs)}
     assert got == {key: (TAIL_STEPS, digest) for key, digest in TAIL_DIGESTS.items()}
+
+
+def test_tail_episodes_of_one_scene_keep_their_digests_as_one_scene_task():
+    # ActPerMoMa's and NoWeights' episode 2 both run on scene SEED + 2: as
+    # one scene task, the later episode senses and scores through the views
+    # and IG ray visits the earlier one left, over 150 steps, in either order
+    keys = [(PolicyKind.ACTPERMOMA, 2), (PolicyKind.NO_WEIGHTS, 2)]
+    jobs = [(tail_cell(kind), i) for kind, i in keys]
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(_run_scene, [jobs, jobs[::-1]]))
+    for order, ran in zip((keys, keys[::-1]), runs):
+        got = {key: (result.steps, trace_digest(trace)) for key, (result, trace) in zip(order, ran)}
+        assert got == {key: (TAIL_STEPS, TAIL_DIGESTS[key]) for key in keys}
