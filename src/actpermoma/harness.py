@@ -13,6 +13,7 @@ import csv
 import ctypes
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
-from .geom import CellState, Pose2, Pose3, cells_to_rle
+from .geom import CellState, Grid, Pose2, Pose3, cells_to_rle
 from .grasping import (
     GraspDetector,
     GraspOutcome,
@@ -164,18 +165,44 @@ def cached_render(images: dict, scene: Scene, cam: Pose3, intr: CameraIntrinsics
 
 # the views of the last scene this process sensed, shared by its episodes
 # until another scene replaces them: {(kind, hard_grasps, seed): (depth
-# images, target-grid IG ray visits)}; a scene is `generate_scene`'s pure
-# function of that key, and so is each value
+# images, target-grid IG ray visits, belief states, a counter of belief
+# ids)}.  A scene is `generate_scene`'s pure function of that key, and so
+# are the images and visits.  A belief state (`BeliefNode`) is the grids
+# after one history of views, keyed by its parent's id and its last view:
+# fusion is elementwise and a view's image and plan are pure, so both
+# grids, and with them the IG counts, occupancy and A* routes of the state,
+# are a pure function of the scene and its views in order
 _SCENE_VIEWS: dict = {}
+# the belief states a scene keeps (`lru_put`), ~7 KB each on average and
+# 15 KB at most, 4 KB of it the occupancy.  Episodes share the states of
+# their opening views, so the bound must outlast one long episode between
+# two that share: on uncapped table2 (400-step budget, 2 episodes per cell,
+# base seed 300) 512 kept every repeat an unbounded table finds (1,148 of
+# 2,349 states) and 256 kept 288.  512 states take at most ~7.5 MB.
+BELIEF_NODES = 512
+
+
+@dataclass(eq=False)
+class BeliefNode:
+    """What the episodes on one scene share of one belief state, the grids
+    after one history of views: its id, the target grid's IG counts
+    (`TsdfGrid.ig_counts`), `plan_path`'s results on its map (`NavMap.paths`)
+    and its read-only occupancy, once projected."""
+
+    id: int
+    ig_counts: dict = field(default_factory=dict)
+    paths: dict = field(default_factory=dict)
+    occ: Grid | None = None
 
 
 class Episode:
     """One episode's world and belief: the scene, both TSDFs, the detector and
     its tracked grasps, the robot, `d_total`, the occupancy `observe` last
-    projected, and the scene's last views' depth images, fusion plans
-    (`cached_render`) and target-grid IG ray visits, shared with the scene's
-    earlier episodes in this process (`_SCENE_VIEWS`).  A policy decides on
-    what `observe` returns; `move` drives and `sense`s anew."""
+    returned, the belief state (`node`) and the scene's last views' depth
+    images, fusion plans (`cached_render`), target-grid IG ray visits and
+    belief states, shared with the scene's earlier episodes in this process
+    (`_SCENE_VIEWS`).  A policy decides on what `observe` returns; `move`
+    drives and `sense`s anew."""
 
     def __init__(self, cfg: RunConfig, scene: Scene, start: Pose2, policy_seed: int):
         self.cfg, self.scene, self.policy_seed = cfg, scene, policy_seed
@@ -187,27 +214,39 @@ class Episode:
         self.detector = GraspDetector(self.target_tsdf, scene)
         self.robot, self.d_total, self.tracked, self.occ = start, 0.0, [], None
         key = (scene.kind, scene.hard_grasps, scene.seed)
-        self.images, self.target_tsdf.ray_visits = lru_put(
-            _SCENE_VIEWS, key, _SCENE_VIEWS.get(key) or ({}, {}), 1)
+        self.images, self.target_tsdf.ray_visits, self.nodes, self.ids = lru_put(
+            _SCENE_VIEWS, key, _SCENE_VIEWS.get(key) or ({}, {}, {}, itertools.count(1)), 1)
+        self.node = BeliefNode(0)  # the empty grids
 
     def sense(self, cam: Pose3) -> None:
-        """Fuse the depth image seen from `cam` into both grids."""
+        """Fuse the depth image seen from `cam` into both grids and move to
+        the belief state of this view after the current one: the scene's,
+        or a new one with an id no state of the scene had before; the target
+        grid takes its IG counts."""
         img = cached_render(self.images, self.scene, cam, DEFAULT_INTRINSICS)
         integrate_depth(self.target_tsdf, img, cam)
         integrate_depth(self.nav_tsdf, img, cam)
+        key = (self.node.id, (*cam.key(), DEFAULT_INTRINSICS))
+        self.node = lru_put(self.nodes, key,
+                            self.nodes.get(key) or BeliefNode(next(self.ids)), BELIEF_NODES)
+        self.target_tsdf.ig_counts = self.node.ig_counts
 
     def observe(self, step_index: int) -> Belief:
-        """Detect grasps, track their stability and project the occupancy:
-        the belief of step `step_index`."""
+        """Detect grasps, track their stability and project the occupancy,
+        once per belief state: the belief of step `step_index`."""
         raw = self.detector.detect(self.target_tsdf, self.cfg.planner.q_th,
                                    derive_seed(self.policy_seed, "detect", step_index))
         self.tracked = update_stability(self.tracked, raw)
-        self.occ = project_occupancy(self.nav_tsdf, NAV_HEIGHT_BAND)
+        if self.node.occ is None:
+            occ = project_occupancy(self.nav_tsdf, NAV_HEIGHT_BAND)
+            occ.cells.flags.writeable = False
+            self.node.occ = occ
+        self.occ = self.node.occ
         stable = [g for g in self.tracked if g.stable_for >= self.cfg.planner.n_stab]
         return Belief(robot=self.robot, target_tsdf=self.target_tsdf, occ=self.occ,
                       stable_grasps=stable, target_center=self.scene.target_center,
                       target_bbox=self.scene.target_bbox, step_index=step_index,
-                      intr=DEFAULT_INTRINSICS)
+                      intr=DEFAULT_INTRINSICS, paths=self.node.paths)
 
     def move(self, base: Pose2, cam: Pose3) -> CellState:
         """Drive to `base` and sense from `cam`; returns the observed state of

@@ -26,7 +26,9 @@ in one exact batched traversal (`geom.traverse_batch`).  The voxels a pose's
 rays visit depend on the geometry alone, so the grid caches them per exact
 pose, bounded by IG_CACHE_VISITS, and a pose seen before is not traced
 again.  Every call then counts distinct (camera, voxel) hits in one
-vectorized pass over the visits of all its poses.
+vectorized pass over the visits of all its poses.  A count depends on the
+cells too, so it is kept only where the harness asks for it: on the grid of
+one belief state (`TsdfGrid.ig_counts`), which fusion drops.
 """
 
 from __future__ import annotations
@@ -86,6 +88,10 @@ class TsdfGrid:
     # rear_side_ig_batch's ray visits per camera pose, least recently used
     # first; they depend only on the grid geometry
     ray_visits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # rear_side_ig_batch's counts per view of the cells as they are now: None
+    # unless the harness attaches the dict of this belief state, which
+    # `integrate_depth` drops before it changes a cell
+    ig_counts: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = self.grid.cells
@@ -300,7 +306,8 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
 
     Voxels more than one truncation behind the measured surface are left
     untouched (they stay unknown until seen from elsewhere).  No-hit pixels
-    carve free space out to the camera max range.
+    carve free space out to the camera max range.  The grid's IG counts
+    (`TsdfGrid.ig_counts`) describe the cells before the view, so they go.
 
     A view's fusion is its plan (`_fusion_plan`: which voxels it updates and
     with what value), then the cell update (`_fuse_plan`).  The plan reads
@@ -309,6 +316,7 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
     again from the same pose into a grid of the same geometry runs only the
     cell update; any other view builds its plan first.
     """
+    tsdf.ig_counts = None
     g = tsdf.grid
     key = (g.origin.tobytes(), g.cell_size, g.dims, tsdf.truncation, *cam.key())
     if key not in depth.plans:
@@ -408,14 +416,37 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
     voxels) and drops its least recently used poses beyond IG_CACHE_VISITS
     visits, each pose counting one more.  Culled rays would never visit a
     countable voxel, so the counts equal those of tracing every pixel ray.
+
+    A camera's count depends on its rays and the cells alone.  With a
+    counts dict on the grid (`TsdfGrid.ig_counts`, which the harness shares
+    among the episodes on a scene that reach the same views), a camera
+    counted before under the same key and target bbox bytes takes its count
+    from it, and only the others run the three steps.
     """
-    n_cams = len(cams)
-    if n_cams == 0:
-        return np.zeros(0, dtype=np.int64)
     g = tsdf.grid
     box = target_bbox.inflated(g.cell_size * np.sqrt(3.0))
     view = (intr, box.lo.tobytes(), box.hi.tobytes())
     keys = [(*cam.key(), *view) for cam in cams]
+    memo = tsdf.ig_counts
+    bbox = (target_bbox.lo.tobytes(), target_bbox.hi.tobytes())
+    counts = [None if memo is None else memo.get((k, bbox)) for k in keys]
+    missed = [c for c, n in enumerate(counts) if n is None]
+    if missed:
+        fresh = _rear_side_counts(tsdf, [cams[c] for c in missed], [keys[c] for c in missed],
+                                  intr, box, target_bbox)
+        for c, n in zip(missed, fresh.tolist()):
+            counts[c] = n
+            if memo is not None:
+                memo[keys[c], bbox] = n
+    return np.array(counts, dtype=np.int64)
+
+
+def _rear_side_counts(tsdf: TsdfGrid, cams: list[Pose3], keys: list[tuple],
+                      intr: CameraIntrinsics, box: Aabb, target_bbox: Aabb) -> np.ndarray:
+    """Steps 1-3 of `rear_side_ig_batch` for `cams`, whose ray-visit keys
+    are `keys` and whose rays are culled to the inflated bbox `box`."""
+    n_cams = len(cams)
+    g = tsdf.grid
     cache = tsdf.ray_visits
     visits = [cache.get(k) for k in keys]
     missed = [c for c, v in enumerate(visits) if v is None]

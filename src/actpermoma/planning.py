@@ -208,10 +208,14 @@ _FREE, _UNKNOWN, _BLOCKED = 0, 1, 2
 class NavMap:
     """The map one decision plans on: the occupancy grid and its `blocked`
     mask (obstacle cells inflated by the robot radius, from
-    `inflate_occupied`)."""
+    `inflate_occupied`), and `plan_path`'s results on it, kept in `paths`
+    when the caller gives a dict for them.  The harness gives every map of
+    one belief state the same dict (`Belief.paths`), so a map must be
+    that state's occupancy with its `inflate_occupied` mask."""
 
     occ: Grid
     blocked: np.ndarray
+    paths: dict | None = None
 
     @functools.cached_property
     def codes(self) -> list[int]:
@@ -231,12 +235,13 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> np.ndarray:
     cells traversable at a 1.05 step-cost multiplier.
 
     Returns the (n, 2) cell-center positions from the start cell to the
-    goal cell; the start cell itself is always traversable.  Raises NoPath.
+    goal cell, a new array on every call; the start cell itself is always
+    traversable.  Raises NoPath.
 
-    The search runs on `nav.codes` with int cell ids, whose blocked border
-    replaces the bounds test: a bytearray closed set, lists of g-costs and
-    parents, heap entries (f, tie, cell) and the octile heuristic
-    `(max + (sqrt(2) - 1) * min) * cell` inline, in that order.
+    A search is a function of the map and its two cells alone, so with a
+    `nav.paths` dict each (start cell, goal cell) pair is searched once: the
+    dict keeps the read-only positions, or the message of the NoPath, never
+    the exception, whose traceback would keep the searching frames alive.
     """
     occ = nav.occ
     nx, ny = occ.dims
@@ -247,11 +252,36 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> np.ndarray:
             raise NoPath(f"cell {c} outside the grid")
     if nav.blocked[g]:
         raise NoPath("goal cell blocked")
-    cell = occ.cell_size
 
     if s == g:
         return occ.index_to_world_center(np.array([s]))
+    if nav.paths is None:
+        return _search(nav, s, g)
+    key = (*map(int, s), *map(int, g))
+    found = nav.paths.get(key)
+    if found is None:
+        try:
+            found = _search(nav, s, g)
+            found.flags.writeable = False
+        except NoPath as e:
+            found = str(e)
+        nav.paths[key] = found
+    if isinstance(found, str):
+        raise NoPath(found)
+    return found.copy()
 
+
+def _search(nav: NavMap, s: tuple, g: tuple) -> np.ndarray:
+    """`plan_path`'s A* from cell `s` to a different cell `g`, unblocked.
+
+    The search runs on `nav.codes` with int cell ids, whose blocked border
+    replaces the bounds test: a bytearray closed set, lists of g-costs and
+    parents, heap entries (f, tie, cell) and the octile heuristic
+    `(max + (sqrt(2) - 1) * min) * cell` inline, in that order.
+    """
+    occ = nav.occ
+    ny = occ.dims[1]
+    cell = occ.cell_size
     codes = nav.codes
     w = ny + 2  # padded row length: cell (i, j) has id (i + 1) * w + j + 1
     # per neighbor: id offset, (di, dj) and the step cost on a free and on

@@ -72,7 +72,9 @@ PolicyDecision = MoveStep | ExecuteGrasp | Abort
 
 @dataclass
 class Belief:
-    """Everything a policy may look at."""
+    """Everything a policy may look at.  `paths` is where `plan_path` keeps
+    its results on this belief's map (`NavMap.paths`): the harness shares
+    one dict among the episodes on a scene that reach the same views."""
 
     robot: Pose2
     target_tsdf: TsdfGrid
@@ -82,6 +84,7 @@ class Belief:
     target_bbox: Aabb
     step_index: int
     intr: CameraIntrinsics
+    paths: dict | None = None
 
 
 class RouteCache:
@@ -169,6 +172,11 @@ class Policy:
 
     # shared helpers ------------------------------------------------------
 
+    @staticmethod
+    def _nav(belief: Belief) -> NavMap:
+        """The map this decision plans on."""
+        return NavMap(belief.occ, inflate_occupied(belief.occ), belief.paths)
+
     def _move_to(self, belief: Belief, base: Pose2) -> MoveStep:
         """Go to `base` (the robot's own pose waits) and view the target from there."""
         cam = camera_at(base.xy, belief.target_center, self.cam_seed,
@@ -211,7 +219,7 @@ class ActPerMoMaPolicy(Policy):
     def decide(self, belief: Belief) -> PolicyDecision:
         cfg = self.cfg
         target_xy = belief.target_center[:2]
-        nav = NavMap(belief.occ, inflate_occupied(belief.occ))
+        nav = self._nav(belief)
         try:
             # goals drift every few steps: frozen jitter lets two adjacent
             # goals trap the argmax in a visit cycle
@@ -317,7 +325,7 @@ class NaivePolicy(Policy):
         if dist <= cfg.reach_radius:  # no exploration in this baseline
             return self._grasp_here(belief) or self._move_to(belief, belief.robot)
 
-        nav = NavMap(belief.occ, inflate_occupied(belief.occ))
+        nav = self._nav(belief)
         candidates = ([self.current_goal] if self.current_goal is not None else []) \
             + self._ring(belief, nav.blocked)
         for goal in candidates:
@@ -357,7 +365,7 @@ class RandomPolicy(Policy):
                    and float(np.linalg.norm(belief.robot.xy - self.current_goal.xy)) < 1e-9)
         if arrived and (grasp := self._grasp_here(belief)) is not None:
             return grasp
-        nav = NavMap(belief.occ, inflate_occupied(belief.occ))
+        nav = self._nav(belief)
         if arrived or self.current_goal is None:
             self.current_goal = self._sample_goal(belief, nav.blocked)
             if self.current_goal is None:
@@ -405,7 +413,7 @@ class BreyerNbvPolicy(Policy):
         if dist <= cfg.reach_radius and (grasp := self._grasp_here(belief)) is not None:
             return grasp
 
-        nav = NavMap(belief.occ, inflate_occupied(belief.occ))
+        nav = self._nav(belief)
         cams = self.view_poses(belief.target_center)
         feasible = self._feasible(belief, cams, nav.blocked)
         if not feasible:

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import gc
 import json
 import math
 import re
 import time
+import weakref
 from collections import Counter
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -14,8 +16,8 @@ import numpy as np
 import pytest
 
 import actpermoma.harness as harness
-from actpermoma import perception
-from actpermoma.geom import CellState, Pose2, look_at
+from actpermoma import perception, planning, policies
+from actpermoma.geom import CellState, Grid, Pose2, look_at
 from actpermoma.harness import (
     Episode,
     EpisodeResult,
@@ -35,7 +37,8 @@ from actpermoma.harness import (
     sign_test_p,
     summarize,
 )
-from actpermoma.planning import PlannerConfig, camera_at
+from actpermoma.perception import TsdfGrid
+from actpermoma.planning import NavMap, NoPath, PlannerConfig, camera_at
 from actpermoma.policies import Abort, MoveStep, PolicyKind
 from actpermoma.render import render_topdown, render_trace_file
 from actpermoma.scene import (
@@ -397,30 +400,153 @@ def test_run_experiment_pooled_directory_equals_serial_bytes(tmp_path):
     assert pooled == serial
 
 
-def test_a_scene_task_shares_its_views_and_repeats_its_work_exactly(monkeypatch):
-    renders, traversals = [], []
+def count_scene_work(monkeypatch) -> Counter:
+    """Counts, from now on, of the renders, traversals, cameras counted by
+    the IG scorer and A* searches (the last two only for a belief state
+    that keeps them: a grid with IG counts, a map with routes)."""
+    work = Counter()
     real_render, real_traverse = harness.render_depth, perception.traverse_batch
+    real_counts, real_search = perception._rear_side_counts, planning._search
+
+    def counts(tsdf, cams, *args):
+        work["scored"] += len(cams) if tsdf.ig_counts is not None else 0
+        return real_counts(tsdf, cams, *args)
+
+    def search(nav, *args):
+        work["searches"] += nav.paths is not None
+        return real_search(nav, *args)
+
     monkeypatch.setattr(harness, "render_depth",
-                        lambda *args: renders.append(1) or real_render(*args))
+                        lambda *args: work.update(["renders"]) or real_render(*args))
     monkeypatch.setattr(perception, "traverse_batch",
-                        lambda *args: traversals.append(1) or real_traverse(*args))
+                        lambda *args: work.update(["traversals"]) or real_traverse(*args))
+    monkeypatch.setattr(perception, "_rear_side_counts", counts)
+    monkeypatch.setattr(planning, "_search", search)
+    return work
 
-    def task(jobs):  # renders, traversals and the episodes' results and trace bytes
-        renders.clear()
-        traversals.clear()
-        runs = harness._run_scene(jobs)
-        return len(renders), len(traversals), [(r, json.dumps(t)) for r, t in runs]
 
+def scene_task(work: Counter, jobs) -> tuple[Counter, list]:
+    """`_run_scene(jobs)`: the work it did and its results and trace bytes;
+    an episode's exception is raised."""
+    work.clear()
+    runs = harness._run_scene(jobs)
+    for ran in runs:
+        if isinstance(ran, Exception):
+            raise ran
+    return Counter(work), [(r, json.dumps(t)) for r, t in runs]
+
+
+def test_a_scene_task_shares_its_views_and_repeats_its_work_exactly(monkeypatch):
+    work = count_scene_work(monkeypatch)
     # both policies score IG on scene 3, from the same start view
     jobs = [(RunConfig(planner=PlannerConfig(max_steps=6), scenario=SceneKind.COMPLEX,
                        base_seed=3, policy=policy), 0)
             for policy in (PolicyKind.ACTPERMOMA, PolicyKind.NO_WEIGHTS)]
-    together = task(jobs)
-    assert task(jobs) == together  # the second run starts from no kept view
-    alone = [task([job]) for job in jobs]
-    assert together[2] == [ran for *_, (ran,) in alone]
-    assert together[0] < sum(a[0] for a in alone)
-    assert together[1] < sum(a[1] for a in alone)
+    together = scene_task(work, jobs)
+    assert scene_task(work, jobs) == together  # the second run starts from no kept view
+    alone = [scene_task(work, [job]) for job in jobs]
+    assert together[1] == [ran for _, (ran,) in alone]
+    for kind in ("renders", "traversals", "scored", "searches"):
+        assert together[0][kind] < sum(a[0][kind] for a in alone), kind
+
+
+TABLE2_SCENE = 604  # a scene no other test or measurement runs
+
+
+def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
+    """The table2 rows of one scene (one episode each, a 40-step budget) as
+    one scene task.  Every occupancy, IG count and A* result it hands a
+    policy, those a belief state kept from an earlier episode included,
+    equals a fresh computation on the grids or on a copy of the grid or map
+    without them; each episode's trace equals the episode run alone, though
+    together they score fewer cameras and search fewer routes."""
+    real_observe, real_ig, real_plan = Episode.observe, perception.rear_side_ig_batch, \
+        policies.plan_path
+    checked = Counter()
+
+    def observe(episode, step_index):
+        belief = real_observe(episode, step_index)
+        fresh = perception.project_occupancy(episode.nav_tsdf, harness.NAV_HEIGHT_BAND)
+        assert belief.occ.cells.tobytes() == fresh.cells.tobytes()
+        assert not belief.occ.cells.flags.writeable
+        checked["beliefs"] += 1
+        return belief
+
+    def ig(tsdf, cams, intr, bbox):
+        got = real_ig(tsdf, cams, intr, bbox)
+        g = tsdf.grid
+        copy = TsdfGrid(Grid(g.origin.copy(), g.cell_size, g.dims, g.cells.copy()),
+                        tsdf.truncation)
+        assert got.tolist() == real_ig(copy, cams, intr, bbox).tolist()
+        checked["cams"] += len(cams)
+        return got
+
+    def plan(nav, start, goal):
+        got = want = None
+        try:
+            got = real_plan(nav, start, goal)
+        except NoPath as e:
+            got = str(e)
+        try:
+            want = real_plan(NavMap(nav.occ, nav.blocked.copy()), start, goal)
+        except NoPath as e:
+            want = str(e)
+        checked["routes"] += 1
+        if isinstance(want, str):
+            assert got == want
+            raise NoPath(got)
+        assert got.flags.writeable and got.tobytes() == want.tobytes()
+        return got
+
+    work = count_scene_work(monkeypatch)
+    monkeypatch.setattr(Episode, "observe", observe)
+    for owner in (planning, policies):
+        monkeypatch.setattr(owner, "rear_side_ig_batch", ig)
+    monkeypatch.setattr(policies, "plan_path", plan)
+    cells = ablation_preset("table2", episodes=1, base_seed=TABLE2_SCENE)
+    jobs = [(replace(cfg, planner=replace(cfg.planner, max_steps=40)), 0)
+            for cfg in {config_hash(c): c for c in cells if not c.hard_grasps}.values()]
+    assert len(jobs) == 9
+    together = scene_task(work, jobs)
+    alone = [scene_task(work, [job]) for job in jobs]
+    assert together[1] == [ran for _, (ran,) in alone]
+    assert together[0]["scored"] < sum(a[0]["scored"] for a in alone)
+    assert together[0]["searches"] < sum(a[0]["searches"] for a in alone)
+    assert checked["beliefs"] > 0 and checked["cams"] > 0 and checked["routes"] > 0
+
+
+def test_a_scene_task_leaves_no_episode_alive(monkeypatch):
+    # what a scene keeps for its next episodes references no episode: once
+    # the task returns, every episode's grids are freed, and a failed search
+    # is kept as its message, never as the exception, whose traceback would
+    # keep the frames of the episode that raised it
+    grids = []
+    real_search = planning._search
+
+    class Recorded(Episode):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.extend(weakref.ref(t) for t in (self.target_tsdf, self.nav_tsdf))
+
+    def search(nav, s, g):  # a third of the searches fail
+        if (s[0] + g[1]) % 3 == 0:
+            raise NoPath("goal unreachable")
+        return real_search(nav, s, g)
+
+    monkeypatch.setattr(harness, "Episode", Recorded)
+    monkeypatch.setattr(planning, "_search", search)
+    jobs = [(RunConfig(planner=PlannerConfig(max_steps=8), scenario=SceneKind.COMPLEX,
+                       base_seed=TABLE2_SCENE, policy=policy), 0)
+            for policy in (PolicyKind.ACTPERMOMA, PolicyKind.IG_ONLY, PolicyKind.NAIVE)]
+    runs = harness._run_scene(jobs)
+    assert not any(isinstance(r, Exception) for r in runs)
+    gc.collect()
+    assert len(grids) == 6 and all(ref() is None for ref in grids)
+    (_, _, nodes, _), = harness._SCENE_VIEWS.values()
+    kept = [v for node in nodes.values() for memo in (node.ig_counts, node.paths)
+            for v in memo.values()]
+    assert any(isinstance(v, str) for v in kept)
+    assert not any(isinstance(v, BaseException) for v in kept)
 
 
 def test_episodes_share_views_only_with_their_own_scene():

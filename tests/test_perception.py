@@ -782,6 +782,40 @@ def test_ig_cache_bound_counts_poses_without_visits():
             assert len(t.ray_visits) <= 5
 
 
+def test_ig_counts_never_outlive_the_cells_they_count():
+    # the counts the harness attaches for a belief state (TsdfGrid.ig_counts)
+    # are those of the cells as they are: fusing a view drops them, so the
+    # next counts are a fresh grid's, and a grid they were never attached
+    # to is counted afresh whatever is written into its cells
+    scene, t = _fused(SceneKind.COMPLEX, 5, [(1.2, -0.3, 0.45)])
+    c, bbox = scene.target_center, scene.target_bbox
+    cams = [camera_at(c[:2] + 1.1 * np.array([np.cos(a), np.sin(a)]), c, 5, (1.1, 1.3))
+            for a in (0.3, 1.9, 3.5, 5.1)]
+    t.ig_counts = {}
+    before = rear_side_ig_batch(t, cams, IG_INTR, bbox).tolist()
+    assert len(t.ig_counts) == len(cams)
+    assert rear_side_ig_batch(t, cams, IG_INTR, bbox).tolist() == before
+    cam = look_at(c + np.array([-0.4, -1.1, 0.5]), c)
+    integrate_depth(t, render_depth(scene, cam, INTR), cam)
+    assert t.ig_counts is None
+    after = rear_side_ig_batch(t, cams, IG_INTR, bbox).tolist()
+    _, fresh = _fused(SceneKind.COMPLEX, 5, [(1.2, -0.3, 0.45), (-0.4, -1.1, 0.5)])
+    assert after == rear_side_ig_batch(fresh, cams, IG_INTR, bbox).tolist() != before
+    assert after == uncached_counts(fresh, cams, IG_INTR, bbox)
+
+    written, seen = fresh_target_grid(c), []
+    g = written.grid
+    lo, hi = g.world_to_index(bbox.lo), g.world_to_index(bbox.hi) + 1
+    for value in ((0.0, 0.0), (0.5, 1.0), (-0.5, 1.0), (0.0, 0.0)):
+        # the box under a surface on its top two layers, which the views see
+        written.grid.cells[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2] - 2] = value
+        written.grid.cells[lo[0]:hi[0], lo[1]:hi[1], hi[2] - 2:hi[2]] = (-0.5, 1.0)
+        seen.append(rear_side_ig_batch(written, cams, IG_INTR, bbox).tolist())
+        assert written.ig_counts is None
+        assert seen[-1] == uncached_counts(written, cams, IG_INTR, bbox)
+    assert seen[0] == seen[3] != seen[1]
+
+
 IG_EPISODE = """
 import sys
 import numpy
