@@ -14,7 +14,7 @@ import functools
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -208,14 +208,13 @@ _FREE, _UNKNOWN, _BLOCKED = 0, 1, 2
 class NavMap:
     """The map one decision plans on: the occupancy grid and its `blocked`
     mask (obstacle cells inflated by the robot radius, from
-    `inflate_occupied`), and `plan_path`'s results on it, kept in `paths`
-    when the caller gives a dict for them.  The harness gives every map of
-    one belief state the same dict (`Belief.paths`), so a map must be
-    that state's occupancy with its `inflate_occupied` mask."""
+    `inflate_occupied`), and `plan_path`'s results on it, kept in `paths`.
+    A map has its own `paths` unless it is given one; `Policy._nav` is the
+    one caller that gives a shared dict (`Belief.paths`)."""
 
     occ: Grid
     blocked: np.ndarray
-    paths: dict | None = None
+    paths: dict = field(default_factory=dict)
 
     @functools.cached_property
     def codes(self) -> list[int]:
@@ -238,10 +237,10 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> np.ndarray:
     goal cell, a new array on every call; the start cell itself is always
     traversable.  Raises NoPath.
 
-    A search is a function of the map and its two cells alone, so with a
-    `nav.paths` dict each (start cell, goal cell) pair is searched once: the
-    dict keeps the read-only positions, or the message of the NoPath, never
-    the exception, whose traceback would keep the searching frames alive.
+    A search is a function of the map and its two cells alone, so each
+    (start cell, goal cell) pair is searched once per `nav.paths`: the dict
+    keeps the read-only positions, or the message of the NoPath, never the
+    exception, whose traceback would keep the searching frames alive.
     """
     occ = nav.occ
     nx, ny = occ.dims
@@ -255,8 +254,6 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> np.ndarray:
 
     if s == g:
         return occ.index_to_world_center(np.array([s]))
-    if nav.paths is None:
-        return _search(nav, s, g)
     key = (*map(int, s), *map(int, g))
     found = nav.paths.get(key)
     if found is None:

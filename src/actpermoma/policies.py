@@ -84,7 +84,7 @@ class Belief:
     target_bbox: Aabb
     step_index: int
     intr: CameraIntrinsics
-    paths: dict | None = None
+    paths: dict
 
 
 class RouteCache:
@@ -174,7 +174,10 @@ class Policy:
 
     @staticmethod
     def _nav(belief: Belief) -> NavMap:
-        """The map this decision plans on."""
+        """The map this decision plans on.  It takes the belief state's
+        shared routes (`belief.paths`), which are right only for a map of
+        `belief.occ` with the default `inflate_occupied` mask: a map with
+        another mask must keep its own."""
         return NavMap(belief.occ, inflate_occupied(belief.occ), belief.paths)
 
     def _move_to(self, belief: Belief, base: Pose2) -> MoveStep:

@@ -429,7 +429,16 @@ def _corner_case(wall: bool, goal_blocked: bool = False, same: bool = False):
 def test_plan_path_equals_reference_search(case):
     occ, blocked, start, goal = case
     want = _plan_bits(reference_plan_path, occ, start, goal, blocked)
-    assert _plan_bits(plan_path, NavMap(occ, blocked), start, goal) == want
+    nav = NavMap(occ, blocked)
+    assert _plan_bits(plan_path, nav, start, goal) == want
+    # asked again, the map answers from `nav.paths`: the same positions in a
+    # new writable array, or the same NoPath raised again from its message
+    first = None if isinstance(want, str) else plan_path(nav, start, goal)
+    if first is not None:
+        assert first.flags.writeable
+        first[:] = np.nan
+    assert _plan_bits(plan_path, nav, start, goal) == want
+    assert not any(isinstance(v, BaseException) for v in nav.paths.values())
 
 
 # mirror-symmetric maps, where two optimal routes part with two mirrored
