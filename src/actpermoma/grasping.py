@@ -70,7 +70,7 @@ def surface_normals(prim, points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class GraspDetector:
-    """Per-episode detector; precomputes the ground-truth contact shells.
+    """A scene's detector; precomputes the ground-truth contact shells.
 
     The shell of a grasp is the set of true surface voxels within a 3-voxel
     ball of its contact point that face the approach direction: the geometry

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -163,59 +163,117 @@ def cached_render(images: dict, scene: Scene, cam: Pose3, intr: CameraIntrinsics
     return lru_put(images, key, images.get(key) or render_depth(scene, cam, intr))
 
 
-# the views of the last scene this process sensed, shared by its episodes
-# until another scene replaces them: {(kind, hard_grasps, seed): (depth
-# images, target-grid IG ray visits, belief states, a counter of belief
-# ids)}.  A scene is `generate_scene`'s pure function of that key, and so
-# are the images and visits.  A belief state (`BeliefNode`) is the grids
-# after one history of views, keyed by its parent's id and its last view:
-# fusion is elementwise and a view's image and plan are pure, so both
-# grids, and with them the IG counts, occupancy and A* routes of the state,
+# the record of the last scene this process ran, shared by its episodes
+# until another scene replaces it: {(kind, hard_grasps, seed): SceneRecord}.
+# A scene is `generate_scene`'s pure function of that key, and so are its
+# start pose, its detector, its images and its ray visits.  A belief state
+# (`BeliefNode`) is the grids after one history of views, keyed by its
+# parent's id and its last view: fusion is elementwise and a view's image
+# and plan are pure, so both grids, and with them every result a node keeps,
 # are a pure function of the scene and its views in order
 _SCENE_VIEWS: dict = {}
-# the belief states a scene keeps (`lru_put`), ~7 KB each on average and
-# 15 KB at most, 4 KB of it the occupancy.  Episodes share the states of
-# their opening views, so the bound must outlast one long episode between
-# two that share: on uncapped table2 (400-step budget, 2 episodes per cell,
-# base seed 300) 512 kept every repeat an unbounded table finds (1,148 of
-# 2,349 states) and 256 kept 288.  512 states take at most ~7.5 MB.
+# the belief states a scene keeps (`lru_put`).  Episodes share the states
+# of their opening views, so the bound must outlast one long episode
+# between two that share: on uncapped table2 (400-step budget, 2 episodes
+# per cell, base seed 300) 512 kept every repeat an unbounded table finds
+# (1,148 of 2,349 states) and 256 kept 288.  There a state keeps ~15 KB on
+# average and 36 KB at most, ~9 KB of it the occupancy and the obstacle
+# mask, so 512 states take ~8 MB.
 BELIEF_NODES = 512
+
+
+def _read_only(obj) -> None:
+    """Make every array reachable from `obj` through dataclass fields,
+    tuples and lists read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            _read_only(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _read_only(item)
+
+
+@dataclass(eq=False)
+class SceneRecord:
+    """What the episodes of one scene task share: the scene, its start pose,
+    its grasp detector, the depth images and fusion plans of its last views
+    (`cached_render`), the target grid's IG ray visits, its belief states
+    and the counter of their ids.  Every array of the scene and of the
+    detector is read-only."""
+
+    scene: Scene
+    start: Pose2
+    detector: GraspDetector
+    images: dict = field(default_factory=dict)
+    ray_visits: dict = field(default_factory=dict)
+    nodes: dict = field(default_factory=dict)
+    ids: Iterator[int] = field(default_factory=lambda: itertools.count(1))
+
+
+def scene_record(kind: SceneKind, hard_grasps: bool, seed: int) -> SceneRecord:
+    """The record of scene `seed` this process keeps (`_SCENE_VIEWS`), or a
+    new one, which generates the scene, samples its start pose and builds its
+    detector: once per scene task.  A SceneGenFailure propagates and keeps
+    nothing."""
+    key = (kind, hard_grasps, seed)
+    record = _SCENE_VIEWS.get(key)
+    if record is None:
+        scene = generate_scene(kind, hard_grasps, seed)
+        start = sample_start_pose(scene, derive_seed(seed, "start"))
+        detector = GraspDetector(target_grid(scene), scene)
+        # the scene's episodes share these, and the grasps the detector reports
+        _read_only((scene, *vars(detector).values()))
+        record = SceneRecord(scene, start, detector)
+    return lru_put(_SCENE_VIEWS, key, record, 1)
+
+
+def target_grid(scene: Scene) -> TsdfGrid:
+    """An empty target grid: the fine cube around the target."""
+    return TsdfGrid.create_cube(scene.target_center, TARGET_GRID_SIDE, TARGET_GRID_VOXELS)
 
 
 @dataclass(eq=False)
 class BeliefNode:
     """What the episodes on one scene share of one belief state, the grids
     after one history of views: its id, the target grid's IG counts
-    (`TsdfGrid.ig_counts`), `plan_path`'s results on its map (`NavMap.paths`)
-    and its read-only occupancy, once projected."""
+    (`TsdfGrid.ig_counts`), its occupancy once projected, and `detect`'s
+    grasps by (q_th, detect seed).  The policies reach the rest through
+    `Belief.node`: `plan_path`'s results on its map (`NavMap.paths`), its
+    `inflate_occupied` mask once `Policy._nav` builds it, and
+    `sample_base_goal_slots`' slots by (n_b, goal seed, reach radius,
+    epoch).  What a node keeps is read-only: arrays with their `writeable`
+    flag off, lists as tuples, and never an exception."""
 
     id: int
     ig_counts: dict = field(default_factory=dict)
     paths: dict = field(default_factory=dict)
     occ: Grid | None = None
+    grasps: dict = field(default_factory=dict)
+    blocked: np.ndarray | None = None
+    slots: dict = field(default_factory=dict)
 
 
 class Episode:
-    """One episode's world and belief: the scene, both TSDFs, the detector and
-    its tracked grasps, the robot, `d_total`, the occupancy `observe` last
-    returned, the belief state (`node`) and the scene's last views' depth
-    images, fusion plans (`cached_render`), target-grid IG ray visits and
-    belief states, shared with the scene's earlier episodes in this process
-    (`_SCENE_VIEWS`).  A policy decides on what `observe` returns; `move`
-    drives and `sense`s anew."""
+    """One episode's world and belief: the scene task's record
+    (`scene_record`), both TSDFs, the tracked grasps, the robot, `d_total`,
+    the occupancy `observe` last returned and the belief state (`node`).
+    The scene, its start pose, detector, images, fusion plans, target-grid
+    IG ray visits and belief states are the record's, shared with the
+    scene's earlier episodes in this process.  A policy decides on what
+    `observe` returns; `move` drives and `sense`s anew."""
 
-    def __init__(self, cfg: RunConfig, scene: Scene, start: Pose2, policy_seed: int):
-        self.cfg, self.scene, self.policy_seed = cfg, scene, policy_seed
-        self.target_tsdf = TsdfGrid.create_cube(scene.target_center, TARGET_GRID_SIDE,
-                                                TARGET_GRID_VOXELS)
+    def __init__(self, cfg: RunConfig, record: SceneRecord, policy_seed: int):
+        self.cfg, self.scene, self.policy_seed = cfg, record.scene, policy_seed
+        self.target_tsdf = target_grid(record.scene)
         self.nav_tsdf = TsdfGrid.create(np.array([-ARENA_HALF, -ARENA_HALF, 0.0]), NAV_CELL,
                                         (int(2 * ARENA_HALF / NAV_CELL),
                                          int(2 * ARENA_HALF / NAV_CELL), NAV_Z_VOXELS))
-        self.detector = GraspDetector(self.target_tsdf, scene)
-        self.robot, self.d_total, self.tracked, self.occ = start, 0.0, [], None
-        key = (scene.kind, scene.hard_grasps, scene.seed)
-        self.images, self.target_tsdf.ray_visits, self.nodes, self.ids = lru_put(
-            _SCENE_VIEWS, key, _SCENE_VIEWS.get(key) or ({}, {}, {}, itertools.count(1)), 1)
+        self.detector, self.images = record.detector, record.images
+        self.nodes, self.ids = record.nodes, record.ids
+        self.target_tsdf.ray_visits = record.ray_visits
+        self.robot, self.d_total, self.tracked, self.occ = record.start, 0.0, [], None
         self.node = BeliefNode(0)  # the empty grids
 
     def sense(self, cam: Pose3) -> None:
@@ -234,19 +292,23 @@ class Episode:
     def observe(self, step_index: int) -> Belief:
         """Detect grasps, track their stability and project the occupancy,
         once per belief state: the belief of step `step_index`."""
-        raw = self.detector.detect(self.target_tsdf, self.cfg.planner.q_th,
-                                   derive_seed(self.policy_seed, "detect", step_index))
+        node, q_th = self.node, self.cfg.planner.q_th
+        seed = derive_seed(self.policy_seed, "detect", step_index)
+        raw = node.grasps.get((q_th, seed))
+        if raw is None:
+            raw = node.grasps[q_th, seed] = tuple(self.detector.detect(self.target_tsdf,
+                                                                       q_th, seed))
         self.tracked = update_stability(self.tracked, raw)
-        if self.node.occ is None:
+        if node.occ is None:
             occ = project_occupancy(self.nav_tsdf, NAV_HEIGHT_BAND)
             occ.cells.flags.writeable = False
-            self.node.occ = occ
-        self.occ = self.node.occ
+            node.occ = occ
+        self.occ = node.occ
         stable = [g for g in self.tracked if g.stable_for >= self.cfg.planner.n_stab]
         return Belief(robot=self.robot, target_tsdf=self.target_tsdf, occ=self.occ,
                       stable_grasps=stable, target_center=self.scene.target_center,
                       target_bbox=self.scene.target_bbox, step_index=step_index,
-                      intr=DEFAULT_INTRINSICS, paths=self.node.paths)
+                      intr=DEFAULT_INTRINSICS, node=node)
 
     def move(self, base: Pose2, cam: Pose3) -> CellState:
         """Drive to `base` and sense from `cam`; returns the observed state of
@@ -276,13 +338,13 @@ def run_episode_traced(cfg: RunConfig, episode_index: int
     trace: list[dict] = []
     occupancy: dict = {}
     try:
-        scene = generate_scene(cfg.scenario, cfg.hard_grasps, scene_seed)
-        start = sample_start_pose(scene, derive_seed(scene_seed, "start"))
+        record = scene_record(cfg.scenario, cfg.hard_grasps, scene_seed)
     except SceneGenFailure as e:  # the trace is the result record alone
         outcome, reason, step_index, d_total = Outcome.ABORT, f"scene generation: {e}", 0, 0.0
     else:
+        scene, start = record.scene, record.start
         policy = make_policy(cfg.policy, cfg.planner, policy_seed, maps)
-        ep = Episode(cfg, scene, start, policy_seed)
+        ep = Episode(cfg, record, policy_seed)
         trace.append({"type": "meta", "scene": scene_to_dict(scene),
                       "start": [start.x, start.y, start.theta],
                       "policy": cfg.policy.value, "scene_seed": scene_seed,

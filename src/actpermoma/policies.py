@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from .planning import (
 )
 from .scene import CameraIntrinsics
 from .seeding import derive_seed, rng_from
+
+if TYPE_CHECKING:
+    from .harness import BeliefNode
 
 
 class PolicyKind(str, Enum):
@@ -72,9 +76,11 @@ PolicyDecision = MoveStep | ExecuteGrasp | Abort
 
 @dataclass
 class Belief:
-    """Everything a policy may look at.  `paths` is where `plan_path` keeps
-    its results on this belief's map (`NavMap.paths`): the harness shares
-    one dict among the episodes on a scene that reach the same views."""
+    """Everything a policy may look at.  `node` is the belief state, which
+    the harness shares among the episodes on a scene that reach the same
+    views: a policy keeps there what depends on the state alone, its
+    read-only obstacle mask (`Policy._nav`), `plan_path`'s results on its
+    map (`NavMap.paths`) and its base goal slots (`ActPerMoMaPolicy`)."""
 
     robot: Pose2
     target_tsdf: TsdfGrid
@@ -84,7 +90,7 @@ class Belief:
     target_bbox: Aabb
     step_index: int
     intr: CameraIntrinsics
-    paths: dict
+    node: BeliefNode
 
 
 class RouteCache:
@@ -174,11 +180,17 @@ class Policy:
 
     @staticmethod
     def _nav(belief: Belief) -> NavMap:
-        """The map this decision plans on.  It takes the belief state's
-        shared routes (`belief.paths`), which are right only for a map of
-        `belief.occ` with the default `inflate_occupied` mask: a map with
-        another mask must keep its own."""
-        return NavMap(belief.occ, inflate_occupied(belief.occ), belief.paths)
+        """The map this decision plans on: `belief.occ` with the default
+        `inflate_occupied` mask, built the first time a decision plans on the
+        belief state and kept read-only in `belief.node.blocked`.  It takes
+        the state's shared routes (`belief.node.paths`), which are right only
+        for this mask: a map with another mask must keep its own."""
+        node = belief.node
+        if node.blocked is None:
+            blocked = inflate_occupied(belief.occ)
+            blocked.flags.writeable = False
+            node.blocked = blocked
+        return NavMap(belief.occ, node.blocked, node.paths)
 
     def _move_to(self, belief: Belief, base: Pose2) -> MoveStep:
         """Go to `base` (the robot's own pose waits) and view the target from there."""
@@ -223,15 +235,19 @@ class ActPerMoMaPolicy(Policy):
         cfg = self.cfg
         target_xy = belief.target_center[:2]
         nav = self._nav(belief)
-        try:
-            # goals drift every few steps: frozen jitter lets two adjacent
-            # goals trap the argmax in a visit cycle
-            slots = sample_base_goal_slots(belief.occ, target_xy, cfg.n_b,
-                                           self.goal_seed, cfg.reach_radius,
-                                           blocked=nav.blocked,
-                                           epoch=belief.step_index // self.GOAL_EPOCH)
-        except NoFeasibleGoals:
-            return Abort("no feasible base goals")
+        # goals drift every few steps: frozen jitter lets two adjacent goals
+        # trap the argmax in a visit cycle
+        epoch = belief.step_index // self.GOAL_EPOCH
+        key = (cfg.n_b, self.goal_seed, cfg.reach_radius, epoch)
+        slots = belief.node.slots.get(key)
+        if slots is None:  # a state's slots, kept as a tuple; NoFeasibleGoals is not kept
+            try:
+                slots = tuple(sample_base_goal_slots(belief.occ, target_xy, cfg.n_b,
+                                                     self.goal_seed, cfg.reach_radius,
+                                                     blocked=nav.blocked, epoch=epoch))
+            except NoFeasibleGoals:
+                return Abort("no feasible base goals")
+            belief.node.slots[key] = slots
         paths = []
         for slot, goal in slots:
             try:

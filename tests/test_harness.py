@@ -18,6 +18,7 @@ import pytest
 import actpermoma.harness as harness
 from actpermoma import perception, planning, policies
 from actpermoma.geom import CellState, Grid, Pose2, look_at
+from actpermoma.grasping import GraspDetector
 from actpermoma.harness import (
     Episode,
     EpisodeResult,
@@ -38,7 +39,7 @@ from actpermoma.harness import (
     summarize,
 )
 from actpermoma.perception import TsdfGrid
-from actpermoma.planning import NavMap, NoPath, PlannerConfig, camera_at
+from actpermoma.planning import NavMap, NoFeasibleGoals, NoPath, PlannerConfig, camera_at
 from actpermoma.policies import Abort, MoveStep, PolicyKind
 from actpermoma.render import render_topdown, render_trace_file
 from actpermoma.scene import (
@@ -48,7 +49,9 @@ from actpermoma.scene import (
     generate_scene,
     render_depth,
     sample_start_pose,
+    scene_to_dict,
 )
+from actpermoma.seeding import derive_seed
 
 FAST = PlannerConfig(max_steps=50)
 
@@ -401,26 +404,30 @@ def test_run_experiment_pooled_directory_equals_serial_bytes(tmp_path):
 
 
 def count_scene_work(monkeypatch) -> Counter:
-    """Counts, from now on, of the renders, traversals, A* searches and
-    cameras counted by the IG scorer (only on a grid that keeps IG counts)."""
+    """Counts, from now on, of the renders, traversals, A* searches, cameras
+    counted by the IG scorer (only on a grid that keeps IG counts), grasp
+    detections, obstacle masks, goal slot samplings, detector builds and
+    scene generations."""
     work = Counter()
-    real_render, real_traverse = harness.render_depth, perception.traverse_batch
-    real_counts, real_search = perception._rear_side_counts, planning._search
 
-    def counts(tsdf, cams, *args):
-        work["scored"] += len(cams) if tsdf.ig_counts is not None else 0
-        return real_counts(tsdf, cams, *args)
+    def tally(owner, attr: str, kind: str, count=lambda *args: 1) -> None:
+        real = getattr(owner, attr)
 
-    def search(nav, *args):
-        work["searches"] += 1
-        return real_search(nav, *args)
+        def counted(*args, **kwargs):
+            work[kind] += count(*args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
 
-    monkeypatch.setattr(harness, "render_depth",
-                        lambda *args: work.update(["renders"]) or real_render(*args))
-    monkeypatch.setattr(perception, "traverse_batch",
-                        lambda *args: work.update(["traversals"]) or real_traverse(*args))
-    monkeypatch.setattr(perception, "_rear_side_counts", counts)
-    monkeypatch.setattr(planning, "_search", search)
+    tally(harness, "render_depth", "renders")
+    tally(perception, "traverse_batch", "traversals")
+    tally(perception, "_rear_side_counts", "scored",
+          lambda tsdf, cams, *args: len(cams) if tsdf.ig_counts is not None else 0)
+    tally(planning, "_search", "searches")
+    tally(GraspDetector, "detect", "detects")
+    tally(policies, "inflate_occupied", "masks")
+    tally(policies, "sample_base_goal_slots", "slots")
+    tally(GraspDetector, "__init__", "detectors")
+    tally(harness, "generate_scene", "scenes")
     return work
 
 
@@ -435,6 +442,10 @@ def scene_task(work: Counter, jobs) -> tuple[Counter, list]:
     return Counter(work), [(r, json.dumps(t)) for r, t in runs]
 
 
+SHARED_WORK = ("renders", "traversals", "scored", "searches", "detects", "masks", "slots",
+               "detectors", "scenes")
+
+
 def test_a_scene_task_shares_its_views_and_repeats_its_work_exactly(monkeypatch):
     work = count_scene_work(monkeypatch)
     # both policies score IG on scene 3, from the same start view
@@ -445,22 +456,41 @@ def test_a_scene_task_shares_its_views_and_repeats_its_work_exactly(monkeypatch)
     assert scene_task(work, jobs) == together  # the second run starts from no kept view
     alone = [scene_task(work, [job]) for job in jobs]
     assert together[1] == [ran for _, (ran,) in alone]
-    for kind in ("renders", "traversals", "scored", "searches"):
+    for kind in SHARED_WORK:
         assert together[0][kind] < sum(a[0][kind] for a in alone), kind
+    assert together[0]["detectors"] == together[0]["scenes"] == 1
 
 
 TABLE2_SCENE = 604  # a scene no other test or measurement runs
 
 
+def grasp_rows(grasps) -> list[tuple]:
+    return [(g.voxel, g.quality, g.coverage, g.truth_index, g.stable_for, g.arm,
+             g.pose.position.tobytes(), g.pose.orientation.tobytes()) for g in grasps]
+
+
+def detector_rows(detector: GraspDetector) -> list:
+    return [detector.voxels, [(s.shape, s.tobytes()) for s in detector.shells],
+            [(p.position.tobytes(), p.orientation.tobytes()) for p in detector._world_poses]]
+
+
 def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
     """The table2 rows of one scene (one episode each, a 40-step budget) as
-    one scene task.  Every occupancy, IG count and A* result it hands a
-    policy, those a belief state kept from an earlier episode included,
-    equals a fresh computation on the grids or on a copy of the grid or map
-    without them; each episode's trace equals the episode run alone, though
-    together they score fewer cameras and search fewer routes."""
+    one scene task.  Every occupancy, grasp detection, obstacle mask, goal
+    slot list, IG count and A* result it hands a policy, those a belief
+    state kept from an earlier episode included, equals a fresh computation
+    on the grids, on a copy of the grid or map without them, or with a scene
+    and detector built anew; the scene, start pose and detector the task
+    shares equal freshly built ones; each episode's trace equals the episode
+    run alone, though together they score fewer cameras and search fewer
+    routes."""
+    scene = generate_scene(SceneKind.COMPLEX, False, TABLE2_SCENE)
+    start = sample_start_pose(scene, derive_seed(TABLE2_SCENE, "start"))
+    detector = GraspDetector(harness.target_grid(scene), scene)
     real_observe, real_ig, real_plan = Episode.observe, perception.rear_side_ig_batch, \
         policies.plan_path
+    real_detect, real_nav = GraspDetector.detect, policies.Policy._nav
+    real_decide = policies.ActPerMoMaPolicy.decide
     checked = Counter()
 
     def observe(episode, step_index):
@@ -468,8 +498,36 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
         fresh = perception.project_occupancy(episode.nav_tsdf, harness.NAV_HEIGHT_BAND)
         assert belief.occ.cells.tobytes() == fresh.cells.tobytes()
         assert not belief.occ.cells.flags.writeable
+        q_th = episode.cfg.planner.q_th
+        seed = derive_seed(episode.policy_seed, "detect", step_index)
+        got = belief.node.grasps[q_th, seed]
+        assert isinstance(got, tuple)
+        assert grasp_rows(got) == grasp_rows(real_detect(detector, episode.target_tsdf,
+                                                         q_th, seed))
         checked["beliefs"] += 1
+        checked["grasps"] += len(got)
         return belief
+
+    def nav(belief):
+        got = real_nav(belief)
+        assert got.blocked is belief.node.blocked and not got.blocked.flags.writeable
+        assert np.array_equal(got.blocked, planning.inflate_occupied(belief.occ))
+        checked["masks"] += 1
+        return got
+
+    def decide(policy, belief):
+        decision = real_decide(policy, belief)
+        cfg, epoch = policy.cfg, belief.step_index // policy.GOAL_EPOCH
+        try:
+            want = tuple(planning.sample_base_goal_slots(
+                belief.occ, belief.target_center[:2], cfg.n_b, policy.goal_seed,
+                cfg.reach_radius, blocked=planning.inflate_occupied(belief.occ), epoch=epoch))
+        except NoFeasibleGoals:
+            want = None  # not kept
+        assert belief.node.slots.get((cfg.n_b, policy.goal_seed, cfg.reach_radius,
+                                      epoch)) == want
+        checked["slots"] += 1
+        return decision
 
     def ig(tsdf, cams, intr, bbox):
         got = real_ig(tsdf, cams, intr, bbox)
@@ -501,6 +559,8 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
 
     work = count_scene_work(monkeypatch)
     monkeypatch.setattr(Episode, "observe", observe)
+    monkeypatch.setattr(policies.Policy, "_nav", staticmethod(nav))
+    monkeypatch.setattr(policies.ActPerMoMaPolicy, "decide", decide)
     for owner in (planning, policies):
         monkeypatch.setattr(owner, "rear_side_ig_batch", ig)
     monkeypatch.setattr(policies, "plan_path", plan)
@@ -509,11 +569,79 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
             for cfg in {config_hash(c): c for c in cells if not c.hard_grasps}.values()]
     assert len(jobs) == 9
     together = scene_task(work, jobs)
+    (record,) = harness._SCENE_VIEWS.values()
+    assert scene_to_dict(record.scene) == scene_to_dict(scene) and record.start == start
+    assert detector_rows(record.detector) == detector_rows(detector)
     alone = [scene_task(work, [job]) for job in jobs]
     assert together[1] == [ran for _, (ran,) in alone]
-    assert together[0]["scored"] < sum(a[0]["scored"] for a in alone)
-    assert together[0]["searches"] < sum(a[0]["searches"] for a in alone)
-    assert checked["beliefs"] > 0 and checked["cams"] > 0 and checked["routes"] > 0
+    for kind in SHARED_WORK:
+        assert together[0][kind] < sum(a[0][kind] for a in alone), kind
+    assert all(checked[k] > 0 for k in ("beliefs", "grasps", "masks", "slots", "cams",
+                                        "routes"))
+
+
+def test_a_scene_task_keeps_its_shared_results_read_only():
+    # the results a belief state keeps, the scene, its start pose and its
+    # detector are shared by the scene's later episodes: a write to any of
+    # them raises rather than changing what those episodes see
+    jobs = [(RunConfig(planner=PlannerConfig(max_steps=12), scenario=SceneKind.COMPLEX,
+                       base_seed=3, policy=policy), 0)
+            for policy in (PolicyKind.ACTPERMOMA, PolicyKind.NAIVE)]
+    assert not any(isinstance(r, Exception) for r in harness._run_scene(jobs))
+    (record,) = harness._SCENE_VIEWS.values()
+    nodes = list(record.nodes.values())
+    masks = [node.blocked for node in nodes if node.blocked is not None]
+    detections = [found for node in nodes for found in node.grasps.values()]
+    slots = [kept for node in nodes for kept in node.slots.values()]
+    grasps = [g for found in detections for g in found]
+    assert masks and detections and slots and grasps
+    for mask in masks:
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+    for container in detections + slots:
+        with pytest.raises(TypeError):
+            container[0] = None
+    arrays = [record.scene.target_center, record.scene.target_bbox.lo,
+              *record.detector.shells, record.detector._shell_owner]
+    arrays += [p.pose.position for p in record.scene.primitives]
+    arrays += [a for g in grasps for a in (g.pose.position, g.pose.orientation)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
+def test_a_scene_task_whose_scene_fails_keeps_nothing(monkeypatch):
+    # scene TABLE2_SCENE + 1 fails to generate: each episode on it tries
+    # anew, ends with the abort trace it gets alone, and no record is kept;
+    # the other scene of the cells runs as before
+    real_generate = harness.generate_scene
+
+    def generate(kind, hard, seed):
+        if seed == TABLE2_SCENE + 1:
+            raise SceneGenFailure("no room for the target")
+        return real_generate(kind, hard, seed)
+
+    monkeypatch.setattr(harness, "generate_scene", generate)
+    work = count_scene_work(monkeypatch)  # counts the failed generations too
+    cfgs = [RunConfig(planner=PlannerConfig(max_steps=6), scenario=SceneKind.COMPLEX,
+                      episodes=2, base_seed=TABLE2_SCENE, policy=policy)
+            for policy in (PolicyKind.ACTPERMOMA, PolicyKind.IG_ONLY, PolicyKind.NAIVE)]
+    for i in (0, 1):
+        jobs = [(cfg, i) for cfg in cfgs]
+        together = scene_task(work, jobs)
+        kept = list(harness._SCENE_VIEWS)
+        alone = [scene_task(work, [job]) for job in jobs]
+        assert together[1] == [ran for _, (ran,) in alone]
+        if i == 0:
+            assert kept == [(SceneKind.COMPLEX, False, TABLE2_SCENE)]
+            assert together[0]["scenes"] == together[0]["detectors"] == 1
+        else:
+            assert kept == [] and harness._SCENE_VIEWS == {}
+            assert together[0]["scenes"] == len(jobs) and together[0]["detectors"] == 0
+            for result, trace in together[1]:
+                assert result.outcome is Outcome.ABORT and result.steps == 0
+                assert result.abort_reason == "scene generation: no room for the target"
+                assert [rec["type"] for rec in json.loads(trace)] == ["result"]
 
 
 def test_a_scene_task_leaves_no_episode_alive(monkeypatch):
@@ -543,8 +671,8 @@ def test_a_scene_task_leaves_no_episode_alive(monkeypatch):
     assert not any(isinstance(r, Exception) for r in runs)
     gc.collect()
     assert len(grids) == 6 and all(ref() is None for ref in grids)
-    (_, _, nodes, _), = harness._SCENE_VIEWS.values()
-    kept = [v for node in nodes.values() for memo in (node.ig_counts, node.paths)
+    (record,) = harness._SCENE_VIEWS.values()
+    kept = [v for node in record.nodes.values() for memo in (node.ig_counts, node.paths)
             for v in memo.values()]
     assert any(isinstance(v, str) for v in kept)
     assert not any(isinstance(v, BaseException) for v in kept)
@@ -554,9 +682,9 @@ def test_episodes_share_views_only_with_their_own_scene():
     cam = look_at(np.array([1.2, -0.5, 1.2]), np.array([0.0, 0.0, 0.75]))
 
     def sensed(kind: SceneKind, hard: bool, seed: int) -> Episode:
-        scene = generate_scene(kind, hard, seed)
-        episode = Episode(RunConfig(scenario=kind, hard_grasps=hard), scene,
-                          sample_start_pose(scene, seed), seed)
+        episode = Episode(RunConfig(scenario=kind, hard_grasps=hard),
+                          harness.scene_record(kind, hard, seed), seed)
+        scene = episode.scene
         episode.sense(cam)
         perception.rear_side_ig_batch(episode.target_tsdf, [cam], DEFAULT_INTRINSICS,
                                       scene.target_bbox)

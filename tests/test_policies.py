@@ -7,7 +7,7 @@ import pytest
 
 from actpermoma.geom import CellState, Pose2, Pose3
 from actpermoma.grasping import Arm, Grasp, build_map_pair
-from actpermoma.harness import Episode, RunConfig, run_episode_traced
+from actpermoma.harness import Episode, RunConfig, run_episode_traced, scene_record
 from actpermoma.perception import rear_side_ig_batch
 from actpermoma.planning import (
     NavMap,
@@ -36,7 +36,7 @@ from actpermoma.policies import (
     RouteCache,
     make_policy,
 )
-from actpermoma.scene import SceneKind, generate_scene, sample_start_pose
+from actpermoma.scene import SceneKind
 from actpermoma.seeding import derive_seed
 
 MAPS = build_map_pair()
@@ -47,9 +47,9 @@ def make_belief(seed=3, kind=SceneKind.SIMPLE, views=2, cfg=None, step_index=0):
     `seed`) that sensed `views` times from its start pose.  The belief holds
     no stable grasp: a test fabricates the grasps it needs."""
     cfg = cfg or PlannerConfig()
-    scene = generate_scene(kind, False, seed)
-    start = sample_start_pose(scene, derive_seed(seed, "start"))
-    episode = Episode(RunConfig(planner=cfg, scenario=kind), scene, start, seed)
+    record = scene_record(kind, False, seed)
+    scene, start = record.scene, record.start
+    episode = Episode(RunConfig(planner=cfg, scenario=kind), record, seed)
     cam = camera_at(start.xy, scene.target_center, derive_seed(seed, "torso"), cfg.torso_band)
     for _ in range(views):
         episode.sense(cam)
