@@ -213,14 +213,18 @@ class Ray:
 
 @dataclass(frozen=True)
 class Aabb:
-    """Axis-aligned box given by min/max corners."""
+    """Axis-aligned box given by min/max corners.  A box is a value: its
+    corners are read-only copies, so the boxes a shared scene computes
+    lazily (`Primitive.world_aabb`) are as read-only as the rest of it."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float).reshape(-1))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float).reshape(-1))
+        for name in ("lo", "hi"):
+            corner = np.array(getattr(self, name), dtype=float).reshape(-1)
+            corner.flags.writeable = False
+            object.__setattr__(self, name, corner)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)

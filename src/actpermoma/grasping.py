@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .geom import CellState, Pose2, Pose3, quat_rotate, wrap_angle
-from .perception import TsdfGrid
+from .perception import TsdfGrid, read_only
 from .scene import TABLE_HEIGHT, Approach, Scene, primitive_sdf
 
 # execution success model
@@ -245,9 +245,7 @@ def build_map_pair() -> MapPair:
     """The two arms' maps, built once per process.  They are constants that
     every caller shares, so their arrays are read-only."""
     pair = build_reachability_map(Arm.LEFT), build_reachability_map(Arm.RIGHT)
-    for m in pair:
-        for a in (m.dist_edges, m.height_edges, m.scores):
-            a.flags.writeable = False
+    read_only(pair)
     return pair
 
 

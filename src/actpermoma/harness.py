@@ -30,7 +30,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
-from .geom import CellState, Grid, Pose2, Pose3, cells_to_rle
+from .geom import CellState, Pose2, Pose3, cells_to_rle
 from .grasping import (
     GraspDetector,
     GraspOutcome,
@@ -38,7 +38,7 @@ from .grasping import (
     execute_grasp,
     update_stability,
 )
-from .perception import TsdfGrid, integrate_depth, lru_put, project_occupancy
+from .perception import VIEW_CACHE_POSES, TsdfGrid, integrate_depth, keep, project_occupancy
 from .planning import PlannerConfig, camera_at, state_at
 from .policies import Abort, Belief, MoveStep, PolicyKind, make_policy
 from .scene import (
@@ -153,46 +153,31 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 
 def cached_render(images: dict, scene: Scene, cam: Pose3, intr: CameraIntrinsics
                   ) -> DepthImage:
-    """`render_depth(scene, cam, intr)`, kept in `images`: one scene's depth
-    images of its last VIEW_CACHE_POSES views, least recently used first.
-    `images` holds views of `scene` alone, so an image is a pure function of
-    the exact pose and the intrinsics; a view that repeats a kept one (of any
-    episode on the scene) reuses its read-only image and the fusion plans it
-    carries, and only the others call this module's `render_depth`."""
-    key = (*cam.key(), intr)
-    return lru_put(images, key, images.get(key) or render_depth(scene, cam, intr))
+    """`render_depth(scene, cam, intr)`, kept in `images` (`keep`), the last
+    VIEW_CACHE_POSES views of `scene`: a view that repeats one of them
+    reuses its image and the fusion plans it carries."""
+    return keep(images, (*cam.key(), intr), lambda: render_depth(scene, cam, intr),
+                VIEW_CACHE_POSES)
 
 
-# the record of the last scene this process ran, shared by its episodes
-# until another scene replaces it: {(kind, hard_grasps, seed): SceneRecord}.
-# A scene is `generate_scene`'s pure function of that key, and so are its
-# start pose, its detector, its images and its ray visits.  A belief state
-# (`BeliefNode`) is the grids after one history of views, keyed by its
-# parent's id and its last view: fusion is elementwise and a view's image
-# and plan are pure, so both grids, and with them every result a node keeps,
-# are a pure function of the scene and its views in order
+# the record of the last scene this process ran, kept (`keep`, bound 1) for
+# the episodes of its scene task: {(kind, hard_grasps, seed): SceneRecord}.
+# Everything they share is a pure function of its key, as `keep` asks.  The
+# scene is `generate_scene`'s function of the record's key, and so are its
+# start pose, detector, images and ray visits.  A belief state (`BeliefNode`)
+# is the grids after one history of views, keyed by its parent's id and its
+# last view: fusion is elementwise and a view's image and plan are pure, so
+# both grids, and every result kept on the state, are a pure function of
+# the scene and its views in order
 _SCENE_VIEWS: dict = {}
-# the belief states a scene keeps (`lru_put`).  Episodes share the states
-# of their opening views, so the bound must outlast one long episode
-# between two that share: on uncapped table2 (400-step budget, 2 episodes
-# per cell, base seed 300) 512 kept every repeat an unbounded table finds
-# (1,148 of 2,349 states) and 256 kept 288.  There a state keeps ~15 KB on
-# average and 36 KB at most, ~9 KB of it the occupancy and the obstacle
-# mask, so 512 states take ~8 MB.
+# the belief states a scene keeps.  Episodes share the states of their
+# opening views, so the bound must outlast one long episode between two
+# that share: on uncapped table2 (400-step budget, 2 episodes per cell,
+# base seed 300) 512 kept every repeat an unbounded table finds (1,148 of
+# 2,349 states) and 256 kept 288.  There a state keeps ~15 KB on average
+# and 36 KB at most, ~9 KB of it the occupancy and the obstacle mask, so
+# 512 states take ~8 MB.
 BELIEF_NODES = 512
-
-
-def _read_only(obj) -> None:
-    """Make every array reachable from `obj` through dataclass fields,
-    tuples and lists read-only."""
-    if isinstance(obj, np.ndarray):
-        obj.flags.writeable = False
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            _read_only(getattr(obj, f.name))
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            _read_only(item)
 
 
 @dataclass(eq=False)
@@ -200,8 +185,7 @@ class SceneRecord:
     """What the episodes of one scene task share: the scene, its start pose,
     its grasp detector, the depth images and fusion plans of its last views
     (`cached_render`), the target grid's IG ray visits, its belief states
-    and the counter of their ids.  Every array of the scene and of the
-    detector is read-only."""
+    and the counter of their ids."""
 
     scene: Scene
     start: Pose2
@@ -217,16 +201,12 @@ def scene_record(kind: SceneKind, hard_grasps: bool, seed: int) -> SceneRecord:
     new one, which generates the scene, samples its start pose and builds its
     detector: once per scene task.  A SceneGenFailure propagates and keeps
     nothing."""
-    key = (kind, hard_grasps, seed)
-    record = _SCENE_VIEWS.get(key)
-    if record is None:
+    def make() -> SceneRecord:
         scene = generate_scene(kind, hard_grasps, seed)
         start = sample_start_pose(scene, derive_seed(seed, "start"))
-        detector = GraspDetector(target_grid(scene), scene)
-        # the scene's episodes share these, and the grasps the detector reports
-        _read_only((scene, *vars(detector).values()))
-        record = SceneRecord(scene, start, detector)
-    return lru_put(_SCENE_VIEWS, key, record, 1)
+        return SceneRecord(scene, start, GraspDetector(target_grid(scene), scene))
+
+    return keep(_SCENE_VIEWS, (kind, hard_grasps, seed), make, 1)
 
 
 def target_grid(scene: Scene) -> TsdfGrid:
@@ -236,42 +216,37 @@ def target_grid(scene: Scene) -> TsdfGrid:
 
 @dataclass(eq=False)
 class BeliefNode:
-    """What the episodes on one scene share of one belief state, the grids
-    after one history of views: its id, the target grid's IG counts
-    (`TsdfGrid.ig_counts`), its occupancy once projected, and `detect`'s
-    grasps by (q_th, detect seed).  The policies reach the rest through
-    `Belief.node`: `plan_path`'s results on its map (`NavMap.paths`), its
-    `inflate_occupied` mask once `Policy._nav` builds it, and
-    `sample_base_goal_slots`' slots by (n_b, goal seed, reach radius,
-    epoch).  What a node keeps is read-only: arrays with their `writeable`
-    flag off, lists as tuples, and never an exception."""
+    """A belief state: its id, and in `kept` (`keep`) the results computed
+    on it, each under a key that names what computed it:
+
+    - `("detect", q_th, detect seed)`: `GraspDetector.detect`'s grasps;
+    - `"occupancy"`: `project_occupancy`'s map of the nav grid;
+    - `"blocked"`: the `inflate_occupied` mask (`Policy._nav`);
+    - `("slots", n_b, goal seed, reach radius, epoch)`: the base goal slots;
+    - four ints, the start and goal cells: `plan_path`'s route or NoPath
+      message (`NavMap.paths`);
+    - a pair led by the camera's key tuple: `rear_side_ig_batch`'s count
+      (`TsdfGrid.ig_counts`).
+
+    A key is a str, a tuple led by a str, a tuple of four ints or a pair led
+    by a tuple, so no two producers share one."""
 
     id: int
-    ig_counts: dict = field(default_factory=dict)
-    paths: dict = field(default_factory=dict)
-    occ: Grid | None = None
-    grasps: dict = field(default_factory=dict)
-    blocked: np.ndarray | None = None
-    slots: dict = field(default_factory=dict)
+    kept: dict = field(default_factory=dict)
 
 
 class Episode:
-    """One episode's world and belief: the scene task's record
-    (`scene_record`), both TSDFs, the tracked grasps, the robot, `d_total`,
-    the occupancy `observe` last returned and the belief state (`node`).
-    The scene, its start pose, detector, images, fusion plans, target-grid
-    IG ray visits and belief states are the record's, shared with the
-    scene's earlier episodes in this process.  A policy decides on what
+    """One episode's world and belief: its scene task's `record`, both
+    TSDFs, the tracked grasps, the robot, `d_total`, the occupancy `observe`
+    last returned and the belief state (`node`).  A policy decides on what
     `observe` returns; `move` drives and `sense`s anew."""
 
     def __init__(self, cfg: RunConfig, record: SceneRecord, policy_seed: int):
-        self.cfg, self.scene, self.policy_seed = cfg, record.scene, policy_seed
+        self.cfg, self.record, self.policy_seed = cfg, record, policy_seed
         self.target_tsdf = target_grid(record.scene)
         self.nav_tsdf = TsdfGrid.create(np.array([-ARENA_HALF, -ARENA_HALF, 0.0]), NAV_CELL,
                                         (int(2 * ARENA_HALF / NAV_CELL),
                                          int(2 * ARENA_HALF / NAV_CELL), NAV_Z_VOXELS))
-        self.detector, self.images = record.detector, record.images
-        self.nodes, self.ids = record.nodes, record.ids
         self.target_tsdf.ray_visits = record.ray_visits
         self.robot, self.d_total, self.tracked, self.occ = record.start, 0.0, [], None
         self.node = BeliefNode(0)  # the empty grids
@@ -280,35 +255,30 @@ class Episode:
         """Fuse the depth image seen from `cam` into both grids and move to
         the belief state of this view after the current one: the scene's,
         or a new one with an id no state of the scene had before; the target
-        grid takes its IG counts."""
-        img = cached_render(self.images, self.scene, cam, DEFAULT_INTRINSICS)
+        grid keeps its IG counts there."""
+        record = self.record
+        img = cached_render(record.images, record.scene, cam, DEFAULT_INTRINSICS)
         integrate_depth(self.target_tsdf, img, cam)
         integrate_depth(self.nav_tsdf, img, cam)
-        key = (self.node.id, (*cam.key(), DEFAULT_INTRINSICS))
-        self.node = lru_put(self.nodes, key,
-                            self.nodes.get(key) or BeliefNode(next(self.ids)), BELIEF_NODES)
-        self.target_tsdf.ig_counts = self.node.ig_counts
+        self.node = keep(record.nodes, (self.node.id, (*cam.key(), DEFAULT_INTRINSICS)),
+                         lambda: BeliefNode(next(record.ids)), BELIEF_NODES)
+        self.target_tsdf.ig_counts = self.node.kept
 
     def observe(self, step_index: int) -> Belief:
         """Detect grasps, track their stability and project the occupancy,
         once per belief state: the belief of step `step_index`."""
-        node, q_th = self.node, self.cfg.planner.q_th
+        kept, q_th, scene = self.node.kept, self.cfg.planner.q_th, self.record.scene
         seed = derive_seed(self.policy_seed, "detect", step_index)
-        raw = node.grasps.get((q_th, seed))
-        if raw is None:
-            raw = node.grasps[q_th, seed] = tuple(self.detector.detect(self.target_tsdf,
-                                                                       q_th, seed))
+        raw = keep(kept, ("detect", q_th, seed),
+                   lambda: tuple(self.record.detector.detect(self.target_tsdf, q_th, seed)))
         self.tracked = update_stability(self.tracked, raw)
-        if node.occ is None:
-            occ = project_occupancy(self.nav_tsdf, NAV_HEIGHT_BAND)
-            occ.cells.flags.writeable = False
-            node.occ = occ
-        self.occ = node.occ
+        self.occ = keep(kept, "occupancy",
+                        lambda: project_occupancy(self.nav_tsdf, NAV_HEIGHT_BAND))
         stable = [g for g in self.tracked if g.stable_for >= self.cfg.planner.n_stab]
         return Belief(robot=self.robot, target_tsdf=self.target_tsdf, occ=self.occ,
-                      stable_grasps=stable, target_center=self.scene.target_center,
-                      target_bbox=self.scene.target_bbox, step_index=step_index,
-                      intr=DEFAULT_INTRINSICS, node=node)
+                      stable_grasps=stable, target_center=scene.target_center,
+                      target_bbox=scene.target_bbox, step_index=step_index,
+                      intr=DEFAULT_INTRINSICS, node=self.node)
 
     def move(self, base: Pose2, cam: Pose3) -> CellState:
         """Drive to `base` and sense from `cam`; returns the observed state of
@@ -726,13 +696,19 @@ def run_experiment(cells: list[RunConfig], out_dir: str | Path,
 
 
 def load_results_dir(directory: str | Path) -> list[EpisodeResult]:
-    """Episode results from a run directory's episodes/*.jsonl traces; a
+    """Episode results from a cell directory's episodes/*.jsonl traces, or
+    from those of the one cell below a run directory.  A directory with the
+    traces of several cells raises ValueError naming their folders, and a
     trace that is truncated, lacks its final result record or holds a
     malformed one raises ValueError naming the file."""
     directory = Path(directory)
     files = sorted((directory / "episodes").glob("ep*.jsonl"))
     if not files:
         files = sorted(directory.glob("**/ep*.jsonl"))
+        folders = sorted({str(p.parent.relative_to(directory)) for p in files})
+        if len(folders) > 1:
+            raise ValueError(f"{directory} holds the traces of {len(folders)} cells, "
+                             f"name one: {', '.join(folders)}")
     return [_read_result(path) for path in files]
 
 

@@ -68,14 +68,42 @@ IG_CACHE_VISITS = 1 << 18
 VIEW_CACHE_POSES = 32
 
 
-def lru_put(cache: dict, key, value, limit: int = VIEW_CACHE_POSES):
-    """Store `value` as the most recently used entry of `cache` (a dict in
-    use order, least recent first), drop the least recent beyond `limit`
-    entries, and return `value`."""
-    cache.pop(key, None)
-    cache[key] = value
-    if len(cache) > limit:
-        del cache[next(iter(cache))]
+def read_only(obj) -> None:
+    """Make every array reachable from `obj` read-only: through tuples,
+    lists and the attributes of an object, never through a dict, where a
+    value keeps what it learns later (`DepthImage.plans`, `BeliefNode.kept`,
+    a `SceneRecord`'s views)."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            read_only(item)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        for item in vars(obj).values():
+            read_only(item)
+
+
+def keep(memo: dict, key, make, limit: int | None = None):
+    """`memo[key]`, or `make()` made `read_only` and kept there.
+
+    The one rule for a result shared beyond the call that computes it: a
+    result kept under a key is a pure function of that key and of what owns
+    `memo` (a scene, a belief state, an image, a map), so every later caller
+    that asks with the same key gets the same object, and nobody may write
+    to it.  A hit never calls `make`; an exception from `make` propagates
+    and keeps nothing, so a failure a caller wants to share must be made a
+    value (`plan_path` keeps a NoPath as its message).  With a `limit`,
+    `memo` is in use order, least recent first: a hit becomes the most
+    recent, and a miss beyond `limit` entries drops the least recent one."""
+    if key in memo:
+        if limit is not None:
+            memo[key] = memo.pop(key)
+        return memo[key]
+    value = make()
+    read_only(value)
+    memo[key] = value
+    if limit is not None and len(memo) > limit:
+        del memo[next(iter(memo))]
     return value
 
 
@@ -86,11 +114,13 @@ class TsdfGrid:
     grid: Grid  # cells float32, shape (nx, ny, nz, 2)
     truncation: float
     # rear_side_ig_batch's ray visits per camera pose, least recently used
-    # first; they depend only on the grid geometry
+    # first; they depend only on the grid geometry.  Not `keep`'s: the bound
+    # counts visits, not entries
     ray_visits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # rear_side_ig_batch's counts per view of the cells as they are now: None
-    # unless the harness attaches the dict of this belief state, which
-    # `integrate_depth` drops before it changes a cell
+    # rear_side_ig_batch's counts per view of the cells as they are now, one
+    # batch's cameras filled at once: None unless the harness attaches the
+    # dict of this belief state, which `integrate_depth` drops before it
+    # changes a cell, so a grid whose cells are written otherwise has none
     ig_counts: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -319,11 +349,7 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
     tsdf.ig_counts = None
     g = tsdf.grid
     key = (g.origin.tobytes(), g.cell_size, g.dims, tsdf.truncation, *cam.key())
-    if key not in depth.plans:
-        depth.plans[key] = _fusion_plan(tsdf, depth, cam)
-        for a in depth.plans[key]:
-            a.flags.writeable = False
-    _fuse_plan(tsdf, *depth.plans[key])
+    _fuse_plan(tsdf, *keep(depth.plans, key, lambda: _fusion_plan(tsdf, depth, cam)))
     return tsdf
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .geom import Aabb, CellState, Grid, Pose2, Pose3, facing, look_at
 from .grasping import Grasp, MapPair, exec_utility
-from .perception import TsdfGrid, lru_put, rear_side_ig_batch
+from .perception import TsdfGrid, keep, rear_side_ig_batch
 from .scene import CameraIntrinsics, ROBOT_RADIUS
 
 
@@ -206,11 +206,11 @@ _FREE, _UNKNOWN, _BLOCKED = 0, 1, 2
 
 @dataclass(frozen=True, eq=False)
 class NavMap:
-    """The map one decision plans on: the occupancy grid and its `blocked`
+    """The map one decision plans on: the occupancy grid, its `blocked`
     mask (obstacle cells inflated by the robot radius, from
-    `inflate_occupied`), and `plan_path`'s results on it, kept in `paths`.
-    A map has its own `paths` unless it is given one; `Policy._nav` is the
-    one caller that gives a shared dict (`Belief.paths`)."""
+    `inflate_occupied`) and the memo of `plan_path`'s results on it
+    (`keep`), its own unless it is given one: `Policy._nav` gives the belief
+    state's (`BeliefNode.kept`)."""
 
     occ: Grid
     blocked: np.ndarray
@@ -238,8 +238,8 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> np.ndarray:
     traversable.  Raises NoPath.
 
     A search is a function of the map and its two cells alone, so each
-    (start cell, goal cell) pair is searched once per `nav.paths`: the dict
-    keeps the read-only positions, or the message of the NoPath, never the
+    (start cell, goal cell) pair is searched once per `nav.paths` (`keep`):
+    it keeps the positions, or the message of the NoPath, never the
     exception, whose traceback would keep the searching frames alive.
     """
     occ = nav.occ
@@ -254,15 +254,14 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> np.ndarray:
 
     if s == g:
         return occ.index_to_world_center(np.array([s]))
-    key = (*map(int, s), *map(int, g))
-    found = nav.paths.get(key)
-    if found is None:
+
+    def search() -> np.ndarray | str:
         try:
-            found = _search(nav, s, g)
-            found.flags.writeable = False
+            return _search(nav, s, g)
         except NoPath as e:
-            found = str(e)
-        nav.paths[key] = found
+            return str(e)
+
+    found = keep(nav.paths, (*map(int, s), *map(int, g)), search)
     if isinstance(found, str):
         raise NoPath(found)
     return found.copy()
@@ -349,9 +348,9 @@ def torso_height(xy: np.ndarray, seed: int, band: tuple[float, float]) -> float:
     return band[0] + u * (band[1] - band[0])
 
 
-# camera_at's pose cache, least recently used first (`lru_put`), and its
-# bound: about one 400-step episode's poses (~700 B each with the dict,
-# ~12 MB); the 25 s apm_complex benchmark pass makes 5,245
+# camera_at's pose memo (`keep`) and its bound: about one 400-step
+# episode's poses (~700 B each with the dict, ~12 MB); the 25 s apm_complex
+# benchmark pass makes 5,245
 CAMERA_CACHE_POSES = 1 << 14
 _CAMERA_CACHE: dict[tuple, Pose3] = {}
 
@@ -362,11 +361,9 @@ def camera_at(xy: np.ndarray, target: np.ndarray, seed: int,
     # arguments, never on which calls the process made before
     key = (np.asarray(xy, dtype=float).tobytes(), np.asarray(target, dtype=float).tobytes(),
            int(seed), float(band[0]), float(band[1]))
-    pose = _CAMERA_CACHE.get(key)
-    if pose is None:
-        h = torso_height(xy, seed, band)
-        pose = look_at(np.array([xy[0], xy[1], h]), np.asarray(target, dtype=float))
-    return lru_put(_CAMERA_CACHE, key, pose, CAMERA_CACHE_POSES)
+    return keep(_CAMERA_CACHE, key,
+                lambda: look_at(np.array([xy[0], xy[1], torso_height(xy, seed, band)]),
+                                np.asarray(target, dtype=float)), CAMERA_CACHE_POSES)
 
 
 def sample_camera_poses(route: Route, target: np.ndarray, cam_spacing: float,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geom import Aabb, Grid, Pose2, Pose3, facing, look_at
 from .grasping import Grasp, MapPair, best_grasp, reachability
-from .perception import TsdfGrid, rear_side_ig_batch
+from .perception import TsdfGrid, keep, rear_side_ig_batch
 from .planning import (
     NavMap,
     NoFeasibleGoals,
@@ -76,11 +76,8 @@ PolicyDecision = MoveStep | ExecuteGrasp | Abort
 
 @dataclass
 class Belief:
-    """Everything a policy may look at.  `node` is the belief state, which
-    the harness shares among the episodes on a scene that reach the same
-    views: a policy keeps there what depends on the state alone, its
-    read-only obstacle mask (`Policy._nav`), `plan_path`'s results on its
-    map (`NavMap.paths`) and its base goal slots (`ActPerMoMaPolicy`)."""
+    """Everything a policy may look at.  `node` is the belief state: a
+    policy keeps in `node.kept` (`keep`) what depends on the state alone."""
 
     robot: Pose2
     target_tsdf: TsdfGrid
@@ -181,16 +178,11 @@ class Policy:
     @staticmethod
     def _nav(belief: Belief) -> NavMap:
         """The map this decision plans on: `belief.occ` with the default
-        `inflate_occupied` mask, built the first time a decision plans on the
-        belief state and kept read-only in `belief.node.blocked`.  It takes
-        the state's shared routes (`belief.node.paths`), which are right only
+        `inflate_occupied` mask, and the state's routes, which are right only
         for this mask: a map with another mask must keep its own."""
-        node = belief.node
-        if node.blocked is None:
-            blocked = inflate_occupied(belief.occ)
-            blocked.flags.writeable = False
-            node.blocked = blocked
-        return NavMap(belief.occ, node.blocked, node.paths)
+        kept = belief.node.kept
+        return NavMap(belief.occ, keep(kept, "blocked", lambda: inflate_occupied(belief.occ)),
+                      kept)
 
     def _move_to(self, belief: Belief, base: Pose2) -> MoveStep:
         """Go to `base` (the robot's own pose waits) and view the target from there."""
@@ -238,16 +230,13 @@ class ActPerMoMaPolicy(Policy):
         # goals drift every few steps: frozen jitter lets two adjacent goals
         # trap the argmax in a visit cycle
         epoch = belief.step_index // self.GOAL_EPOCH
-        key = (cfg.n_b, self.goal_seed, cfg.reach_radius, epoch)
-        slots = belief.node.slots.get(key)
-        if slots is None:  # a state's slots, kept as a tuple; NoFeasibleGoals is not kept
-            try:
-                slots = tuple(sample_base_goal_slots(belief.occ, target_xy, cfg.n_b,
-                                                     self.goal_seed, cfg.reach_radius,
-                                                     blocked=nav.blocked, epoch=epoch))
-            except NoFeasibleGoals:
-                return Abort("no feasible base goals")
-            belief.node.slots[key] = slots
+        key = ("slots", cfg.n_b, self.goal_seed, cfg.reach_radius, epoch)
+        try:
+            slots = keep(belief.node.kept, key, lambda: tuple(sample_base_goal_slots(
+                belief.occ, target_xy, cfg.n_b, self.goal_seed, cfg.reach_radius,
+                blocked=nav.blocked, epoch=epoch)))
+        except NoFeasibleGoals:
+            return Abort("no feasible base goals")
         paths = []
         for slot, goal in slots:
             try:

@@ -9,7 +9,7 @@ import re
 import time
 import weakref
 from collections import Counter
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from actpermoma.harness import (
     summarize,
 )
 from actpermoma.perception import TsdfGrid
-from actpermoma.planning import NavMap, NoFeasibleGoals, NoPath, PlannerConfig, camera_at
+from actpermoma.planning import NavMap, NoPath, PlannerConfig, camera_at
 from actpermoma.policies import Abort, MoveStep, PolicyKind
 from actpermoma.render import render_topdown, render_trace_file
 from actpermoma.scene import (
@@ -464,106 +464,123 @@ def test_a_scene_task_shares_its_views_and_repeats_its_work_exactly(monkeypatch)
 TABLE2_SCENE = 604  # a scene no other test or measurement runs
 
 
-def grasp_rows(grasps) -> list[tuple]:
-    return [(g.voxel, g.quality, g.coverage, g.truth_index, g.stable_for, g.arm,
-             g.pose.position.tobytes(), g.pose.orientation.tobytes()) for g in grasps]
-
-
 def detector_rows(detector: GraspDetector) -> list:
     return [detector.voxels, [(s.shape, s.tobytes()) for s in detector.shells],
             [(p.position.tobytes(), p.orientation.tobytes()) for p in detector._world_poses]]
 
 
+def kept_kind(key) -> str:
+    """The producer a `BeliefNode.kept` key names."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key[0], str):
+        return key[0]
+    return "route" if len(key) == 4 else "ig"
+
+
+KEPT_KINDS = {"detect", "occupancy", "blocked", "slots", "route", "ig"}
+
+
+def value_bits(value):
+    """`value` as comparable bits: each array as its dtype, shape and bytes,
+    through tuples, lists and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return tuple(value_bits(v) for v in value)
+    if is_dataclass(value):
+        return type(value).__name__, tuple(value_bits(getattr(value, f.name))
+                                           for f in fields(value))
+    return value
+
+
 def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
     """The table2 rows of one scene (one episode each, a 40-step budget) as
-    one scene task.  Every occupancy, grasp detection, obstacle mask, goal
-    slot list, IG count and A* result it hands a policy, those a belief
-    state kept from an earlier episode included, equals a fresh computation
-    on the grids, on a copy of the grid or map without them, or with a scene
-    and detector built anew; the scene, start pose and detector the task
-    shares equal freshly built ones; each episode's trace equals the episode
-    run alone, though together they score fewer cameras and search fewer
-    routes."""
+    one scene task.  Every result kept on every belief state an episode
+    reaches, those an earlier episode kept included, equals a fresh
+    computation on that episode's grids, with a scene and detector built
+    anew and the IG counts on a copy of the target grid without any memo;
+    the scene, start pose and detector the task shares equal freshly built
+    ones; each episode's trace equals the episode run alone, though together
+    they do less of every kind of work."""
     scene = generate_scene(SceneKind.COMPLEX, False, TABLE2_SCENE)
     start = sample_start_pose(scene, derive_seed(TABLE2_SCENE, "start"))
     detector = GraspDetector(harness.target_grid(scene), scene)
-    real_observe, real_ig, real_plan = Episode.observe, perception.rear_side_ig_batch, \
-        policies.plan_path
-    real_detect, real_nav = GraspDetector.detect, policies.Policy._nav
-    real_decide = policies.ActPerMoMaPolicy.decide
+    real_observe, real_decide = Episode.observe, policies.ActPerMoMaPolicy.decide
+    real_ig, real_detect, real_search = \
+        perception.rear_side_ig_batch, GraspDetector.detect, planning._search
+    views = {}  # the IG scorer's cameras and target boxes, by their key bytes
+    # the running episode and the (state id, key) pairs it has checked
+    running = {"episode": None, "walked": set()}
     checked = Counter()
 
-    def observe(episode, step_index):
-        belief = real_observe(episode, step_index)
-        fresh = perception.project_occupancy(episode.nav_tsdf, harness.NAV_HEIGHT_BAND)
-        assert belief.occ.cells.tobytes() == fresh.cells.tobytes()
-        assert not belief.occ.cells.flags.writeable
-        q_th = episode.cfg.planner.q_th
-        seed = derive_seed(episode.policy_seed, "detect", step_index)
-        got = belief.node.grasps[q_th, seed]
-        assert isinstance(got, tuple)
-        assert grasp_rows(got) == grasp_rows(real_detect(detector, episode.target_tsdf,
-                                                         q_th, seed))
-        checked["beliefs"] += 1
-        checked["grasps"] += len(got)
-        return belief
+    def check_kept(episode) -> None:
+        """Check each result kept on the episode's belief state that the
+        episode has not checked yet; the checks are not the task's work."""
+        saved, walked = Counter(work), running["walked"]
+        kept = episode.node.kept
+        occ = perception.project_occupancy(episode.nav_tsdf, harness.NAV_HEIGHT_BAND)
+        blocked = planning.inflate_occupied(occ)
+        scored: dict[tuple, list] = {}
+        for key, got in kept.items():
+            if (episode.node.id, key) in walked:
+                continue
+            walked.add((episode.node.id, key))
+            kind = kept_kind(key)
+            checked[kind] += 1
+            if kind == "ig":  # scored below, one batch per intrinsics and box
+                (*cam, intr, _, _), box = key
+                scored.setdefault((intr, box), []).append((got, views[tuple(cam)]))
+                continue
+            if kind == "occupancy":
+                want = occ
+            elif kind == "blocked":
+                want = blocked
+            elif kind == "detect":
+                want = tuple(real_detect(detector, episode.target_tsdf, *key[1:]))
+            elif kind == "slots":
+                n_b, seed, radius, epoch = key[1:]
+                want = tuple(planning.sample_base_goal_slots(
+                    occ, scene.target_center[:2], n_b, seed, radius, blocked=blocked,
+                    epoch=epoch))
+            else:
+                try:
+                    want = real_search(NavMap(occ, blocked), key[:2], key[2:])
+                except NoPath as e:
+                    want = str(e)
+            assert value_bits(got) == value_bits(want), key
+        t = episode.target_tsdf
+        for (intr, box), rows in scored.items():
+            copy = TsdfGrid(Grid(t.grid.origin.copy(), t.grid.cell_size, t.grid.dims,
+                                 t.grid.cells.copy()), t.truncation)
+            want = real_ig(copy, [cam for _, cam in rows], intr, views[box])
+            assert [got for got, _ in rows] == want.tolist()
+        work.clear()
+        work.update(saved)
 
-    def nav(belief):
-        got = real_nav(belief)
-        assert got.blocked is belief.node.blocked and not got.blocked.flags.writeable
-        assert np.array_equal(got.blocked, planning.inflate_occupied(belief.occ))
-        checked["masks"] += 1
-        return got
+    def observe(episode, step_index):
+        if step_index == 0:
+            running.update(episode=episode, walked=set())
+        belief = real_observe(episode, step_index)
+        check_kept(episode)
+        checked["beliefs"] += 1
+        return belief
 
     def decide(policy, belief):
         decision = real_decide(policy, belief)
-        cfg, epoch = policy.cfg, belief.step_index // policy.GOAL_EPOCH
-        try:
-            want = tuple(planning.sample_base_goal_slots(
-                belief.occ, belief.target_center[:2], cfg.n_b, policy.goal_seed,
-                cfg.reach_radius, blocked=planning.inflate_occupied(belief.occ), epoch=epoch))
-        except NoFeasibleGoals:
-            want = None  # not kept
-        assert belief.node.slots.get((cfg.n_b, policy.goal_seed, cfg.reach_radius,
-                                      epoch)) == want
-        checked["slots"] += 1
+        check_kept(running["episode"])
         return decision
 
     def ig(tsdf, cams, intr, bbox):
-        got = real_ig(tsdf, cams, intr, bbox)
-        g = tsdf.grid
-        copy = TsdfGrid(Grid(g.origin.copy(), g.cell_size, g.dims, g.cells.copy()),
-                        tsdf.truncation)
-        assert got.tolist() == real_ig(copy, cams, intr, bbox).tolist()
-        checked["cams"] += len(cams)
-        return got
-
-    def plan(nav, start, goal):
-        got = want = None
-        try:
-            got = real_plan(nav, start, goal)
-        except NoPath as e:
-            got = str(e)
-        searches = work["searches"]  # the check's own search is not the task's work
-        try:
-            want = real_plan(NavMap(nav.occ, nav.blocked.copy()), start, goal)
-        except NoPath as e:
-            want = str(e)
-        work["searches"] = searches
-        checked["routes"] += 1
-        if isinstance(want, str):
-            assert got == want
-            raise NoPath(got)
-        assert got.flags.writeable and got.tobytes() == want.tobytes()
-        return got
+        views.update((cam.key(), cam) for cam in cams)
+        views[bbox.lo.tobytes(), bbox.hi.tobytes()] = bbox
+        return real_ig(tsdf, cams, intr, bbox)
 
     work = count_scene_work(monkeypatch)
     monkeypatch.setattr(Episode, "observe", observe)
-    monkeypatch.setattr(policies.Policy, "_nav", staticmethod(nav))
     monkeypatch.setattr(policies.ActPerMoMaPolicy, "decide", decide)
     for owner in (planning, policies):
         monkeypatch.setattr(owner, "rear_side_ig_batch", ig)
-    monkeypatch.setattr(policies, "plan_path", plan)
     cells = ablation_preset("table2", episodes=1, base_seed=TABLE2_SCENE)
     jobs = [(replace(cfg, planner=replace(cfg.planner, max_steps=40)), 0)
             for cfg in {config_hash(c): c for c in cells if not c.hard_grasps}.values()]
@@ -576,35 +593,41 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
     assert together[1] == [ran for _, (ran,) in alone]
     for kind in SHARED_WORK:
         assert together[0][kind] < sum(a[0][kind] for a in alone), kind
-    assert all(checked[k] > 0 for k in ("beliefs", "grasps", "masks", "slots", "cams",
-                                        "routes"))
+    assert checked["beliefs"] > 0 and all(checked[kind] > 0 for kind in KEPT_KINDS)
+
+
+def arrays_and_lists(obj):
+    """Every array and list reachable from `obj` through tuples, lists and
+    the attributes of an object."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        if isinstance(obj, list):
+            yield obj
+        for item in obj:
+            yield from arrays_and_lists(item)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        for item in vars(obj).values():
+            yield from arrays_and_lists(item)
 
 
 def test_a_scene_task_keeps_its_shared_results_read_only():
-    # the results a belief state keeps, the scene, its start pose and its
+    # every result a belief state keeps, the scene, its start pose and its
     # detector are shared by the scene's later episodes: a write to any of
-    # them raises rather than changing what those episodes see
+    # their arrays raises rather than changing what those episodes see, and
+    # a kept result holds no list, which a write would change
     jobs = [(RunConfig(planner=PlannerConfig(max_steps=12), scenario=SceneKind.COMPLEX,
                        base_seed=3, policy=policy), 0)
             for policy in (PolicyKind.ACTPERMOMA, PolicyKind.NAIVE)]
     assert not any(isinstance(r, Exception) for r in harness._run_scene(jobs))
     (record,) = harness._SCENE_VIEWS.values()
-    nodes = list(record.nodes.values())
-    masks = [node.blocked for node in nodes if node.blocked is not None]
-    detections = [found for node in nodes for found in node.grasps.values()]
-    slots = [kept for node in nodes for kept in node.slots.values()]
-    grasps = [g for found in detections for g in found]
-    assert masks and detections and slots and grasps
-    for mask in masks:
-        with pytest.raises(ValueError):
-            mask[0, 0] = True
-    for container in detections + slots:
-        with pytest.raises(TypeError):
-            container[0] = None
-    arrays = [record.scene.target_center, record.scene.target_bbox.lo,
-              *record.detector.shells, record.detector._shell_owner]
-    arrays += [p.pose.position for p in record.scene.primitives]
-    arrays += [a for g in grasps for a in (g.pose.position, g.pose.orientation)]
+    kept = {key: value for node in record.nodes.values() for key, value in node.kept.items()}
+    assert {kept_kind(key) for key in kept} == KEPT_KINDS
+    found = [a for value in kept.values() for a in arrays_and_lists(value)]
+    assert not any(isinstance(a, list) for a in found)
+    found += arrays_and_lists((record.scene, record.start, record.detector))
+    arrays = [a for a in found if isinstance(a, np.ndarray)]
+    assert any(a.ndim == 2 and a.dtype == bool for a in arrays)  # an obstacle mask
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0
@@ -672,8 +695,7 @@ def test_a_scene_task_leaves_no_episode_alive(monkeypatch):
     gc.collect()
     assert len(grids) == 6 and all(ref() is None for ref in grids)
     (record,) = harness._SCENE_VIEWS.values()
-    kept = [v for node in record.nodes.values() for memo in (node.ig_counts, node.paths)
-            for v in memo.values()]
+    kept = [v for node in record.nodes.values() for v in node.kept.values()]
     assert any(isinstance(v, str) for v in kept)
     assert not any(isinstance(v, BaseException) for v in kept)
 
@@ -684,24 +706,24 @@ def test_episodes_share_views_only_with_their_own_scene():
     def sensed(kind: SceneKind, hard: bool, seed: int) -> Episode:
         episode = Episode(RunConfig(scenario=kind, hard_grasps=hard),
                           harness.scene_record(kind, hard, seed), seed)
-        scene = episode.scene
+        scene = episode.record.scene
         episode.sense(cam)
         perception.rear_side_ig_batch(episode.target_tsdf, [cam], DEFAULT_INTRINSICS,
                                       scene.target_bbox)
-        (image,) = episode.images.values()
+        (image,) = episode.record.images.values()
         fresh = render_depth(scene, cam, DEFAULT_INTRINSICS)
         assert np.array_equal(image.depths, fresh.depths, equal_nan=True)
         assert len(episode.target_tsdf.ray_visits) == 1
         return episode
 
     first = sensed(SceneKind.COMPLEX, False, 4)
-    views = (first.images, first.target_tsdf.ray_visits)
+    views = (first.record.images, first.target_tsdf.ray_visits)
     again = sensed(SceneKind.COMPLEX, False, 4)
-    assert again.images is views[0] and again.target_tsdf.ray_visits is views[1]
+    assert again.record.images is views[0] and again.target_tsdf.ray_visits is views[1]
     for kind, hard, seed in ((SceneKind.COMPLEX, False, 5), (SceneKind.COMPLEX, True, 4),
                              (SceneKind.SIMPLE, False, 4)):
         other = sensed(kind, hard, seed)  # the same pose sees another scene
-        assert other.images is not views[0]
+        assert other.record.images is not views[0]
         assert other.target_tsdf.ray_visits is not views[1]
 
 
@@ -1107,6 +1129,25 @@ def test_cli_compare_refuses_a_directory_without_traces(tmp_path, capsys):
         stdout, stderr = capsys.readouterr()
         assert rc == 2 and stdout == ""
         assert stderr == f"error: no episode traces under {nowhere}\n"
+
+
+def test_cli_compare_refuses_a_directory_of_several_cells(tmp_path, capsys):
+    # an ablation's --out holds one cell per row: their traces pooled would
+    # pair each scene with itself, so compare names the cells instead
+    from actpermoma.cli import main
+
+    cells = [RunConfig(planner=PlannerConfig(max_steps=3), episodes=2, policy=policy)
+             for policy in (PolicyKind.NAIVE, PolicyKind.RANDOM)]
+    run_experiment(cells, tmp_path / "run", workers=1)
+    rc = main(["compare", "--a", str(tmp_path / "run"), "--b", str(tmp_path / "run"),
+               "--metric", "sr"])
+    stdout, stderr = capsys.readouterr()
+    assert rc == 2 and stdout == ""
+    names = ", ".join(sorted(f"{cell_name(cfg)}/episodes" for cfg in cells))
+    assert stderr == f"error: {tmp_path / 'run'} holds the traces of 2 cells, name one: {names}\n"
+    rc = main(["compare", "--a", str(tmp_path / "run" / cell_name(cells[0])),
+               "--b", str(tmp_path / "run" / cell_name(cells[1])), "--metric", "sr"])
+    assert rc == 1 and capsys.readouterr().out.startswith("inconclusive")
 
 
 def test_cli_refuses_a_trace_whose_result_record_lacks_a_field(tmp_path, monkeypatch, capsys):

@@ -29,6 +29,7 @@ from actpermoma.harness import NAV_CELL, NAV_Z_VOXELS
 from actpermoma.perception import (
     TsdfGrid,
     integrate_depth,
+    keep,
     project_occupancy,
     rear_side_ig_batch,
 )
@@ -93,6 +94,46 @@ def rear_side_oracle(tsdf: TsdfGrid, cam: Pose3, intr: CameraIntrinsics, bbox: A
             if st == CellState.OCCUPIED:
                 seen = True
     return len(counted)
+
+
+def test_keep_returns_a_kept_value_without_calling_make():
+    memo: dict = {}
+    first = keep(memo, "k", lambda: np.zeros(3))
+    assert keep(memo, "k", mock.Mock(side_effect=AssertionError)) is first
+    assert memo == {"k": first}
+
+
+def test_keep_makes_what_it_keeps_read_only():
+    # through tuples and object attributes; a dict is left as it is, since
+    # a kept value keeps later results there
+    grid = Grid(np.zeros(2), 0.1, (2, 2), np.zeros((2, 2)))
+    memos: dict = {}
+    value = keep({}, "k", lambda: (grid, [np.ones(2)], 7, memos))
+    assert value[0] is grid and value[3] is memos
+    for a in (grid.origin, grid.cells, value[1][0]):
+        with pytest.raises(ValueError):
+            a[...] = 1.0
+    memos["later"] = 1
+
+
+def test_keep_with_a_limit_drops_the_least_recently_used():
+    memo: dict = {}
+    for key in "abc":
+        keep(memo, key, lambda: key, limit=3)
+    assert keep(memo, "a", lambda: "never", limit=3) == "a"  # now the most recent
+    keep(memo, "d", lambda: "d", limit=3)
+    assert list(memo) == ["c", "a", "d"]
+    keep(memo, "c", lambda: "never", limit=3)
+    keep(memo, "e", lambda: "e", limit=3)
+    assert list(memo) == ["d", "c", "e"]
+
+
+def test_keep_keeps_nothing_when_make_raises():
+    memo: dict = {}
+    with pytest.raises(ZeroDivisionError):
+        keep(memo, "k", lambda: 1 / 0, limit=2)
+    assert memo == {}
+    assert keep(memo, "k", lambda: 2) == 2
 
 
 def test_fresh_grid_all_unknown():
