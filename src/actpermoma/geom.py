@@ -9,7 +9,7 @@ Conventions used throughout the package:
     IG counts alike; only the trace file's occupancy RLE runs x-fastest.
 
 Everything here is value-like and pure: operations return new objects and
-never mutate shared state.
+never mutate shared state, except the memos of `keep`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,50 @@ from typing import Iterator
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+
+# ---------------------------------------------------------------------------
+# shared results
+# ---------------------------------------------------------------------------
+
+def read_only(obj) -> None:
+    """Make every array reachable from `obj` read-only: through tuples,
+    lists and the attributes of an object, never through a dict, where a
+    value keeps what it learns later (`DepthImage.plans`, `BeliefNode.kept`,
+    a `SceneRecord`'s views)."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            read_only(item)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        for item in vars(obj).values():
+            read_only(item)
+
+
+def keep(memo: dict, key, make, limit: int | None = None):
+    """`memo[key]`, or `make()` made `read_only` and kept there.
+
+    The one rule for a result shared beyond the call that computes it: a
+    result kept under a key is a pure function of that key and of what owns
+    `memo` (a scene, a belief state, an image, a map, the process), so
+    every later caller that asks with the same key gets the same object,
+    and nobody may write to it.  A hit never calls `make`; an exception
+    from `make` propagates and keeps nothing, so a failure a caller wants to
+    share must be made a value (`plan_path` keeps a NoPath as its message).
+    With a `limit`, `memo` is in use order, least recent first: a hit
+    becomes the most recent, and a miss beyond `limit` entries drops the
+    least recent one."""
+    if key in memo:
+        if limit is not None:
+            memo[key] = memo.pop(key)
+        return memo[key]
+    value = make()
+    read_only(value)
+    memo[key] = value
+    if limit is not None and len(memo) > limit:
+        del memo[next(iter(memo))]
+    return value
 
 
 def wrap_angle(theta: float) -> float:
@@ -303,15 +347,16 @@ class Grid:
         return np.moveaxis(cols, 0, -1)
 
 
-@functools.lru_cache(maxsize=4)
+_CENTER_OFFSETS: dict[tuple, np.ndarray] = {}
+
+
 def _center_offsets(dims: tuple[int, ...], cell_size: float) -> np.ndarray:
     """Read-only (n_axes, *dims) offsets of the cell centers from the grid
     origin, `(idx + 0.5) * cell_size`.  Every episode's target and nav grids
     share their dims and cell size, so each grid pays one add for its
-    centers."""
-    out = (np.indices(dims, dtype=float) + 0.5) * cell_size
-    out.flags.writeable = False
-    return out
+    centers; the last 4 geometries are kept (`keep`)."""
+    return keep(_CENTER_OFFSETS, (tuple(dims), cell_size),
+                lambda: (np.indices(dims, dtype=float) + 0.5) * cell_size, 4)
 
 
 # the run-length text form of an occupancy grid's cells in episode traces:

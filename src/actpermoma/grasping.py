@@ -9,14 +9,13 @@ path utilities and the final arm/grasp selection.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .geom import CellState, Pose2, Pose3, quat_rotate, wrap_angle
-from .perception import TsdfGrid, read_only
+from .geom import CellState, Pose2, Pose3, keep, quat_rotate, wrap_angle
+from .perception import TsdfGrid
 from .scene import TABLE_HEIGHT, Approach, Scene, primitive_sdf
 
 # execution success model
@@ -240,13 +239,14 @@ def grasp_pitch_class(grasp_pose: Pose3) -> Approach:
 MapPair = tuple[ReachabilityMap, ReachabilityMap]
 
 
-@functools.cache
+_MAP_PAIR: dict[str, MapPair] = {}
+
+
 def build_map_pair() -> MapPair:
-    """The two arms' maps, built once per process.  They are constants that
-    every caller shares, so their arrays are read-only."""
-    pair = build_reachability_map(Arm.LEFT), build_reachability_map(Arm.RIGHT)
-    read_only(pair)
-    return pair
+    """The two arms' maps, built once per process (`keep`).  They are
+    constants that every caller shares, so their arrays are read-only."""
+    return keep(_MAP_PAIR, "pair",
+                lambda: (build_reachability_map(Arm.LEFT), build_reachability_map(Arm.RIGHT)))
 
 
 def reachability(map_pair: MapPair, grasp: Grasp, base: Pose2) -> tuple[float, Arm]:

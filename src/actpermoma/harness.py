@@ -30,7 +30,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
-from .geom import CellState, Pose2, Pose3, cells_to_rle
+from .geom import CellState, Pose2, Pose3, cells_to_rle, keep
 from .grasping import (
     GraspDetector,
     GraspOutcome,
@@ -38,7 +38,7 @@ from .grasping import (
     execute_grasp,
     update_stability,
 )
-from .perception import VIEW_CACHE_POSES, TsdfGrid, integrate_depth, keep, project_occupancy
+from .perception import VIEW_CACHE_POSES, TsdfGrid, integrate_depth, project_occupancy
 from .planning import PlannerConfig, camera_at, state_at
 from .policies import Abort, Belief, MoveStep, PolicyKind, make_policy
 from .scene import (
@@ -174,9 +174,10 @@ _SCENE_VIEWS: dict = {}
 # opening views, so the bound must outlast one long episode between two
 # that share: on uncapped table2 (400-step budget, 2 episodes per cell,
 # base seed 300) 512 kept every repeat an unbounded table finds (1,148 of
-# 2,349 states) and 256 kept 288.  There a state keeps ~15 KB on average
-# and 36 KB at most, ~9 KB of it the occupancy and the obstacle mask, so
-# 512 states take ~8 MB.
+# 2,349 states) and 256 kept 288.  There a state keeps ~20 KB on average,
+# counting once the camera poses its plans share (~9 KB of it the occupancy
+# and the obstacle mask, ~8 KB the plans), and ~100 KB at most, so 512
+# states take ~10 MB.
 BELIEF_NODES = 512
 
 
@@ -222,7 +223,9 @@ class BeliefNode:
     - `("detect", q_th, detect seed)`: `GraspDetector.detect`'s grasps;
     - `"occupancy"`: `project_occupancy`'s map of the nav grid;
     - `"blocked"`: the `inflate_occupied` mask (`Policy._nav`);
-    - `("slots", n_b, goal seed, reach radius, epoch)`: the base goal slots;
+    - `("plan", n_b, goal seed, reach radius, epoch, camera seed, camera
+      spacing, torso band, robot xy bytes, previous plan)`: an ActPerMoMa
+      decision's goal slots, candidate paths and routes (`policies.Plan`);
     - four ints, the start and goal cells: `plan_path`'s route or NoPath
       message (`NavMap.paths`);
     - a pair led by the camera's key tuple: `rear_side_ig_batch`'s count

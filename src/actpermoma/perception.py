@@ -33,7 +33,6 @@ one belief state (`TsdfGrid.ig_counts`), which fusion drops.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +43,7 @@ from .geom import (
     CellState,
     Grid,
     Pose3,
+    keep,
     quat_conj,
     quat_to_matrix,
     ray_aabb_interval,
@@ -66,45 +66,6 @@ IG_CACHE_VISITS = 1 << 18
 # (25 steps or fewer) whole; a view with its two plans is ~270 KB, so 32
 # take at most ~8.6 MB per process.
 VIEW_CACHE_POSES = 32
-
-
-def read_only(obj) -> None:
-    """Make every array reachable from `obj` read-only: through tuples,
-    lists and the attributes of an object, never through a dict, where a
-    value keeps what it learns later (`DepthImage.plans`, `BeliefNode.kept`,
-    a `SceneRecord`'s views)."""
-    if isinstance(obj, np.ndarray):
-        obj.flags.writeable = False
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            read_only(item)
-    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
-        for item in vars(obj).values():
-            read_only(item)
-
-
-def keep(memo: dict, key, make, limit: int | None = None):
-    """`memo[key]`, or `make()` made `read_only` and kept there.
-
-    The one rule for a result shared beyond the call that computes it: a
-    result kept under a key is a pure function of that key and of what owns
-    `memo` (a scene, a belief state, an image, a map), so every later caller
-    that asks with the same key gets the same object, and nobody may write
-    to it.  A hit never calls `make`; an exception from `make` propagates
-    and keeps nothing, so a failure a caller wants to share must be made a
-    value (`plan_path` keeps a NoPath as its message).  With a `limit`,
-    `memo` is in use order, least recent first: a hit becomes the most
-    recent, and a miss beyond `limit` entries drops the least recent one."""
-    if key in memo:
-        if limit is not None:
-            memo[key] = memo.pop(key)
-        return memo[key]
-    value = make()
-    read_only(value)
-    memo[key] = value
-    if limit is not None and len(memo) > limit:
-        del memo[next(iter(memo))]
-    return value
 
 
 @dataclass
@@ -208,14 +169,16 @@ def _scratch(dtype: type, size: int) -> np.ndarray:
     return buf[:size]
 
 
-@functools.lru_cache(maxsize=4)
+_VOXEL_IDS: dict[tuple, np.ndarray] = {}
+
+
 def _voxel_ids(dims: tuple[int, ...]) -> np.ndarray:
     """Read-only C-order flat id of every voxel of a grid of `dims`, in
-    the smallest unsigned type that holds them (uint16 for 40^3 voxels)."""
+    the smallest unsigned type that holds them (uint16 for 40^3 voxels);
+    the last 4 shapes are kept (`keep`)."""
     n = math.prod(dims)
-    ids = np.arange(n, dtype=np.min_scalar_type(n)).reshape(dims)
-    ids.flags.writeable = False
-    return ids
+    return keep(_VOXEL_IDS, tuple(dims),
+                lambda: np.arange(n, dtype=np.min_scalar_type(n)).reshape(dims), 4)
 
 
 def _fusion_plan(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Aabb, CellState, Grid, Pose2, Pose3, facing, look_at
+from .geom import Aabb, CellState, Grid, Pose2, Pose3, facing, keep, look_at
 from .grasping import Grasp, MapPair, exec_utility
-from .perception import TsdfGrid, keep, rear_side_ig_batch
+from .perception import TsdfGrid, rear_side_ig_batch
 from .scene import CameraIntrinsics, ROBOT_RADIUS
 
 
@@ -74,12 +74,12 @@ class Route:
     reproduce."""
 
     xy: np.ndarray
-    segs: list[float]
+    segs: tuple[float, ...]
     goal: Pose2
 
     @staticmethod
     def through(xy: np.ndarray, goal: Pose2) -> "Route":
-        return Route(xy, [float(np.linalg.norm(d)) for d in np.diff(xy, axis=0)], goal)
+        return Route(xy, tuple(float(np.linalg.norm(d)) for d in np.diff(xy, axis=0)), goal)
 
     @property
     def length(self) -> float:
@@ -91,7 +91,7 @@ class Route:
 class CandidatePath:
     goal_id: int
     route: Route  # from the robot to the goal
-    views: list[tuple[Pose3, float]]  # (camera, arc from the route start), last at the goal
+    views: tuple[tuple[Pose3, float], ...]  # (camera, arc from the route start), last at the goal
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +146,27 @@ def _stable_unit(*keys: int) -> float:
 GOAL_ATTEMPTS = 10  # jittered candidates per slot, tried in order
 
 
-@functools.lru_cache(maxsize=2)
+_GOAL_RINGS: dict[tuple, np.ndarray] = {}
+
+
 def _goal_ring(seed: int, n_b: int, reach_radius: float, epoch: int) -> np.ndarray:
     """Offsets from the target of every slot's jittered attempts, shape
     (n_b, GOAL_ATTEMPTS, 2), read-only.  They depend only on the arguments,
-    so each control epoch computes them once; the last two rings are kept."""
-    r_lo = max(reach_radius - 0.3, 0.1)
-    ring = np.empty((n_b, GOAL_ATTEMPTS, 2))
-    for slot in range(n_b):
-        base_angle = 2.0 * np.pi * slot / n_b
-        for attempt in range(GOAL_ATTEMPTS):
-            ja = _stable_unit(seed, slot, attempt, 1, epoch)
-            jr = _stable_unit(seed, slot, attempt, 2, epoch)
-            angle = base_angle + (ja - 0.5) * (2.0 * np.pi / n_b)
-            radius = r_lo + jr * (reach_radius - r_lo)
-            ring[slot, attempt] = radius * np.array([np.cos(angle), np.sin(angle)])
-    ring.flags.writeable = False
-    return ring
+    so each control epoch computes them once; the last two rings are kept
+    (`keep`)."""
+    def make() -> np.ndarray:
+        r_lo = max(reach_radius - 0.3, 0.1)
+        ring = np.empty((n_b, GOAL_ATTEMPTS, 2))
+        for slot in range(n_b):
+            base_angle = 2.0 * np.pi * slot / n_b
+            for attempt in range(GOAL_ATTEMPTS):
+                ja = _stable_unit(seed, slot, attempt, 1, epoch)
+                jr = _stable_unit(seed, slot, attempt, 2, epoch)
+                angle = base_angle + (ja - 0.5) * (2.0 * np.pi / n_b)
+                radius = r_lo + jr * (reach_radius - r_lo)
+                ring[slot, attempt] = radius * np.array([np.cos(angle), np.sin(angle)])
+        return ring
+    return keep(_GOAL_RINGS, (seed, n_b, reach_radius, epoch), make, 2)
 
 
 def sample_base_goal_slots(occ: Grid, target_xy: np.ndarray, n_b: int,
@@ -395,8 +399,8 @@ def sample_camera_poses(route: Route, target: np.ndarray, cam_spacing: float,
             left[j] -= s
     # rounding can leave an arc past the last segment: it takes the goal
     points += [xy[-1]] * (len(arcs) - len(points))
-    views = [(camera_at(p, target, seed, torso_band), arc)
-             for p, arc in zip(points + [xy[-1]], arcs + [length])]
+    views = tuple((camera_at(p, target, seed, torso_band), arc)
+                  for p, arc in zip(points + [xy[-1]], arcs + [length]))
     return CandidatePath(goal_id=goal_id, route=route, views=views)
 
 

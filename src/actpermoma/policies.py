@@ -15,10 +15,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geom import Aabb, Grid, Pose2, Pose3, facing, look_at
+from .geom import Aabb, Grid, Pose2, Pose3, facing, keep, look_at
 from .grasping import Grasp, MapPair, best_grasp, reachability
-from .perception import TsdfGrid, keep, rear_side_ig_batch
+from .perception import TsdfGrid, rear_side_ig_batch
 from .planning import (
+    CandidatePath,
     NavMap,
     NoFeasibleGoals,
     NoPath,
@@ -77,7 +78,8 @@ PolicyDecision = MoveStep | ExecuteGrasp | Abort
 @dataclass
 class Belief:
     """Everything a policy may look at.  `node` is the belief state: a
-    policy keeps in `node.kept` (`keep`) what depends on the state alone."""
+    policy keeps in `node.kept` (`keep`) what depends on the state and on
+    what the key names."""
 
     robot: Pose2
     target_tsdf: TsdfGrid
@@ -88,6 +90,17 @@ class Belief:
     step_index: int
     intr: CameraIntrinsics
     node: BeliefNode
+
+
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """One decision's route work on a belief state: goal slots, candidate
+    paths and the `RouteCache` routes after it, as (key, route) pairs.  Equal
+    only to itself, it stands in the next decision's key for its routes."""
+
+    slots: tuple[tuple[int, Pose2], ...]
+    paths: tuple[CandidatePath, ...]
+    routes: tuple[tuple[int, Route], ...]
 
 
 class RouteCache:
@@ -153,11 +166,11 @@ class RouteCache:
         """`route` from the robot, which projects onto segment `seg`."""
         rob = robot.xy
         if float(np.linalg.norm(rob - route.xy[-1])) < 1e-9:
-            return Route(route.xy[-1:], [], route.goal)  # arrived: collapsed to the goal
+            return Route(route.xy[-1:], (), route.goal)  # arrived: collapsed to the goal
         if len(route.xy) == 1:
             return route
         xy = np.vstack([rob, route.xy[seg + 1:]])
-        return Route(xy, [float(np.linalg.norm(xy[1] - xy[0])), *route.segs[seg + 1:]],
+        return Route(xy, (float(np.linalg.norm(xy[1] - xy[0])), *route.segs[seg + 1:]),
                      route.goal)
 
 
@@ -222,35 +235,27 @@ class ActPerMoMaPolicy(Policy):
         super().__init__(cfg, seed, map_pair)
         self.prev_goal_id: int | None = None
         self.grasp_found = False  # latched once any stable grasp is seen
+        self.plan: Plan | None = None  # the last decision's, whose routes `routes` holds
 
     def decide(self, belief: Belief) -> PolicyDecision:
         cfg = self.cfg
         target_xy = belief.target_center[:2]
-        nav = self._nav(belief)
         # goals drift every few steps: frozen jitter lets two adjacent goals
         # trap the argmax in a visit cycle
         epoch = belief.step_index // self.GOAL_EPOCH
-        key = ("slots", cfg.n_b, self.goal_seed, cfg.reach_radius, epoch)
+        # all a plan depends on; the previous plan stands for the route history
+        key = ("plan", cfg.n_b, self.goal_seed, cfg.reach_radius, epoch, self.cam_seed,
+               cfg.cam_spacing, cfg.torso_band, belief.robot.xy.tobytes(), self.plan)
         try:
-            slots = keep(belief.node.kept, key, lambda: tuple(sample_base_goal_slots(
-                belief.occ, target_xy, cfg.n_b, self.goal_seed, cfg.reach_radius,
-                blocked=nav.blocked, epoch=epoch)))
+            self.plan = plan = keep(belief.node.kept, key, lambda: self._plan(belief, epoch))
         except NoFeasibleGoals:
             return Abort("no feasible base goals")
-        paths = []
-        for slot, goal in slots:
-            try:
-                route = self.routes.path_to(nav, belief.robot, goal, slot)
-            except NoPath:
-                continue
-            paths.append(sample_camera_poses(route, belief.target_center,
-                                             cfg.cam_spacing, cfg.torso_band,
-                                             seed=self.cam_seed, goal_id=slot))
-        if not paths:
+        self.routes.routes = dict(plan.routes)
+        if not plan.paths:
             return Abort("no reachable base goals")
 
         self.grasp_found |= bool(belief.stable_grasps)
-        utils = evaluate_paths(paths, belief.target_tsdf, belief.stable_grasps,
+        utils = evaluate_paths(plan.paths, belief.target_tsdf, belief.stable_grasps,
                                cfg, self.grasp_found, self._ig_intrinsics(belief),
                                belief.target_bbox, self.maps,
                                unit_weights=self.unit_weights)
@@ -261,7 +266,7 @@ class ActPerMoMaPolicy(Policy):
                                for u in utils],
             "selected_goal": best.path.goal_id,
             "momentum_held": held,
-            "goals": [[slot, round(g.x, 4), round(g.y, 4)] for slot, g in slots],
+            "goals": [[slot, round(g.x, 4), round(g.y, 4)] for slot, g in plan.slots],
             "selected_path": [[round(x, 4), round(y, 4)]
                               for x, y in best.path.route.xy.tolist()],
         }
@@ -279,6 +284,24 @@ class ActPerMoMaPolicy(Policy):
                 _, arm = reachability(self.maps, g, belief.robot)
                 return ExecuteGrasp(replace(g, arm=arm))
         return self._move_along(belief, best.path.route)
+
+    def _plan(self, belief: Belief, epoch: int) -> Plan:
+        """The goal slots of `epoch`, a route to each and its views."""
+        cfg = self.cfg
+        nav = self._nav(belief)
+        slots = tuple(sample_base_goal_slots(
+            belief.occ, belief.target_center[:2], cfg.n_b, self.goal_seed, cfg.reach_radius,
+            blocked=nav.blocked, epoch=epoch))
+        paths = []
+        for slot, goal in slots:
+            try:
+                route = self.routes.path_to(nav, belief.robot, goal, slot)
+            except NoPath:
+                continue
+            paths.append(sample_camera_poses(route, belief.target_center,
+                                             cfg.cam_spacing, cfg.torso_band,
+                                             seed=self.cam_seed, goal_id=slot))
+        return Plan(slots, tuple(paths), tuple(self.routes.routes.items()))
 
 
 class IgOnlyPolicy(ActPerMoMaPolicy):

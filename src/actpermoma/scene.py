@@ -22,6 +22,7 @@ from .geom import (
     Pose3,
     _cross,
     facing,
+    keep,
     quat_from_matrix,
     ray_aabb_interval,
 )
@@ -131,17 +132,18 @@ class CameraIntrinsics:
                                 max(self.height // factor, 16),
                                 self.vertical_fov, self.max_range)
 
-    @functools.cache
     def pixel_dirs(self) -> np.ndarray:
         """Camera-frame ray directions with unit forward component, one per
-        pixel, row-major (v, u) order.  Shape (height*width, 3); cached per
-        intrinsics value."""
-        f = self.focal
-        cx = (self.width - 1) / 2.0
-        cy = (self.height - 1) / 2.0
-        u, v = np.meshgrid(np.arange(self.width), np.arange(self.height))
-        d = np.stack([(u - cx) / f, (v - cy) / f, np.ones_like(u, dtype=float)], axis=-1)
-        return d.reshape(-1, 3)
+        pixel, row-major (v, u) order.  Shape (height*width, 3); kept per
+        intrinsics value (`keep`), so read-only."""
+        def make() -> np.ndarray:
+            f = self.focal
+            cx = (self.width - 1) / 2.0
+            cy = (self.height - 1) / 2.0
+            u, v = np.meshgrid(np.arange(self.width), np.arange(self.height))
+            d = np.stack([(u - cx) / f, (v - cy) / f, np.ones_like(u, dtype=float)], axis=-1)
+            return d.reshape(-1, 3)
+        return keep(_PIXEL_DIRS, self, make)
 
     def project(self, local: np.ndarray, out: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -189,6 +191,7 @@ class CameraIntrinsics:
 
 
 DEFAULT_INTRINSICS = CameraIntrinsics(64, 64, np.deg2rad(60.0), 3.0)
+_PIXEL_DIRS: dict[CameraIntrinsics, np.ndarray] = {}  # `CameraIntrinsics.pixel_dirs`
 
 
 @dataclass(frozen=True)

@@ -241,7 +241,8 @@ def test_detect_equals_full_grid_reference():
 def test_build_map_pair_is_read_only_and_equals_a_fresh_build():
     pair = build_map_pair()
     assert build_map_pair() is pair
-    for m, fresh in zip(pair, build_map_pair.__wrapped__()):
+    for m, fresh in zip(pair, (build_reachability_map(Arm.LEFT),
+                               build_reachability_map(Arm.RIGHT))):
         assert (m.arm, m.yaw_lo, m.yaw_step) == (fresh.arm, fresh.yaw_lo, fresh.yaw_step)
         for name in ("dist_edges", "height_edges", "scores"):
             a, b = getattr(m, name), getattr(fresh, name)

@@ -18,7 +18,7 @@ import pytest
 import actpermoma.harness as harness
 from actpermoma import perception, planning, policies
 from actpermoma.geom import CellState, Grid, Pose2, look_at
-from actpermoma.grasping import GraspDetector
+from actpermoma.grasping import GraspDetector, build_map_pair
 from actpermoma.harness import (
     Episode,
     EpisodeResult,
@@ -40,7 +40,7 @@ from actpermoma.harness import (
 )
 from actpermoma.perception import TsdfGrid
 from actpermoma.planning import NavMap, NoPath, PlannerConfig, camera_at
-from actpermoma.policies import Abort, MoveStep, PolicyKind
+from actpermoma.policies import Abort, Belief, MoveStep, PolicyKind
 from actpermoma.render import render_topdown, render_trace_file
 from actpermoma.scene import (
     DEFAULT_INTRINSICS,
@@ -478,7 +478,7 @@ def kept_kind(key) -> str:
     return "route" if len(key) == 4 else "ig"
 
 
-KEPT_KINDS = {"detect", "occupancy", "blocked", "slots", "route", "ig"}
+KEPT_KINDS = {"detect", "occupancy", "blocked", "plan", "route", "ig"}
 
 
 def value_bits(value):
@@ -499,7 +499,8 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
     one scene task.  Every result kept on every belief state an episode
     reaches, those an earlier episode kept included, equals a fresh
     computation on that episode's grids, with a scene and detector built
-    anew and the IG counts on a copy of the target grid without any memo;
+    anew, the IG counts on a copy of the target grid without any memo and
+    each plan by a new policy whose routes are the previous plan's;
     the scene, start pose and detector the task shares equal freshly built
     ones; each episode's trace equals the episode run alone, though together
     they do less of every kind of work."""
@@ -538,11 +539,19 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
                 want = blocked
             elif kind == "detect":
                 want = tuple(real_detect(detector, episode.target_tsdf, *key[1:]))
-            elif kind == "slots":
-                n_b, seed, radius, epoch = key[1:]
-                want = tuple(planning.sample_base_goal_slots(
-                    occ, scene.target_center[:2], n_b, seed, radius, blocked=blocked,
-                    epoch=epoch))
+            elif kind == "plan":  # a policy with its routes restored from the previous plan
+                n_b, goal_seed, radius, epoch, cam_seed, spacing, band, xy, prev = key[1:]
+                policy = policies.ActPerMoMaPolicy(
+                    PlannerConfig(n_b=n_b, reach_radius=radius, cam_spacing=spacing,
+                                  torso_band=band), 0, build_map_pair())
+                policy.goal_seed, policy.cam_seed = goal_seed, cam_seed
+                policy.routes.routes = dict(prev.routes) if prev is not None else {}
+                checked["plan after a plan"] += prev is not None
+                robot = Pose2(*map(float, np.frombuffer(xy)), 0.0)
+                want = policy._plan(Belief(
+                    robot=robot, target_tsdf=episode.target_tsdf, occ=occ, stable_grasps=[],
+                    target_center=scene.target_center, target_bbox=scene.target_bbox,
+                    step_index=0, intr=DEFAULT_INTRINSICS, node=harness.BeliefNode(-1)), epoch)
             else:
                 try:
                     want = real_search(NavMap(occ, blocked), key[:2], key[2:])
@@ -594,6 +603,7 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
     for kind in SHARED_WORK:
         assert together[0][kind] < sum(a[0][kind] for a in alone), kind
     assert checked["beliefs"] > 0 and all(checked[kind] > 0 for kind in KEPT_KINDS)
+    assert checked["plan after a plan"] > 0
 
 
 def arrays_and_lists(obj):
@@ -625,6 +635,9 @@ def test_a_scene_task_keeps_its_shared_results_read_only():
     assert {kept_kind(key) for key in kept} == KEPT_KINDS
     found = [a for value in kept.values() for a in arrays_and_lists(value)]
     assert not any(isinstance(a, list) for a in found)
+    plans = [value for value in kept.values() if isinstance(value, policies.Plan)]
+    # a plan's routes and the cameras of its views
+    assert any(isinstance(a, np.ndarray) for plan in plans for a in arrays_and_lists(plan))
     found += arrays_and_lists((record.scene, record.start, record.detector))
     arrays = [a for a in found if isinstance(a, np.ndarray)]
     assert any(a.ndim == 2 and a.dtype == bool for a in arrays)  # an obstacle mask

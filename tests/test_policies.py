@@ -7,7 +7,7 @@ import pytest
 
 from actpermoma.geom import CellState, Pose2, Pose3
 from actpermoma.grasping import Arm, Grasp, build_map_pair
-from actpermoma.harness import Episode, RunConfig, run_episode_traced, scene_record
+from actpermoma.harness import BeliefNode, Episode, RunConfig, run_episode_traced, scene_record
 from actpermoma.perception import rear_side_ig_batch
 from actpermoma.planning import (
     NavMap,
@@ -277,6 +277,39 @@ def _proximity_actpermoma(cfg):
     p = ActPerMoMaPolicy(replace(cfg, w_exec=0.0), 17, MAPS)
     p.exec_rule = "proximity"
     return p
+
+
+def plan_bits(plan: policies.Plan) -> tuple:
+    """A plan's goal slots, routes and candidate paths as comparable values."""
+    def route(r):
+        return r.xy.tobytes(), r.segs, r.goal
+    return (plan.slots, [(slot, route(r)) for slot, r in plan.routes],
+            [(p.goal_id, route(p.route), [(cam.key(), arc) for cam, arc in p.views])
+             for p in plan.paths])
+
+
+def test_a_kept_plan_answers_only_its_own_robot_and_route_history():
+    # two policies decide twice on one belief state: first from two robot
+    # poses, then from one pose after those two route histories.  Every
+    # decision, its trace and its plan equal those of a policy that shares
+    # nothing (a fresh belief state per decision); the two second plans
+    # differ, so a plan kept for the other robot or history would show
+    cfg = PlannerConfig()
+    _, belief = make_belief(seed=19, views=1)
+    start = belief.robot
+    moved = ActPerMoMaPolicy(cfg, 17, MAPS).decide(belief).base
+    second = []
+    for robots in ((start, start), (moved, start)):
+        shared, alone = ActPerMoMaPolicy(cfg, 17, MAPS), ActPerMoMaPolicy(cfg, 17, MAPS)
+        for k, robot in enumerate(robots):
+            got = shared.decide(replace(belief, robot=robot, step_index=k))
+            want = alone.decide(replace(belief, robot=robot, step_index=k, node=BeliefNode(-1)))
+            assert isinstance(got, MoveStep) and isinstance(want, MoveStep)
+            assert (got.base, got.cam.key()) == (want.base, want.cam.key())
+            assert shared.last_trace == alone.last_trace
+            assert plan_bits(shared.plan) == plan_bits(alone.plan)
+        second.append(plan_bits(shared.plan))
+    assert second[0] != second[1]
 
 
 @pytest.mark.parametrize("kind", list(PolicyKind))

@@ -156,6 +156,19 @@ def test_render_matches_sampled_intersections():
                 assert got == pytest.approx(want, abs=1e-4)
 
 
+def test_pixel_dirs_are_one_read_only_array_per_intrinsics():
+    # every render and IG trace with these intrinsics reads the one kept
+    # array: a write to it would change every later one, so it raises
+    dirs = CameraIntrinsics(64, 64, np.deg2rad(60.0), 3.0).pixel_dirs()
+    assert INTR.pixel_dirs() is dirs and not dirs.flags.writeable
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 1.0
+    f = INTR.focal
+    u, v = np.meshgrid(np.arange(64.0), np.arange(64.0))
+    want = np.stack([(u - 31.5) / f, (v - 31.5) / f, np.ones_like(u)], axis=-1).reshape(-1, 3)
+    assert dirs.tobytes() == want.tobytes()
+
+
 def test_render_monotone_under_occlusion():
     s = generate_scene(SceneKind.SIMPLE, False, 9)
     cam = look_at(np.array([1.5, 0.2, 1.2]), s.target_center)
