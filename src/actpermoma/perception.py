@@ -44,6 +44,7 @@ from .geom import (
     Grid,
     Pose3,
     keep,
+    product_rows,
     quat_conj,
     quat_to_matrix,
     ray_aabb_interval,
@@ -337,9 +338,8 @@ def _trace_visits(g: Grid, cams: list[Pose3], intr: CameraIntrinsics, box: Aabb
 
     dirs_cam = intr.pixel_dirs()
     dirs_cam = dirs_cam / np.linalg.norm(dirs_cam, axis=1, keepdims=True)
-    # rotate the full pixel grid, then select: a matmul over a subset of rows
-    # need not give the same bits as the full product
-    dirs = np.concatenate([(dirs_cam @ cam.rotation_matrix().T)[pix]
+    # only the kept rays are rotated, with the bits of the full product's rows
+    dirs = np.concatenate([product_rows(dirs_cam, pix, cam.rotation_matrix().T)
                            for cam, pix in zip(cams, keep)])
     cam_of = np.repeat(np.arange(len(cams)), [pix.size for pix in keep])
     origins = np.stack([cam.position for cam in cams])[cam_of]

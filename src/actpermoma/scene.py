@@ -23,8 +23,10 @@ from .geom import (
     _cross,
     facing,
     keep,
+    product_rows,
     quat_from_matrix,
     ray_aabb_interval,
+    read_only,
 )
 
 TABLE_HALF = 0.4          # 0.8 m square table
@@ -86,14 +88,17 @@ class Primitive:
     tag: Tag
     object_id: int | None = None  # set for Tag.OBJECT only
 
+    @property
+    def half_extents(self) -> np.ndarray:
+        """Of the shape's local bounding box: (radius, radius, height / 2) for a cylinder."""
+        if isinstance(self.shape, Box):
+            return self.shape.half_extents
+        return np.array([self.shape.radius, self.shape.radius, self.shape.height / 2.0])
+
     @functools.cached_property
     def world_aabb(self) -> Aabb:
         """World AABB of the corners of the shape's local bounding box."""
-        if isinstance(self.shape, Box):
-            he = self.shape.half_extents
-        else:
-            he = np.array([self.shape.radius, self.shape.radius, self.shape.height / 2.0])
-        world = self.pose.transform(Aabb(-he, he).corners())
+        world = self.pose.transform(Aabb(-self.half_extents, self.half_extents).corners())
         return Aabb(world.min(axis=0), world.max(axis=0))
 
 
@@ -173,21 +178,18 @@ class CameraIntrinsics:
         z <= 1e-9), where the projected corners do not bound the box's image.
         """
         behind = (corners[..., 2] <= 1e-9).any(axis=1)
+        uv = np.empty((2, *corners.shape[:2]))
         with np.errstate(divide="ignore", invalid="ignore"):
-            u, v = self.project(corners)
-        u0 = np.maximum(np.ceil(u.min(axis=1) - 1.0), 0)
-        u1 = np.minimum(np.floor(u.max(axis=1) + 1.0), self.width - 1)
-        v0 = np.maximum(np.ceil(v.min(axis=1) - 1.0), 0)
-        v1 = np.minimum(np.floor(v.max(axis=1) + 1.0), self.height - 1)
-        out = []
-        for b in range(len(corners)):
-            if behind[b]:
-                out.append(np.arange(self.width * self.height))
-                continue
-            cols = np.arange(int(u0[b]), int(u1[b]) + 1)
-            rows = np.arange(int(v0[b]), int(v1[b]) + 1)
-            out.append((rows[:, None] * self.width + cols).ravel())
-        return out
+            self.project(corners, out=uv)
+        # per box (u, v) of its first and last pixel; an empty rectangle ends
+        # just before it starts, so no slice bound is negative
+        first = np.maximum(np.ceil(uv.min(axis=2) - 1.0), 0)
+        last = np.maximum(np.minimum(np.floor(uv.max(axis=2) + 1.0),
+                                     [[self.width - 1], [self.height - 1]]), first - 1)
+        ids = np.arange(self.width * self.height).reshape(self.height, self.width)
+        bounds = zip(behind.tolist(), *first.tolist(), *last.tolist())
+        return [ids.ravel() if b else ids[int(v0):int(v1) + 1, int(u0):int(u1) + 1].ravel()
+                for b, u0, v0, u1, v1 in bounds]
 
 
 DEFAULT_INTRINSICS = CameraIntrinsics(64, 64, np.deg2rad(60.0), 3.0)
@@ -236,6 +238,27 @@ class Scene:
         obj = self.target_primitive.pose
         return [obj.compose(g.pose) for g in self.truth_grasps]
 
+    @functools.cached_property
+    def render_prep(self) -> tuple:
+        """Read-only, made on the first render: per primitive its rotation,
+        position and `half_extents`; 8 world corner rows per non-floor one's
+        bounding box, in the order of the `(shape, ids)` groups that follow;
+        per floor its shape, id and top face height."""
+        prims = self.primitives
+        solids = tuple((kind, ids) for kind in (Box, Cylinder) if (ids := tuple(
+            i for i, p in enumerate(prims) if p.tag is not Tag.FLOOR and type(p.shape) is kind)))
+        rotations = np.stack([p.pose.rotation_matrix() for p in prims])
+        positions = np.stack([p.pose.position for p in prims])
+        half_extents = np.stack([p.half_extents for p in prims])
+        corners = (Aabb(-np.ones(3), np.ones(3)).corners() * half_extents[:, None]
+                   @ rotations.transpose(0, 2, 1) + positions[:, None])
+        prep = (rotations, positions, half_extents,
+                corners[[i for _, ids in solids for i in ids]].reshape(-1, 3), solids,
+                tuple((type(p.shape), i, float(corners[i, :, 2].max()))
+                      for i, p in enumerate(prims) if p.tag is Tag.FLOOR))
+        read_only(prep)
+        return prep
+
 
 # ---------------------------------------------------------------------------
 # analytic geometry on primitives
@@ -262,22 +285,23 @@ def scene_sdf(scene: Scene, points: np.ndarray) -> np.ndarray:
     return np.min(np.stack([primitive_sdf(p, points) for p in scene.primitives]), axis=0)
 
 
-def primitive_ray_hits(prim: Primitive, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """First-hit parameter t per ray (inf = miss); dirs may be unnormalized,
-    t is then measured in units of |dir|.  Rays starting inside count as a miss."""
-    rot_inv = prim.pose.rotation_matrix().T
-    o = (np.atleast_2d(origins) - prim.pose.position) @ rot_inv.T
-    d = np.atleast_2d(dirs) @ rot_inv.T
-    eps = 1e-9
-    if isinstance(prim.shape, Box):
-        he = prim.shape.half_extents
-        # a hit needs t_near > eps, so the clamp of t_near at 0 changes no hit
-        t_near, t_far = ray_aabb_interval(o, d, Aabb(-he, he))
-        hit = (t_near <= t_far) & (t_near > eps)
-        return np.where(hit, t_near, np.inf)
+def _box_hits(o: np.ndarray, d: np.ndarray, he: np.ndarray) -> np.ndarray:
+    """First-hit t per ray (inf = miss) of the box of half extents `he`,
+    (3,) or one row per ray, centred at the origin of the rays' frame."""
+    # a hit needs t_near > 1e-9 (nearer is a ray starting inside), so the
+    # clamp of t_near at 0 changes no hit
+    t_near, t_far = ray_aabb_interval(o, d, (-he, he))
+    return np.where((t_near <= t_far) & (t_near > 1e-9), t_near, np.inf)
 
-    r, h2 = prim.shape.radius, prim.shape.height / 2.0
-    best = np.full(o.shape[0], np.inf)
+
+def _cylinder_hits(o: np.ndarray, d: np.ndarray, he: np.ndarray) -> np.ndarray:
+    """Likewise for the z-axis cylinder of radius `he[..., 0]` and half
+    height `he[..., 2]`: the nearest good one of its two side roots and two
+    cap crossings, stacked as rows.  Every square is taken on an array, never
+    a numpy scalar: `np.float64(x) ** 2` misses the bits of the array form
+    `x ** 2` on about 8 in 10^5 values."""
+    r, h2 = he[..., 0], he[..., 2]
+    eps = 1e-9
     a = d[:, 0] ** 2 + d[:, 1] ** 2
     b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
     c = o[:, 0] ** 2 + o[:, 1] ** 2 - r * r
@@ -285,18 +309,25 @@ def primitive_ray_hits(prim: Primitive, origins: np.ndarray, dirs: np.ndarray) -
     ok = (disc >= 0) & (a > eps)
     sq = np.sqrt(np.where(ok, disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for sign in (-1.0, 1.0):
-            t = (-b + sign * sq) / (2 * a)
-            z = o[:, 2] + t * d[:, 2]
-            good = ok & (t > eps) & (np.abs(z) <= h2)
-            best = np.where(good & (t < best), t, best)
-        for cap in (-h2, h2):
-            t = (cap - o[:, 2]) / d[:, 2]
-            x = o[:, 0] + t * d[:, 0]
-            y = o[:, 1] + t * d[:, 1]
-            good = (np.abs(d[:, 2]) > eps) & (t > eps) & (x * x + y * y <= r * r)
-            best = np.where(good & (t < best), t, best)
-    return best
+        side = np.stack([-b - sq, -b + sq]) / (2 * a)
+        cap = (np.stack([-h2, h2]).reshape(2, -1) - o[:, 2]) / d[:, 2]
+        x, y = o[:, 0] + cap * d[:, 0], o[:, 1] + cap * d[:, 1]
+        good = np.concatenate([ok & (side > eps) & (np.abs(o[:, 2] + side * d[:, 2]) <= h2),
+                               (np.abs(d[:, 2]) > eps) & (cap > eps) & (x * x + y * y <= r * r)])
+    return np.where(good, np.concatenate([side, cap]), np.inf).min(axis=0)
+
+
+_HITS = {Box: _box_hits, Cylinder: _cylinder_hits}
+
+
+def primitive_ray_hits(prim: Primitive, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """First-hit parameter t per ray (inf = miss); dirs may be unnormalized,
+    t is then measured in units of |dir|.  Rays starting inside count as a miss.
+    The one-primitive call of the shape kernels `render_depth` batches."""
+    rot = prim.pose.rotation_matrix()
+    o = (np.atleast_2d(origins) - prim.pose.position) @ rot
+    d = np.atleast_2d(dirs) @ rot
+    return _HITS[type(prim.shape)](o, d, prim.half_extents)
 
 
 def footprint_clearance(prim: Primitive, xy: np.ndarray) -> float:
@@ -540,29 +571,49 @@ def sample_start_pose(scene: Scene, seed: int) -> Pose2:
 def render_depth(scene: Scene, cam: Pose3, intr: CameraIntrinsics) -> DepthImage:
     """Per-pixel nearest analytic intersection, z-depth, NaN beyond max_range.
 
-    Each primitive is ray-tested only on the `intr.box_pixels` of its world
-    AABB, the image rectangle that bounds the AABB: a pixel outside it
-    cannot see any point of the AABB, so it cannot hit the primitive, and
-    skipping it changes no depth.  The pixel rays are rotated into the world
-    as one full grid and subset afterwards.  `primitive_ray_hits` then
-    multiplies the subset by the primitive's rotation, and numpy's matrix
-    product gives every row of a product of two or more rows the bits of the
-    same row of the full product, so each tested ray gets the hit it gets
-    unculled (`tests/test_sensing_oracle.py` compares whole images).
+    Each non-floor primitive is ray-tested only on the `intr.box_pixels` of
+    its bounding box, in one kernel pass per shape (`_box_hits`,
+    `_cylinder_hits`) with per-ray sizes.  A floor is tested last, and only
+    where it can be the nearest hit in range: with its top face h below the
+    camera, it meets a ray of world direction d no nearer than h / -d_z, so
+    a pixel with d_z >= -h / max_range would hit it out of range (NaN either
+    way), and one whose nearest hit so far is no farther keeps that hit.  h
+    is shrunk by 1e-6 relative and 1 nm against rounding; a camera not above
+    that tests the whole image.
+
+    A primitive's rays enter its frame through `geom.product_rows`, and the
+    camera position as both rows of a 2-row product, so every tested ray
+    gets the bits of the hit `primitive_ray_hits` gives it unculled, and
+    `best` their minimum in any order (`tests/test_sensing_oracle.py`).
     """
-    dirs_world = intr.pixel_dirs() @ cam.rotation_matrix().T
-    origins = np.broadcast_to(cam.position, dirs_world.shape)
+    rot = cam.rotation_matrix()
+    dirs_world = intr.pixel_dirs() @ rot.T
     best = np.full(dirs_world.shape[0], np.inf)
-    corners = np.stack([prim.world_aabb.corners() for prim in scene.primitives])
-    for prim, pix in zip(scene.primitives, intr.box_pixels(cam.inverse_transform(corners))):
-        if pix.size == 0:
-            continue
-        if pix.size == 1:
-            # a one-row product takes numpy's matrix-vector path, whose bits
-            # can differ from the same row of a larger product
-            pix = np.arange(best.size)
-        t = primitive_ray_hits(prim, origins[pix], dirs_world[pix])
-        best[pix] = np.minimum(best[pix], t)
+    rotations, positions, half_extents, corners, solids, floors = scene.render_prep
+    origins = (np.repeat((cam.position - positions)[:, None], 2, axis=1) @ rotations)[:, 0]
+
+    def cast(shape: type, members: list[tuple[int, np.ndarray]]) -> None:
+        # one kernel pass over the (primitive id, pixel ids) pairs of a shape
+        if members := [(i, pix) for i, pix in members if pix.size]:
+            ids, pixels = (list(m) for m in zip(*members))
+            counts = [pix.size for pix in pixels]
+            t = _HITS[shape](np.repeat(origins[ids], counts, axis=0),
+                             np.concatenate([product_rows(dirs_world, pix, rotations[i])
+                                             for i, pix in members]),
+                             np.repeat(half_extents[ids], counts, axis=0))
+            np.minimum.at(best, np.concatenate(pixels), t)
+
+    pixels = iter(intr.box_pixels(((corners - cam.position) @ rot).reshape(-1, 8, 3)))
+    for shape, ids in solids:
+        cast(shape, [(i, next(pixels)) for i in ids])
+    for shape, i, top in floors:
+        h = (cam.position[2] - top) * (1.0 - 1e-6) - 1e-9
+        pix = np.arange(best.size)
+        if h > 0.0:
+            d_z = dirs_world[:, 2]
+            pix = np.flatnonzero(d_z < -h / intr.max_range)
+            pix = pix[best[pix] > h / -d_z[pix]]
+        cast(shape, [(i, pix)])
     depths = np.where(best <= intr.max_range, best, np.nan)
     return DepthImage(intr, depths.reshape(intr.height, intr.width))
 

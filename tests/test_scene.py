@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from actpermoma.geom import Aabb, Pose3, look_at
+from actpermoma.geom import Aabb, Pose3, look_at, quat_to_matrix
 from actpermoma.scene import (
     Approach,
     Box,
@@ -167,6 +167,37 @@ def test_pixel_dirs_are_one_read_only_array_per_intrinsics():
     u, v = np.meshgrid(np.arange(64.0), np.arange(64.0))
     want = np.stack([(u - 31.5) / f, (v - 31.5) / f, np.ones_like(u)], axis=-1).reshape(-1, 3)
     assert dirs.tobytes() == want.tobytes()
+
+
+def test_row_subset_products_equal_full_rows():
+    # render_depth and the IG trace rotate subsets of the pixel rays: each
+    # row of `A[pix] @ M` must have the bits of that row of `A @ M` when pix
+    # has 2 or more rows (one row takes the matrix-vector path, which need
+    # not, so both fall back to a larger product there); render also puts
+    # each primitive's camera position in as both rows of a stacked 2-row
+    # product, whose rows must equal those of any larger product of it
+    rng = np.random.default_rng(11)
+
+    def rotation() -> np.ndarray:
+        q = rng.normal(size=4)
+        return quat_to_matrix(q / np.linalg.norm(q))
+
+    for trial in range(60):
+        a = INTR.pixel_dirs() @ rotation().T if trial % 2 else rng.normal(size=(4096, 3))
+        rot = rotation()
+        for m in (rot, rot.T):
+            whole = (a @ m).view(np.int64)
+            n = int(rng.choice([2, 3, rng.integers(2, 4097), 4096]))
+            pix = rng.choice(4096, size=n, replace=False)
+            if trial % 3 == 0:
+                pix.sort()
+            assert np.array_equal((a[pix] @ m).view(np.int64), whole[pix])
+        rows = rng.normal(size=(5, 3)) * 3.0
+        rots = np.stack([rotation() for _ in rows])
+        stacked = (np.repeat(rows[:, None], 2, axis=1) @ rots)[:, 0].view(np.int64)
+        for row, m, got in zip(rows, rots, stacked):
+            many = (np.repeat(row[None], int(rng.integers(2, 4097)), axis=0) @ m).view(np.int64)
+            assert (many == got).all()
 
 
 def test_render_monotone_under_occlusion():

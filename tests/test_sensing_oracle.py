@@ -1,9 +1,10 @@
 """Bit-exactness of the culled sensing step.
 
 `scene.render_depth` tests each primitive only on the pixels of its image
-rectangle, `perception.integrate_depth` projects only the voxels of the view
-frustum's index box, and `geom.ray_aabb_interval` runs its slabs on 1-D
-columns.  None of these may change a bit.  The references below are the
+rectangle (the floor only where it can be the nearest hit in range), one
+kernel pass per shape, `perception.integrate_depth` projects only the voxels
+of the view frustum's index box, and `geom.ray_aabb_interval` chains its
+axes column by column.  None of these may change a bit.  The references below are the
 unculled forms: every primitive against every pixel, every voxel projected
 through the row-wise `(centers - p) @ R.T`, and the slab test reduced over
 (n, 3) arrays.  After each view of a sequence, the depth image and the
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actpermoma import harness, perception
+from actpermoma import scene as scene_module
 from actpermoma.geom import Aabb, Grid, Pose3, look_at, ray_aabb_interval
 from actpermoma.harness import NAV_CELL, NAV_Z_VOXELS, TARGET_GRID_SIDE, TARGET_GRID_VOXELS
 from actpermoma.perception import (
@@ -38,12 +40,15 @@ from actpermoma.perception import (
 from actpermoma.scene import (
     ARENA_HALF,
     DEFAULT_INTRINSICS,
+    TABLE_HEIGHT,
     Box,
     CameraIntrinsics,
+    Cylinder,
     DepthImage,
     Primitive,
     SceneKind,
     Tag,
+    _box_hits,
     generate_scene,
     primitive_ray_hits,
     render_depth,
@@ -248,6 +253,144 @@ def test_culled_sensing_equals_unculled_reference(case):
             integrate_depth(grid, img, cam)
             reference_integrate(ref, img, cam)
             assert np.array_equal(grid.grid.cells, ref.grid.cells)
+
+
+# ---------------------------------------------------------------------------
+# fixed views for the render's floor bound and per-shape kernel passes
+# ---------------------------------------------------------------------------
+
+def assert_renders_like_the_reference(scene, cam: Pose3, intr=INTR) -> np.ndarray:
+    img = render_depth(scene, cam, intr).depths
+    assert img.tobytes() == reference_render(scene, cam, intr).tobytes()
+    return img
+
+
+def floor_of(scene) -> Primitive:
+    (floor,) = (p for p in scene.primitives if p.tag is Tag.FLOOR)
+    return floor
+
+
+def test_camera_at_or_below_the_floor_top_renders_like_the_reference():
+    # at, below and a hair above the top face (z = 0) the floor is tested on
+    # the whole image; at 0.1 um above it the bound is used with a tiny h;
+    # from under the floor (z = -0.5) rays that rise meet its bottom face
+    scene = generate_scene(SceneKind.COMPLEX, False, 2)
+    for z in (0.0, -1e-12, -0.02, -0.5, 1e-12, 1e-7):
+        for aim in (scene.target_center, np.array([2.0, -1.5, -0.3]), np.array([-2.0, 0.5, 0.05])):
+            assert_renders_like_the_reference(scene, look_at(np.array([0.9, -1.1, z]), aim))
+    under = look_at(np.array([0.9, -1.1, -0.5]), np.array([2.0, -1.5, -0.3]))
+    assert np.isfinite(render_depth(scene, under, INTR).depths).any()
+
+
+def test_floor_just_before_a_sunken_wall_renders_like_the_reference():
+    # 4.49 cm up, level, 1 m from a wall that reaches 5 cm into the floor:
+    # image row 34 crosses the floor's top 0.5 % before it meets the wall
+    # below that top, where a floor bound that were too tight would keep the
+    # wall's depth
+    floor = floor_of(generate_scene(SceneKind.SIMPLE, False, 3))
+    wall = Primitive(Box(np.array([0.05, 0.4, 0.275])),
+                     Pose3(np.array([-0.35, 0.0, 0.225]), np.array([1.0, 0.0, 0.0, 0.0])),
+                     Tag.OBSTACLE)
+    scene = replace(generate_scene(SceneKind.SIMPLE, False, 3), primitives=(floor, wall))
+    pos = np.array([-1.4, 0.0, 0.0449])
+    cam = look_at(pos, pos + AXES[0])
+    assert_renders_like_the_reference(scene, cam)
+    dirs = INTR.pixel_dirs() @ cam.rotation_matrix().T
+    rays = np.broadcast_to(pos, dirs.shape)
+    t_wall, t_floor = (primitive_ray_hits(p, rays, dirs) for p in (wall, floor))
+    assert ((t_floor < t_wall) & (t_wall < 1.01 * t_floor)).any()
+
+
+def test_floor_hidden_by_the_table_or_the_obstacle_renders_like_the_reference(monkeypatch):
+    # straight down onto the tabletop from 0.3 m, and 0.15 m in front of the
+    # obstacle's face: every ray meets the table or the obstacle nearer than
+    # the floor could be, so the floor pass tests no pixel
+    calls = []
+
+    def counted(o, d, he):
+        calls.append(len(o))
+        return _box_hits(o, d, he)
+
+    monkeypatch.setitem(scene_module._HITS, Box, counted)
+    simple = generate_scene(SceneKind.SIMPLE, False, 6)
+    above = np.array([0.05, -0.05, TABLE_HEIGHT + 0.3])
+    complex_ = generate_scene(SceneKind.COMPLEX, False, 6)
+    (obstacle,) = (p for p in complex_.primitives if p.tag is Tag.OBSTACLE)
+    az = complex_.obstacle_azimuth
+    center = obstacle.pose.position
+    outward = np.array([np.cos(az), np.sin(az), 0.0])  # the obstacle's local +x
+    front = center + (obstacle.shape.half_extents[0] + 0.15) * outward
+    for scene, cam, hider in ((simple, look_at(above, above - AXES[2]), Tag.TABLE),
+                              (complex_, look_at(front, center), Tag.OBSTACLE)):
+        calls.clear()
+        img = render_depth(scene, cam, INTR).depths
+        assert len(calls) == 1  # the box pass; no floor pass
+        assert img.tobytes() == reference_render(scene, cam, INTR).tobytes()
+        (prim,) = (p for p in scene.primitives if p.tag is hider)
+        dirs = INTR.pixel_dirs() @ cam.rotation_matrix().T
+        hidden = primitive_ray_hits(prim, np.broadcast_to(cam.position, dirs.shape), dirs)
+        assert (hidden < 0.5).all() and (img <= 0.5).all()
+
+
+def test_floor_hits_on_both_sides_of_max_range_render_like_the_reference():
+    # from one arena corner toward the other: the floor in the lower rows is
+    # near, in the upper rows beyond range
+    scene = generate_scene(SceneKind.SIMPLE, False, 8)
+    pos = np.array([-2.8, -2.8, 1.0])
+    cam = look_at(pos, np.array([0.0, 0.0, 0.2]))
+    img = assert_renders_like_the_reference(scene, cam)
+    dirs = INTR.pixel_dirs() @ cam.rotation_matrix().T
+    t = primitive_ray_hits(floor_of(scene), np.broadcast_to(pos, dirs.shape), dirs)
+    assert (t <= INTR.max_range).any() and ((t > INTR.max_range) & np.isfinite(t)).any()
+    assert np.isnan(img).any() and np.isfinite(img).any()
+
+
+def test_one_pixel_floor_set_renders_like_the_reference():
+    # a 16x16 camera 1.5 m up, looking level along +x: only its bottom row
+    # points steeply enough to meet the floor within 3 m, and a wall 1 m
+    # ahead hides all of that row but its last pixel (world y < -0.505), so
+    # the floor is tested on one pixel, whose ray is taken from the product
+    # of the whole image
+    intr = CameraIntrinsics(16, 16, np.deg2rad(60.0), 3.0)
+    floor = floor_of(generate_scene(SceneKind.SIMPLE, False, 1))
+    wall = Primitive(Box(np.array([0.05, 1.2525, 1.5])),
+                     Pose3(np.array([1.05, 0.7475, 1.5]), np.array([1.0, 0.0, 0.0, 0.0])),
+                     Tag.OBSTACLE)
+    scene = replace(generate_scene(SceneKind.SIMPLE, False, 1), primitives=(floor, wall))
+    pos = np.array([0.0, 0.0, 1.5])
+    cam = look_at(pos, pos + AXES[0])
+    img = assert_renders_like_the_reference(scene, cam, intr)
+    dirs = intr.pixel_dirs() @ cam.rotation_matrix().T
+    rays = np.broadcast_to(pos, dirs.shape)
+    t_wall, t_floor = (primitive_ray_hits(p, rays, dirs) for p in (wall, floor))
+    assert np.count_nonzero((t_floor <= intr.max_range) & (t_floor < t_wall)) == 1
+    assert np.isfinite(img[-1, -1]) and img[-1, -1] == t_floor[-1]
+
+
+def test_views_mixing_boxes_and_cylinders_render_like_the_reference(monkeypatch):
+    # one kernel pass per shape holds the rays of several primitives, each
+    # with its own sizes
+    mixed = {Box: 0, Cylinder: 0}
+
+    def spy(shape):
+        kernel = scene_module._HITS[shape]
+
+        def hits(o, d, he):
+            if he.ndim == 2 and len(np.unique(he, axis=0)) > 1:
+                mixed[shape] += 1
+            return kernel(o, d, he)
+        return hits
+
+    for shape in (Box, Cylinder):
+        monkeypatch.setitem(scene_module._HITS, shape, spy(shape))
+    for seed in (1, 2, 5):
+        scene = generate_scene(SceneKind.COMPLEX, False, seed)
+        shapes = {type(p.shape) for p in scene.primitives if p.tag is Tag.OBJECT}
+        assert shapes == {Box, Cylinder}
+        for az in np.linspace(0.0, 2 * np.pi, 6, endpoint=False):
+            pos = scene.target_center + np.array([0.8 * np.cos(az), 0.8 * np.sin(az), 0.4])
+            assert_renders_like_the_reference(scene, look_at(pos, scene.target_center))
+    assert mixed[Box] > 0 and mixed[Cylinder] > 0
 
 
 # ---------------------------------------------------------------------------
