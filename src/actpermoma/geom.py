@@ -69,6 +69,21 @@ def keep(memo: dict, key, make, limit: int | None = None):
     return value
 
 
+def keep_each(memo: dict, keys, make, limit: int | None = None) -> list:
+    """`keep` for each of `keys`, in their order: one `make(missed)` call
+    returns the values of the distinct keys not in `memo`, in first-seen
+    order.  A repeated key gets one object; if `make` raises, nothing is
+    kept.  A batch of more distinct keys than `limit` can evict a key it
+    hit, so every hit is taken before anything is kept."""
+    distinct = dict.fromkeys(keys)
+    values = {k: keep(memo, k, None, limit) for k in distinct if k in memo}  # hits
+    missed = [k for k in distinct if k not in values]
+    if missed:
+        for k, value in zip(missed, make(missed), strict=True):
+            values[k] = keep(memo, k, lambda: value, limit)
+    return [values[k] for k in keys]
+
+
 def wrap_angle(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     t = (theta + np.pi) % TWO_PI - np.pi

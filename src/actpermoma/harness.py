@@ -228,8 +228,8 @@ class BeliefNode:
       decision's goal slots, candidate paths and routes (`policies.Plan`);
     - four ints, the start and goal cells: `plan_path`'s route or NoPath
       message (`NavMap.paths`);
-    - a pair led by the camera's key tuple: `rear_side_ig_batch`'s count
-      (`TsdfGrid.ig_counts`).
+    - a pair of a camera's ray-visit key and the target bbox bytes:
+      `rear_side_ig_batch`'s count (`TsdfGrid.ig_counts`).
 
     A key is a str, a tuple led by a str, a tuple of four ints or a pair led
     by a tuple, so no two producers share one."""

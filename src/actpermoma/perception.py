@@ -23,12 +23,12 @@ observed surface along that pose's pixel rays: the voxels the view could
 newly reveal.  `rear_side_ig_batch` scores many poses at once.  It culls the
 pixel rays that cannot reach the (inflated) bounding box and traces the rest
 in one exact batched traversal (`geom.traverse_batch`).  The voxels a pose's
-rays visit depend on the geometry alone, so the grid caches them per exact
-pose, bounded by IG_CACHE_VISITS, and a pose seen before is not traced
-again.  Every call then counts distinct (camera, voxel) hits in one
-vectorized pass over the visits of all its poses.  A count depends on the
-cells too, so it is kept only where the harness asks for it: on the grid of
-one belief state (`TsdfGrid.ig_counts`), which fusion drops.
+rays visit depend on the geometry alone, so the grid keeps them for its last
+IG_CACHE_POSES exact poses, and a pose seen before is not traced again.
+Every call then counts distinct (camera, voxel) hits in one vectorized pass
+over the visits of all its poses.  A count depends on the cells too, so it
+is kept only where the harness asks for it: on the grid of one belief state
+(`TsdfGrid.ig_counts`), which fusion drops.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .geom import (
     Grid,
     Pose3,
     keep,
+    keep_each,
     product_rows,
     quat_conj,
     quat_to_matrix,
@@ -53,11 +54,13 @@ from .geom import (
 from .scene import CameraIntrinsics, DepthImage
 
 WEIGHT_CAP = 64.0
-# rear_side_ig_batch's ray-visit cache bound per grid: 2**18 uint16 voxel
-# indices (512 KiB) plus a one-byte length per ray; the harness shares one
-# among a scene's target grids.  A 302-step ActPerMoMa episode reuses as many
-# poses under it as with no bound, which holds 3.4M.
-IG_CACHE_VISITS = 1 << 18
+# the camera poses whose ray visits rear_side_ig_batch keeps per grid, one
+# dict per scene.  Hit ratio at 64 / 128 / 256 poses, then at the 2**18-visit
+# bound this replaced: 0.382 / 0.385 / 0.385 / 0.385 over 53 ActPerMoMa
+# episodes capped at 20 steps; 0.616 / 0.624 / 0.624 / 0.624 over 407 uncapped
+# ActPerMoMa steps on two complex scenes; 0.412 / 0.430 / 0.432 / 0.424 over
+# 800 NoWeights steps there.  A pose holds ~2.6k uint16 visits, 14.1k at most.
+IG_CACHE_POSES = 128
 # the views whose depth images, each with its fusion plans, the harness
 # keeps per scene, shared by the episodes that run on it.  Within an episode
 # a repeated view recurred within 5 distinct views in every episode
@@ -76,8 +79,7 @@ class TsdfGrid:
     grid: Grid  # cells float32, shape (nx, ny, nz, 2)
     truncation: float
     # rear_side_ig_batch's ray visits per camera pose, least recently used
-    # first; they depend only on the grid geometry.  Not `keep`'s: the bound
-    # counts visits, not entries
+    # first; they depend only on the grid geometry
     ray_visits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # rear_side_ig_batch's counts per view of the cells as they are now, one
     # batch's cameras filled at once: None unless the harness attaches the
@@ -396,62 +398,43 @@ def rear_side_ig_batch(tsdf: TsdfGrid, cams: list[Pose3], intr: CameraIntrinsics
        imports `numpy.ma` on first use).
 
     Steps 1 and 2 read only the geometry, never the voxel states, so their
-    visits are cached on `tsdf` (`TsdfGrid.ray_visits`) under the exact
-    bytes of the camera pose, the intrinsics and the inflated bbox, and
-    only the cameras not in the cache are traced.  The harness gives a
-    scene's target grids one cache, so an episode reuses the visits of the
-    poses an earlier one on the scene scored.  The cache keeps voxel
-    ids in the smallest unsigned type that holds them (uint16 for 40^3
-    voxels) and drops its least recently used poses beyond IG_CACHE_VISITS
-    visits, each pose counting one more.  Culled rays would never visit a
-    countable voxel, so the counts equal those of tracing every pixel ray.
+    visits are kept (`geom.keep_each`) on `tsdf` (`TsdfGrid.ray_visits`,
+    the last IG_CACHE_POSES poses) under the exact bytes of the camera
+    pose, the intrinsics and the inflated bbox; only the distinct poses not
+    kept there are traced.  The harness gives a scene's target grids one
+    dict, so an episode reuses the visits of the poses an earlier one on the
+    scene scored.  Voxel ids take the smallest unsigned type that holds them
+    (uint16 for 40^3 voxels).  Culled rays would never visit a countable
+    voxel, so the counts equal those of tracing every pixel ray.
 
-    A camera's count depends on its rays and the cells alone.  With a
-    counts dict on the grid (`TsdfGrid.ig_counts`, which the harness shares
-    among the episodes on a scene that reach the same views), a camera
-    counted before under the same key and target bbox bytes takes its count
-    from it, and only the others run the three steps.
+    A camera's count depends on its rays and the cells alone, so it is kept
+    too, under its ray-visit key and the target bbox bytes: on the grid's
+    counts dict (`TsdfGrid.ig_counts`, which the harness shares among the
+    episodes on a scene that reach the same views), or on a dict of this
+    call alone.  Only the cameras not counted there run the three steps.
     """
     g = tsdf.grid
     box = target_bbox.inflated(g.cell_size * np.sqrt(3.0))
     view = (intr, box.lo.tobytes(), box.hi.tobytes())
     keys = [(*cam.key(), *view) for cam in cams]
-    memo = tsdf.ig_counts
+    pose = dict(zip(keys, cams))
     bbox = (target_bbox.lo.tobytes(), target_bbox.hi.tobytes())
-    counts = [None if memo is None else memo.get((k, bbox)) for k in keys]
-    missed = [c for c, n in enumerate(counts) if n is None]
-    if missed:
-        fresh = _rear_side_counts(tsdf, [cams[c] for c in missed], [keys[c] for c in missed],
-                                  intr, box, target_bbox)
-        for c, n in zip(missed, fresh.tolist()):
-            counts[c] = n
-            if memo is not None:
-                memo[keys[c], bbox] = n
+    counts = keep_each({} if tsdf.ig_counts is None else tsdf.ig_counts,
+                       [(k, bbox) for k in keys],
+                       lambda missed: _rear_side_counts(tsdf, pose, [k for k, _ in missed],
+                                                        intr, box, target_bbox).tolist())
     return np.array(counts, dtype=np.int64)
 
 
-def _rear_side_counts(tsdf: TsdfGrid, cams: list[Pose3], keys: list[tuple],
+def _rear_side_counts(tsdf: TsdfGrid, pose: dict, keys: list[tuple],
                       intr: CameraIntrinsics, box: Aabb, target_bbox: Aabb) -> np.ndarray:
-    """Steps 1-3 of `rear_side_ig_batch` for `cams`, whose ray-visit keys
-    are `keys` and whose rays are culled to the inflated bbox `box`."""
-    n_cams = len(cams)
+    """Steps 1-3 of `rear_side_ig_batch` for the cameras `pose[k]` of the
+    distinct ray-visit keys `keys`, culled to the inflated bbox `box`."""
+    n_cams = len(keys)
     g = tsdf.grid
-    cache = tsdf.ray_visits
-    visits = [cache.get(k) for k in keys]
-    missed = [c for c, v in enumerate(visits) if v is None]
-    if missed:
-        for c, v in zip(missed, _trace_visits(g, [cams[c] for c in missed], intr, box)):
-            visits[c] = v
-    # this call's poses become the most recently used, then the oldest go
-    for k, v in zip(keys, visits):
-        cache.pop(k, None)
-        cache[k] = v
-    if missed:
-        # a pose counts one more than its visits, so poses whose rays all
-        # miss the box still fill the cache
-        total = sum(f.size + 1 for f, _ in cache.values())
-        while total > IG_CACHE_VISITS:
-            total -= cache.pop(next(iter(cache)))[0].size + 1
+    visits = keep_each(tsdf.ray_visits, keys,
+                       lambda missed: _trace_visits(g, [pose[k] for k in missed], intr, box),
+                       IG_CACHE_POSES)
 
     states = tsdf.state_volume().reshape(-1)
     occupied = states == CellState.OCCUPIED

@@ -15,6 +15,7 @@ from actpermoma.geom import (
     _center_offsets,
     cells_from_rle,
     cells_to_rle,
+    keep_each,
     look_at,
     quat_from_matrix,
     quat_mul,
@@ -31,6 +32,56 @@ from actpermoma.planning import state_at
 
 def make_grid(dims=(8, 8, 8), voxel=0.1, origin=(0.0, 0.0, 0.0)) -> Grid:
     return Grid(np.array(origin), voxel, dims, np.zeros(dims, dtype=np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# keep_each, the batch form of keep (whose own tests are in test_perception)
+# ---------------------------------------------------------------------------
+
+def test_keep_each_makes_the_distinct_misses_in_one_call():
+    memo: dict = {"b": "B"}
+    calls = []
+
+    def make(missed):
+        calls.append(missed)
+        return [k.upper() for k in missed]
+
+    got = keep_each(memo, ["c", "b", "a", "c", "b"], make)
+    # first-seen order, the hit key never asked for
+    assert calls == [["c", "a"]]
+    assert got == ["C", "B", "A", "C", "B"]
+    assert memo == {"b": "B", "c": "C", "a": "A"}
+    assert keep_each(memo, ["a", "b", "c"], make) == ["A", "B", "C"]
+    assert len(calls) == 1
+
+
+def test_keep_each_gives_a_repeated_key_one_object():
+    got = keep_each({}, ["k", "j", "k"], lambda missed: [np.zeros(2) for _ in missed])
+    assert got[0] is got[2] and got[0] is not got[1]
+
+
+def test_keep_each_keeps_nothing_of_a_batch_whose_make_raises():
+    memo: dict = {"a": 1}
+    with pytest.raises(ZeroDivisionError):
+        keep_each(memo, ["a", "b", "c"], lambda missed: [1 / 0 for _ in missed], limit=3)
+    assert memo == {"a": 1}
+
+
+def test_keep_each_beyond_its_limit_returns_every_value():
+    # the batch's own misses evict the key it hit first, which it still returns
+    memo: dict = {"a": "A", "z": "Z"}
+    got = keep_each(memo, ["a", "b", "c", "d"], lambda missed: [k.upper() for k in missed],
+                    limit=2)
+    assert got == ["A", "B", "C", "D"]
+    assert list(memo) == ["c", "d"]
+
+
+def test_keep_each_makes_what_it_keeps_read_only():
+    memo: dict = {}
+    for value in keep_each(memo, ["a", "b"], lambda missed: [np.ones(2) for _ in missed]):
+        with pytest.raises(ValueError):
+            value[0] = 0.0
+    assert all(not v.flags.writeable for v in memo.values())
 
 
 # ---------------------------------------------------------------------------

@@ -763,12 +763,13 @@ def ig_cache_sequence():
 
 
 def untraced(cams: list[Pose3], bbox: Aabb, traced_before: set) -> list[Pose3]:
-    """The cameras whose pose was not traced for `bbox` before this call;
-    records every pose of the call as traced."""
+    """The cameras whose pose was not traced for `bbox` before this call,
+    a pose repeated within the call once, in first-seen order; records every
+    pose of the call as traced."""
     keys = [(cam.position.tobytes(), cam.orientation.tobytes(), id(bbox)) for cam in cams]
-    new = [cam for cam, k in zip(cams, keys) if k not in traced_before]
+    new = {k: cam for k, cam in zip(keys, cams) if k not in traced_before}
     traced_before.update(keys)
-    return new
+    return list(new.values())
 
 
 def test_ig_cache_equals_uncached_scorer():
@@ -794,33 +795,29 @@ def test_ig_cache_equals_uncached_scorer():
 
 def test_ig_cache_bound_evicts_and_counts_stay_exact():
     t, calls = ig_cache_sequence()
-    bound = 20_000
+    # one more call, of views turned away from the box: they have no visits
+    # but still take a slot each, more than the bound holds
+    bbox = calls[0][1]
+    c = (bbox.lo + bbox.hi) / 2.0
+    away = [look_at(c + [0.9, 0.05 * i, 0.2], c + [1.9, 0.05 * i, 0.2]) for i in range(6)]
+    calls.insert(8, (away, bbox, lambda cells: None))
+    bound = 4
     traced_before: set = set()
     retraced = 0
-    with mock.patch.object(perception, "IG_CACHE_VISITS", bound):
+    with mock.patch.object(perception, "IG_CACHE_POSES", bound):
         for cams, bbox, edit in calls:
             edit(t.grid.cells)
             new = untraced(cams, bbox, traced_before)
             counts, traced = traced_rays(t, cams, IG_INTR, bbox)
             assert counts.tolist() == uncached_counts(t, cams, IG_INTR, bbox)
-            assert sum(f.size + 1 for f, _ in t.ray_visits.values()) <= bound
+            assert len(t.ray_visits) <= bound
+            if cams is away:
+                assert counts.tolist() == [0] * len(away)
+                assert all(f.size == 0 for f, _ in t.ray_visits.values())
             # more rays than the new poses have: an evicted pose was traced again
             n_new = sum(len(box_rays(t, [cam], IG_INTR, bbox)[0]) for cam in new)
             retraced += len(traced[0][0]) > n_new if traced else 0
     assert retraced >= 2
-
-
-def test_ig_cache_bound_counts_poses_without_visits():
-    # views turned away from the box have no visits but still take a slot
-    scene = generate_scene(SceneKind.SIMPLE, False, 4)
-    t = fresh_target_grid(scene.target_center)
-    c = scene.target_center
-    with mock.patch.object(perception, "IG_CACHE_VISITS", 5):
-        for i in range(12):
-            pos = c + np.array([0.9, 0.05 * i, 0.2])
-            cam = look_at(pos, pos + np.array([1.0, 0.0, 0.0]))
-            assert rear_side_ig_batch(t, [cam], IG_INTR, scene.target_bbox).tolist() == [0]
-            assert len(t.ray_visits) <= 5
 
 
 def test_ig_counts_never_outlive_the_cells_they_count():
