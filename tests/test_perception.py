@@ -820,6 +820,20 @@ def test_ig_cache_bound_evicts_and_counts_stay_exact():
     assert retraced >= 2
 
 
+def test_ig_cache_bound_counts_poses_without_visits():
+    # views turned away from the box have no visits but still take a slot
+    scene = generate_scene(SceneKind.SIMPLE, False, 4)
+    t = fresh_target_grid(scene.target_center)
+    c = scene.target_center
+    with mock.patch.object(perception, "IG_CACHE_POSES", 5):
+        for i in range(12):
+            pos = c + np.array([0.9, 0.05 * i, 0.2])
+            cam = look_at(pos, pos + np.array([1.0, 0.0, 0.0]))
+            assert rear_side_ig_batch(t, [cam], IG_INTR, scene.target_bbox).tolist() == [0]
+            assert len(t.ray_visits) == min(i + 1, 5)
+            assert all(f.size == 0 for f, _ in t.ray_visits.values())
+
+
 def test_ig_counts_never_outlive_the_cells_they_count():
     # the counts the harness attaches for a belief state (TsdfGrid.ig_counts)
     # are those of the cells as they are: fusing a view drops them, so the
