@@ -74,7 +74,8 @@ class GraspDetector:
     The shell of a grasp is the set of true surface voxels within a 3-voxel
     ball of its contact point that face the approach direction: the geometry
     the gripper actually needs to have seen.  Coverage is the fraction of the
-    shell currently fused as occupied surface.
+    shell currently fused as occupied surface.  `detect` reads a grid only at
+    the shell voxels, all inside `shell_box`.
     """
 
     BALL_RADIUS_VOXELS = 3
@@ -121,6 +122,10 @@ class GraspDetector:
         self._shell_sizes = [s.shape[0] for s in self.shells]
         self._shell_index = tuple(np.concatenate([offs[:0], *self.shells]).T)
         self._shell_owner = np.repeat(np.arange(len(self.shells)), self._shell_sizes)
+        # the index box around every shell voxel, as slices: all that
+        # `detect` reads of a grid (an empty box for a scene without shells)
+        self.shell_box = tuple(slice(int(a.min()), int(a.max()) + 1) if a.size else slice(0, 0)
+                               for a in self._shell_index)
 
     def detect(self, tsdf: TsdfGrid, q_th: float, seed: int,
                noise_amplitude: float = 0.05) -> list[Grasp]:

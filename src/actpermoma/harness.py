@@ -63,6 +63,10 @@ TARGET_GRID_VOXELS = 40
 NAV_CELL = 0.1
 NAV_Z_VOXELS = 12
 NAV_HEIGHT_BAND = (0.15, 1.05)
+# the policies that read the target grid only through the grasp detector:
+# they never score IG, so their episodes fuse it only inside the detector's
+# shells' box (`TsdfGrid.region`); every other policy fuses it whole
+SHELLS_ONLY = frozenset({PolicyKind.NAIVE, PolicyKind.RANDOM})
 
 
 class Outcome(str, Enum):
@@ -168,7 +172,8 @@ def cached_render(images: dict, scene: Scene, cam: Pose3, intr: CameraIntrinsics
 # is the grids after one history of views, keyed by its parent's id and its
 # last view: fusion is elementwise and a view's image and plan are pure, so
 # both grids, and every result kept on the state, are a pure function of
-# the scene and its views in order
+# the scene and its views in order (the target grid's cells inside the
+# shells' box, the only ones a baseline holds; see `BeliefNode`)
 _SCENE_VIEWS: dict = {}
 # the belief states a scene keeps.  Episodes share the states of their
 # opening views, so the bound must outlast one long episode between two
@@ -232,7 +237,13 @@ class BeliefNode:
       `rear_side_ig_batch`'s count (`TsdfGrid.ig_counts`).
 
     A key is a str, a tuple led by a str, a tuple of four ints or a pair led
-    by a tuple, so no two producers share one."""
+    by a tuple, so no two producers share one.
+
+    Episodes of different policies share a state, though a baseline's
+    target grid holds cells only inside the shells' box (`SHELLS_ONLY`).
+    What they share does not tell the grids apart: detections read only the
+    shell voxels, which fuse bit for bit alike in both grids, and IG counts
+    are computed only by the policies that fuse the whole grid."""
 
     id: int
     kept: dict = field(default_factory=dict)
@@ -242,7 +253,12 @@ class Episode:
     """One episode's world and belief: its scene task's `record`, both
     TSDFs, the tracked grasps, the robot, `d_total`, the occupancy `observe`
     last returned and the belief state (`node`).  A policy decides on what
-    `observe` returns; `move` drives and `sense`s anew."""
+    `observe` returns; `move` drives and `sense`s anew.
+
+    The target grid of a policy in `SHELLS_ONLY` (by `cfg.policy`, so a
+    replay fuses what the live run fused) holds cells only inside the
+    detector's shells' box (`GraspDetector.shell_box`); every other policy
+    fuses it whole."""
 
     def __init__(self, cfg: RunConfig, record: SceneRecord, policy_seed: int):
         self.cfg, self.record, self.policy_seed = cfg, record, policy_seed
@@ -251,6 +267,8 @@ class Episode:
                                         (int(2 * ARENA_HALF / NAV_CELL),
                                          int(2 * ARENA_HALF / NAV_CELL), NAV_Z_VOXELS))
         self.target_tsdf.ray_visits = record.ray_visits
+        if cfg.policy in SHELLS_ONLY:
+            self.target_tsdf.region = record.detector.shell_box
         self.robot, self.d_total, self.tracked, self.occ = record.start, 0.0, [], None
         self.node = BeliefNode(0)  # the empty grids
 

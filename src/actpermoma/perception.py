@@ -12,10 +12,15 @@ carve, so the cull is exact.  The camera-frame coordinates come as three
 contiguous columns of one `R @ (centers - p).T` product.  Every per-voxel
 intermediate is written into a module-level scratch, one array per dtype
 for the whole process, shared by both grids and grown to the largest box,
-so a call allocates no array whose size grows with its box.  What a view
-updates, and with what value, depends on the grid geometry, the pose and the
-image alone: the image keeps this plan (`DepthImage.plans`), so a view that
-reuses a kept image only updates the cells.
+so a call allocates no array whose size grows with its box.  A grid may
+name the index box its readers read (`TsdfGrid.region`), and then only
+that box is fused: a baseline that never scores IG holds its target grid
+only inside its grasp shells' box, the voxels its detector reads, and each
+of them bit for bit as in a whole-grid fusion (a replay of the trace may
+fuse the grid whole offline).  What a view updates, and with what value,
+depends on the grid geometry and region, the pose and the image alone: the
+image keeps this plan (`DepthImage.plans`), so a view that reuses a kept
+image only updates the cells.
 
 Information gain of a candidate camera pose is the number of distinct
 unknown voxels inside the target bounding box that lie behind the first
@@ -86,6 +91,13 @@ class TsdfGrid:
     # dict of this belief state, which `integrate_depth` drops before it
     # changes a cell, so a grid whose cells are written otherwise has none
     ig_counts: dict | None = field(default=None, init=False, repr=False, compare=False)
+    # the index box of the voxels the grid's readers read, as slices
+    # (`_frustum_voxels`), or None for the whole grid: `integrate_depth`
+    # fuses only inside it, and every cell outside it stays as it is.  The
+    # harness sets it on the target grid of a baseline that never scores IG
+    # (`harness.SHELLS_ONLY`) to the box around the grasp shells
+    # (`GraspDetector.shell_box`), the only voxels its detector reads
+    region: tuple[slice, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = self.grid.cells
@@ -155,6 +167,12 @@ def _frustum_voxels(g: Grid, cam: Pose3, intr: CameraIntrinsics,
     return tuple(slice(a, b + 1) for a, b in zip(lo, hi))
 
 
+def _box_overlap(a: tuple[slice, ...], b: tuple[slice, ...]) -> tuple[slice, ...] | None:
+    """The index box of the voxels in both boxes, or None when it holds none."""
+    box = tuple(slice(max(x.start, y.start), min(x.stop, y.stop)) for x, y in zip(a, b))
+    return box if all(s.start < s.stop for s in box) else None
+
+
 # integrate_depth's work arrays, by dtype.  They hold no state between calls,
 # but one fusion at a time may use them (the harness runs no threads).  One
 # set per process rather than per grid, so the two grids share the memory of
@@ -189,19 +207,22 @@ def _fusion_plan(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3
     """What one view fuses, before any cell is read: the C-order flat
     indices of the voxels it updates (`_voxel_ids`) and the float32 value
     it fuses into each, the clipped signed distance over the truncation or
-    1.0 for a carve.  It depends on the grid geometry, the pose and the
-    image alone.
+    1.0 for a carve.  It depends on the grid geometry and region, the pose
+    and the image alone.
 
     Only the voxels of the index box of the view frustum cut at camera depth
-    `max_range + truncation` (`_frustum_voxels`) are projected.  A voxel
-    outside it either rounds to no pixel, or lies deeper than `pix +
-    truncation` for every hit depth `pix <= max_range` and deeper than every
-    carve, so skipping it changes no cell.  The camera-frame coordinates are
-    three contiguous columns of one `R @ (centers - p).T` product; numpy's
-    matrix product gives each column of it the bits of the same row of the
+    `max_range + truncation` (`_frustum_voxels`), cut to the grid's region
+    (`TsdfGrid.region`), are projected.  A voxel outside the frustum box
+    either rounds to no pixel, or lies deeper than `pix + truncation` for
+    every hit depth `pix <= max_range` and deeper than every carve, so
+    skipping it changes no cell.  The camera-frame coordinates are three
+    contiguous columns of one `R @ (centers - p).T` product; numpy's matrix
+    product gives each column of it the bits of the same row of the
     row-wise `(centers - p) @ R.T` over the whole grid, except for a single
-    column, which goes through matrix-vector code (`tests/test_sensing_oracle.py`
-    checks the fused cells against the unculled row-wise fusion).
+    column, which goes through matrix-vector code.  So a voxel's value does
+    not depend on which box projects it, and a region's voxels fuse as in
+    the whole grid (`tests/test_sensing_oracle.py` checks the fused cells
+    against the unculled row-wise fusion, with and without a region).
 
     Every box-sized intermediate goes with `out=` into the process's scratch
     (`_scratch`); each (3, n) block of it is contiguous, as a fresh product
@@ -215,12 +236,17 @@ def _fusion_plan(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3
     g = tsdf.grid
     t = tsdf.truncation
     box = _frustum_voxels(g, cam, intr, intr.max_range + t)
+    if box is not None and tsdf.region is not None:
+        box = _box_overlap(box, tsdf.region)
     if box is None:
         return np.zeros(0, np.intp), np.zeros(0, np.float32)
     shape = tuple(b.stop - b.start for b in box)
+    one = None
     if math.prod(shape) == 1:
         # a one-column product takes numpy's matrix-vector path, whose bits
-        # can differ from the same column of a larger product
+        # can differ from the same column of a larger product: the whole
+        # grid is projected, and only that voxel planned
+        one = np.ravel_multi_index([b.start for b in box], g.dims)
         box, shape = tuple(slice(0, n) for n in g.dims), g.dims
     n = math.prod(shape)
     # scratch rows, voxels in the C order of the box: `diff` holds cols - p,
@@ -260,7 +286,10 @@ def _fusion_plan(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3
     np.divide(np.clip(sdf, -t, t, out=sdf), t, out=sdf)
     val.fill(1.0)
     np.copyto(val, sdf, casting="same_kind", where=hit)
-    return _voxel_ids(g.dims)[box].reshape(-1)[update], val[update]
+    ids = _voxel_ids(g.dims)[box].reshape(-1)
+    if one is not None:
+        ids, val, update = ids[one:one + 1], val[one:one + 1], update[one:one + 1]
+    return ids[update], val[update]
 
 
 def _fuse_plan(tsdf: TsdfGrid, voxels: np.ndarray, values: np.ndarray) -> None:
@@ -302,19 +331,23 @@ def integrate_depth(tsdf: TsdfGrid, depth: DepthImage, cam: Pose3) -> TsdfGrid:
 
     Voxels more than one truncation behind the measured surface are left
     untouched (they stay unknown until seen from elsewhere).  No-hit pixels
-    carve free space out to the camera max range.  The grid's IG counts
+    carve free space out to the camera max range.  Only the voxels of the
+    grid's region (`TsdfGrid.region`) are fused; a baseline's target grid
+    holds cells only inside its grasp shells' box.  The grid's IG counts
     (`TsdfGrid.ig_counts`) describe the cells before the view, so they go.
 
     A view's fusion is its plan (`_fusion_plan`: which voxels it updates and
     with what value), then the cell update (`_fuse_plan`).  The plan reads
     no cell, so the image keeps it (`DepthImage.plans`, read-only arrays)
-    under the grid geometry and the exact pose bytes.  Fusing a kept image
-    again from the same pose into a grid of the same geometry runs only the
-    cell update; any other view builds its plan first.
+    under the grid geometry, the region and the exact pose bytes.  Fusing a
+    kept image again from the same pose into a grid of the same geometry
+    and region runs only the cell update; any other view builds its plan
+    first.
     """
     tsdf.ig_counts = None
     g = tsdf.grid
-    key = (g.origin.tobytes(), g.cell_size, g.dims, tsdf.truncation, *cam.key())
+    region = None if tsdf.region is None else tuple((s.start, s.stop) for s in tsdf.region)
+    key = (g.origin.tobytes(), g.cell_size, g.dims, tsdf.truncation, region, *cam.key())
     _fuse_plan(tsdf, *keep(depth.plans, key, lambda: _fusion_plan(tsdf, depth, cam)))
     return tsdf
 

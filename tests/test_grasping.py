@@ -238,6 +238,40 @@ def test_detect_equals_full_grid_reference():
         assert len({g.coverage for g in det.detect(t, 0.0, 0)}) > 1
 
 
+def test_shell_box_holds_every_shell_voxel_and_all_that_detect_reads():
+    # the box is the tight index box of the shell voxels; with every cell
+    # outside it overwritten (random tsdf, weights, NaN), detection is
+    # unchanged, so a grid fused only inside the box detects what the
+    # whole grid does
+    rng = np.random.default_rng(41)
+    for seed in range(6):
+        scene = with_empty_shell_grasps(generate_scene(list(SceneKind)[seed % 2],
+                                                       seed >= 3, 400 + seed))
+        t = TsdfGrid.create_cube(scene.target_center, 0.6, 40)
+        det = GraspDetector(t, scene)
+        voxels = np.concatenate(det.shells)
+        assert [(s.start, s.stop) for s in det.shell_box] == \
+            list(zip(voxels.min(axis=0).tolist(), (voxels.max(axis=0) + 1).tolist()))
+        inside = np.zeros(t.grid.dims, dtype=bool)
+        inside[det.shell_box] = True
+        assert inside[tuple(voxels.T)].all() and not inside.all()
+        for az in np.linspace(0, 2 * np.pi, 5, endpoint=False):
+            cam = look_at(scene.target_center + np.array([np.cos(az), np.sin(az), 0.5]),
+                          scene.target_center)
+            integrate_depth(t, render_depth(scene, cam, INTR), cam)
+        want = [det.detect(t, 0.0, s) for s in range(3)]
+        assert any(g.coverage > 0 for grasps in want for g in grasps)
+        outside = ~inside
+        n = int(outside.sum())
+        tsdf = rng.uniform(-1.0, 1.0, n)
+        tsdf[rng.random(n) < 0.1] = np.nan
+        t.grid.cells[outside] = np.stack([tsdf, rng.uniform(0.0, 64.0, n)], axis=1)
+        assert [det.detect(t, 0.0, s) for s in range(3)] == want
+    # a scene whose shells are all empty reads nothing: an empty box
+    bare = replace(scene, truth_grasps=scene.truth_grasps[:2])
+    assert GraspDetector(t, bare).shell_box == (slice(0, 0),) * 3
+
+
 def test_build_map_pair_is_read_only_and_equals_a_fresh_build():
     pair = build_map_pair()
     assert build_map_pair() is pair

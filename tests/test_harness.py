@@ -606,6 +606,31 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
     assert checked["plan after a plan"] > 0
 
 
+def test_a_scene_task_of_baselines_then_actpermoma_runs_each_as_alone(monkeypatch):
+    # Naive and Random fuse the target grid only inside the shells' box, and
+    # run first they leave those partial fusion plans on the images the
+    # scene shares, the start view's among them; the ActPerMoMa episode
+    # after them must fuse its grid whole all the same
+    work = count_scene_work(monkeypatch)
+    jobs = [(RunConfig(planner=PlannerConfig(max_steps=12), scenario=SceneKind.COMPLEX,
+                       base_seed=3, policy=policy), 0)
+            for policy in (PolicyKind.NAIVE, PolicyKind.RANDOM, PolicyKind.ACTPERMOMA)]
+    together = scene_task(work, jobs)
+    alone = [scene_task(work, [job]) for job in jobs]
+    assert together[1] == [ran for _, (ran,) in alone]
+    assert together[0]["renders"] < sum(a[0]["renders"] for a in alone)
+
+
+def test_only_the_baselines_that_never_score_ig_fuse_a_region_of_the_target_grid():
+    record = harness.scene_record(SceneKind.COMPLEX, False, 3)
+    regions = {kind: Episode(RunConfig(scenario=SceneKind.COMPLEX, policy=kind), record,
+                             0).target_tsdf.region for kind in PolicyKind}
+    assert {kind for kind, region in regions.items() if region is None} == {
+        PolicyKind.ACTPERMOMA, PolicyKind.IG_ONLY, PolicyKind.NO_WEIGHTS,
+        PolicyKind.BREYER_NBV}
+    assert regions[PolicyKind.NAIVE] == regions[PolicyKind.RANDOM] == record.detector.shell_box
+
+
 def arrays_and_lists(obj):
     """Every array and list reachable from `obj` through tuples, lists and
     the attributes of an object."""

@@ -631,3 +631,79 @@ def test_same_pose_with_another_image_builds_a_new_plan():
         plans.append(plan)
     assert plans[0] is plans[2] is plans[4]
     assert len({id(p) for p in plans}) == 3
+
+
+# ---------------------------------------------------------------------------
+# a grid's region: only its voxels are fused, each as in the whole grid
+# ---------------------------------------------------------------------------
+
+def fuse_region_and_compare(scene, grid: TsdfGrid, ref: TsdfGrid, views_) -> None:
+    """Fuse each of `views_` ((extra primitives, camera) pairs) into `grid`,
+    which has a region, and into the whole-grid reference `ref`: after each
+    view the region's cells equal the reference's byte for byte, and every
+    cell outside it is as it was before the first view."""
+    region = grid.region
+    before = grid.grid.cells.copy()
+    inside = np.zeros(grid.grid.dims, dtype=bool)
+    inside[region] = True
+    for extra, cam in views_:
+        seen = replace(scene, primitives=scene.primitives + extra)
+        img = render_depth(seen, cam, INTR)
+        integrate_depth(grid, img, cam)
+        reference_integrate(ref, img, cam)
+        assert grid.grid.cells[region].tobytes() == ref.grid.cells[region].tobytes()
+        assert grid.grid.cells[~inside].tobytes() == before[~inside].tobytes()
+
+
+@st.composite
+def regions(draw, dims: tuple[int, ...], fused: np.ndarray) -> tuple[slice, ...]:
+    """An index box of 1 to 8 voxels a side, about one of the voxels
+    `fused` lists ((n, 3) indices), or anywhere when it lists none."""
+    box = []
+    anchor = fused[draw(st.integers(0, len(fused) - 1))] if len(fused) else None
+    for axis, n in enumerate(dims):
+        size = draw(st.integers(1, 8))
+        if anchor is None:
+            start = draw(st.integers(0, n - 1))
+        else:
+            start = max(int(anchor[axis]) - draw(st.integers(0, size - 1)), 0)
+        box.append(slice(start, min(start + size, n)))
+    return tuple(box)
+
+
+@settings(max_examples=25, deadline=None)
+@given(view_sequences(), st.data())
+def test_a_region_fuses_like_the_whole_grid_and_leaves_the_rest(case, data):
+    # the first view fuses the whole grid, so the cells outside the region
+    # are not all empty when the region is set; the region then holds a
+    # voxel a later view fuses, when one does
+    scene, ((extra, cam), *rest) = case
+    grid = target_grid(scene)
+    integrate_depth(grid, render_depth(replace(scene, primitives=scene.primitives + extra),
+                                       cam, INTR), cam)
+    ref, later = copy_tsdf(grid), copy_tsdf(grid)
+    for extra, cam in rest:
+        integrate_depth(later, render_depth(replace(scene, primitives=scene.primitives + extra),
+                                            cam, INTR), cam)
+    grid.region = data.draw(regions(grid.grid.dims, np.argwhere(later.weight > grid.weight)))
+    fuse_region_and_compare(scene, grid, ref, rest)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_a_region_of_up_to_two_voxels_fuses_like_the_whole_grid(size):
+    # the region starts at a voxel each view updates: one voxel takes the
+    # whole grid's projection (the one-column rule) and keeps only itself;
+    # two voxels are one two-column product; an empty region fuses nothing
+    scene = generate_scene(SceneKind.SIMPLE, False, 3)
+    cams = [look_at(scene.target_center + np.array([1.0, 0.4, 0.5]), scene.target_center),
+            look_at(scene.target_center + np.array([-0.9, 0.6, 0.4]), scene.target_center)]
+    whole = target_grid(scene)
+    for cam in cams:
+        integrate_depth(whole, render_depth(scene, cam, INTR), cam)
+    i, j, k = np.argwhere(whole.weight == len(cams))[0]
+    grid = target_grid(scene)
+    grid.region = (slice(i, i + 1), slice(j, j + 1), slice(k, k + size))
+    assert math.prod(s.stop - s.start for s in grid.region) == size
+    fuse_region_and_compare(scene, grid, copy_tsdf(grid), [((), cam) for cam in cams])
+    assert grid.weight[i, j, k] == (len(cams) if size else 0)
+    assert np.count_nonzero(grid.weight) <= size
