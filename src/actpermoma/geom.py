@@ -53,7 +53,7 @@ def keep(memo: dict, key, make, limit: int | None = None):
     every later caller that asks with the same key gets the same object,
     and nobody may write to it.  A hit never calls `make`; an exception
     from `make` propagates and keeps nothing, so a failure a caller wants to
-    share must be made a value (`plan_path` keeps a NoPath as its message).
+    share must be made a value.
     With a `limit`, `memo` is in use order, least recent first: a hit
     becomes the most recent, and a miss beyond `limit` entries drops the
     least recent one."""
@@ -294,6 +294,7 @@ class Aabb:
             object.__setattr__(self, name, corner)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        """Which of `points` lie in the box, faces included; API of the IG oracle and the tests."""
         p = np.asarray(points, dtype=float)
         return np.all((p >= self.lo) & (p <= self.hi), axis=-1)
 

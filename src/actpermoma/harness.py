@@ -179,10 +179,10 @@ _SCENE_VIEWS: dict = {}
 # opening views, so the bound must outlast one long episode between two
 # that share: on uncapped table2 (400-step budget, 2 episodes per cell,
 # base seed 300) 512 kept every repeat an unbounded table finds (1,148 of
-# 2,349 states) and 256 kept 288.  There a state keeps ~20 KB on average,
-# counting once the camera poses its plans share (~9 KB of it the occupancy
-# and the obstacle mask, ~8 KB the plans), and ~100 KB at most, so 512
-# states take ~10 MB.
+# 2,349 states) and 256 kept 288.  There a state keeps ~16 KB on average,
+# counting once the camera poses its plans share (~4.5 KB of it the
+# occupancy, ~8 KB the plans), and ~100 KB at most, so 512 states take
+# ~8 MB.
 BELIEF_NODES = 512
 
 
@@ -227,17 +227,14 @@ class BeliefNode:
 
     - `("detect", q_th, detect seed)`: `GraspDetector.detect`'s grasps;
     - `"occupancy"`: `project_occupancy`'s map of the nav grid;
-    - `"blocked"`: the `inflate_occupied` mask (`Policy._nav`);
     - `("plan", n_b, goal seed, reach radius, epoch, camera seed, camera
       spacing, torso band, robot xy bytes, previous plan)`: an ActPerMoMa
       decision's goal slots, candidate paths and routes (`policies.Plan`);
-    - four ints, the start and goal cells: `plan_path`'s route or NoPath
-      message (`NavMap.paths`);
     - a pair of a camera's ray-visit key and the target bbox bytes:
       `rear_side_ig_batch`'s count (`TsdfGrid.ig_counts`).
 
-    A key is a str, a tuple led by a str, a tuple of four ints or a pair led
-    by a tuple, so no two producers share one.
+    A key is a str, a tuple led by a str or a pair led by a tuple, so no two
+    producers share one.
 
     Episodes of different policies share a state, though a baseline's
     target grid holds cells only inside the shells' box (`SHELLS_ONLY`).

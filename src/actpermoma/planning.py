@@ -14,7 +14,7 @@ import functools
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,15 +210,12 @@ _FREE, _UNKNOWN, _BLOCKED = 0, 1, 2
 
 @dataclass(frozen=True, eq=False)
 class NavMap:
-    """The map one decision plans on: the occupancy grid, its `blocked`
+    """The map one decision plans on: the occupancy grid and its `blocked`
     mask (obstacle cells inflated by the robot radius, from
-    `inflate_occupied`) and the memo of `plan_path`'s results on it
-    (`keep`), its own unless it is given one: `Policy._nav` gives the belief
-    state's (`BeliefNode.kept`)."""
+    `inflate_occupied`)."""
 
     occ: Grid
     blocked: np.ndarray
-    paths: dict = field(default_factory=dict)
 
     @functools.cached_property
     def codes(self) -> list[int]:
@@ -240,11 +237,6 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> np.ndarray:
     Returns the (n, 2) cell-center positions from the start cell to the
     goal cell, a new array on every call; the start cell itself is always
     traversable.  Raises NoPath.
-
-    A search is a function of the map and its two cells alone, so each
-    (start cell, goal cell) pair is searched once per `nav.paths` (`keep`):
-    it keeps the positions, or the message of the NoPath, never the
-    exception, whose traceback would keep the searching frames alive.
     """
     occ = nav.occ
     nx, ny = occ.dims
@@ -258,17 +250,7 @@ def plan_path(nav: NavMap, start: Pose2, goal: Pose2) -> np.ndarray:
 
     if s == g:
         return occ.index_to_world_center(np.array([s]))
-
-    def search() -> np.ndarray | str:
-        try:
-            return _search(nav, s, g)
-        except NoPath as e:
-            return str(e)
-
-    found = keep(nav.paths, (*map(int, s), *map(int, g)), search)
-    if isinstance(found, str):
-        raise NoPath(found)
-    return found.copy()
+    return _search(nav, s, g)
 
 
 def _search(nav: NavMap, s: tuple, g: tuple) -> np.ndarray:

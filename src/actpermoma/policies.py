@@ -191,11 +191,8 @@ class Policy:
     @staticmethod
     def _nav(belief: Belief) -> NavMap:
         """The map this decision plans on: `belief.occ` with the default
-        `inflate_occupied` mask, and the state's routes, which are right only
-        for this mask: a map with another mask must keep its own."""
-        kept = belief.node.kept
-        return NavMap(belief.occ, keep(kept, "blocked", lambda: inflate_occupied(belief.occ)),
-                      kept)
+        `inflate_occupied` mask."""
+        return NavMap(belief.occ, inflate_occupied(belief.occ))
 
     def _move_to(self, belief: Belief, base: Pose2) -> MoveStep:
         """Go to `base` (the robot's own pose waits) and view the target from there."""

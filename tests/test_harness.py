@@ -39,7 +39,7 @@ from actpermoma.harness import (
     summarize,
 )
 from actpermoma.perception import TsdfGrid
-from actpermoma.planning import NavMap, NoPath, PlannerConfig, camera_at
+from actpermoma.planning import NoPath, PlannerConfig, camera_at
 from actpermoma.policies import Abort, Belief, MoveStep, PolicyKind
 from actpermoma.render import render_topdown, render_trace_file
 from actpermoma.scene import (
@@ -475,10 +475,10 @@ def kept_kind(key) -> str:
         return key
     if isinstance(key[0], str):
         return key[0]
-    return "route" if len(key) == 4 else "ig"
+    return "ig"
 
 
-KEPT_KINDS = {"detect", "occupancy", "blocked", "plan", "route", "ig"}
+KEPT_KINDS = {"detect", "occupancy", "plan", "ig"}
 
 
 def value_bits(value):
@@ -508,8 +508,7 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
     start = sample_start_pose(scene, derive_seed(TABLE2_SCENE, "start"))
     detector = GraspDetector(harness.target_grid(scene), scene)
     real_observe, real_decide = Episode.observe, policies.ActPerMoMaPolicy.decide
-    real_ig, real_detect, real_search = \
-        perception.rear_side_ig_batch, GraspDetector.detect, planning._search
+    real_ig, real_detect = perception.rear_side_ig_batch, GraspDetector.detect
     views = {}  # the IG scorer's cameras and target boxes, by their key bytes
     # the running episode and the (state id, key) pairs it has checked
     running = {"episode": None, "walked": set()}
@@ -521,7 +520,6 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
         saved, walked = Counter(work), running["walked"]
         kept = episode.node.kept
         occ = perception.project_occupancy(episode.nav_tsdf, harness.NAV_HEIGHT_BAND)
-        blocked = planning.inflate_occupied(occ)
         scored: dict[tuple, list] = {}
         for key, got in kept.items():
             if (episode.node.id, key) in walked:
@@ -535,8 +533,6 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
                 continue
             if kind == "occupancy":
                 want = occ
-            elif kind == "blocked":
-                want = blocked
             elif kind == "detect":
                 want = tuple(real_detect(detector, episode.target_tsdf, *key[1:]))
             elif kind == "plan":  # a policy with its routes restored from the previous plan
@@ -552,11 +548,6 @@ def test_a_scene_task_answers_repeated_decisions_exactly(monkeypatch):
                     robot=robot, target_tsdf=episode.target_tsdf, occ=occ, stable_grasps=[],
                     target_center=scene.target_center, target_bbox=scene.target_bbox,
                     step_index=0, intr=DEFAULT_INTRINSICS, node=harness.BeliefNode(-1)), epoch)
-            else:
-                try:
-                    want = real_search(NavMap(occ, blocked), key[:2], key[2:])
-                except NoPath as e:
-                    want = str(e)
             assert value_bits(got) == value_bits(want), key
         t = episode.target_tsdf
         for (intr, box), rows in scored.items():
@@ -665,7 +656,6 @@ def test_a_scene_task_keeps_its_shared_results_read_only():
     assert any(isinstance(a, np.ndarray) for plan in plans for a in arrays_and_lists(plan))
     found += arrays_and_lists((record.scene, record.start, record.detector))
     arrays = [a for a in found if isinstance(a, np.ndarray)]
-    assert any(a.ndim == 2 and a.dtype == bool for a in arrays)  # an obstacle mask
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0
@@ -707,9 +697,9 @@ def test_a_scene_task_whose_scene_fails_keeps_nothing(monkeypatch):
 
 def test_a_scene_task_leaves_no_episode_alive(monkeypatch):
     # what a scene keeps for its next episodes references no episode: once
-    # the task returns, every episode's grids are freed, and a failed search
-    # is kept as its message, never as the exception, whose traceback would
-    # keep the frames of the episode that raised it
+    # the task returns, every episode's grids are freed, though searches
+    # fail, and no exception is kept, whose traceback would keep the frames
+    # of the episode that raised it
     grids = []
     real_search = planning._search
 
@@ -734,7 +724,6 @@ def test_a_scene_task_leaves_no_episode_alive(monkeypatch):
     assert len(grids) == 6 and all(ref() is None for ref in grids)
     (record,) = harness._SCENE_VIEWS.values()
     kept = [v for node in record.nodes.values() for v in node.kept.values()]
-    assert any(isinstance(v, str) for v in kept)
     assert not any(isinstance(v, BaseException) for v in kept)
 
 

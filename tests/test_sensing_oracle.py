@@ -345,6 +345,35 @@ def test_floor_hits_on_both_sides_of_max_range_render_like_the_reference():
     assert np.isnan(img).any() and np.isfinite(img).any()
 
 
+# camera positions, aims and a pixel whose ray meets the floor inside the arena
+FLOOR_AT_RANGE = [
+    ((0.411, -0.691, 0.561), (-2.901, 1.88, 0.369), 2062),
+    ((-1.399, 0.689, 0.763), (2.179, 0.249, -0.55), 1970),
+    ((-1.415, -1.127, 1.506), (0.883, 0.692, -0.424), 1731),
+]
+
+
+@pytest.mark.parametrize("pos, aim, pixel", FLOOR_AT_RANGE)
+def test_floor_hit_at_max_range_renders_like_the_reference(pos, aim, pixel):
+    # the camera raised to where the pixel's ray meets the floor's top (z = 0)
+    # at max_range, then stepped 40 ulps up and down: rounding alone decides
+    # whether that hit is in range, so a floor bound without its shrink
+    # skips pixels the reference hits
+    base = generate_scene(SceneKind.SIMPLE, False, 3)
+    scene = replace(base, primitives=(floor_of(base),))
+    cam = look_at(np.array(pos), np.array(aim))
+    d_z = (INTR.pixel_dirs() @ cam.rotation_matrix().T)[pixel, 2]
+    up = down = [INTR.max_range * -d_z]
+    for _ in range(40):
+        up, down = up + [np.nextafter(up[-1], np.inf)], down + [np.nextafter(down[-1], -np.inf)]
+    in_range = set()
+    for z in down[:0:-1] + up:
+        img = assert_renders_like_the_reference(
+            scene, Pose3(np.array([pos[0], pos[1], z]), cam.orientation))
+        in_range.add(bool(np.isfinite(img.reshape(-1)[pixel])))
+    assert in_range == {True, False}
+
+
 def test_one_pixel_floor_set_renders_like_the_reference():
     # a 16x16 camera 1.5 m up, looking level along +x: only its bottom row
     # points steeply enough to meet the floor within 3 m, and a wall 1 m
